@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden install
+.PHONY: test acceptance golden bench install
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,3 +13,10 @@ acceptance:
 # numeric changes, then review the diff).
 golden:
 	python3 scripts/regen_golden.py
+
+# Run the benchmark (BENCHMARK.json) once on every workload, 30 s each;
+# records go to .bench_work/.
+bench:
+	for w in example_cli hires_pyramid gradcheck_rgb; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done

@@ -284,11 +284,11 @@ def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     ok = z > EPS_Z
-    zs = np.where(ok, z, 1.0)
+    # 1/z is set to 0 past the cut-off, which zeroes those rows outright
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=ok)
     jac = np.zeros(points.shape[:-1] + (2, 3))
-    jac[..., 0, 0] = k.fx / zs
-    jac[..., 0, 2] = -k.fx * x / (zs * zs)
-    jac[..., 1, 1] = k.fy / zs
-    jac[..., 1, 2] = -k.fy * y / (zs * zs)
-    jac[~ok] = 0.0
+    jac[..., 0, 0] = k.fx * inv_z
+    jac[..., 0, 2] = -k.fx * x * inv_z * inv_z
+    jac[..., 1, 1] = k.fy * inv_z
+    jac[..., 1, 2] = -k.fy * y * inv_z * inv_z
     return jac

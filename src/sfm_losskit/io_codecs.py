@@ -51,7 +51,7 @@ def read_pfm(path) -> np.ndarray:
             raise CodecError(f"{path}: not a PFM stream (got {ident!r})")
         w = _read_int(fh, path)
         h = _read_int(fh, path)
-        scale = float(_read_token(fh).decode("ascii"))
+        scale = _read_float(fh, path)
         endian = "<" if scale < 0 else ">"
         count = h * w * channels
         raw = fh.read(4 * count)
@@ -123,6 +123,21 @@ def _read_int(fh, path) -> int:
         raise CodecError(f"{path}: expected integer header token, got {tok!r}") from exc
 
 
+def _read_float(fh, path) -> float:
+    tok = _read_token(fh)
+    try:
+        return float(tok)
+    except ValueError as exc:
+        raise CodecError(f"{path}: expected float header token, got {tok!r}") from exc
+
+
+def _floats(path, parts) -> list[float]:
+    try:
+        return [float(v) for v in parts]
+    except ValueError as exc:
+        raise CodecError(f"{path}: non-numeric manifest value: {exc}") from exc
+
+
 def write_labels_pfm(path, labels: SparseDepth) -> None:
     h, w = labels.depth.shape
     packed = np.empty((h, w, 3), dtype=np.float32)
@@ -185,10 +200,12 @@ def read_manifest(path):
             if key == "context":
                 if len(parts) != 14:
                     raise CodecError(f"{path}: context line needs a file and 12 floats")
-                m = np.array([float(v) for v in parts[2:]]).reshape(3, 4)
+                m = np.array(_floats(path, parts[2:])).reshape(3, 4)
                 contexts.append((parts[1], PoseSE3.from_matrix(m[:, :3], m[:, 3])))
             elif key == "intrinsics":
-                fields[key] = [float(v) for v in parts[1:]]
+                if len(parts) != 5:
+                    raise CodecError(f"{path}: intrinsics line needs 4 floats (fx fy cx cy)")
+                fields[key] = _floats(path, parts[1:])
             else:
                 if len(parts) != 2:
                     raise CodecError(f"{path}: malformed line {raw!r}")
@@ -206,6 +223,8 @@ def read_manifest(path):
         return k, channels, fields["target"], fields["depth"], fields["labels"], contexts
     except KeyError as exc:
         raise CodecError(f"{path}: missing manifest field {exc}") from exc
+    except ValueError as exc:  # non-integer size field or invalid intrinsics
+        raise CodecError(f"{path}: {exc}") from exc
 
 
 def write_scene_dir(out_dir, scene, ppm_maxval: int = 65535) -> None:

@@ -9,6 +9,11 @@ disparity, and a supervised reprojected-distance term over sparse labels:
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
 central finite differences away from the measure-zero switching sets.
+Two properties keep those differences meaningful: every windowed operator
+is local (a one-pixel change leaves outputs outside its window
+bit-identical), and scalar reductions are plain ``np.sum`` calls, which are
+deterministic for a fixed shape. The windowed and pyramid operators are
+separable, and each backward pass applies their exact transposes.
 Images are (H, W, C) float arrays in [0, 1]; depth maps are (H, W) with
 0 or negative marking invalid; per-pixel loss maps carry +inf at invalid
 pixels, which every reduction here excludes by mask.
@@ -16,7 +21,6 @@ pixels, which every reduction here excludes by mask.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -80,25 +84,21 @@ ContextSet = Sequence[tuple[np.ndarray, PoseSE3]]
 def _box_sum(x: np.ndarray, radius: int = SSIM_RADIUS) -> np.ndarray:
     """Windowed sum over (2r+1)^2 boxes; windows shrink at the borders.
 
-    Self-adjoint (symmetric window), which the SSIM backward pass relies on.
-    Computed by summing shifted copies, not integral images: the output at a
-    pixel then depends only on its window, so a local input change leaves
-    every other output bit-identical (finite-difference checks rely on that).
+    Separable: 2r+1 row shifts, then 2r+1 column shifts. The window is
+    symmetric, so the operator is self-adjoint, which the SSIM backward pass
+    relies on. An output depends only on the inputs inside its window (no
+    integral images), so a one-pixel input change leaves every output outside
+    that pixel's window bit-identical; finite-difference checks rely on that.
     """
-    h, w = x.shape
-    padded = np.zeros((h + 2 * radius, w + 2 * radius))
-    padded[radius : radius + h, radius : radius + w] = x
-    out = np.zeros((h, w))
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            out += padded[dy : dy + h, dx : dx + w]
+    rows = x.copy()
+    for d in range(1, radius + 1):
+        rows[d:] += x[:-d]
+        rows[:-d] += x[d:]
+    out = rows.copy()
+    for d in range(1, radius + 1):
+        out[:, d:] += rows[:, :-d]
+        out[:, :-d] += rows[:, d:]
     return out
-
-
-def _stable_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum (math.fsum); keeps scalar reductions reproducible
-    to the last bit so central differences of the loss stay meaningful."""
-    return math.fsum(values.ravel().tolist())
 
 
 class _SsimChannelCache(NamedTuple):
@@ -330,17 +330,19 @@ def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.exp(-gx), np.exp(-gy)
 
 
-def _smoothness_forward(depth, target) -> tuple[float, _SmoothCache]:
+def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
+    """edge_weights is _image_gradient_weights(target), which depends only
+    on the target image, so callers compute it once per evaluation."""
     h, w = depth.shape
     valid = depth > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise InvalidDepthError("smoothness needs at least one valid depth")
     disp = np.where(valid, 1.0 / np.where(valid, depth, 1.0), 0.0)
-    mean_disp = _stable_sum(disp) / n_valid
+    mean_disp = float(np.sum(disp)) / n_valid
     dhat = disp / mean_disp
 
-    wx_full, wy_full = _image_gradient_weights(target)
+    wx_full, wy_full = edge_weights
     dx = dhat[:, 1:] - dhat[:, :-1]
     dy = dhat[1:, :] - dhat[:-1, :]
 
@@ -354,7 +356,7 @@ def _smoothness_forward(depth, target) -> tuple[float, _SmoothCache]:
     dy_in = dy[:, :-1]
     wx = wx_full[:-1, :]
     wy = wy_full[:, :-1]
-    value = _stable_sum((np.abs(dx_in) * wx + np.abs(dy_in) * wy) * contrib) / n_contrib
+    value = float(np.sum((np.abs(dx_in) * wx + np.abs(dy_in) * wy) * contrib)) / n_contrib
     cache = _SmoothCache(
         valid, disp, float(mean_disp), n_valid,
         np.sign(dx_in), np.sign(dy_in), wx, wy, contrib, n_contrib,
@@ -392,7 +394,7 @@ def smoothness(depth: np.ndarray, target: np.ndarray) -> float:
     target = warp.validate_image(target)
     if depth.shape != target.shape[:2]:
         raise DimensionError(f"depth {depth.shape} does not match image {target.shape}")
-    value, _ = _smoothness_forward(depth, target)
+    value, _ = _smoothness_forward(depth, _image_gradient_weights(target))
     return value
 
 
@@ -449,7 +451,7 @@ def _rep_forward(pred, gt_sparse, pose, k, want_grad):
 
     e = _proj(x_hat) - _proj(x_true)
     norms = np.sqrt((e * e).sum(axis=1))
-    value = _stable_sum(norms) / count
+    value = float(np.sum(norms)) / count
     if not want_grad:
         return value, count, dropped, None, None
 
@@ -509,56 +511,87 @@ def _shared_errors(pred, gt_sparse):
     return (pred - gt)[shared], shared
 
 
-def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Dense 1-D linear-interpolation matrix (corner-aligned)."""
-    a = np.zeros((n_out, n_in))
+def _interp_taps(n_out: int, n_in: int):
+    """Lower tap, upper tap and upper weight of corner-aligned linear
+    interpolation from n_in to n_out samples (output i sits at input
+    coordinate i * (n_in - 1) / (n_out - 1))."""
     if n_in == 1:
-        a[:, 0] = 1.0
-        return a
-    s = np.arange(n_out) * (n_in - 1) / (n_out - 1) if n_out > 1 else np.zeros(1)
+        zeros = np.zeros(n_out, dtype=np.intp)
+        return zeros, zeros, np.zeros(n_out)
+    s = np.arange(n_out) * (n_in - 1) / (n_out - 1)
     j0 = np.minimum(s.astype(np.intp), n_in - 2)
-    frac = s - j0
-    a[np.arange(n_out), j0] = 1.0 - frac
-    a[np.arange(n_out), j0 + 1] = frac
-    return a
+    return j0, j0 + 1, s - j0
 
 
-def _pool_matrix(n_in: int) -> np.ndarray:
-    """Dense 1-D average-pooling matrix halving the size (n_in must be even)."""
-    n_out = n_in // 2
-    a = np.zeros((n_out, n_in))
-    idx = np.arange(n_out)
-    a[idx, 2 * idx] = 0.5
-    a[idx, 2 * idx + 1] = 0.5
-    return a
+def _upsample(x: np.ndarray, n_out: int, axis: int) -> np.ndarray:
+    """Corner-aligned linear upsampling of x to n_out samples along axis."""
+    j0, j1, frac = _interp_taps(n_out, x.shape[axis])
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    frac = frac.reshape(shape)
+    return np.take(x, j0, axis=axis) * (1.0 - frac) + np.take(x, j1, axis=axis) * frac
+
+
+def _upsample_t(g: np.ndarray, n_in: int, axis: int) -> np.ndarray:
+    """Exact transpose of _upsample: scatters g back onto n_in samples.
+
+    Both taps are nondecreasing in the output index, so each tap's
+    contributions to one input sample are a contiguous run and reduceat sums
+    them without a scatter.
+    """
+    j0, j1, frac = _interp_taps(g.shape[axis], n_in)
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    frac = frac.reshape(shape)
+    out_shape = list(g.shape)
+    out_shape[axis] = n_in
+    out = np.zeros(out_shape)
+    index = [slice(None), slice(None)]
+    for taps, part in ((j0, g * (1.0 - frac)), (j1, g * frac)):
+        starts = np.flatnonzero(np.diff(taps, prepend=-1))
+        index[axis] = taps[starts]
+        out[tuple(index)] += np.add.reduceat(part, starts, axis=axis)
+    return out
+
+
+def _pool(x: np.ndarray, f: int) -> np.ndarray:
+    """f x f block average (h and w divisible by f)."""
+    h, w = x.shape
+    return x.reshape(h // f, f, w // f, f).mean(axis=(1, 3))
+
+
+def _pool_t(g: np.ndarray, f: int) -> np.ndarray:
+    """Exact transpose of _pool: spreads each value evenly over its block."""
+    h, w = g.shape
+    spread = np.broadcast_to((g / (f * f))[:, None, :, None], (h, f, w, f))
+    return spread.reshape(h * f, w * f)
 
 
 class _PyramidLevel(NamedTuple):
     depth: np.ndarray
-    # Row/column operators mapping the full-resolution depth to this level's
-    # pooled-then-upsampled depth; level 0 has identity operators (None).
-    row_op: np.ndarray | None
-    col_op: np.ndarray | None
+    # The level's depth is the full-resolution depth average-pooled over
+    # factor x factor blocks, then upsampled back to full size (corner-aligned
+    # linear, rows then columns); factor is 1 at level 0 (identity). Both
+    # operators are separable and _pyramid_level_t applies their transpose.
+    factor: int
+
+
+def _pyramid_level_t(g: np.ndarray, f: int) -> np.ndarray:
+    """Transpose of the level operator: maps d(loss)/d(level depth) to
+    d(loss)/d(full-resolution depth)."""
+    h, w = g.shape
+    return _pool_t(_upsample_t(_upsample_t(g, w // f, axis=1), h // f, axis=0), f)
 
 
 def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[_PyramidLevel]:
     h, w = depth.shape
-    levels = [_PyramidLevel(depth, None, None)]
+    levels = [_PyramidLevel(depth, 1)]
     for s in range(1, num_scales):
         f = 2**s
         if h % f or w % f:
             raise DimensionError(
                 f"image {h}x{w} is not divisible by {f}; cannot build {num_scales} scales"
             )
-        # pooled-then-upsampled operator: up(h, h/f) @ pool^s, per axis
-        pool_r = np.eye(h)
-        pool_c = np.eye(w)
-        for _ in range(s):
-            pool_r = _pool_matrix(pool_r.shape[0]) @ pool_r
-            pool_c = _pool_matrix(pool_c.shape[0]) @ pool_c
-        row_op = _interp_matrix(h, h // f) @ pool_r
-        col_op = _interp_matrix(w, w // f) @ pool_c
-        levels.append(_PyramidLevel(row_op @ depth @ col_op.T, row_op, col_op))
+        level = _upsample(_upsample(_pool(depth, f), h, axis=0), w, axis=1)
+        levels.append(_PyramidLevel(level, f))
     return levels
 
 
@@ -597,6 +630,9 @@ def _objective(
         unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
 
     levels = _build_pyramid(depth, num_scales)
+    edge_weights = _image_gradient_weights(target)
+    if want_grad and photo_weight != 0.0:
+        ray_dirs = [k.pixel_rays() @ pose.rotation_matrix().T for _, pose in context]
     photo_total = 0.0
     smooth_total = 0.0
     masked_count = 0
@@ -630,11 +666,11 @@ def _objective(
                 raise DegenerateMaskError(
                     "static-pixel mask and warp validity removed every pixel"
                 )
-            photo_total += _stable_sum(np.where(photo_mask, min_map, 0.0)) / m_count
+            photo_total += float(np.sum(np.where(photo_mask, min_map, 0.0))) / m_count
             if li == 0:
                 masked_count = m_count
 
-        smooth_val, smooth_cache = _smoothness_forward(level.depth, target)
+        smooth_val, smooth_cache = _smoothness_forward(level.depth, edge_weights)
         level_w = 2.0**-li
         smooth_total += level_w * smooth_val
 
@@ -649,26 +685,31 @@ def _objective(
                     d_coords = warp.sample_bilinear_grad(
                         src, chains[s].coords, chains[s].valid, d_synth
                     )
-                    g3 = np.einsum(
-                        "hwij,hwi->hwj",
-                        geometry.projection_jacobian(chains[s].points, k),
-                        d_coords,
-                    )
-                    rot = pose.rotation_matrix()
-                    d_level += np.einsum("hwj,hwj->hw", g3, chains[s].rays @ rot.T)
+                    # g3 = d(loss)/d(source point) = J^T (du, dv), from the two rows
+                    # of J; the pinhole's J[0, 1] and J[1, 0] are identically 0
+                    jac = geometry.projection_jacobian(chains[s].points, k)
+                    du, dv = d_coords[..., 0], d_coords[..., 1]
+                    g3 = np.empty(du.shape + (3,))
+                    np.multiply(jac[..., 0, 0], du, out=g3[..., 0])
+                    np.multiply(jac[..., 1, 1], dv, out=g3[..., 1])
+                    g3[..., 2] = jac[..., 0, 2] * du + jac[..., 1, 2] * dv
+                    # dX/dd = R ray
+                    d_level += np.einsum("hwj,hwj->hw", g3, ray_dirs[s])
+                    # sum_hw g3 . (dR p) = sum(dR * G) with G = sum_hw g3 p^T
                     p_target = level.depth[..., None] * chains[s].rays
+                    grad_outer = g3.reshape(-1, 3).T @ p_target.reshape(-1, 3)
                     for i, drot in enumerate(pose.rotation_jacobians()):
-                        d_poses[s, i] += np.einsum("hwj,hwj->", g3, p_target @ drot.T)
-                    d_poses[s, 3:] += g3.sum(axis=(0, 1))
+                        d_poses[s, i] += np.sum(drot * grad_outer)
+                    d_poses[s, 3:] += np.einsum("hwj->j", g3)
 
             smooth_up = weights.lambda_smooth * level_w / len(levels)
             if smooth_up != 0.0:
                 d_level += smooth_up * _smoothness_backward(smooth_cache, level.depth)
 
-            if level.row_op is None:
+            if level.factor == 1:
                 d_depth += d_level
             else:
-                d_depth += level.row_op.T @ d_level @ level.col_op
+                d_depth += _pyramid_level_t(d_level, level.factor)
 
     photo = photo_total / len(levels)
     smooth = smooth_total / len(levels)

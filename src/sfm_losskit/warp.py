@@ -23,20 +23,23 @@ def validate_image(img: np.ndarray) -> np.ndarray:
 
 
 def _gather_corners(src: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Corner indices and fractional weights for bilinear lookup.
+    """The four corner values and fractional weights for bilinear lookup.
 
     Coordinates must already lie inside [0, W-1] x [0, H-1]. The lower corner
     is clipped to size-2 so the upper corner stays in bounds; at u == W-1 the
     weight shifts fully onto the upper corner, reproducing the border pixel.
+    Returns (I[y0,x0], I[y0,x1], I[y1,x0], I[y1,x1], wu, wv); the corners
+    are gathered with one flat row index each into src viewed as (H*W, C).
     """
     h, w = src.shape[:2]
     x0 = np.clip(np.floor(u).astype(np.intp), 0, max(w - 2, 0))
     y0 = np.clip(np.floor(v).astype(np.intp), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wu = u - x0
-    wv = v - y0
-    return x0, y0, x1, y1, wu, wv
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    flat = src.reshape(-1, src.shape[2])
+    i00 = y0 * w + x0
+    corners = tuple(flat.take(i00 + step, axis=0) for step in (0, dx, dy, dy + dx))
+    return (*corners, u - x0, v - y0)
 
 
 def sample_bilinear(
@@ -60,17 +63,17 @@ def sample_bilinear(
     v = np.where(valid, coords[..., 1], 0.0)
     u = np.clip(u, 0.0, w - 1.0)
     v = np.clip(v, 0.0, h - 1.0)
-    x0, y0, x1, y1, wu, wv = _gather_corners(src, u, v)
+    c00, c01, c10, c11, wu, wv = _gather_corners(src, u, v)
 
     w00 = (1.0 - wu) * (1.0 - wv)
     w01 = wu * (1.0 - wv)
     w10 = (1.0 - wu) * wv
     w11 = wu * wv
     out = (
-        w00[..., None] * src[y0, x0]
-        + w01[..., None] * src[y0, x1]
-        + w10[..., None] * src[y1, x0]
-        + w11[..., None] * src[y1, x1]
+        w00[..., None] * c00
+        + w01[..., None] * c01
+        + w10[..., None] * c10
+        + w11[..., None] * c11
     )
     out[~valid] = 0.0
     return out, valid.copy()
@@ -98,13 +101,13 @@ def sample_bilinear_grad(
     h, w = src.shape[:2]
     u = np.clip(np.where(valid, coords[..., 0], 0.0), 0.0, w - 1.0)
     v = np.clip(np.where(valid, coords[..., 1], 0.0), 0.0, h - 1.0)
-    x0, y0, x1, y1, wu, wv = _gather_corners(src, u, v)
+    c00, c01, c10, c11, wu, wv = _gather_corners(src, u, v)
 
     # d(out)/du = (1-wv) * (I[y0,x1] - I[y0,x0]) + wv * (I[y1,x1] - I[y1,x0])
-    dx_top = src[y0, x1] - src[y0, x0]
-    dx_bot = src[y1, x1] - src[y1, x0]
-    dy_left = src[y1, x0] - src[y0, x0]
-    dy_right = src[y1, x1] - src[y0, x1]
+    dx_top = c01 - c00
+    dx_bot = c11 - c10
+    dy_left = c10 - c00
+    dy_right = c11 - c01
 
     du = np.sum(upstream * ((1.0 - wv)[..., None] * dx_top + wv[..., None] * dx_bot), axis=-1)
     dv = np.sum(upstream * ((1.0 - wu)[..., None] * dy_left + wu[..., None] * dy_right), axis=-1)

@@ -284,6 +284,51 @@ class TestCommands:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def assert_codec_error_exit(code, capsys):
+    """Exit 1 with the one-line CodecError message and no traceback."""
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("sfm-losskit: error: CodecError: ")
+
+
+class TestMalformedInput:
+    def test_eval_pfm_non_numeric_scale(self, tmp_path, capsys):
+        pred = tmp_path / "pred.pfm"
+        pred.write_bytes(b"Pf\n2 2\nabc\n")
+        assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
+
+    @pytest.mark.parametrize(
+        "key, index, token",
+        [
+            ("width", 1, "48.5"),  # non-integer size field
+            ("height", 1, "forty"),
+            ("channels", 1, "one"),
+            ("intrinsics", 3, "abc"),  # non-numeric intrinsics row
+            ("intrinsics", 4, ""),  # intrinsics row one value short
+            ("intrinsics", 1, "-40.0"),  # CameraIntrinsics rejects fx <= 0
+            ("width", 1, "1"),  # CameraIntrinsics rejects a 1-pixel-wide image
+            ("context", 5, "abc"),  # non-numeric pose entry
+        ],
+    )
+    def test_optimize_malformed_manifest(self, tmp_path, capsys, key, index, token):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        manifest = scene_dir / io_codecs.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+        parts = lines[row].split()
+        parts[index] = token
+        lines[row] = " ".join(p for p in parts if p)
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+
 class TestGolden:
     def test_optimize_reproduces_golden_history(self, tmp_path):
         here = os.path.dirname(__file__)

@@ -543,3 +543,110 @@ class TestTotalLossGrad:
         )
         # constant-depth pyramid levels reproduce the same depth, so photo agrees
         assert four.photo == pytest.approx(one.photo, rel=1e-9)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def nine_shift_box_sum(x, radius):
+    """Reference windowed sum: zero-pad, then add every shifted copy."""
+    h, w = x.shape
+    padded = np.zeros((h + 2 * radius, w + 2 * radius))
+    padded[radius : radius + h, radius : radius + w] = x
+    out = np.zeros((h, w))
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            out += padded[dy : dy + h, dx : dx + w]
+    return out
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("shape", [(7, 9), (12, 5), (2, 5)])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_window_local_self_adjoint_and_matches_reference(self, shape, radius):
+        rng = np.random.default_rng(20)
+        x = rng.uniform(-1, 1, shape)
+        y = rng.uniform(-1, 1, shape)
+        n_win = (2 * radius + 1) ** 2
+        bx, by = losses._box_sum(x, radius), losses._box_sum(y, radius)
+
+        # each output sums at most n_win terms of magnitude <= 1, so either
+        # summation order is within (n_win - 1) * eps * n_win of the exact sum
+        tol = 2 * (n_win - 1) * n_win * EPS
+        assert np.abs(bx - nine_shift_box_sum(x, radius)).max() <= tol
+
+        # <Bx, y> = <x, By>; window error plus pairwise-sum error per term
+        lhs, rhs = np.sum(bx * y), np.sum(x * by)
+        scale = np.sum(np.abs(bx * y)) + np.sum(np.abs(x * by))
+        assert abs(lhs - rhs) <= (n_win + np.log2(x.size)) * EPS * scale
+
+        h, w = shape
+        for p, q in [(0, 0), (h - 1, w - 1), (h // 2, w // 2), (0, w // 2)]:
+            x2 = x.copy()
+            x2[p, q] += 0.375
+            changed = losses._box_sum(x2, radius) != bx
+            window = np.zeros(shape, dtype=bool)
+            window[max(p - radius, 0) : p + radius + 1, max(q - radius, 0) : q + radius + 1] = True
+            # outside the pixel's window the outputs are bit-identical
+            assert not changed[~window].any()
+            assert changed[window].all()
+
+
+def interp_matrix(n_out, n_in):
+    """Dense 1-D corner-aligned linear-interpolation matrix (reference)."""
+    a = np.zeros((n_out, n_in))
+    if n_in == 1:
+        a[:, 0] = 1.0
+        return a
+    s = np.arange(n_out) * (n_in - 1) / (n_out - 1)
+    j0 = np.minimum(s.astype(np.intp), n_in - 2)
+    frac = s - j0
+    a[np.arange(n_out), j0] = 1.0 - frac
+    a[np.arange(n_out), j0 + 1] = frac
+    return a
+
+
+def pool_matrix(n_in):
+    """Dense 1-D average-pooling matrix halving the size (reference)."""
+    n_out = n_in // 2
+    a = np.zeros((n_out, n_in))
+    idx = np.arange(n_out)
+    a[idx, 2 * idx] = 0.5
+    a[idx, 2 * idx + 1] = 0.5
+    return a
+
+
+def dense_level_operators(h, w, s):
+    """Row and column matrices of pyramid level s: up(n, n / 2^s) @ pool^s."""
+    ops = []
+    for n in (h, w):
+        pool = np.eye(n)
+        for _ in range(s):
+            pool = pool_matrix(pool.shape[0]) @ pool
+        ops.append(interp_matrix(n, n >> s) @ pool)
+    return ops
+
+
+class TestSeparablePyramid:
+    @pytest.mark.parametrize("shape", [(40, 48), (24, 64), (16, 8), (8, 24)])
+    @pytest.mark.parametrize("num_scales", [2, 3, 4])
+    def test_matches_dense_operators_and_is_adjoint(self, shape, num_scales):
+        h, w = shape
+        rng = np.random.default_rng(h * w + num_scales)
+        x = rng.uniform(-1, 1, shape)
+        levels = losses._build_pyramid(x, num_scales)
+        assert [lv.factor for lv in levels] == [2**s for s in range(num_scales)]
+        assert levels[0].depth is x
+        # every entry is a sum of at most h + w weighted terms (dense matmul),
+        # with weights of total magnitude ~1: allow (h + w) eps per side
+        tol = 2 * (h + w) * EPS
+        for s in range(1, num_scales):
+            row_op, col_op = dense_level_operators(h, w, s)
+            y = rng.uniform(-1, 1, shape)
+            ax = levels[s].depth
+            aty = losses._pyramid_level_t(y, 2**s)
+            assert np.abs(ax - row_op @ x @ col_op.T).max() <= tol
+            assert np.abs(aty - row_op.T @ y @ col_op).max() <= tol
+            lhs, rhs = np.sum(ax * y), np.sum(x * aty)
+            scale = np.sum(np.abs(ax * y)) + np.sum(np.abs(x * aty))
+            assert abs(lhs - rhs) <= (h + w + np.log2(x.size)) * EPS * scale
