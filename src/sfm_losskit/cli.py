@@ -25,7 +25,7 @@ import numpy as np
 from . import io_codecs, metrics, optimize, supervision, synth
 from .config import load_config
 from .errors import ConfigError, CodecError, LossKitError
-from .losses import LossWeights
+from .losses import TERMS
 from .supervision import DecimationSpec
 
 _VALIDATION_ERRORS = (ConfigError, CodecError, FileNotFoundError, IsADirectoryError,
@@ -76,7 +76,7 @@ def cmd_optimize(args, overrides) -> int:
 def cmd_gradcheck(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     cfg.require("scene.seed")
-    terms = tuple(args.terms.split(",")) if args.terms else ("photo", "smooth", "rep")
+    terms = tuple(args.terms.split(",")) if args.terms else TERMS
     weights = cfg.optimizer.weights
     all_passed = True
     for i in range(args.scenes):

@@ -34,26 +34,12 @@ _OPTIMIZER_KEYS = {
 
 _DECIMATION_KEYS = {"keep_beams", "offset"}
 
-_EVALUATION_KEYS = {"min_depth", "max_depth", "median_scaling"}
-
 _SECTIONS = {
     "scene": _SCENE_KEYS | {"ppm_maxval"},
     "weights": _WEIGHT_KEYS,
     "optimizer": _OPTIMIZER_KEYS,
     "decimation": _DECIMATION_KEYS,
-    "evaluation": _EVALUATION_KEYS,
 }
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    min_depth: float = 0.1
-    max_depth: float = 80.0
-    median_scaling: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.min_depth < self.max_depth:
-            raise ConfigError("need 0 < min_depth < max_depth")
 
 
 @dataclass
@@ -61,7 +47,6 @@ class RunConfig:
     scene: SceneSpec
     optimizer: OptimConfig
     decimation: DecimationSpec | None
-    evaluation: EvalConfig
     ppm_maxval: int = 65535
     provided: frozenset = frozenset()
 
@@ -73,7 +58,7 @@ class RunConfig:
 
 
 def _coerce(section: str, key: str, value: str):
-    bool_keys = {"optimize_pose", "median_scaling"}
+    bool_keys = {"optimize_pose"}
     int_keys = {
         "width", "height", "channels", "seed", "beams", "px_per_beam",
         "max_iters", "phase_a_iters", "phase_b_iters", "tol_window",
@@ -127,7 +112,6 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
             )
             if decimation.keep_beams < 1:
                 raise ConfigError("decimation.keep_beams must be >= 1")
-        evaluation = EvalConfig(**by_section["evaluation"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -138,7 +122,6 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
         scene=scene,
         optimizer=optimizer,
         decimation=decimation,
-        evaluation=evaluation,
         ppm_maxval=ppm_maxval,
         provided=provided,
     )

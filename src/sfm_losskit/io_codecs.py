@@ -154,11 +154,14 @@ def read_labels_pfm(path) -> SparseDepth:
     num_beams = data[..., 2]
     if num_beams.size and not np.all(num_beams == num_beams.flat[0]):
         raise CodecError(f"{path}: beam-count channel is not constant")
-    return SparseDepth(
-        depth=data[..., 0].astype(np.float64),
-        beam_id=np.rint(data[..., 1]).astype(np.int64),
-        num_beams=int(num_beams.flat[0]) if num_beams.size else 0,
-    )
+    try:
+        return SparseDepth(
+            depth=data[..., 0].astype(np.float64),
+            beam_id=np.rint(data[..., 1]).astype(np.int64),
+            num_beams=int(num_beams.flat[0]) if num_beams.size else 0,
+        )
+    except ValueError as exc:  # channels SparseDepth rejects, or a NaN beam count
+        raise CodecError(f"{path}: {exc}") from exc
 
 
 MANIFEST_NAME = "manifest.txt"
@@ -274,6 +277,8 @@ def read_scene_dir(scene_dir):
     ctx = [(_load_image(name), pose) for name, pose in contexts]
     if target.shape[:2] != (k.height, k.width) or gt_depth.shape != (k.height, k.width):
         raise CodecError(f"{scene_dir}: raster dimensions disagree with the manifest")
+    if not (np.isfinite(gt_depth).all() and (gt_depth > 0).all()):
+        raise CodecError(f"{scene_dir}: {depth_f} holds a non-finite or non-positive depth")
     return Scene(
         target=target,
         gt_depth=gt_depth,

@@ -2,9 +2,18 @@
 
 The objective combines a per-pixel minimum photometric term gated by a
 static-pixel mask, an edge-aware smoothness regularizer on mean-normalized
-disparity, and a supervised reprojected-distance term over sparse labels:
+disparity, and a supervised term over sparse labels (the reprojected
+distance, or the L1 / BerHu depth error it is compared against):
 
     total = photo + lambda_smooth * smooth + lambda_rep * rep
+
+Each term exists once in private code: the photometric and smoothness
+terms as forward/backward pairs, the supervised term as one function with an
+optional gradient. `_objective` only validates its inputs, builds the depth
+pyramid and sums the terms. The public helpers (`photometric`, `min_photometric`, `automask`, `smoothness`,
+`reprojected_distance`, `baseline_l1`, `baseline_berhu`) validate their
+arguments and then call the same private functions, so what they compute is
+exactly what the optimizer minimizes.
 
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
@@ -40,6 +49,10 @@ from .geometry import CameraIntrinsics, PoseSE3
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 SSIM_RADIUS = 1
+
+# The objective's terms; total_loss(..., terms=...) selects a subset.
+TERMS = ("photo", "smooth", "rep")
+SUPERVISED = ("rep", "l1", "berhu")
 
 
 @dataclass(frozen=True)
@@ -111,23 +124,33 @@ class _SsimChannelCache(NamedTuple):
     ssim: np.ndarray
 
 
-def _ssim_channel(a, b, m, c1, c2, radius) -> _SsimChannelCache:
-    """SSIM map of one channel; window statistics use valid pixels only."""
-    n = np.maximum(_box_sum(m, radius), 1.0)
-    mu_x = _box_sum(a * m, radius) / n
-    mu_y = _box_sum(b * m, radius) / n
-    var_x = _box_sum(a * a * m, radius) / n - mu_x * mu_x
-    var_y = _box_sum(b * b * m, radius) / n - mu_y * mu_y
-    cov = _box_sum(a * b * m, radius) / n - mu_x * mu_y
+def _ssim_channel(a, b, m, n) -> _SsimChannelCache:
+    """SSIM map of one channel; window statistics use valid pixels only and
+    n is the valid-pixel count of each window."""
+    c1, c2 = SSIM_C1, SSIM_C2
+    mu_x = _box_sum(a * m) / n
+    mu_y = _box_sum(b * m) / n
+    var_x = _box_sum(a * a * m) / n - mu_x * mu_x
+    var_y = _box_sum(b * b * m) / n - mu_y * mu_y
+    cov = _box_sum(a * b * m) / n - mu_x * mu_y
     s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
     return _SsimChannelCache(mu_x, mu_y, var_x, var_y, cov, n, s)
 
 
-def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g, c1, c2, radius):
+def _ssim_channels(a, b, m) -> list[_SsimChannelCache]:
+    """Per-channel SSIM caches of (H, W, C) images under the (H, W) float
+    mask m; the window count depends on the mask only, so it is computed
+    once and shared by every channel."""
+    n = np.maximum(_box_sum(m), 1.0)
+    return [_ssim_channel(a[..., c], b[..., c], m, n) for c in range(a.shape[2])]
+
+
+def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g):
     """d(sum g * ssim)/db, the exact adjoint of _ssim_channel in its second arg."""
     mu_x, mu_y, var_x, var_y, cov, n, s = cache
+    c1, c2 = SSIM_C1, SSIM_C2
     num_l = 2 * mu_x * mu_y + c1
     num_c = 2 * cov + c2
     den_l = mu_x * mu_x + mu_y * mu_y + c1
@@ -146,25 +169,20 @@ def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g, c1, c2, radius):
     # var_y = box(b*b*m)/n - mu_y^2 ; cov = box(a*b*m)/n - mu_x*mu_y
     d_mu_y += -2 * mu_y * d_var_y - mu_x * d_cov
     db = m * (
-        _box_sum(d_mu_y / n, radius)
-        + _box_sum(d_cov / n, radius) * a
-        + _box_sum(d_var_y / n, radius) * 2 * b
+        _box_sum(d_mu_y / n)
+        + _box_sum(d_cov / n) * a
+        + _box_sum(d_var_y / n) * 2 * b
     )
     return db
 
 
-def ssim(
-    a: np.ndarray,
-    b: np.ndarray,
-    mask: np.ndarray | None = None,
-    c1: float = SSIM_C1,
-    c2: float = SSIM_C2,
-    radius: int = SSIM_RADIUS,
-) -> np.ndarray:
-    """Per-pixel SSIM map in [-1, 1], per channel then channel-averaged.
+def ssim(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel SSIM map in [-1, 1], per channel then channel-averaged; the
+    photometric term runs the same per-channel computation.
 
-    Window statistics are uniform over the (2r+1)^2 box, restricted to valid
-    pixels when a mask is given (windows shrink at image borders the same way).
+    Window statistics are uniform over the 3x3 box (SSIM_RADIUS 1), restricted
+    to valid pixels when a mask is given (windows shrink at image borders the
+    same way); SSIM_C1 and SSIM_C2 stabilize them.
     """
     a = warp.validate_image(a)
     b = warp.validate_image(b)
@@ -174,8 +192,8 @@ def ssim(
     if m.shape != a.shape[:2]:
         raise DimensionError(f"mask shape {m.shape} does not match image {a.shape}")
     out = np.zeros(a.shape[:2])
-    for c in range(a.shape[2]):
-        out += _ssim_channel(a[..., c], b[..., c], m, c1, c2, radius).ssim
+    for cache in _ssim_channels(a, b, m):
+        out += cache.ssim
     return out / a.shape[2]
 
 
@@ -184,23 +202,21 @@ class _PhotoCache(NamedTuple):
     synth: np.ndarray
     mask_f: np.ndarray
     alpha: float
-    ssim_caches: tuple
+    ssim_caches: list
 
 
 def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _PhotoCache]:
     m = mask.astype(np.float64)
     channels = target.shape[2]
     loss = np.zeros(target.shape[:2])
-    caches = []
-    for c in range(channels):
-        cache = _ssim_channel(target[..., c], synth[..., c], m, SSIM_C1, SSIM_C2, SSIM_RADIUS)
-        caches.append(cache)
+    caches = _ssim_channels(target, synth, m)
+    for c, cache in enumerate(caches):
         # clip guards float dust pushing SSIM past 1 on identical windows
         loss += alpha * np.clip((1.0 - cache.ssim) / 2.0, 0.0, 1.0)
         loss += (1.0 - alpha) * np.abs(target[..., c] - synth[..., c])
     loss /= channels
     loss[~mask] = np.inf
-    return loss, _PhotoCache(target, synth, m, alpha, tuple(caches))
+    return loss, _PhotoCache(target, synth, m, alpha, caches)
 
 
 def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarray:
@@ -214,17 +230,100 @@ def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarra
         db = (1.0 - alpha) * np.sign(diff) * u
         active = (caches[c].ssim > -1.0) & (caches[c].ssim < 1.0)
         db += _ssim_channel_grad_b(
-            caches[c], target[..., c], synth[..., c], m, -0.5 * alpha * u * active,
-            SSIM_C1, SSIM_C2, SSIM_RADIUS,
+            caches[c], target[..., c], synth[..., c], m, -0.5 * alpha * u * active
         )
         d_synth[..., c] = db
     return d_synth
 
 
+def _warped_losses(target, context, depth, k, alpha):
+    """Warp every source into the target view at this depth and score it.
+
+    Returns per source the warp chain, the photometric cache and the
+    photometric loss map (+inf where the warp is invalid).
+    """
+    chains, caches, maps = [], [], []
+    for src, pose in context:
+        chain = geometry.warp_chain(depth, pose, k)
+        synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
+        loss_map, cache = _photometric_forward(target, synth, mask, alpha)
+        chains.append(chain)
+        caches.append(cache)
+        maps.append(loss_map)
+    return chains, caches, maps
+
+
+def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel minimum over the per-source loss maps and its argmin."""
+    stacked = np.stack(maps, axis=0)
+    return stacked.min(axis=0), stacked.argmin(axis=0)
+
+
+def _static_mask(min_unwarped: np.ndarray, min_warped: np.ndarray) -> np.ndarray:
+    """Keep pixels whose unwarped loss strictly exceeds the warped one; as
+    x > inf is False, this also drops pixels that no source reaches."""
+    with np.errstate(invalid="ignore"):
+        return min_unwarped > min_warped
+
+
+class _PhotoTerm(NamedTuple):
+    depth: np.ndarray
+    chains: list
+    caches: list
+    argmin: np.ndarray
+    mask: np.ndarray
+    count: int
+
+
+def _photo_forward(target, context, depth, k, alpha, unwarped_min) -> tuple[float, _PhotoTerm]:
+    """Mean of the per-pixel minimum photometric loss over the pixels kept
+    by the static-pixel mask."""
+    chains, caches, maps = _warped_losses(target, context, depth, k, alpha)
+    min_map, argmin = _min_over_sources(maps)
+    mask = _static_mask(unwarped_min, min_map)
+    count = int(mask.sum())
+    if count == 0:
+        raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
+    value = float(np.sum(np.where(mask, min_map, 0.0))) / count
+    return value, _PhotoTerm(depth, chains, caches, argmin, mask, count)
+
+
+def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d_poses) -> None:
+    """Adds d(photo value / n_levels) to d_level (the gradient w.r.t. this
+    pyramid level's depth) and to d_poses.
+
+    ray_dirs[s] is R_s @ ray per pixel, i.e. d(source point)/d(depth).
+    """
+    upstream = term.mask / (term.count * n_levels)
+    for s, (src, pose) in enumerate(context):
+        u_s = np.where(term.argmin == s, upstream, 0.0)
+        if not u_s.any():
+            continue
+        chain = term.chains[s]
+        d_synth = _photometric_backward(term.caches[s], u_s)
+        d_coords = warp.sample_bilinear_grad(src, chain.coords, chain.valid, d_synth)
+        # g3 = d(loss)/d(source point) = J^T (du, dv), from the two rows
+        # of J; the pinhole's J[0, 1] and J[1, 0] are identically 0
+        jac = geometry.projection_jacobian(chain.points, k)
+        du, dv = d_coords[..., 0], d_coords[..., 1]
+        g3 = np.empty(du.shape + (3,))
+        np.multiply(jac[..., 0, 0], du, out=g3[..., 0])
+        np.multiply(jac[..., 1, 1], dv, out=g3[..., 1])
+        g3[..., 2] = jac[..., 0, 2] * du + jac[..., 1, 2] * dv
+        d_level += np.einsum("hwj,hwj->hw", g3, ray_dirs[s])
+        # sum_hw g3 . (dR p) = sum(dR * G) with G = sum_hw g3 p^T
+        p_target = term.depth[..., None] * chain.rays
+        grad_outer = g3.reshape(-1, 3).T @ p_target.reshape(-1, 3)
+        for i, drot in enumerate(pose.rotation_jacobians()):
+            d_poses[s, i] += np.sum(drot * grad_outer)
+        d_poses[s, 3:] += np.einsum("hwj->j", g3)
+
+
 def photometric(
     target: np.ndarray, synth: np.ndarray, mask: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Appearance-matching loss map: alpha*(1-SSIM)/2 + (1-alpha)*L1.
+    """Appearance-matching loss map: alpha*(1-SSIM)/2 + (1-alpha)*L1, the
+    per-source map of the objective's photometric term.
 
     Channel-averaged; invalid pixels are set to +inf and must be excluded
     from any reduction by the caller.
@@ -259,22 +358,17 @@ def min_photometric(
     k: CameraIntrinsics,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel minimum photometric loss over warped context images.
+    """Per-pixel minimum photometric loss over warped context images, as the
+    objective's photometric term computes it before the static-pixel mask.
 
     Returns the min-reduced loss map (+inf where no source is valid) and the
     argmin source index map (-1 where no source is valid).
     """
     target = warp.validate_image(target)
     _validate_context(target, context)
-    stack = []
-    for src, pose in context:
-        coords, valid = geometry.warp_coords(depth, pose, k)
-        synth, mask = warp.sample_bilinear(src, coords, valid)
-        stack.append(photometric(target, synth, mask, alpha))
-    stacked = np.stack(stack, axis=0)
-    min_map = stacked.min(axis=0)
-    argmin = np.where(np.isfinite(min_map), stacked.argmin(axis=0), -1)
-    return min_map, argmin
+    _, _, maps = _warped_losses(target, context, depth, k, alpha)
+    min_map, argmin = _min_over_sources(maps)
+    return min_map, np.where(np.isfinite(min_map), argmin, -1)
 
 
 def automask(
@@ -283,8 +377,8 @@ def automask(
     warped_losses: Sequence[np.ndarray],
     unwarped_losses: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Static-pixel mask: keep pixels whose unwarped loss strictly exceeds
-    the warped one (both min-reduced over sources)."""
+    """Static-pixel mask of the objective: keep pixels whose unwarped loss
+    strictly exceeds the warped one (both min-reduced over sources)."""
     target = warp.validate_image(target)
     _validate_context(target, context)
     if len(warped_losses) != len(context) or len(unwarped_losses) != len(context):
@@ -293,10 +387,9 @@ def automask(
     for m in list(warped_losses) + list(unwarped_losses):
         if np.asarray(m).shape != shape:
             raise DimensionError(f"loss map shape {np.asarray(m).shape} != {shape}")
-    min_warped = np.stack(warped_losses, axis=0).min(axis=0)
-    min_unwarped = np.stack(unwarped_losses, axis=0).min(axis=0)
-    with np.errstate(invalid="ignore"):
-        return min_unwarped > min_warped
+    min_warped, _ = _min_over_sources(warped_losses)
+    min_unwarped, _ = _min_over_sources(unwarped_losses)
+    return _static_mask(min_unwarped, min_warped)
 
 
 def unwarped_min_photometric(
@@ -307,8 +400,8 @@ def unwarped_min_photometric(
     target = warp.validate_image(target)
     _validate_context(target, context)
     ones = np.ones(target.shape[:2], dtype=bool)
-    maps = [photometric(target, src, ones, alpha) for src, _ in context]
-    return np.stack(maps, axis=0).min(axis=0)
+    min_map, _ = _min_over_sources([photometric(target, src, ones, alpha) for src, _ in context])
+    return min_map
 
 
 class _SmoothCache(NamedTuple):
@@ -333,7 +426,6 @@ def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
     """edge_weights is _image_gradient_weights(target), which depends only
     on the target image, so callers compute it once per evaluation."""
-    h, w = depth.shape
     valid = depth > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
@@ -367,11 +459,10 @@ def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
 def _smoothness_backward(cache: _SmoothCache, depth: np.ndarray) -> np.ndarray:
     """d(smoothness)/d(depth); zero at invalid pixels."""
     valid, disp, mean_disp, n_valid, sign_dx, sign_dy, wx, wy, contrib, n_contrib = cache
-    h, w = depth.shape
     gx = sign_dx * wx * contrib / n_contrib
     gy = sign_dy * wy * contrib / n_contrib
 
-    d_dhat = np.zeros((h, w))
+    d_dhat = np.zeros(depth.shape)
     d_dhat[:-1, 1:] += gx
     d_dhat[:-1, :-1] -= gx
     d_dhat[1:, :-1] += gy
@@ -380,12 +471,12 @@ def _smoothness_backward(cache: _SmoothCache, depth: np.ndarray) -> np.ndarray:
     # dhat = disp / mean(disp over valid)
     dot = (d_dhat * disp).sum()
     d_disp = d_dhat / mean_disp - dot / (mean_disp * mean_disp * n_valid)
-    d_disp[~valid] = 0.0
     return np.where(valid, -d_disp * disp * disp, 0.0)
 
 
 def smoothness(depth: np.ndarray, target: np.ndarray) -> float:
-    """Edge-aware smoothness of mean-normalized disparity (forward differences).
+    """Edge-aware smoothness of mean-normalized disparity (forward
+    differences), the objective's smoothness term at one pyramid level.
 
     Mean over interior pixels whose forward differences exist and are valid of
     |dx dhat| * exp(-|dx I|) + |dy dhat| * exp(-|dy I|).
@@ -398,33 +489,23 @@ def smoothness(depth: np.ndarray, target: np.ndarray) -> float:
     return value
 
 
-def reprojected_distance(
-    pred: np.ndarray,
-    gt_sparse: np.ndarray,
-    pose: PoseSE3,
-    k: CameraIntrinsics,
-) -> RepLoss:
-    """Mean image-space distance between projections of predicted and true
-    3-D points of each labeled pixel, as seen through the given pose."""
-    value, count, dropped, _, _ = _rep_forward(pred, gt_sparse, pose, k, want_grad=False)
-    return RepLoss(value, count, dropped)
-
-
-def _rep_forward(pred, gt_sparse, pose, k, want_grad):
-    """Shared forward (and optional backward) pass of the reprojected loss.
-
-    Returns (value, count, dropped, d_pred or None, d_pose6 or None).
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt_sparse, dtype=np.float64)
+def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Pixels holding both a label and a valid prediction."""
     if pred.shape != gt.shape:
         raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
-    if pred.shape != (k.height, k.width):
-        raise DimensionError(f"depth {pred.shape} does not match intrinsics")
     shared = (gt > 0) & (pred > 0)
     if not shared.any():
         raise NoSupervisionError("no pixel with both a label and a valid prediction")
+    return shared
 
+
+def _rep_distance(pred, gt, pose, k, want_grad):
+    """Reprojected distance of float64 (H, W) rasters through one pose.
+
+    Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
+    pose parameters are None unless want_grad.
+    """
+    shared = _labeled(pred, gt)
     rows, cols = np.nonzero(shared)
     rays = k.pixel_rays()[rows, cols]
     rot = pose.rotation_matrix()
@@ -451,9 +532,9 @@ def _rep_forward(pred, gt_sparse, pose, k, want_grad):
 
     e = _proj(x_hat) - _proj(x_true)
     norms = np.sqrt((e * e).sum(axis=1))
-    value = float(np.sum(norms)) / count
+    rep = RepLoss(float(np.sum(norms)) / count, count, dropped)
     if not want_grad:
-        return value, count, dropped, None, None
+        return rep, None, None
 
     # beta = e / |e| with the zero subgradient at |e| = 0
     safe = np.where(norms > 0, norms, 1.0)
@@ -476,39 +557,94 @@ def _rep_forward(pred, gt_sparse, pose, k, want_grad):
             "nj,nj->", g_true, p_true @ drot.T
         )
     d_pose[3:] = (g_hat - g_true).sum(axis=0)
-    return value, count, dropped, d_pred, d_pose
+    return rep, d_pred, d_pose
+
+
+def _depth_error(pred, gt, mode, want_grad):
+    """Mean L1 or BerHu depth error over labeled pixels.
+
+    BerHu is |e| up to c = 0.2 * max|e| and (e^2 + c^2) / (2c) beyond.
+    Returns (value, label count, d_pred); d_pred is None unless want_grad.
+    """
+    shared = _labeled(pred, gt)
+    err = (pred - gt)[shared]
+    count = int(shared.sum())
+    abs_err = np.abs(err)
+    if mode == "l1":
+        value = float(abs_err.mean())
+        d_err = np.sign(err) / count
+    else:
+        c = 0.2 * float(abs_err.max())
+        if c <= 0:
+            value = 0.0
+            d_err = np.zeros_like(err)
+        else:
+            quad = (err * err + c * c) / (2.0 * c)
+            value = float(np.where(abs_err <= c, abs_err, quad).mean())
+            d_err = np.where(abs_err <= c, np.sign(err), err / c) / count
+    if not want_grad:
+        return value, count, None
+    d_pred = np.zeros_like(pred)
+    d_pred[shared] = d_err
+    return value, count, d_pred
+
+
+def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
+    """The supervised term: the reprojected distance averaged over the
+    context poses, or the pose-free L1 / BerHu depth error.
+
+    Returns (value, label count, labels dropped behind the camera). When the
+    gradient buffers are given (not None), adds d(weight * value) to them.
+    """
+    want_grad = d_depth is not None
+    if mode != "rep":
+        value, count, d_pred = _depth_error(depth, labels, mode, want_grad)
+        if want_grad:
+            d_depth += weight * d_pred
+        return value, count, 0
+    value, count, dropped = 0.0, 0, 0
+    scale = weight / len(context)
+    for s, (_, pose) in enumerate(context):
+        rep, d_pred, d_pose6 = _rep_distance(depth, labels, pose, k, want_grad)
+        value += rep.value / len(context)
+        count = max(count, rep.count)
+        dropped += rep.dropped
+        if want_grad:
+            d_depth += scale * d_pred
+            d_poses[s] += scale * d_pose6
+    return value, count, dropped
+
+
+def reprojected_distance(
+    pred: np.ndarray,
+    gt_sparse: np.ndarray,
+    pose: PoseSE3,
+    k: CameraIntrinsics,
+) -> RepLoss:
+    """Mean image-space distance between projections of predicted and true
+    3-D points of each labeled pixel, as seen through the given pose; the
+    objective's supervised term averages it over the context poses."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt_sparse, dtype=np.float64)
+    if pred.shape != (k.height, k.width):
+        raise DimensionError(f"depth {pred.shape} does not match intrinsics")
+    rep, _, _ = _rep_distance(pred, gt, pose, k, want_grad=False)
+    return rep
 
 
 def baseline_l1(pred: np.ndarray, gt_sparse: np.ndarray) -> float:
-    """Mean absolute depth error over labeled pixels."""
-    err, _ = _shared_errors(pred, gt_sparse)
-    return float(np.abs(err).mean())
+    """Mean absolute depth error over labeled pixels (the objective's
+    supervised term with supervised="l1")."""
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt_sparse, dtype=np.float64)
+    return _depth_error(pred, gt, "l1", want_grad=False)[0]
 
 
-def baseline_berhu(pred: np.ndarray, gt_sparse: np.ndarray, c: float | None = None) -> float:
-    """Reverse Huber: |e| up to c, (e^2 + c^2) / (2c) beyond.
-
-    When c is omitted it is set to 0.2 * max|e| over the valid set.
-    """
-    err, _ = _shared_errors(pred, gt_sparse)
-    abs_err = np.abs(err)
-    if c is None:
-        c = 0.2 * float(abs_err.max())
-    if c <= 0:
-        return float(abs_err.mean())
-    quad = (err * err + c * c) / (2.0 * c)
-    return float(np.where(abs_err <= c, abs_err, quad).mean())
-
-
-def _shared_errors(pred, gt_sparse):
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt_sparse, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
-    shared = (gt > 0) & (pred > 0)
-    if not shared.any():
-        raise NoSupervisionError("no shared valid pixel")
-    return (pred - gt)[shared], shared
+def baseline_berhu(pred: np.ndarray, gt_sparse: np.ndarray) -> float:
+    """Reverse Huber over labeled pixels: |e| up to c, (e^2 + c^2) / (2c)
+    beyond, with c = 0.2 * max|e| (the objective's supervised term with
+    supervised="berhu")."""
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt_sparse, dtype=np.float64)
+    return _depth_error(pred, gt, "berhu", want_grad=False)[0]
 
 
 def _interp_taps(n_out: int, n_in: int):
@@ -595,163 +731,81 @@ def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[_PyramidLevel]:
     return levels
 
 
-def _objective(
-    target: np.ndarray,
-    context: ContextSet,
-    depth: np.ndarray,
-    k: CameraIntrinsics,
-    weights: LossWeights,
-    labels: np.ndarray | None,
-    num_scales: int = 1,
-    supervised: str = "rep",
-    want_grad: bool = True,
-    unwarped_min: np.ndarray | None = None,
-    photo_weight: float = 1.0,
-):
-    """Forward (and optional backward) pass of the full objective.
+def _objective(target, context, depth, k, weights, labels, num_scales, supervised,
+               want_grad, unwarped_min, terms):
+    """Forward (and optional backward) pass of the objective over the terms
+    named in ``terms``; the others are neither computed nor reported (their
+    breakdown fields read 0).
 
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
-    gradient outputs are None when want_grad is False. photo_weight scales
-    the photometric term (its default 1.0 is the published objective); it
-    exists so verification can exercise the other terms in isolation.
+    gradient outputs are None when want_grad is False.
     """
     target = warp.validate_image(target)
     _validate_context(target, context)
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (k.height, k.width) or target.shape[:2] != depth.shape:
         raise DimensionError("target, depth and intrinsics dimensions disagree")
-    if supervised not in ("rep", "l1", "berhu"):
+    if supervised not in SUPERVISED:
         raise ValueError(f"unknown supervised term {supervised!r}")
     if num_scales < 1:
         raise ValueError("num_scales must be >= 1")
+    unknown = set(terms) - set(TERMS)
+    if unknown:
+        raise ValueError(f"unknown loss terms {sorted(unknown)}")
+    use_photo = "photo" in terms
+    use_smooth = "smooth" in terms
+    use_rep = "rep" in terms and labels is not None and weights.lambda_rep > 0
 
-    n_ctx = len(context)
-    if unwarped_min is None and photo_weight != 0.0:
+    if use_photo and unwarped_min is None:
         unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
+    if use_photo and want_grad:
+        ray_dirs = [k.pixel_rays() @ pose.rotation_matrix().T for _, pose in context]
+    if use_smooth:
+        edge_weights = _image_gradient_weights(target)
 
     levels = _build_pyramid(depth, num_scales)
-    edge_weights = _image_gradient_weights(target)
-    if want_grad and photo_weight != 0.0:
-        ray_dirs = [k.pixel_rays() @ pose.rotation_matrix().T for _, pose in context]
-    photo_total = 0.0
-    smooth_total = 0.0
+    photo_total = smooth_total = 0.0
     masked_count = 0
     d_depth = np.zeros_like(depth) if want_grad else None
-    d_poses = np.zeros((n_ctx, 6)) if want_grad else None
+    d_poses = np.zeros((len(context), 6)) if want_grad else None
 
     for li, level in enumerate(levels):
-        d_level = np.zeros_like(level.depth) if want_grad else None
-
-        if photo_weight != 0.0:
-            chains = []
-            caches = []
-            maps = []
-            for src, pose in context:
-                chain = geometry.warp_chain(level.depth, pose, k)
-                synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
-                loss_map, cache = _photometric_forward(target, synth, mask, weights.alpha)
-                chains.append(chain)
-                caches.append(cache)
-                maps.append(loss_map)
-
-            stacked = np.stack(maps, axis=0)
-            min_map = stacked.min(axis=0)
-            any_valid = np.isfinite(min_map)
-            argmin = stacked.argmin(axis=0)
-            with np.errstate(invalid="ignore"):
-                static_mask = unwarped_min > min_map
-            photo_mask = static_mask & any_valid
-            m_count = int(photo_mask.sum())
-            if m_count == 0:
-                raise DegenerateMaskError(
-                    "static-pixel mask and warp validity removed every pixel"
-                )
-            photo_total += float(np.sum(np.where(photo_mask, min_map, 0.0))) / m_count
-            if li == 0:
-                masked_count = m_count
-
-        smooth_val, smooth_cache = _smoothness_forward(level.depth, edge_weights)
         level_w = 2.0**-li
-        smooth_total += level_w * smooth_val
+        if use_photo:
+            value, photo_term = _photo_forward(
+                target, context, level.depth, k, weights.alpha, unwarped_min
+            )
+            photo_total += value
+            if li == 0:
+                masked_count = photo_term.count
+        if use_smooth:
+            value, smooth_cache = _smoothness_forward(level.depth, edge_weights)
+            smooth_total += level_w * value
+        if not want_grad:
+            continue
 
-        if want_grad:
-            if photo_weight != 0.0:
-                upstream0 = photo_weight * photo_mask / (m_count * len(levels))
-                for s, (src, pose) in enumerate(context):
-                    u_s = np.where(argmin == s, upstream0, 0.0)
-                    if not u_s.any():
-                        continue
-                    d_synth = _photometric_backward(caches[s], u_s)
-                    d_coords = warp.sample_bilinear_grad(
-                        src, chains[s].coords, chains[s].valid, d_synth
-                    )
-                    # g3 = d(loss)/d(source point) = J^T (du, dv), from the two rows
-                    # of J; the pinhole's J[0, 1] and J[1, 0] are identically 0
-                    jac = geometry.projection_jacobian(chains[s].points, k)
-                    du, dv = d_coords[..., 0], d_coords[..., 1]
-                    g3 = np.empty(du.shape + (3,))
-                    np.multiply(jac[..., 0, 0], du, out=g3[..., 0])
-                    np.multiply(jac[..., 1, 1], dv, out=g3[..., 1])
-                    g3[..., 2] = jac[..., 0, 2] * du + jac[..., 1, 2] * dv
-                    # dX/dd = R ray
-                    d_level += np.einsum("hwj,hwj->hw", g3, ray_dirs[s])
-                    # sum_hw g3 . (dR p) = sum(dR * G) with G = sum_hw g3 p^T
-                    p_target = level.depth[..., None] * chains[s].rays
-                    grad_outer = g3.reshape(-1, 3).T @ p_target.reshape(-1, 3)
-                    for i, drot in enumerate(pose.rotation_jacobians()):
-                        d_poses[s, i] += np.sum(drot * grad_outer)
-                    d_poses[s, 3:] += np.einsum("hwj->j", g3)
-
-            smooth_up = weights.lambda_smooth * level_w / len(levels)
-            if smooth_up != 0.0:
-                d_level += smooth_up * _smoothness_backward(smooth_cache, level.depth)
-
-            if level.factor == 1:
-                d_depth += d_level
-            else:
-                d_depth += _pyramid_level_t(d_level, level.factor)
+        d_level = np.zeros_like(level.depth)
+        if use_photo:
+            _photo_backward(photo_term, context, k, ray_dirs, len(levels), d_level, d_poses)
+        smooth_up = weights.lambda_smooth * level_w / len(levels)
+        if use_smooth and smooth_up != 0.0:
+            d_level += smooth_up * _smoothness_backward(smooth_cache, level.depth)
+        if level.factor == 1:
+            d_depth += d_level
+        else:
+            d_depth += _pyramid_level_t(d_level, level.factor)
 
     photo = photo_total / len(levels)
     smooth = smooth_total / len(levels)
 
-    rep_val = 0.0
-    rep_count = 0
-    rep_dropped = 0
-    if labels is not None and weights.lambda_rep > 0:
-        if supervised == "rep":
-            scale = weights.lambda_rep / n_ctx
-            for s, (_, pose) in enumerate(context):
-                val, cnt, drp, d_pred, d_pose6 = _rep_forward(
-                    depth, labels, pose, k, want_grad
-                )
-                rep_val += val / n_ctx
-                rep_count = max(rep_count, cnt)
-                rep_dropped += drp
-                if want_grad:
-                    d_depth += scale * d_pred
-                    d_poses[s] += scale * d_pose6
-        else:
-            err, shared = _shared_errors(depth, labels)
-            rep_count = int(shared.sum())
-            if supervised == "l1":
-                rep_val = float(np.abs(err).mean())
-                d_err = np.sign(err) / rep_count
-            else:
-                abs_err = np.abs(err)
-                c = 0.2 * float(abs_err.max())
-                if c <= 0:
-                    rep_val = 0.0
-                    d_err = np.zeros_like(err)
-                else:
-                    quad = (err * err + c * c) / (2.0 * c)
-                    rep_val = float(np.where(abs_err <= c, abs_err, quad).mean())
-                    d_err = np.where(abs_err <= c, np.sign(err), err / c) / rep_count
-            if want_grad:
-                d_sup = np.zeros_like(depth)
-                d_sup[shared] = d_err
-                d_depth += weights.lambda_rep * d_sup
+    rep_val, rep_count, rep_dropped = 0.0, 0, 0
+    if use_rep:
+        rep_val, rep_count, rep_dropped = _supervised(
+            depth, np.asarray(labels, dtype=np.float64), context, k, supervised,
+            weights.lambda_rep, d_depth, d_poses,
+        )
 
-    total = photo_weight * photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val
+    total = photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val
     breakdown = LossBreakdown(
         photo=photo,
         smooth=smooth,
@@ -774,7 +828,7 @@ def total_loss(
     num_scales: int = 1,
     supervised: str = "rep",
     unwarped_min: np.ndarray | None = None,
-    photo_weight: float = 1.0,
+    terms: Sequence[str] = TERMS,
 ) -> LossBreakdown:
     """Evaluate the full objective; see the module docstring for the terms.
 
@@ -783,12 +837,12 @@ def total_loss(
     supervised term is averaged over context poses. labels is a sparse depth
     raster (0 = unlabeled); it may be omitted when lambda_rep is 0.
     unwarped_min can carry a precomputed unwarped_min_photometric map (it is
-    constant while depth and poses change).
+    constant while depth and poses change). ``terms`` selects a subset of
+    "photo", "smooth" and "rep" so each can be verified in isolation.
     """
     breakdown, _, _ = _objective(
-        target, context, depth, k, weights, labels,
-        num_scales=num_scales, supervised=supervised, want_grad=False,
-        unwarped_min=unwarped_min, photo_weight=photo_weight,
+        target, context, depth, k, weights, labels, num_scales, supervised,
+        want_grad=False, unwarped_min=unwarped_min, terms=terms,
     )
     return breakdown
 
@@ -803,7 +857,7 @@ def total_loss_grad(
     num_scales: int = 1,
     supervised: str = "rep",
     unwarped_min: np.ndarray | None = None,
-    photo_weight: float = 1.0,
+    terms: Sequence[str] = TERMS,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Objective value plus exact gradients w.r.t. every depth pixel and the
     6 pose parameters (alpha, beta, gamma, tx, ty, tz) of every context.
@@ -811,9 +865,7 @@ def total_loss_grad(
     Masks, argmin source selections and validity flags are held constant, so
     these are the piecewise gradients away from switching boundaries.
     """
-    breakdown, d_depth, d_poses = _objective(
-        target, context, depth, k, weights, labels,
-        num_scales=num_scales, supervised=supervised, want_grad=True,
-        unwarped_min=unwarped_min, photo_weight=photo_weight,
+    return _objective(
+        target, context, depth, k, weights, labels, num_scales, supervised,
+        want_grad=True, unwarped_min=unwarped_min, terms=terms,
     )
-    return breakdown, d_depth, d_poses

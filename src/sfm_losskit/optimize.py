@@ -89,7 +89,7 @@ class OptimConfig:
             raise ConfigError("invalid convergence tolerance")
         if self.init_depth <= 0:
             raise ConfigError("init_depth must be positive")
-        if self.supervised_loss not in ("rep", "l1", "berhu"):
+        if self.supervised_loss not in losses.SUPERVISED:
             raise ConfigError(f"unknown supervised_loss {self.supervised_loss!r}")
         if self.num_scales < 1 or self.lr_halve_every < 0 or self.seed < 0:
             raise ConfigError("invalid optimizer configuration")
@@ -354,7 +354,7 @@ def gradcheck(
     h: float = 1e-5,
     tol: float = 1e-4,
     seed: int = 0,
-    terms: tuple[str, ...] = ("photo", "smooth", "rep"),
+    terms: tuple[str, ...] = losses.TERMS,
     supervised: str = "rep",
     num_scales: int = 1,
     state: OptimState | None = None,
@@ -373,7 +373,7 @@ def gradcheck(
     """
     if h <= 0:
         raise ConfigError("finite-difference step h must be positive")
-    unknown = set(terms) - {"photo", "smooth", "rep"}
+    unknown = set(terms) - set(losses.TERMS)
     if unknown:
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
     rng = np.random.default_rng(seed)
@@ -387,32 +387,26 @@ def gradcheck(
         depth0 = state.depth()
         pose_params = state.pose_params.copy()
 
-    photo_weight = 1.0 if "photo" in terms else 0.0
-    eff = LossWeights(
-        alpha=weights.alpha,
-        lambda_smooth=weights.lambda_smooth if "smooth" in terms else 0.0,
-        lambda_rep=weights.lambda_rep if "rep" in terms else 0.0,
-    )
-    labels = scene.labels.depth if (eff.lambda_rep > 0 and scene.labels.n_labels) else None
+    labels = scene.labels.depth if scene.labels.n_labels else None
     images = [img for img, _ in scene.contexts]
     k = scene.intrinsics
     unwarped = None
-    if photo_weight != 0.0:
-        unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, eff.alpha)
+    if "photo" in terms:
+        unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, weights.alpha)
 
     def total_at(depth, params):
         ctx = [(img, PoseSE3.from_params(p)) for img, p in zip(images, params)]
         return losses.total_loss(
-            scene.target, ctx, depth, k, eff, labels=labels,
-            num_scales=num_scales, supervised=supervised, photo_weight=photo_weight,
-            unwarped_min=unwarped,
+            scene.target, ctx, depth, k, weights, labels=labels,
+            num_scales=num_scales, supervised=supervised, unwarped_min=unwarped,
+            terms=terms,
         ).total
 
     ctx0 = [(img, PoseSE3.from_params(p)) for img, p in zip(images, pose_params)]
     _, d_depth, d_poses = losses.total_loss_grad(
-        scene.target, ctx0, depth0, k, eff, labels=labels,
-        num_scales=num_scales, supervised=supervised, photo_weight=photo_weight,
-        unwarped_min=unwarped,
+        scene.target, ctx0, depth0, k, weights, labels=labels,
+        num_scales=num_scales, supervised=supervised, unwarped_min=unwarped,
+        terms=terms,
     )
 
     hgt, wid = depth0.shape

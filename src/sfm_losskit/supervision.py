@@ -1,4 +1,4 @@
-"""Sparse depth-label handling: beam structure, decimation, median scaling.
+"""Sparse depth-label handling: beam structure and decimation.
 
 Labels mimic a rotating range sensor: each beam occupies one raster row in
 the lower image region, with a configurable number of samples per row.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NoSupervisionError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass
@@ -81,23 +81,6 @@ def decimate(labels: SparseDepth, spec: DecimationSpec) -> SparseDepth:
         beam_id=np.where(keep, labels.beam_id, -1),
         num_beams=labels.num_beams,
     )
-
-
-def median_scale(pred: np.ndarray, gt: SparseDepth) -> tuple[np.ndarray, float]:
-    """Rescale the prediction by median(gt) / median(pred) over shared
-    valid pixels; returns (scaled prediction, scale factor)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != gt.depth.shape:
-        raise DimensionError(f"pred {pred.shape} does not match labels {gt.depth.shape}")
-    shared = (gt.depth > 0) & (pred > 0)
-    if not shared.any():
-        raise NoSupervisionError("no shared valid pixel for median scaling")
-    med_gt = float(np.median(gt.depth[shared]))
-    med_pred = float(np.median(pred[shared]))
-    if med_gt <= 0 or med_pred <= 0:
-        raise NoSupervisionError("non-positive median depth")
-    scale = med_gt / med_pred
-    return pred * scale, scale
 
 
 def synth_lidar(

@@ -12,7 +12,7 @@ available for structure-similarity sign tests, not for consistency checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -359,44 +359,3 @@ def make_scene(spec: SceneSpec) -> Scene:
         spec=spec,
     )
 
-
-_SPEC_FIELDS = {f.name: f.type for f in fields(SceneSpec)}
-
-
-def load_scene_spec(path) -> SceneSpec:
-    """Read a flat key=value scene file; unknown keys are rejected."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _SPEC_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown scene key {key!r}")
-            values[key] = val
-    return scene_spec_from_strings(values)
-
-
-def scene_spec_from_strings(values: dict[str, str]) -> SceneSpec:
-    kwargs = {}
-    for key, val in values.items():
-        if key not in _SPEC_FIELDS:
-            raise ConfigError(f"unknown scene key {key!r}")
-        default = getattr(SceneSpec, key)
-        try:
-            if isinstance(default, bool):
-                kwargs[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                kwargs[key] = int(val)
-            elif isinstance(default, float):
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = val
-        except ValueError as exc:
-            raise ConfigError(f"scene key {key!r}: cannot parse {val!r}") from exc
-    spec = SceneSpec(**kwargs)
-    spec.validate()
-    return spec

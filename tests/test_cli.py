@@ -257,6 +257,15 @@ class TestCommands:
         metrics_lines = (out / "metrics.csv").read_text().splitlines()
         assert metrics_lines[0].startswith("abs_rel,")
 
+    def test_evaluation_section_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        code = cli.main(["optimize", str(tmp_path / "scene"), "--config", str(cfg),
+                         "--out", str(tmp_path / "report"), "--evaluation.max_depth=5"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["sfm-losskit: error: ConfigError: unknown config section 'evaluation'"]
+
     def test_optimize_no_labels_exit_code_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         write_config(cfg, "scene.beams = 0\n")
@@ -323,6 +332,34 @@ class TestMalformedInput:
         parts[index] = token
         lines[row] = " ".join(p for p in parts if p)
         manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0])
+    def test_optimize_bad_ground_truth_depth(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        depth = io_codecs.read_pfm(scene_dir / "depth.pfm").copy()
+        depth[3, 5] = bad
+        io_codecs.write_pfm(scene_dir / "depth.pfm", depth)
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    def test_optimize_labels_channels_disagree(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        labels = io_codecs.read_pfm(scene_dir / "labels.pfm").copy()
+        row, col = np.argwhere(labels[..., 0] > 0)[0]
+        labels[row, col, 1] = -1.0  # a labeled pixel without a beam
+        io_codecs.write_pfm(scene_dir / "labels.pfm", labels)
         capsys.readouterr()
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "report")])

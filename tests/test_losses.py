@@ -148,6 +148,26 @@ class TestPhotometric:
             loss = photometric(a, b, np.ones((6, 6), bool), alpha)
             assert (loss <= alpha + (1 - alpha) + 1e-12).all()
 
+    def test_window_count_shared_by_channels(self, monkeypatch):
+        # one RGB forward evaluation with 2 contexts: per context one window
+        # count plus 5 window statistics per channel, 2 * (1 + 5 * 3) = 32
+        scene = small_scene(channels=3)
+        unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, 0.85)
+        calls = []
+        box_sum = losses._box_sum
+
+        def counting_box_sum(x, radius=losses.SSIM_RADIUS):
+            calls.append(x.shape)
+            return box_sum(x, radius)
+
+        monkeypatch.setattr(losses, "_box_sum", counting_box_sum)
+        total_loss(
+            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
+            LossWeights(), labels=scene.labels.depth, unwarped_min=unwarped,
+        )
+        assert len(scene.contexts) == 2
+        assert len(calls) == 32
+
 
 SMALL_K = CameraIntrinsics(fx=40.0, fy=40.0, cx=23.5, cy=15.5, width=48, height=32)
 
@@ -378,9 +398,9 @@ class TestBaselines:
 
     def test_berhu_hand_computed_branches(self):
         gt = np.array([[1.0, 1.0]])
-        pred = np.array([[2.0, 4.0]])  # errors 1 and 3, c = 2
-        expected = (1.0 + (9 + 4) / 4.0) / 2.0
-        assert baseline_berhu(pred, gt, c=2.0) == pytest.approx(expected)
+        pred = np.array([[2.0, 11.0]])  # errors 1 and 10, c = 0.2 * 10 = 2
+        expected = (1.0 + (100 + 4) / 4.0) / 2.0
+        assert baseline_berhu(pred, gt) == pytest.approx(expected)
 
     def test_berhu_default_threshold(self):
         gt = np.array([[1.0, 1.0]])
@@ -492,7 +512,7 @@ class TestTotalLossGrad:
         w = LossWeights(alpha=0.85, lambda_smooth=0.0, lambda_rep=1.0)
         _, d_depth, d_poses = total_loss_grad(
             scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            labels=scene.labels.depth, photo_weight=0.0,
+            labels=scene.labels.depth, terms=("smooth", "rep"),
         )
         # at pred == gt the reprojected term sits at the subgradient-zero minimum
         assert np.abs(d_depth).max() == 0.0

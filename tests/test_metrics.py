@@ -146,6 +146,17 @@ class TestEvaluate:
         with pytest.raises(NoSupervisionError):
             evaluate(np.ones((4, 4)), gt)
 
+    def test_median_scaling_odd_count_arithmetic(self):
+        gt = dense_labels(np.array([[1.0, 2.0, 3.0]]))
+        m = evaluate(np.array([[2.0, 4.0, 6.0]]), gt, use_median_scaling=True)
+        assert m.scale == pytest.approx(0.5)
+        assert m.abs_rel == pytest.approx(0.0, abs=1e-15)
+
+    def test_median_scaling_empty_overlap_raises(self):
+        gt = dense_labels(np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(NoSupervisionError):
+            evaluate(np.zeros((1, 3)), gt, use_median_scaling=True)
+
     def test_delta_ordering_invariant(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

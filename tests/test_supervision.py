@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from sfm_losskit.errors import ConfigError, NoSupervisionError
+from sfm_losskit.errors import ConfigError
 from sfm_losskit.supervision import (
     DecimationSpec,
     SparseDepth,
     decimate,
-    median_scale,
     random_labels,
     synth_lidar,
 )
@@ -95,42 +94,6 @@ class TestDecimate:
             decimate(labels, DecimationSpec(keep_beams=16, offset=4))
         with pytest.raises(ConfigError):
             decimate(labels, DecimationSpec(keep_beams=0))
-
-
-class TestMedianScale:
-    def test_identity_when_equal(self):
-        labels = beam_pattern()
-        scaled, s = median_scale(np.where(labels.depth > 0, labels.depth, 5.0), labels)
-        assert s == pytest.approx(1.0)
-
-    def test_exact_ratio_recovered(self):
-        labels = beam_pattern()
-        pred = np.where(labels.depth > 0, labels.depth / 2, 3.0)
-        scaled, s = median_scale(pred, labels)
-        assert s == pytest.approx(2.0)
-        sel = labels.depth > 0
-        assert np.abs(scaled[sel] - labels.depth[sel]).max() < 1e-12
-
-    def test_median_arithmetic(self):
-        depth = np.zeros((1, 3))
-        depth[0] = [1.0, 2.0, 3.0]
-        labels = SparseDepth(depth=depth, beam_id=np.zeros((1, 3), dtype=int), num_beams=1)
-        pred = np.array([[2.0, 4.0, 6.0]])
-        _, s = median_scale(pred, labels)
-        assert s == pytest.approx(0.5)
-
-    def test_idempotent(self):
-        labels = beam_pattern()
-        rng = np.random.default_rng(2)
-        pred = np.where(labels.depth > 0, labels.depth * rng.uniform(0.5, 2.0, labels.depth.shape), 4.0)
-        once, _ = median_scale(pred, labels)
-        twice, s2 = median_scale(once, labels)
-        assert s2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_overlap(self):
-        labels = beam_pattern()
-        with pytest.raises(NoSupervisionError):
-            median_scale(np.zeros_like(labels.depth), labels)
 
 
 class TestSynthLidar:

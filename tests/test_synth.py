@@ -4,13 +4,12 @@ import pytest
 from sfm_losskit import losses, warp
 from sfm_losskit.errors import ConfigError
 from sfm_losskit.geometry import PoseSE3, project, unproject, warp_coords
+from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
     SceneSpec,
-    load_scene_spec,
     make_scene,
     render_view,
     render_view_with_depth,
-    scene_spec_from_strings,
 )
 
 
@@ -174,7 +173,7 @@ class TestSceneSpecIO:
             "seed = 17\n"
             "beams = 8\n"
         )
-        spec = load_scene_spec(path)
+        spec = load_config(path).scene
         assert spec.geometry == "two_plane"
         assert spec.d0 == 12.5
         assert spec.seed == 17
@@ -183,11 +182,13 @@ class TestSceneSpecIO:
         path = tmp_path / "scene.cfg"
         path.write_text("geometry = plane\nwobble = 3\n")
         with pytest.raises(ConfigError):
-            load_scene_spec(path)
+            load_config(path)
 
-    def test_bad_value_rejected(self):
+    def test_bad_value_rejected(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("geometry = plane\nd0 = ten\n")
         with pytest.raises(ConfigError):
-            scene_spec_from_strings({"d0": "ten"})
+            load_config(path)
 
 
 def test_scene_determinism():
