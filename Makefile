@@ -10,9 +10,10 @@ acceptance:
 	python3 -m pytest tests/test_acceptance.py -v -s
 
 # Regenerate the checked-in golden loss-history CSV (run after intentional
-# numeric changes, then review the diff).
+# numeric changes, then review the diff). BLAS/OpenMP pinned to 1 thread, as
+# in the benchmark, which compares its example run with this file byte for byte.
 golden:
-	python3 scripts/regen_golden.py
+	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 scripts/regen_golden.py
 
 # Run the benchmark (BENCHMARK.json) once on every workload, 30 s each;
 # records go to .bench_work/.

@@ -14,6 +14,7 @@ nominal beam count of the sensor.
 from __future__ import annotations
 
 import os
+import stat
 
 import numpy as np
 
@@ -49,14 +50,11 @@ def read_pfm(path) -> np.ndarray:
             channels = 3
         else:
             raise CodecError(f"{path}: not a PFM stream (got {ident!r})")
-        w = _read_int(fh, path)
-        h = _read_int(fh, path)
+        w, h = _read_size(fh, path)
         scale = _read_float(fh, path)
         endian = "<" if scale < 0 else ">"
         count = h * w * channels
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
-            raise CodecError(f"{path}: truncated PFM payload")
+        raw = _read_payload(fh, path, 4 * count)
         data = np.frombuffer(raw, dtype=endian + "f4").reshape(
             (h, w) if channels == 1 else (h, w, 3)
         )
@@ -83,17 +81,14 @@ def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if _read_token(fh) != b"P6":
             raise CodecError(f"{path}: not a binary PPM (P6) stream")
-        w = _read_int(fh, path)
-        h = _read_int(fh, path)
+        w, h = _read_size(fh, path)
         maxval = _read_int(fh, path)
         if maxval not in (255, 65535):
             raise CodecError(f"{path}: unsupported maxval {maxval}")
         dtype = ">u2" if maxval == 65535 else "u1"
         count = h * w * 3
-        raw = fh.read(count * (2 if maxval == 65535 else 1))
+        raw = _read_payload(fh, path, count * (2 if maxval == 65535 else 1))
         data = np.frombuffer(raw, dtype=dtype)
-        if data.size != count:
-            raise CodecError(f"{path}: truncated PPM payload")
     return data.reshape(h, w, 3).astype(np.float64) / maxval
 
 
@@ -121,6 +116,26 @@ def _read_int(fh, path) -> int:
         return int(tok)
     except ValueError as exc:
         raise CodecError(f"{path}: expected integer header token, got {tok!r}") from exc
+
+
+def _read_size(fh, path) -> tuple[int, int]:
+    w = _read_int(fh, path)
+    h = _read_int(fh, path)
+    if w <= 0 or h <= 0:
+        raise CodecError(f"{path}: image size must be positive, got {w}x{h}")
+    return w, h
+
+
+def _read_payload(fh, path, nbytes: int) -> bytes:
+    # fh.read(n) allocates n bytes up front, so a regular file too short for
+    # the size its header claims is rejected before reading
+    st = os.fstat(fh.fileno())
+    raw = b""
+    if not stat.S_ISREG(st.st_mode) or st.st_size - fh.tell() >= nbytes:
+        raw = fh.read(nbytes)
+    if len(raw) != nbytes:
+        raise CodecError(f"{path}: truncated payload, the header promises {nbytes} bytes")
+    return raw
 
 
 def _read_float(fh, path) -> float:
@@ -223,6 +238,8 @@ def read_manifest(path):
             height=int(fields["height"]),
         )
         channels = int(fields["channels"])
+        if channels not in (1, 3):
+            raise CodecError(f"{path}: channels must be 1 or 3, got {channels}")
         return k, channels, fields["target"], fields["depth"], fields["labels"], contexts
     except KeyError as exc:
         raise CodecError(f"{path}: missing manifest field {exc}") from exc
@@ -265,18 +282,26 @@ def read_scene_dir(scene_dir):
     man = os.path.join(scene_dir, MANIFEST_NAME)
     k, channels, target_f, depth_f, labels_f, contexts = read_manifest(man)
 
+    def _check_size(name, shape):
+        if shape[:2] != (k.height, k.width):
+            raise CodecError(
+                f"{scene_dir}: {name} is {shape[1]}x{shape[0]}, the manifest says "
+                f"{k.width}x{k.height}"
+            )
+
     def _load_image(name):
         img = read_ppm(os.path.join(scene_dir, name))
+        _check_size(name, img.shape)
         if channels == 1:
             img = img[..., :1]
         return img
 
     target = _load_image(target_f)
     gt_depth = read_pfm(os.path.join(scene_dir, depth_f)).astype(np.float64)
+    _check_size(depth_f, gt_depth.shape)
     labels = read_labels_pfm(os.path.join(scene_dir, labels_f))
+    _check_size(labels_f, labels.depth.shape)
     ctx = [(_load_image(name), pose) for name, pose in contexts]
-    if target.shape[:2] != (k.height, k.width) or gt_depth.shape != (k.height, k.width):
-        raise CodecError(f"{scene_dir}: raster dimensions disagree with the manifest")
     if not (np.isfinite(gt_depth).all() and (gt_depth > 0).all()):
         raise CodecError(f"{scene_dir}: {depth_f} holds a non-finite or non-positive depth")
     return Scene(

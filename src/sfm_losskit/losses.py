@@ -30,6 +30,7 @@ pixels, which every reduction here excludes by mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -66,6 +67,8 @@ class LossWeights:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not (math.isfinite(self.lambda_smooth) and math.isfinite(self.lambda_rep)):
+            raise ValueError("loss weights must be finite")
         if self.lambda_smooth < 0 or self.lambda_rep < 0:
             raise ValueError("loss weights must be nonnegative")
 
@@ -417,9 +420,18 @@ class _SmoothCache(NamedTuple):
     n_contrib: int
 
 
+def _channel_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=2), bit for bit (the same sequential sum over the channel
+    slices, then / C), without the reduction's overhead on 1-3 channels."""
+    total = x[..., 0]
+    for c in range(1, x.shape[2]):
+        total = total + x[..., c]
+    return total / x.shape[2]
+
+
 def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.abs(target[:, 1:, :] - target[:, :-1, :]).mean(axis=2)
-    gy = np.abs(target[1:, :, :] - target[:-1, :, :]).mean(axis=2)
+    gx = _channel_mean(np.abs(target[:, 1:, :] - target[:, :-1, :]))
+    gy = _channel_mean(np.abs(target[1:, :, :] - target[:-1, :, :]))
     return np.exp(-gx), np.exp(-gy)
 
 

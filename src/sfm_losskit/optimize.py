@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         # lr == 0 is admitted as the degenerate "frozen parameters" case
         if self.lr_depth < 0 or self.lr_pose < 0 or self.lr_pose_rot < 0:
             raise ConfigError("learning rates must be nonnegative")
@@ -89,6 +92,8 @@ class OptimConfig:
             raise ConfigError("invalid convergence tolerance")
         if self.init_depth <= 0:
             raise ConfigError("init_depth must be positive")
+        if self.pose_init_rot_std < 0 or self.pose_init_trans_std < 0:
+            raise ConfigError("pose_init_rot_std and pose_init_trans_std must be nonnegative")
         if self.supervised_loss not in losses.SUPERVISED:
             raise ConfigError(f"unknown supervised_loss {self.supervised_loss!r}")
         if self.num_scales < 1 or self.lr_halve_every < 0 or self.seed < 0:
@@ -371,8 +376,12 @@ def gradcheck(
     floor covers gradients too small for float64 central differences to
     resolve at the given step.
     """
-    if h <= 0:
-        raise ConfigError("finite-difference step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be nonnegative and finite, got {tol}")
+    if n_samples < 0:
+        raise ConfigError(f"n_samples must be nonnegative, got {n_samples}")
     unknown = set(terms) - set(losses.TERMS)
     if unknown:
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")

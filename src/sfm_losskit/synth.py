@@ -7,12 +7,21 @@ rendered context view with ground-truth depth and pose reconstructs the
 target to interpolation accuracy. Textures are band-limited sinusoid
 mixtures rasterized at roughly one texel per image pixel (checkerboards are
 available for structure-similarity sign tests, not for consistency checks).
+
+A noise channel is 0.5 plus 8 plane waves a*cos(kx*x + ky*y + p) on an n x n
+raster. Each wave splits into two products of a factor in y alone and a
+factor in x alone, so the channel is 0.5 plus the product of an (n, 16)
+table of y factors and a (16, n) table of x factors: the trigonometry costs
+O(n) per wave instead of O(n^2). The product runs through ``np.einsum``
+without ``optimize``, which calls no BLAS: a BLAS matrix product can round
+differently with its thread count, and a texture must not depend on it,
+because the scenes it renders are compared byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +64,9 @@ class SceneSpec:
     cy: float = -1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.geometry not in GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
         if self.texture not in TEXTURES:
@@ -120,20 +132,21 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
     if n > 4096:
         raise ConfigError(f"texture raster of {n} texels is unreasonably large")
     axis = -extent + spacing * np.arange(n)
-    xx, yy = np.meshgrid(axis, axis)
     f_max = cycles_per_px / spacing  # cycles per meter
     raster = np.empty((n, n, channels))
     n_waves = 8
     for c in range(channels):
-        val = np.full((n, n), 0.5)
         mags = f_max * rng.uniform(0.2, 1.0, n_waves)
         dirs = rng.uniform(0.0, 2 * math.pi, n_waves)
         phases = rng.uniform(0.0, 2 * math.pi, n_waves)
         amps = rng.uniform(0.4, 1.0, n_waves)
         amps *= amp / amps.sum()
-        for m, d, p, a in zip(mags, dirs, phases, amps):
-            val += a * np.cos(2 * math.pi * m * (xx * math.cos(d) + yy * math.sin(d)) + p)
-        raster[..., c] = val
+        # a*cos(kx*x + ky*y + p) = a*cos(ky*y + p)*cos(kx*x) - a*sin(ky*y + p)*sin(kx*x)
+        row_arg = np.multiply.outer(axis, 2 * math.pi * mags * np.sin(dirs)) + phases
+        col_arg = np.multiply.outer(axis, 2 * math.pi * mags * np.cos(dirs))
+        rows = np.concatenate([amps * np.cos(row_arg), -amps * np.sin(row_arg)], axis=1)
+        cols = np.concatenate([np.cos(col_arg), np.sin(col_arg)], axis=1)
+        raster[..., c] = 0.5 + np.einsum("iw,jw->ij", rows, cols)
     return _Texture(np.clip(raster, 0.0, 1.0), (-extent, -extent), spacing)
 
 
@@ -218,20 +231,26 @@ class Scene:
     spec: SceneSpec | None = None
 
 
-def render_view(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
-                channels: int = 1) -> np.ndarray:
-    """Render the image a camera at ``pose`` (target frame -> view frame) sees."""
-    img, _ = render_view_with_depth(geometry, pose, k, channels)
-    return img
-
-
-def render_view_with_depth(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
-                           channels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _render(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
+            channels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Image, depth and hit-plane index of every pixel of the view at ``pose``."""
     rays = k.pixel_rays()
     depth, plane_idx = geometry.ray_depths(rays, pose)
     if not np.isfinite(depth).all() or (plane_idx < 0).any():
         raise DegenerateGeometryError("some pixel rays miss the scene geometry")
     img = geometry.shade(rays, pose, depth, plane_idx, channels)
+    return img, depth, plane_idx
+
+
+def render_view(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
+                channels: int = 1) -> np.ndarray:
+    """Render the image a camera at ``pose`` (target frame -> view frame) sees."""
+    return _render(geometry, pose, k, channels)[0]
+
+
+def render_view_with_depth(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
+                           channels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    img, depth, _ = _render(geometry, pose, k, channels)
     return img, depth
 
 
@@ -321,10 +340,7 @@ def make_scene(spec: SceneSpec) -> Scene:
     spec.validate()
     k = spec.intrinsics()
     geometry = _build_geometry(spec, k)
-    identity = PoseSE3.identity()
-    target, gt_depth = render_view_with_depth(geometry, identity, k, spec.channels)
-    rays = k.pixel_rays()
-    _, plane_idx = geometry.ray_depths(rays, identity)
+    target, gt_depth, plane_idx = _render(geometry, PoseSE3.identity(), k, spec.channels)
 
     contexts = []
     occluded = []

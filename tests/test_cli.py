@@ -226,6 +226,22 @@ class TestCommands:
         assert code == 0
         assert "result=PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--h", "nan", "finite-difference step h must be positive and finite, got nan"),
+            ("--tol", "nan", "tol must be nonnegative and finite, got nan"),
+            ("--n-samples", "-3", "n_samples must be nonnegative, got -3"),
+        ],
+    )
+    def test_gradcheck_invalid_argument(self, tmp_path, capsys, flag, value, message):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        code = cli.main(["gradcheck", "--config", str(cfg), "--scenes", "1", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"sfm-losskit: error: ConfigError: {message}"]
+
     def test_synth_idempotent_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
@@ -265,6 +281,27 @@ class TestCommands:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["sfm-losskit: error: ConfigError: unknown config section 'evaluation'"]
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("optimizer.lr_depth=inf", "lr_depth must be finite, got inf"),
+            ("optimizer.init_depth=nan", "init_depth must be finite, got nan"),
+            ("weights.lambda_rep=nan", "loss weights must be finite"),
+            ("weights.lambda_smooth=nan", "loss weights must be finite"),
+            ("optimizer.pose_init_trans_std=-0.1",
+             "pose_init_rot_std and pose_init_trans_std must be nonnegative"),
+            ("scene.d0=inf", "d0 must be finite, got inf"),
+        ],
+    )
+    def test_invalid_config_value_rejected(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        code = cli.main(["optimize", str(tmp_path / "scene"), "--config", str(cfg),
+                         "--out", str(tmp_path / "report"), f"--{override}"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"sfm-losskit: error: ConfigError: {message}"]
 
     def test_optimize_no_labels_exit_code_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -307,6 +344,11 @@ class TestMalformedInput:
         pred.write_bytes(b"Pf\n2 2\nabc\n")
         assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
 
+    def test_eval_pfm_non_positive_size(self, tmp_path, capsys):
+        pred = tmp_path / "pred.pfm"
+        pred.write_bytes(b"Pf\n-2 -2\n-1.0\n" + bytes(16))
+        assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
+
     @pytest.mark.parametrize(
         "key, index, token",
         [
@@ -318,6 +360,7 @@ class TestMalformedInput:
             ("intrinsics", 1, "-40.0"),  # CameraIntrinsics rejects fx <= 0
             ("width", 1, "1"),  # CameraIntrinsics rejects a 1-pixel-wide image
             ("context", 5, "abc"),  # non-numeric pose entry
+            ("channels", 1, "2"),  # neither gray nor RGB
         ],
     )
     def test_optimize_malformed_manifest(self, tmp_path, capsys, key, index, token):
@@ -346,6 +389,49 @@ class TestMalformedInput:
         depth = io_codecs.read_pfm(scene_dir / "depth.pfm").copy()
         depth[3, 5] = bad
         io_codecs.write_pfm(scene_dir / "depth.pfm", depth)
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    @pytest.mark.parametrize(
+        "read, header",
+        [(io_codecs.read_pfm, b"Pf\n100000 100000\n-1.0\n"),
+         (io_codecs.read_ppm, b"P6\n100000 100000\n65535\n")],
+    )
+    def test_header_size_beyond_file_rejected(self, tmp_path, read, header):
+        # 40-60 GB promised by the header: rejected before any read allocates it
+        path = tmp_path / "huge"
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(CodecError, match="truncated payload"):
+            read(path)
+
+    @pytest.mark.parametrize("size", [b"-48 40", b"-48 -40", b"48 0"])
+    def test_optimize_ppm_non_positive_size(self, tmp_path, capsys, size):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        target = scene_dir / "target.ppm"
+        raw = target.read_bytes()
+        assert raw.startswith(b"P6\n48 40\n")
+        target.write_bytes(b"P6\n" + size + raw[len(b"P6\n48 40"):])
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    @pytest.mark.parametrize("name", ["context_00.ppm", "labels.pfm"])
+    def test_optimize_raster_size_disagrees_with_manifest(self, tmp_path, capsys, name):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        path = scene_dir / name
+        if name.endswith(".ppm"):
+            io_codecs.write_ppm(path, io_codecs.read_ppm(path)[:, :24])
+        else:
+            io_codecs.write_pfm(path, io_codecs.read_pfm(path)[:, :24])
         capsys.readouterr()
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "report")])

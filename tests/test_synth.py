@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sfm_losskit.geometry import PoseSE3, project, unproject, warp_coords
 from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
     SceneSpec,
+    _noise_texture,
     make_scene,
     render_view,
     render_view_with_depth,
@@ -189,6 +192,43 @@ class TestSceneSpecIO:
         path.write_text("geometry = plane\nd0 = ten\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def reference_noise_texture(rng, extent, spacing, cycles_per_px, amp, channels):
+    """The direct per-texel evaluation of the plane-wave sum, with the RNG
+    draws in the order _noise_texture makes them."""
+    n = int(math.ceil(2 * extent / spacing)) + 1
+    axis = -extent + spacing * np.arange(n)
+    xx, yy = np.meshgrid(axis, axis)
+    f_max = cycles_per_px / spacing
+    raster = np.empty((n, n, channels))
+    for c in range(channels):
+        val = np.full((n, n), 0.5)
+        mags = f_max * rng.uniform(0.2, 1.0, 8)
+        dirs = rng.uniform(0.0, 2 * math.pi, 8)
+        phases = rng.uniform(0.0, 2 * math.pi, 8)
+        amps = rng.uniform(0.4, 1.0, 8)
+        amps *= amp / amps.sum()
+        for m, d, p, a in zip(mags, dirs, phases, amps):
+            val += a * np.cos(2 * math.pi * m * (xx * math.cos(d) + yy * math.sin(d)) + p)
+        raster[..., c] = val
+    return np.clip(raster, 0.0, 1.0)
+
+
+class TestNoiseTexture:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("cycles_per_px, amp", [(0.03, 0.42), (0.25, 0.45)])
+    def test_matches_direct_per_texel_sum(self, channels, cycles_per_px, amp):
+        # 321 x 321 texels; phase arguments reach ~350 rad at 0.25 cycles/px
+        args = (4.0, 0.025, cycles_per_px, amp, channels)
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        tex = _noise_texture(rng, *args)
+        ref = reference_noise_texture(ref_rng, *args)
+        assert tex.raster.shape == ref.shape == (321, 321, channels)
+        assert tex.raster.flags.c_contiguous
+        assert np.abs(tex.raster - ref).max() <= 1e-12
+        # the same number of draws in the same order: the generators agree after
+        assert rng.random() == ref_rng.random()
 
 
 def test_scene_determinism():
