@@ -76,6 +76,8 @@ def cmd_optimize(args, overrides) -> int:
 def cmd_gradcheck(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     cfg.require("scene.seed")
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be at least 1, got {args.scenes}")
     terms = tuple(args.terms.split(",")) if args.terms else TERMS
     weights = cfg.optimizer.weights
     all_passed = True

@@ -11,6 +11,12 @@ Conventions used throughout the package:
   p_source = R @ p_target + t.
 * Points with z <= EPS_Z are treated as behind the camera and cannot be
   projected.
+
+The per-pixel warp fields are stored as planes, one contiguous (H, W) plane
+per component: points in a (3, H, W) array, coordinates in (2, H, W) and
+projection Jacobians in (2, 3, H, W). The documented (H, W, 3), (H, W, 2)
+and (H, W, 2, 3) shapes are `np.moveaxis` views over that storage, so a
+component read such as ``points[..., 2]`` is a contiguous plane.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ class CameraIntrinsics:
         """
         return _pixel_rays_cached(self)
 
+    def pixel_ray_planes(self) -> np.ndarray:
+        """The same rays as a contiguous (3, H, W) array, one plane per
+        component. Cached per intrinsics; read-only."""
+        return _ray_planes_cached(self)
+
 
 @lru_cache(maxsize=32)
 def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
@@ -84,6 +95,13 @@ def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
     rays[..., 2] = 1.0
     rays.setflags(write=False)
     return rays
+
+
+@lru_cache(maxsize=32)
+def _ray_planes_cached(k: "CameraIntrinsics") -> np.ndarray:
+    planes = np.ascontiguousarray(np.moveaxis(_pixel_rays_cached(k), -1, 0))
+    planes.setflags(write=False)
+    return planes
 
 
 def _rx(a: float) -> np.ndarray:
@@ -222,6 +240,9 @@ class WarpChain(NamedTuple):
     coords: (H, W, 2) continuous source-pixel coordinates (u, v)
     valid:  (H, W) bool; depth valid, in front of camera, inside the image
     in_front: (H, W) bool; depth valid and z > EPS_Z (ignores image bounds)
+
+    points and coords are views over contiguous (3, H, W) and (2, H, W)
+    planes; ``np.moveaxis(chain.points, -1, 0)`` recovers the planes.
     """
 
     rays: np.ndarray
@@ -238,27 +259,31 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
         raise DimensionError(
             f"depth shape {depth.shape} does not match intrinsics {k.height}x{k.width}"
         )
-    rays = k.pixel_rays()
-    rot = pose.rotation_matrix()
-    t = pose.translation_vector()
-    points = (depth[..., None] * rays) @ rot.T + t
+    planes = k.pixel_ray_planes()
+    # one (3, 3) @ (3, H*W) product rotates every point
+    points = pose.rotation_matrix() @ (depth * planes).reshape(3, -1)
+    points += pose.translation_vector()[:, None]
+    points = points.reshape(planes.shape)
+    x, y, z = points
 
-    depth_ok = depth > 0
-    z = points[..., 2]
-    in_front = depth_ok & (z > EPS_Z)
+    in_front = (depth > 0) & (z > EPS_Z)
     z_safe = np.where(in_front, z, 1.0)
-    coords = np.empty((k.height, k.width, 2))
-    coords[..., 0] = k.fx * points[..., 0] / z_safe + k.cx
-    coords[..., 1] = k.fy * points[..., 1] / z_safe + k.cy
-    inside = (
-        (coords[..., 0] >= -BOUNDS_EPS)
-        & (coords[..., 0] <= k.width - 1.0 + BOUNDS_EPS)
-        & (coords[..., 1] >= -BOUNDS_EPS)
-        & (coords[..., 1] <= k.height - 1.0 + BOUNDS_EPS)
+    coords = np.empty((2,) + depth.shape)
+    u, v = coords
+    u[...] = k.fx * x / z_safe + k.cx
+    v[...] = k.fy * y / z_safe + k.cy
+    valid = in_front & (u >= -BOUNDS_EPS)
+    valid &= u <= k.width - 1.0 + BOUNDS_EPS
+    valid &= v >= -BOUNDS_EPS
+    valid &= v <= k.height - 1.0 + BOUNDS_EPS
+    coords[:, ~in_front] = 0.0
+    return WarpChain(
+        rays=k.pixel_rays(),
+        points=np.moveaxis(points, 0, -1),
+        coords=np.moveaxis(coords, 0, -1),
+        valid=valid,
+        in_front=in_front,
     )
-    valid = in_front & inside
-    coords[~in_front] = 0.0
-    return WarpChain(rays=rays, points=points, coords=coords, valid=valid, in_front=in_front)
 
 
 def warp_coords(
@@ -279,16 +304,17 @@ def warp_coords(
 def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """d(u, v)/d(x, y, z) of the pinhole projection, per point.
 
-    points: (..., 3). Returns (..., 2, 3). Rows for points at or behind the
-    cut-off are zeroed (no gradient flows through invalid projections).
+    points: (..., 3). Returns (..., 2, 3), a view over a contiguous
+    (2, 3, ...) array. Rows for points at or behind the cut-off are zeroed
+    (no gradient flows through invalid projections).
     """
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     ok = z > EPS_Z
     # 1/z is set to 0 past the cut-off, which zeroes those rows outright
     inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=ok)
-    jac = np.zeros(points.shape[:-1] + (2, 3))
-    jac[..., 0, 0] = k.fx * inv_z
-    jac[..., 0, 2] = -k.fx * x * inv_z * inv_z
-    jac[..., 1, 1] = k.fy * inv_z
-    jac[..., 1, 2] = -k.fy * y * inv_z * inv_z
-    return jac
+    jac = np.zeros((2, 3) + z.shape)
+    jac[0, 0] = k.fx * inv_z
+    jac[0, 2] = -k.fx * x * inv_z * inv_z
+    jac[1, 1] = k.fy * inv_z
+    jac[1, 2] = -k.fy * y * inv_z * inv_z
+    return np.moveaxis(jac, (0, 1), (-2, -1))

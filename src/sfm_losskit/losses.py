@@ -295,9 +295,11 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
     """Adds d(photo value / n_levels) to d_level (the gradient w.r.t. this
     pyramid level's depth) and to d_poses.
 
-    ray_dirs[s] is R_s @ ray per pixel, i.e. d(source point)/d(depth).
+    ray_dirs[s] is the (3, H, W) planes of R_s @ ray per pixel, i.e.
+    d(source point)/d(depth).
     """
     upstream = term.mask / (term.count * n_levels)
+    p_target = (term.depth * k.pixel_ray_planes()).reshape(3, -1)
     for s, (src, pose) in enumerate(context):
         u_s = np.where(term.argmin == s, upstream, 0.0)
         if not u_s.any():
@@ -305,21 +307,26 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
         chain = term.chains[s]
         d_synth = _photometric_backward(term.caches[s], u_s)
         d_coords = warp.sample_bilinear_grad(src, chain.coords, chain.valid, d_synth)
-        # g3 = d(loss)/d(source point) = J^T (du, dv), from the two rows
-        # of J; the pinhole's J[0, 1] and J[1, 0] are identically 0
+        # g3 = d(loss)/d(source point) = J^T (du, dv) as (3, H, W) planes,
+        # from the two rows of J; the pinhole's J[0, 1] and J[1, 0] are 0
         jac = geometry.projection_jacobian(chain.points, k)
         du, dv = d_coords[..., 0], d_coords[..., 1]
-        g3 = np.empty(du.shape + (3,))
-        np.multiply(jac[..., 0, 0], du, out=g3[..., 0])
-        np.multiply(jac[..., 1, 1], dv, out=g3[..., 1])
-        g3[..., 2] = jac[..., 0, 2] * du + jac[..., 1, 2] * dv
-        d_level += np.einsum("hwj,hwj->hw", g3, ray_dirs[s])
+        g3 = np.empty((3,) + du.shape)
+        np.multiply(jac[..., 0, 0], du, out=g3[0])
+        np.multiply(jac[..., 1, 1], dv, out=g3[1])
+        np.multiply(jac[..., 0, 2], du, out=g3[2])
+        g3[2] += jac[..., 1, 2] * dv
+        dirs = ray_dirs[s]
+        dot = g3[0] * dirs[0]
+        dot += g3[1] * dirs[1]
+        dot += g3[2] * dirs[2]
+        d_level += dot
         # sum_hw g3 . (dR p) = sum(dR * G) with G = sum_hw g3 p^T
-        p_target = term.depth[..., None] * chain.rays
-        grad_outer = g3.reshape(-1, 3).T @ p_target.reshape(-1, 3)
+        g3 = g3.reshape(3, -1)
+        grad_outer = g3 @ p_target.T
         for i, drot in enumerate(pose.rotation_jacobians()):
             d_poses[s, i] += np.sum(drot * grad_outer)
-        d_poses[s, 3:] += np.einsum("hwj->j", g3)
+        d_poses[s, 3:] += g3.sum(axis=1)
 
 
 def photometric(
@@ -771,7 +778,11 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     if use_photo and unwarped_min is None:
         unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
     if use_photo and want_grad:
-        ray_dirs = [k.pixel_rays() @ pose.rotation_matrix().T for _, pose in context]
+        planes = k.pixel_ray_planes()
+        ray_dirs = [
+            (pose.rotation_matrix() @ planes.reshape(3, -1)).reshape(planes.shape)
+            for _, pose in context
+        ]
     if use_smooth:
         edge_weights = _image_gradient_weights(target)
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, NoSupervisionError
+from .errors import ConfigError, DimensionError, NoSupervisionError
 from .supervision import SparseDepth
 
 CSV_HEADER = "abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,n_pixels,scale"
@@ -63,8 +64,15 @@ def evaluate(
     Ground-truth pixels outside [min_depth, max_depth] are excluded;
     predictions are clamped into that range before comparison. With median
     scaling enabled the prediction is first rescaled by median(gt)/median(pred)
-    over the selected pixels.
+    over the selected pixels. The range must be finite with
+    0 <= min_depth <= max_depth (ConfigError otherwise).
     """
+    if not (math.isfinite(min_depth) and math.isfinite(max_depth)
+            and 0.0 <= min_depth <= max_depth):
+        raise ConfigError(
+            "evaluation range must be finite with 0 <= min_depth <= max_depth, "
+            f"got min_depth={min_depth}, max_depth={max_depth}"
+        )
     pred = np.asarray(pred, dtype=np.float64)
     if pred.shape != gt.depth.shape:
         raise DimensionError(f"pred {pred.shape} does not match gt {gt.depth.shape}")

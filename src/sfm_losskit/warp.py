@@ -4,6 +4,12 @@ Images are plain float arrays of shape (H, W, C) with values in [0, 1] and
 C in {1, 3}; validity masks are (H, W) bool arrays. Invalid output pixels
 carry the value 0 and mask False; they contribute nothing downstream and are
 excluded from reductions by mask, never by sentinel values.
+
+Per-pixel vector fields are read and written as planes: coordinates are
+(H, W, 2) arrays whose components ``coords[..., 0]`` and ``coords[..., 1]``
+are contiguous when the array is a view over (2, H, W) storage, as
+`geometry.warp_chain` returns it, and the coordinate gradient comes back as
+the same kind of (H, W, 2) view over a (2, H, W) array.
 """
 
 from __future__ import annotations
@@ -22,24 +28,41 @@ def validate_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def _gather_corners(src: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """The four corner values and fractional weights for bilinear lookup.
+def _gather_corners(src: np.ndarray, coords: np.ndarray, valid: np.ndarray):
+    """The four bilinear corner values and fractional weights of the valid
+    coordinates clipped into [0, W-1] x [0, H-1] (invalid ones read pixel 0).
 
-    Coordinates must already lie inside [0, W-1] x [0, H-1]. The lower corner
-    is clipped to size-2 so the upper corner stays in bounds; at u == W-1 the
-    weight shifts fully onto the upper corner, reproducing the border pixel.
-    Returns (I[y0,x0], I[y0,x1], I[y1,x0], I[y1,x1], wu, wv); the corners
-    are gathered with one flat row index each into src viewed as (H*W, C).
+    The lower corner is clipped to size-2 so the upper corner stays in
+    bounds; at u == W-1 the weight shifts fully onto the upper corner,
+    reproducing the border pixel. Returns (I[y0,x0], I[y0,x1], I[y1,x0],
+    I[y1,x1], wu, wv); the corners are gathered through one flat row index
+    into src viewed as (H*W, C), stepped in place from corner to corner.
     """
     h, w = src.shape[:2]
-    x0 = np.clip(np.floor(u).astype(np.intp), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(v).astype(np.intp), 0, max(h - 2, 0))
+    u = np.where(valid, coords[..., 0], 0.0)
+    v = np.where(valid, coords[..., 1], 0.0)
+    np.clip(u, 0.0, w - 1.0, out=u)
+    np.clip(v, 0.0, h - 1.0, out=v)
+    # u, v >= 0, so truncation is the floor
+    x0 = u.astype(np.intp)
+    y0 = v.astype(np.intp)
+    np.clip(x0, 0, max(w - 2, 0), out=x0)
+    np.clip(y0, 0, max(h - 2, 0), out=y0)
+    u -= x0
+    v -= y0
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
     flat = src.reshape(-1, src.shape[2])
-    i00 = y0 * w + x0
-    corners = tuple(flat.take(i00 + step, axis=0) for step in (0, dx, dy, dy + dx))
-    return (*corners, u - x0, v - y0)
+    index = y0 * w
+    index += x0
+    c00 = flat.take(index, axis=0)
+    index += dx
+    c01 = flat.take(index, axis=0)
+    index += dy - dx
+    c10 = flat.take(index, axis=0)
+    index += dx
+    c11 = flat.take(index, axis=0)
+    return c00, c01, c10, c11, u, v
 
 
 def sample_bilinear(
@@ -58,23 +81,18 @@ def sample_bilinear(
     if coords.shape[:2] != valid.shape or coords.shape[2:] != (2,):
         raise DimensionError(f"coords {coords.shape} inconsistent with valid {valid.shape}")
 
-    h, w = src.shape[:2]
-    u = np.where(valid, coords[..., 0], 0.0)
-    v = np.where(valid, coords[..., 1], 0.0)
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    c00, c01, c10, c11, wu, wv = _gather_corners(src, u, v)
-
-    w00 = (1.0 - wu) * (1.0 - wv)
-    w01 = wu * (1.0 - wv)
-    w10 = (1.0 - wu) * wv
-    w11 = wu * wv
-    out = (
-        w00[..., None] * c00
-        + w01[..., None] * c01
-        + w10[..., None] * c10
-        + w11[..., None] * c11
-    )
+    c00, c01, c10, c11, wu, wv = _gather_corners(src, coords, valid)
+    one_wu = 1.0 - wu
+    one_wv = 1.0 - wv
+    # out = w00 c00 + w01 c01 + w10 c10 + w11 c11, summed left to right
+    out = c00
+    out *= (one_wu * one_wv)[..., None]
+    c01 *= (wu * one_wv)[..., None]
+    out += c01
+    c10 *= (one_wu * wv)[..., None]
+    out += c10
+    c11 *= (wu * wv)[..., None]
+    out += c11
     out[~valid] = 0.0
     return out, valid.copy()
 
@@ -85,9 +103,10 @@ def sample_bilinear_grad(
     """Gradient of the sampled image with respect to the coordinates.
 
     upstream is (H, W, C), the loss gradient at each output pixel; the result
-    is (H, W, 2) holding d(loss)/d(u, v), zero at invalid pixels. At integer
-    coordinates the right-continuous derivative branch is used (left branch
-    on the far image border, where no right neighbor exists).
+    is (H, W, 2) holding d(loss)/d(u, v), zero at invalid pixels, as a view
+    over a contiguous (2, H, W) array. At integer coordinates the
+    right-continuous derivative branch is used (left branch on the far image
+    border, where no right neighbor exists).
     """
     src = np.asarray(src, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -98,20 +117,23 @@ def sample_bilinear_grad(
             f"upstream {upstream.shape} inconsistent with src {src.shape} / valid {valid.shape}"
         )
 
-    h, w = src.shape[:2]
-    u = np.clip(np.where(valid, coords[..., 0], 0.0), 0.0, w - 1.0)
-    v = np.clip(np.where(valid, coords[..., 1], 0.0), 0.0, h - 1.0)
-    c00, c01, c10, c11, wu, wv = _gather_corners(src, u, v)
-
+    c00, c01, c10, c11, wu, wv = _gather_corners(src, coords, valid)
+    grad = np.empty((2,) + valid.shape)
     # d(out)/du = (1-wv) * (I[y0,x1] - I[y0,x0]) + wv * (I[y1,x1] - I[y1,x0])
     dx_top = c01 - c00
+    dx_top *= (1.0 - wv)[..., None]
     dx_bot = c11 - c10
-    dy_left = c10 - c00
-    dy_right = c11 - c01
-
-    du = np.sum(upstream * ((1.0 - wv)[..., None] * dx_top + wv[..., None] * dx_bot), axis=-1)
-    dv = np.sum(upstream * ((1.0 - wu)[..., None] * dy_left + wu[..., None] * dy_right), axis=-1)
-
-    grad = np.stack([du, dv], axis=-1)
-    grad[~valid] = 0.0
-    return grad
+    dx_bot *= wv[..., None]
+    dx_top += dx_bot
+    dx_top *= upstream
+    np.sum(dx_top, axis=-1, out=grad[0])
+    # d(out)/dv = (1-wu) * (I[y1,x0] - I[y0,x0]) + wu * (I[y1,x1] - I[y0,x1])
+    c10 -= c00
+    c10 *= (1.0 - wu)[..., None]
+    c11 -= c01
+    c11 *= wu[..., None]
+    c10 += c11
+    c10 *= upstream
+    np.sum(c10, axis=-1, out=grad[1])
+    grad[:, ~valid] = 0.0
+    return np.moveaxis(grad, 0, -1)

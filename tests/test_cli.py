@@ -232,6 +232,8 @@ class TestCommands:
             ("--h", "nan", "finite-difference step h must be positive and finite, got nan"),
             ("--tol", "nan", "tol must be nonnegative and finite, got nan"),
             ("--n-samples", "-3", "n_samples must be nonnegative, got -3"),
+            ("--scenes", "0", "--scenes must be at least 1, got 0"),
+            ("--scenes", "-2", "--scenes must be at least 1, got -2"),
         ],
     )
     def test_gradcheck_invalid_argument(self, tmp_path, capsys, flag, value, message):
@@ -330,12 +332,12 @@ class TestCommands:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def assert_codec_error_exit(code, capsys):
-    """Exit 1 with the one-line CodecError message and no traceback."""
+def assert_codec_error_exit(code, capsys, kind="CodecError"):
+    """Exit 1 with the one-line error message of ``kind`` and no traceback."""
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("sfm-losskit: error: CodecError: ")
+    assert err[0].startswith(f"sfm-losskit: error: {kind}: ")
 
 
 class TestMalformedInput:
@@ -348,6 +350,26 @@ class TestMalformedInput:
         pred = tmp_path / "pred.pfm"
         pred.write_bytes(b"Pf\n-2 -2\n-1.0\n" + bytes(16))
         assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-depth", "inf"],  # the inf prediction pixel survives the clamp
+            ["--min-depth", "nan"],
+            ["--max-depth", "nan"],
+            ["--min-depth", "-1"],
+            ["--min-depth", "5", "--max-depth", "1"],  # inverted range
+        ],
+    )
+    def test_eval_invalid_depth_range(self, tmp_path, capsys, flags):
+        gt = np.full((8, 10), 4.0, dtype=np.float32)
+        pred = gt.copy()
+        pred[2, 3] = np.inf
+        gt_path, pred_path = tmp_path / "gt.pfm", tmp_path / "pred.pfm"
+        io_codecs.write_pfm(gt_path, gt)
+        io_codecs.write_pfm(pred_path, pred)
+        code = cli.main(["eval", str(pred_path), str(gt_path), *flags])
+        assert_codec_error_exit(code, capsys, kind="ConfigError")
 
     @pytest.mark.parametrize(
         "key, index, token",

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from sfm_losskit.errors import BehindCameraError, DimensionError, InvalidDepthError
 from sfm_losskit.geometry import (
+    BOUNDS_EPS,
     EPS_Z,
     CameraIntrinsics,
     PixelCoord,
     PoseSE3,
     project,
+    projection_jacobian,
     transform,
     unproject,
+    warp_chain,
     warp_coords,
 )
 
@@ -220,3 +223,94 @@ class TestWarpCoords:
         c2, v2 = warp_coords(s * depth, scaled, K)
         assert (v1 == v2).all()
         assert np.abs(c1[v1] - c2[v2]).max() < 1e-12
+
+
+def interleaved_warp_chain(depth, pose, k):
+    """Reference: the warp chain computed on interleaved (H, W, k) arrays."""
+    rays = k.pixel_rays()
+    points = (depth[..., None] * rays) @ pose.rotation_matrix().T + pose.translation_vector()
+    z = points[..., 2]
+    in_front = (depth > 0) & (z > EPS_Z)
+    z_safe = np.where(in_front, z, 1.0)
+    coords = np.empty(depth.shape + (2,))
+    coords[..., 0] = k.fx * points[..., 0] / z_safe + k.cx
+    coords[..., 1] = k.fy * points[..., 1] / z_safe + k.cy
+    inside = (
+        (coords[..., 0] >= -BOUNDS_EPS)
+        & (coords[..., 0] <= k.width - 1.0 + BOUNDS_EPS)
+        & (coords[..., 1] >= -BOUNDS_EPS)
+        & (coords[..., 1] <= k.height - 1.0 + BOUNDS_EPS)
+    )
+    coords[~in_front] = 0.0
+    return points, coords, in_front & inside, in_front
+
+
+def interleaved_projection_jacobian(points, k):
+    """Reference: the projection Jacobian filled as an interleaved (..., 2, 3) array."""
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=z > EPS_Z)
+    jac = np.zeros(points.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = k.fx * inv_z
+    jac[..., 0, 2] = -k.fx * x * inv_z * inv_z
+    jac[..., 1, 1] = k.fy * inv_z
+    jac[..., 1, 2] = -k.fy * y * inv_z * inv_z
+    return jac
+
+
+class TestPlanarLayout:
+    """The warp fields are planar underneath; every value must match the
+    interleaved computation bit for bit."""
+
+    K_ODD = CameraIntrinsics(fx=31.0, fy=27.5, cx=17.3, cy=10.6, width=37, height=23)
+    POSES = {
+        "small": PoseSE3(rotation=(0.02, -0.03, 0.01), translation=(0.3, -0.1, 0.05)),
+        # the source camera sits 2 m ahead: nearer points fall behind it
+        "behind": PoseSE3(rotation=(0.05, 0.1, -0.05), translation=(0.2, 0.1, -2.0)),
+        # a large sideways shift sends many coordinates out of bounds
+        "out_of_bounds": PoseSE3(rotation=(0.0, 0.2, 0.0), translation=(2.0, 0.0, 0.3)),
+    }
+
+    def depth(self, k, seed=0):
+        depth = np.random.default_rng(seed).uniform(1.0, 6.0, (k.height, k.width))
+        depth[0, :4] = 0.0
+        depth[3, 5] = -1.0
+        return depth
+
+    @pytest.mark.parametrize("k", [K, K_ODD], ids=["128x96", "37x23"])
+    @pytest.mark.parametrize("pose_name", list(POSES))
+    def test_warp_chain_matches_interleaved(self, k, pose_name):
+        depth = self.depth(k)
+        pose = self.POSES[pose_name]
+        chain = warp_chain(depth, pose, k)
+        points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
+        h, w = depth.shape
+        assert chain.rays.shape == (h, w, 3)
+        assert chain.points.shape == (h, w, 3) and chain.coords.shape == (h, w, 2)
+        assert np.moveaxis(chain.points, -1, 0).flags.c_contiguous
+        assert np.moveaxis(chain.coords, -1, 0).flags.c_contiguous
+        assert np.array_equal(chain.points, points)
+        assert np.array_equal(chain.coords, coords)
+        assert np.array_equal(chain.valid, valid)
+        assert np.array_equal(chain.in_front, in_front)
+        if pose_name == "behind":
+            assert (~in_front & (depth > 0)).any() and valid.any()
+        if pose_name == "out_of_bounds":
+            assert (in_front & ~valid).any() and valid.any()
+
+    @pytest.mark.parametrize("k", [K, K_ODD], ids=["128x96", "37x23"])
+    @pytest.mark.parametrize("pose_name", list(POSES))
+    def test_projection_jacobian_matches_interleaved(self, k, pose_name):
+        points = warp_chain(self.depth(k), self.POSES[pose_name], k).points
+        jac = projection_jacobian(points, k)
+        assert jac.shape == points.shape[:2] + (2, 3)
+        assert np.moveaxis(jac, (-2, -1), (0, 1)).flags.c_contiguous
+        assert np.array_equal(jac, interleaved_projection_jacobian(points, k))
+
+    def test_projection_jacobian_of_point_rows(self):
+        # the (N, 3) form the reprojected-distance term passes
+        points = np.random.default_rng(3).normal(0.0, 2.0, (50, 3))
+        points[:5, 2] = [-1.0, 0.0, EPS_Z, 2 * EPS_Z, 4.0]
+        jac = projection_jacobian(points, K)
+        assert jac.shape == (50, 2, 3)
+        assert np.array_equal(jac, interleaved_projection_jacobian(points, K))
+        assert not jac[:3].any() and jac[3:5, 0, 0].all()

@@ -194,7 +194,9 @@ class TestMinPhotometric:
         synth, mask = warp.sample_bilinear(src, coords, valid)
         direct = photometric(scene.target, synth, mask, 0.85)
         finite = np.isfinite(direct)
-        assert np.abs((m - direct)[finite]).max() < 1e-15
+        assert (m[~finite] == np.inf).all() and (direct[~finite] == np.inf).all()
+        assert np.isfinite(m[finite]).all()
+        assert np.abs(m[finite] - direct[finite]).max() < 1e-15
         assert (argmin[finite] == 0).all()
         assert (argmin[~finite] == -1).all()
 
@@ -208,7 +210,9 @@ class TestMinPhotometric:
             scene.target, [(src, pose), (src, pose)], scene.gt_depth, scene.intrinsics, 0.85
         )
         both = np.isfinite(m1)
-        assert np.abs((m1 - m2)[both]).max() == 0.0
+        assert (m1[~both] == np.inf).all() and (m2[~both] == np.inf).all()
+        assert np.isfinite(m2[both]).all()
+        assert np.abs(m1[both] - m2[both]).max() == 0.0
 
     def test_min_below_each_source(self):
         scene = small_scene()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm_losskit.errors import DimensionError
+from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
 from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, validate_image
 
 
@@ -152,3 +153,81 @@ def test_validate_image_rejects_bad_shapes():
         validate_image(np.zeros((4, 4, 2)))
     with pytest.raises(DimensionError):
         validate_image(np.full((4, 4, 1), np.nan))
+
+
+def interleaved_corners(src, coords, valid):
+    """Reference corner set-up on interleaved (H, W, 2) coordinates."""
+    h, w = src.shape[:2]
+    u = np.clip(np.where(valid, coords[..., 0], 0.0), 0.0, w - 1.0)
+    v = np.clip(np.where(valid, coords[..., 1], 0.0), 0.0, h - 1.0)
+    x0 = np.clip(np.floor(u).astype(np.intp), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(v).astype(np.intp), 0, max(h - 2, 0))
+    x1 = x0 + (1 if w > 1 else 0)
+    y1 = y0 + (1 if h > 1 else 0)
+    return src[y0, x0], src[y0, x1], src[y1, x0], src[y1, x1], u - x0, v - y0
+
+
+def interleaved_sample(src, coords, valid):
+    c00, c01, c10, c11, wu, wv = interleaved_corners(src, coords, valid)
+    out = (
+        ((1.0 - wu) * (1.0 - wv))[..., None] * c00
+        + (wu * (1.0 - wv))[..., None] * c01
+        + ((1.0 - wu) * wv)[..., None] * c10
+        + (wu * wv)[..., None] * c11
+    )
+    out[~valid] = 0.0
+    return out
+
+
+def interleaved_sample_grad(src, coords, valid, upstream):
+    c00, c01, c10, c11, wu, wv = interleaved_corners(src, coords, valid)
+    du = np.sum(upstream * ((1.0 - wv)[..., None] * (c01 - c00) + wv[..., None] * (c11 - c10)),
+                axis=-1)
+    dv = np.sum(upstream * ((1.0 - wu)[..., None] * (c10 - c00) + wu[..., None] * (c11 - c01)),
+                axis=-1)
+    grad = np.stack([du, dv], axis=-1)
+    grad[~valid] = 0.0
+    return grad
+
+
+class TestPlanarLayout:
+    """The samplers read planar coordinates and write a planar gradient;
+    every value must match the interleaved computation bit for bit."""
+
+    def cases(self, channels):
+        rng = np.random.default_rng(channels)
+        k = CameraIntrinsics(fx=31.0, fy=27.5, cx=17.3, cy=10.6, width=37, height=23)
+        src = random_image(rng, 23, 37, channels)
+        depth = rng.uniform(1.0, 6.0, (23, 37))
+        for pose in (
+            PoseSE3(rotation=(0.02, -0.03, 0.01), translation=(0.3, -0.1, 0.05)),
+            PoseSE3(rotation=(0.05, 0.1, -0.05), translation=(0.2, 0.1, -2.0)),  # behind
+            PoseSE3(rotation=(0.0, 0.2, 0.0), translation=(2.0, 0.0, 0.3)),  # out of bounds
+        ):
+            chain = warp_chain(depth, pose, k)
+            yield src, chain.coords, chain.valid
+            # every pixel flagged valid: out-of-bounds coordinates get clipped
+            yield src, chain.coords, np.ones_like(chain.valid)
+        # interleaved, contiguous coordinates on and past the lattice and border
+        u = rng.integers(-3, 41, (5, 11)).astype(float)
+        v = rng.uniform(-2.0, 25.0, (5, 11))
+        v[0] = [0.0, 22.0, 21.0, -0.0, 22.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        yield src, np.stack([u, v], axis=-1), rng.uniform(size=(5, 11)) < 0.8
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_sample_matches_interleaved(self, channels):
+        for src, coords, valid in self.cases(channels):
+            out, mask = sample_bilinear(src, coords, valid)
+            assert out.shape == valid.shape + (channels,)
+            assert np.array_equal(out, interleaved_sample(src, coords, valid))
+            assert np.array_equal(mask, valid)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_grad_matches_interleaved(self, channels):
+        rng = np.random.default_rng(10 + channels)
+        for src, coords, valid in self.cases(channels):
+            up = rng.uniform(-1, 1, valid.shape + (channels,))
+            grad = sample_bilinear_grad(src, coords, valid, up)
+            assert grad.shape == valid.shape + (2,)
+            assert np.moveaxis(grad, -1, 0).flags.c_contiguous
+            assert np.array_equal(grad, interleaved_sample_grad(src, coords, valid, up))
