@@ -1,7 +1,6 @@
 """Structure-from-motion loss engine with a synthetic-scene harness."""
 
 from .errors import (
-    BehindCameraError,
     CodecError,
     ConfigError,
     DegenerateGeometryError,
@@ -13,16 +12,7 @@ from .errors import (
     LossKitError,
     NoSupervisionError,
 )
-from .geometry import (
-    CameraIntrinsics,
-    PixelCoord,
-    Point3D,
-    PoseSE3,
-    project,
-    transform,
-    unproject,
-    warp_coords,
-)
+from .geometry import CameraIntrinsics, PoseSE3
 from .losses import (
     LossBreakdown,
     LossWeights,

@@ -17,6 +17,7 @@ finite-difference probes of gradcheck (0 = all cores, unset = 1).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -61,8 +62,6 @@ def cmd_optimize(args, overrides) -> int:
     scene = io_codecs.read_scene_dir(args.scene_dir)
     if cfg.decimation is not None:
         scene.labels = supervision.decimate(scene.labels, cfg.decimation)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     state, report = optimize.run(scene, cfg.optimizer, out_dir=args.out)
     print(
@@ -120,18 +119,12 @@ def cmd_eval(args, overrides) -> int:
     if overrides:
         raise ConfigError("eval takes no --section.key overrides")
     pred = io_codecs.read_pfm(args.pred).astype(np.float64)
-    if pred.ndim != 2:
-        raise CodecError(f"{args.pred}: prediction PFM must be single channel")
-    gt_raw = io_codecs.read_pfm(args.gt)
-    if gt_raw.ndim == 3:
-        gt = io_codecs.read_labels_pfm(args.gt)
-    else:
-        depth = gt_raw.astype(np.float64)
-        gt = supervision.SparseDepth(
-            depth=depth,
-            beam_id=np.where(depth > 0, 0, -1),
-            num_beams=1,
-        )
+    gt = io_codecs.read_pfm(args.gt).astype(np.float64)
+    if gt.ndim == 3:
+        gt = io_codecs.read_labels_pfm(args.gt).depth
+    if pred.shape != gt.shape:
+        raise CodecError(f"{args.pred}: prediction shape {pred.shape} is not the "
+                         f"single-channel ground-truth shape {gt.shape}")
     result = metrics.evaluate(
         pred, gt, min_depth=args.min_depth, max_depth=args.max_depth,
         use_median_scaling=args.median_scaling,

@@ -3,7 +3,9 @@
 Config files hold ``section.key = value`` lines (``#`` starts a comment).
 Bare keys are accepted as shorthand for the scene section, so plain scene
 files (``geometry = plane``) parse too. Command-line ``--section.key=value``
-flags override file values, which override defaults. Unknown keys are
+flags override file values, which override defaults. Each section's keys
+and value types are the fields of its dataclass (SceneSpec plus ppm_maxval,
+LossWeights, OptimConfig without weights, DecimationSpec). Unknown keys are
 rejected and every numeric range is validated at parse time.
 
 Seeds are mandatory: a config used to synthesize must set scene.seed and a
@@ -21,25 +23,31 @@ from .optimize import OptimConfig
 from .supervision import DecimationSpec
 from .synth import SceneSpec
 
-_SCENE_KEYS = {f.name for f in fields(SceneSpec)}
 
-_WEIGHT_KEYS = {"alpha", "lambda_smooth", "lambda_rep"}
+def _schema(cls, skip=()) -> dict[str, str]:
+    """Settable keys of a dataclass and their value types, from its fields."""
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
 
-_OPTIMIZER_KEYS = {
-    "lr_depth", "lr_pose", "beta1", "beta2", "epsilon",
-    "max_iters", "phase_a_iters", "phase_b_iters", "tol", "tol_window",
-    "optimize_pose", "init_depth", "pose_init_rot_std", "pose_init_trans_std",
-    "supervised_loss", "num_scales", "lr_halve_every", "seed",
-}
 
-_DECIMATION_KEYS = {"keep_beams", "offset"}
-
+# section -> {key: value type}
 _SECTIONS = {
-    "scene": _SCENE_KEYS | {"ppm_maxval"},
-    "weights": _WEIGHT_KEYS,
-    "optimizer": _OPTIMIZER_KEYS,
-    "decimation": _DECIMATION_KEYS,
+    "scene": {**_schema(SceneSpec), "ppm_maxval": "int"},
+    "weights": _schema(LossWeights),
+    "optimizer": _schema(OptimConfig, skip={"weights"}),
+    "decimation": _schema(DecimationSpec),
 }
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in _BOOLS:
+        raise ValueError(value)
+    return _BOOLS[value.lower()]
+
+
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 @dataclass
@@ -57,31 +65,6 @@ class RunConfig:
             raise ConfigError(f"required config keys not set: {', '.join(missing)}")
 
 
-def _coerce(section: str, key: str, value: str):
-    bool_keys = {"optimize_pose"}
-    int_keys = {
-        "width", "height", "channels", "seed", "beams", "px_per_beam",
-        "max_iters", "phase_a_iters", "phase_b_iters", "tol_window",
-        "num_scales", "lr_halve_every", "keep_beams", "offset", "ppm_maxval",
-    }
-    str_keys = {"geometry", "texture", "supervised_loss"}
-    try:
-        if key in bool_keys:
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        if key in int_keys:
-            return int(value)
-        if key in str_keys:
-            return value
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {value!r}") from exc
-
-
 def parse_pairs(pairs: dict[str, str]) -> RunConfig:
     """Build a validated RunConfig from dotted-key -> string pairs."""
     by_section: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -92,9 +75,13 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
             section, key = "scene", dotted
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
-        if key not in _SECTIONS[section]:
+        kind = _SECTIONS[section].get(key)
+        if kind is None:
             raise ConfigError(f"unknown config key {section}.{key}")
-        by_section[section][key] = _coerce(section, key, value)
+        try:
+            by_section[section][key] = _PARSERS[kind](value)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: cannot parse {value!r}") from exc
 
     try:
         ppm_maxval = by_section["scene"].pop("ppm_maxval", 65535)
@@ -129,17 +116,21 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
 
 def read_config_file(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            pairs[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        pairs[key] = value
     return pairs
 
 

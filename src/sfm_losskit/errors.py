@@ -17,17 +17,6 @@ class InvalidDepthError(LossKitError):
     """A depth value required to be positive was zero or negative."""
 
 
-class BehindCameraError(LossKitError):
-    """A point with z below the projection cut-off was passed to project().
-
-    Carries the offending point as the ``point`` attribute.
-    """
-
-    def __init__(self, point):
-        self.point = tuple(float(c) for c in point)
-        super().__init__(f"point {self.point} is behind the camera")
-
-
 class EmptyContextError(LossKitError):
     """A context set with zero source frames was supplied."""
 

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   convention R = Rz(gamma) @ Ry(beta) @ Rx(alpha), applied as R @ p.
 * Poses map target-frame points into the source (context) frame:
   p_source = R @ p_target + t.
-* Points with z <= EPS_Z are treated as behind the camera and cannot be
-  projected.
+* Points with z <= EPS_Z are treated as behind the camera: their warp
+  coordinates are flagged invalid and their projection Jacobian is zero.
 
 The per-pixel warp fields are stored as planes, one contiguous (H, W) plane
 per component: points in a (3, H, W) array, coordinates in (2, H, W) and
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BehindCameraError, DimensionError, InvalidDepthError
+from .errors import DimensionError
 
 # Cut-off below which a point counts as behind the camera. Small enough to
 # admit any plausible scene depth, large enough to avoid division blow-up.
@@ -37,17 +37,6 @@ EPS_Z = 1e-6
 # Image-bounds slack (pixels) so an identity warp stays valid at the border
 # despite re-projection round-off; the sampler clips within this slack.
 BOUNDS_EPS = 1e-9
-
-
-class PixelCoord(NamedTuple):
-    u: float
-    v: float
-
-
-class Point3D(NamedTuple):
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -66,11 +55,6 @@ class CameraIntrinsics:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width < 2 or self.height < 2:
             raise ValueError(f"image must be at least 2x2, got {self.width}x{self.height}")
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def pixel_rays(self) -> np.ndarray:
         """(H, W, 3) rays K^-1 (u, v, 1) for every pixel center.
@@ -187,17 +171,6 @@ class PoseSE3:
             translation=(float(t[0]), float(t[1]), float(t[2])),
         )
 
-    def inverse(self) -> "PoseSE3":
-        rot = self.rotation_matrix()
-        t = self.translation_vector()
-        return PoseSE3.from_matrix(rot.T, -rot.T @ t)
-
-    def compose(self, other: "PoseSE3") -> "PoseSE3":
-        """Transform equivalent to applying ``other`` first, then ``self``."""
-        ra, rb = self.rotation_matrix(), other.rotation_matrix()
-        ta, tb = self.translation_vector(), other.translation_vector()
-        return PoseSE3.from_matrix(ra @ rb, ra @ tb + ta)
-
     def as_params(self) -> np.ndarray:
         """Flat parameter vector (alpha, beta, gamma, tx, ty, tz)."""
         return np.array([*self.rotation, *self.translation], dtype=np.float64)
@@ -210,32 +183,9 @@ class PoseSE3:
         return cls(rotation=(p[0], p[1], p[2]), translation=(p[3], p[4], p[5]))
 
 
-def unproject(u, d: float, k: CameraIntrinsics) -> Point3D:
-    """Back-project pixel u at depth d into the camera frame: d * K^-1 (u, v, 1)."""
-    if not d > 0:
-        raise InvalidDepthError(f"depth must be positive, got {d}")
-    uu, vv = float(u[0]), float(u[1])
-    return Point3D((uu - k.cx) * d / k.fx, (vv - k.cy) * d / k.fy, float(d))
-
-
-def transform(p, pose: PoseSE3) -> Point3D:
-    """Apply the rigid transform: R @ p + t."""
-    q = pose.rotation_matrix() @ np.asarray(p, dtype=np.float64) + pose.translation_vector()
-    return Point3D(q[0], q[1], q[2])
-
-
-def project(p, k: CameraIntrinsics) -> PixelCoord:
-    """Pinhole projection (fx*x/z + cx, fy*y/z + cy); requires z > EPS_Z."""
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
-    if not z > EPS_Z:
-        raise BehindCameraError((x, y, z))
-    return PixelCoord(k.fx * x / z + k.cx, k.fy * y / z + k.cy)
-
-
 class WarpChain(NamedTuple):
     """Intermediate values of the per-pixel warp, kept for gradient reuse.
 
-    rays: (H, W, 3) target pixel rays K^-1 (u, v, 1)
     points: (H, W, 3) source-frame points R (d * ray) + t
     coords: (H, W, 2) continuous source-pixel coordinates (u, v)
     valid:  (H, W) bool; depth valid, in front of camera, inside the image
@@ -245,7 +195,6 @@ class WarpChain(NamedTuple):
     planes; ``np.moveaxis(chain.points, -1, 0)`` recovers the planes.
     """
 
-    rays: np.ndarray
     points: np.ndarray
     coords: np.ndarray
     valid: np.ndarray
@@ -253,7 +202,11 @@ class WarpChain(NamedTuple):
 
 
 def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpChain:
-    """Vectorized projection chain for every target pixel."""
+    """Vectorized projection chain for every target pixel.
+
+    Out-of-bounds coordinates are flagged invalid, never clamped; pixels
+    that are not in front of the source camera get coordinates (0, 0).
+    """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (k.height, k.width):
         raise DimensionError(
@@ -278,27 +231,11 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
     coords[:, ~in_front] = 0.0
     return WarpChain(
-        rays=k.pixel_rays(),
         points=np.moveaxis(points, 0, -1),
         coords=np.moveaxis(coords, 0, -1),
         valid=valid,
         in_front=in_front,
     )
-
-
-def warp_coords(
-    depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel source coordinates of the view-synthesis warp.
-
-    Returns ``(coords, valid)`` where coords is (H, W, 2) continuous (u, v)
-    and valid flags pixels whose depth is positive, whose transformed point
-    lies in front of the source camera, and whose coordinates fall inside
-    [0, W-1] x [0, H-1]. Out-of-bounds coordinates are flagged invalid, never
-    clamped.
-    """
-    chain = warp_chain(depth, pose, k)
-    return chain.coords, chain.valid
 
 
 def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:

@@ -13,6 +13,7 @@ nominal beam count of the sensor.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 
@@ -148,9 +149,12 @@ def _read_float(fh, path) -> float:
 
 def _floats(path, parts) -> list[float]:
     try:
-        return [float(v) for v in parts]
+        values = [float(v) for v in parts]
     except ValueError as exc:
         raise CodecError(f"{path}: non-numeric manifest value: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise CodecError(f"{path}: non-finite manifest value in {' '.join(parts)!r}")
+    return values
 
 
 def write_labels_pfm(path, labels: SparseDepth) -> None:
@@ -208,26 +212,32 @@ def read_manifest(path):
     [(context_file, pose), ...])."""
     fields = {}
     contexts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key = parts[0]
-            if key == "context":
-                if len(parts) != 14:
-                    raise CodecError(f"{path}: context line needs a file and 12 floats")
-                m = np.array(_floats(path, parts[2:])).reshape(3, 4)
-                contexts.append((parts[1], PoseSE3.from_matrix(m[:, :3], m[:, 3])))
-            elif key == "intrinsics":
-                if len(parts) != 5:
-                    raise CodecError(f"{path}: intrinsics line needs 4 floats (fx fy cx cy)")
-                fields[key] = _floats(path, parts[1:])
-            else:
-                if len(parts) != 2:
-                    raise CodecError(f"{path}: malformed line {raw!r}")
-                fields[key] = parts[1]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"{path}: not UTF-8 text ({exc})") from exc
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        key = parts[0]
+        if key == "context":
+            if len(parts) != 14:
+                raise CodecError(f"{path}: context line needs a file and 12 floats")
+            m = np.array(_floats(path, parts[2:])).reshape(3, 4)
+            contexts.append((parts[1], PoseSE3.from_matrix(m[:, :3], m[:, 3])))
+        elif key == "intrinsics":
+            if len(parts) != 5:
+                raise CodecError(f"{path}: intrinsics line needs 4 floats (fx fy cx cy)")
+            fields[key] = _floats(path, parts[1:])
+        else:
+            if len(parts) != 2:
+                raise CodecError(f"{path}: malformed line {raw!r}")
+            fields[key] = parts[1]
+    if not contexts:
+        raise CodecError(f"{path}: no context line")
     try:
         k = CameraIntrinsics(
             fx=fields["intrinsics"][0],

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import geometry, warp
 from .errors import (
+    ConfigError,
     DegenerateMaskError,
     DimensionError,
     EmptyContextError,
@@ -737,12 +738,14 @@ def _pyramid_level_t(g: np.ndarray, f: int) -> np.ndarray:
 
 
 def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[_PyramidLevel]:
+    """Every level of the pyramid; the image sides must divide by the
+    coarsest factor 2**(num_scales - 1), a ConfigError otherwise."""
     h, w = depth.shape
     levels = [_PyramidLevel(depth, 1)]
     for s in range(1, num_scales):
         f = 2**s
         if h % f or w % f:
-            raise DimensionError(
+            raise ConfigError(
                 f"image {h}x{w} is not divisible by {f}; cannot build {num_scales} scales"
             )
         level = _upsample(_upsample(_pool(depth, f), h, axis=0), w, axis=1)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NoSupervisionError
-from .supervision import SparseDepth
 
 CSV_HEADER = "abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,n_pixels,scale"
 
@@ -54,12 +53,13 @@ class DepthMetrics:
 
 def evaluate(
     pred: np.ndarray,
-    gt: SparseDepth,
+    gt_depth: np.ndarray,
     min_depth: float = DEFAULT_MIN_DEPTH,
     max_depth: float = DEFAULT_MAX_DEPTH,
     use_median_scaling: bool = False,
 ) -> DepthMetrics:
-    """Compare a predicted depth map against sparse ground truth.
+    """Compare a predicted depth map against a ground-truth raster of the
+    same (H, W) shape, in which 0 marks a pixel without a label.
 
     Ground-truth pixels outside [min_depth, max_depth] are excluded;
     predictions are clamped into that range before comparison. With median
@@ -74,13 +74,14 @@ def evaluate(
             f"got min_depth={min_depth}, max_depth={max_depth}"
         )
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != gt.depth.shape:
-        raise DimensionError(f"pred {pred.shape} does not match gt {gt.depth.shape}")
-    select = (gt.depth > 0) & (gt.depth >= min_depth) & (gt.depth <= max_depth) & (pred > 0)
+    gt_depth = np.asarray(gt_depth, dtype=np.float64)
+    if pred.shape != gt_depth.shape:
+        raise DimensionError(f"pred {pred.shape} does not match gt {gt_depth.shape}")
+    select = (gt_depth > 0) & (gt_depth >= min_depth) & (gt_depth <= max_depth) & (pred > 0)
     if not select.any():
         raise NoSupervisionError("no overlapping pixel in the evaluation range")
 
-    g = gt.depth[select]
+    g = gt_depth[select]
     p = pred[select]
     scale = 1.0
     if use_median_scaling:

@@ -7,9 +7,14 @@ Adam in its standard form
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
     param -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
+with lr = lr_depth for depth, lr_pose for translations and lr_pose / 10 for
+rotation angles, all halved every lr_halve_every steps of a phase when set.
+
 `run` performs the two-phase schedule: phase A minimizes the unsupervised
 objective (supervised weight zero) and lands somewhere on the scale valley;
-phase B turns the supervised term on, which collapses the scale. The
+phase B turns the supervised term on, which collapses the scale. Each phase
+stops at its own budget (phase_a_iters, phase_b_iters) or once the loss has
+changed by at most tol (relative) for tol_window steps in a row. The
 optimizer state between phases keeps depth/poses but restarts the Adam
 moments, mirroring a fresh refinement run.
 """
@@ -27,7 +32,6 @@ from . import losses, metrics
 from .errors import ConfigError, DivergedError, NoSupervisionError
 from .geometry import PoseSE3
 from .losses import LossBreakdown, LossWeights
-from .supervision import SparseDepth
 from .synth import Scene
 
 THREADS_ENV = "SFM_LOSSKIT_THREADS"
@@ -51,14 +55,9 @@ def thread_count() -> int:
 class OptimConfig:
     lr_depth: float = 0.02
     lr_pose: float = 5e-3
-    # Rotation angles live on a much finer scale than translations (a few
-    # hundredths of a radian can mimic a whole baseline on planar scenes), so
-    # by default they step 10x slower; 0 means "use lr_pose / 10".
-    lr_pose_rot: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    max_iters: int = 3000
     phase_a_iters: int = 2000
     phase_b_iters: int = 1000
     tol: float = 1e-7
@@ -78,15 +77,13 @@ class OptimConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         # lr == 0 is admitted as the degenerate "frozen parameters" case
-        if self.lr_depth < 0 or self.lr_pose < 0 or self.lr_pose_rot < 0:
+        if self.lr_depth < 0 or self.lr_pose < 0:
             raise ConfigError("learning rates must be nonnegative")
-        if self.lr_pose_rot == 0.0 and self.lr_pose > 0:
-            self.lr_pose_rot = self.lr_pose / 10.0
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if min(self.max_iters, self.phase_a_iters, self.phase_b_iters) < 1:
+        if min(self.phase_a_iters, self.phase_b_iters) < 1:
             raise ConfigError("iteration budgets must be >= 1")
         if self.tol < 0 or self.tol_window < 1:
             raise ConfigError("invalid convergence tolerance")
@@ -128,9 +125,6 @@ class OptimState:
     def depth(self) -> np.ndarray:
         return np.exp(self.log_depth)
 
-    def poses(self) -> list[PoseSE3]:
-        return [PoseSE3.from_params(p) for p in self.pose_params]
-
 
 def init_state(scene: Scene, config: OptimConfig) -> OptimState:
     """Constant log-depth at the configured guess; poses at a small seeded
@@ -168,7 +162,10 @@ def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray,
         state.v_pose = b2 * state.v_pose + (1 - b2) * d_poses**2
         m_hat_p = state.m_pose / (1 - b1**t)
         v_hat_p = state.v_pose / (1 - b2**t)
-        lr_pose = np.array([config.lr_pose_rot] * 3 + [config.lr_pose] * 3)
+        # Rotation angles live on a much finer scale than translations (a few
+        # hundredths of a radian can mimic a whole baseline on planar
+        # scenes), so they step 10x slower than the translations.
+        lr_pose = np.array([config.lr_pose / 10.0] * 3 + [config.lr_pose] * 3)
         state.pose_params = state.pose_params - lr_pose * scale * m_hat_p / (
             np.sqrt(v_hat_p) + config.epsilon
         )
@@ -228,7 +225,7 @@ def _median_ratio(state: OptimState, scene: Scene) -> float:
 def _run_phase(state, scene, config, weights, budget, unwarped_min, median_history):
     start = state.iteration
     flat = 0
-    while state.iteration - start < budget and state.iteration < config.max_iters:
+    while state.iteration - start < budget:
         prev = state.loss_history[-1].total if state.loss_history else None
         step(state, scene, config, weights=weights, unwarped_min=unwarped_min)
         median_history.append(_median_ratio(state, scene))
@@ -242,12 +239,7 @@ def _run_phase(state, scene, config, weights, budget, unwarped_min, median_histo
     return state.iteration - start
 
 
-def run(
-    scene: Scene,
-    config: OptimConfig,
-    init: OptimState | None = None,
-    out_dir=None,
-) -> tuple[OptimState, RunReport]:
+def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, RunReport]:
     """Two-phase optimization: unsupervised first, then label refinement.
 
     Phase A runs with the supervised weight forced to zero and records the
@@ -267,7 +259,7 @@ def run(
             "identical for any depth, no scale information exists"
         )
 
-    state = init if init is not None else init_state(scene, config)
+    state = init_state(scene, config)
     unwarped_min = losses.unwarped_min_photometric(
         scene.target, scene.contexts, config.weights.alpha
     )
@@ -287,21 +279,11 @@ def run(
     ratio_b = _median_ratio(state, scene)
 
     pred = state.depth()
-    dense_gt = SparseDepth(
-        depth=scene.gt_depth,
-        beam_id=np.zeros(scene.gt_depth.shape, dtype=np.int64),
-        num_beams=1,
-    )
-    metrics_all = metrics.evaluate(pred, dense_gt)
+    metrics_all = metrics.evaluate(pred, scene.gt_depth)
     metrics_unlabeled = None
     unlabeled = (scene.labels.depth <= 0) & (scene.gt_depth > 0)
-    if unlabeled.any() and scene.labels.n_labels:
-        gt_unlabeled = SparseDepth(
-            depth=np.where(unlabeled, scene.gt_depth, 0.0),
-            beam_id=np.where(unlabeled, 0, -1),
-            num_beams=1,
-        )
-        metrics_unlabeled = metrics.evaluate(pred, gt_unlabeled)
+    if unlabeled.any():
+        metrics_unlabeled = metrics.evaluate(pred, np.where(unlabeled, scene.gt_depth, 0.0))
 
     report = RunReport(
         median_ratio_a=ratio_a,
@@ -362,16 +344,13 @@ def gradcheck(
     terms: tuple[str, ...] = losses.TERMS,
     supervised: str = "rep",
     num_scales: int = 1,
-    state: OptimState | None = None,
-    n_threads: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     Samples ``n_samples`` random depth pixels plus all pose parameters at a
     generic evaluation point (ground truth perturbed multiplicatively, poses
-    jittered) unless an explicit state is given. ``terms`` selects which loss
-    terms are active, so each can be verified in isolation as well as
-    combined. Passes when at least 99% of the checked coordinates satisfy
+    jittered). ``terms`` selects which loss terms are active, so each can be
+    verified in isolation as well as combined. Passes when at least 99% of the checked coordinates satisfy
     |analytic - fd| <= FD_ATOL + tol * max(|analytic|, |fd|); the absolute
     floor covers gradients too small for float64 central differences to
     resolve at the given step.
@@ -387,14 +366,10 @@ def gradcheck(
         raise ConfigError(f"unknown loss terms {sorted(unknown)}")
     rng = np.random.default_rng(seed)
 
-    if state is None:
-        depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
-        pose_params = np.stack([pose.as_params() for _, pose in scene.contexts])
-        pose_params[:, :3] += rng.normal(0.0, 0.01, pose_params[:, :3].shape)
-        pose_params[:, 3:] += rng.normal(0.0, 0.02, pose_params[:, 3:].shape)
-    else:
-        depth0 = state.depth()
-        pose_params = state.pose_params.copy()
+    depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+    pose_params = np.stack([pose.as_params() for _, pose in scene.contexts])
+    pose_params[:, :3] += rng.normal(0.0, 0.01, pose_params[:, :3].shape)
+    pose_params[:, 3:] += rng.normal(0.0, 0.02, pose_params[:, 3:].shape)
 
     labels = scene.labels.depth if scene.labels.n_labels else None
     images = [img for img, _ in scene.contexts]
@@ -439,7 +414,7 @@ def gradcheck(
             f_minus = total_at(depth0, pp.reshape(pose_params.shape))
         return (f_plus - f_minus) / (2 * h)
 
-    workers = thread_count() if n_threads is None else max(1, n_threads)
+    workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fd_values = list(pool.map(fd_probe, probes))

@@ -41,9 +41,6 @@ class SparseDepth:
     def n_labels(self) -> int:
         return int((self.depth > 0).sum())
 
-    def copy(self) -> "SparseDepth":
-        return SparseDepth(self.depth.copy(), self.beam_id.copy(), self.num_beams)
-
 
 @dataclass(frozen=True)
 class DecimationSpec:

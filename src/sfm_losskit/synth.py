@@ -248,12 +248,6 @@ def render_view(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
     return _render(geometry, pose, k, channels)[0]
 
 
-def render_view_with_depth(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
-                           channels: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    img, depth, _ = _render(geometry, pose, k, channels)
-    return img, depth
-
-
 def _plane_basis(normal: np.ndarray) -> np.ndarray:
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.cross(normal, e1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sfm_losskit import cli, io_codecs
 from sfm_losskit.errors import CodecError, ConfigError
 from sfm_losskit.geometry import PoseSE3
-from sfm_losskit.supervision import SparseDepth
 from sfm_losskit.synth import SceneSpec, make_scene
 
 
@@ -383,6 +382,8 @@ class TestMalformedInput:
             ("width", 1, "1"),  # CameraIntrinsics rejects a 1-pixel-wide image
             ("context", 5, "abc"),  # non-numeric pose entry
             ("channels", 1, "2"),  # neither gray nor RGB
+            ("context", 5, "nan"),  # non-finite pose entry
+            ("intrinsics", 3, "inf"),  # non-finite cx
         ],
     )
     def test_optimize_malformed_manifest(self, tmp_path, capsys, key, index, token):
@@ -401,6 +402,59 @@ class TestMalformedInput:
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "report")])
         assert_codec_error_exit(code, capsys)
+
+    def test_optimize_manifest_without_context(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        manifest = scene_dir / io_codecs.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(ln for ln in lines if not ln.startswith("context")))
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    def test_optimize_manifest_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        manifest = scene_dir / io_codecs.MANIFEST_NAME
+        manifest.write_bytes(b"# \xff\n" + manifest.read_bytes())
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    def test_synth_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        cfg.write_bytes(cfg.read_bytes() + b"scene.d0 = 8\xff\n")
+        code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")])
+        assert_codec_error_exit(code, capsys, kind="ConfigError")
+
+    def test_eval_size_mismatch(self, tmp_path, capsys):
+        gt_path, pred_path = tmp_path / "gt.pfm", tmp_path / "pred.pfm"
+        io_codecs.write_pfm(gt_path, np.full((8, 10), 4.0, dtype=np.float32))
+        io_codecs.write_pfm(pred_path, np.full((8, 9), 4.0, dtype=np.float32))
+        assert_codec_error_exit(cli.main(["eval", str(pred_path), str(gt_path)]), capsys)
+
+    @pytest.mark.parametrize("command", ["optimize", "gradcheck"])
+    def test_num_scales_too_deep_for_image(self, tmp_path, capsys, command):
+        # 48x40 divides by 8 but not by 16, the coarsest factor of 5 scales
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        capsys.readouterr()
+        if command == "optimize":
+            args = ["optimize", str(scene_dir), "--out", str(tmp_path / "report")]
+        else:
+            args = ["gradcheck", "--n-samples", "2"]
+        code = cli.main([*args, "--config", str(cfg), "--optimizer.num_scales=5"])
+        assert_codec_error_exit(code, capsys, kind="ConfigError")
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0])
     def test_optimize_bad_ground_truth_depth(self, tmp_path, capsys, bad):

@@ -5,19 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfm_losskit.errors import BehindCameraError, DimensionError, InvalidDepthError
+from sfm_losskit.errors import DimensionError
 from sfm_losskit.geometry import (
     BOUNDS_EPS,
     EPS_Z,
     CameraIntrinsics,
-    PixelCoord,
     PoseSE3,
-    project,
     projection_jacobian,
-    transform,
-    unproject,
     warp_chain,
-    warp_coords,
 )
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
@@ -54,85 +49,121 @@ def quat_oracle_matrix(alpha, beta, gamma):
     return quat_to_matrix(quat_mul(qz, quat_mul(qy, qx)))
 
 
+def chain_at(k, pose, pixel, depth):
+    """warp_chain over a constant depth map; the (point, coords, in_front)
+    of one (u, v) pixel."""
+    chain = warp_chain(np.full((k.height, k.width), float(depth)), pose, k)
+    u, v = pixel
+    return chain.points[v, u], chain.coords[v, u], chain.in_front[v, u]
+
+
 class TestUnproject:
+    """The back-projection stage of warp_chain: d * K^-1 (u, v, 1)."""
+
     def test_principal_point_ray(self):
-        assert unproject((64, 48), 10, K) == (0, 0, 10)
+        point, _, _ = chain_at(K, PoseSE3.identity(), (64, 48), 10)
+        assert tuple(point) == (0, 0, 10)
 
     def test_hand_computed_offsets(self):
         # x = (u - cx) * d / fx = 10*10/100 = 1; y = 20*10/100 = 2
-        p = unproject((74, 68), 10, K)
-        assert p == pytest.approx((1.0, 2.0, 10.0))
+        point, _, _ = chain_at(K, PoseSE3.identity(), (74, 68), 10)
+        assert point == pytest.approx((1.0, 2.0, 10.0))
 
     def test_identity_intrinsics(self):
         k = CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=2, height=2)
-        assert unproject((0, 0), 1, k) == (0, 0, 1)
+        point, coords, _ = chain_at(k, PoseSE3.identity(), (0, 0), 1)
+        assert tuple(point) == (0, 0, 1) and tuple(coords) == (0, 0)
 
     def test_depth_is_exact_z(self):
-        assert unproject((3, 5), 7.25, K).z == 7.25
+        point, _, _ = chain_at(K, PoseSE3.identity(), (3, 5), 7.25)
+        assert point[2] == 7.25
 
     def test_nonpositive_depth_rejected(self):
-        with pytest.raises(InvalidDepthError):
-            unproject((0, 0), 0.0, K)
-        with pytest.raises(InvalidDepthError):
-            unproject((0, 0), -1.0, K)
+        depth = np.full((K.height, K.width), 3.0)
+        depth[0, 0], depth[1, 2] = 0.0, -1.0
+        chain = warp_chain(depth, PoseSE3.identity(), K)
+        assert not chain.in_front[0, 0] and not chain.in_front[1, 2]
+        assert tuple(chain.coords[0, 0]) == (0, 0) and tuple(chain.coords[1, 2]) == (0, 0)
+        assert chain.in_front.sum() == chain.in_front.size - 2
 
 
 class TestTransform:
+    """The rigid-transform stage of warp_chain: R @ p + t."""
+
     def test_identity(self):
-        assert transform((0, 0, 2), PoseSE3.identity()) == pytest.approx((0, 0, 2))
+        point, coords, _ = chain_at(K, PoseSE3.identity(), (64, 48), 2)
+        assert point == pytest.approx((0, 0, 2))
+        assert coords == pytest.approx((64, 48))
 
     def test_pure_translation(self):
-        pose = PoseSE3(translation=(1, 0, 0))
-        assert transform((0, 0, 2), pose) == pytest.approx((1, 0, 2))
+        point, coords, _ = chain_at(K, PoseSE3(translation=(1, 0, 0)), (64, 48), 2)
+        assert point == pytest.approx((1, 0, 2))
+        assert coords == pytest.approx((64 + 100 * 1 / 2, 48))
 
     def test_rotation_90_about_z(self):
+        # pixel (74, 48) at depth 10 is the point (1, 0, 10); Rz(90) maps it to (0, 1, 10)
         pose = PoseSE3(rotation=(0, 0, math.pi / 2))
-        assert transform((1, 0, 0), pose) == pytest.approx((0, 1, 0), abs=1e-12)
+        point, coords, _ = chain_at(K, pose, (74, 48), 10)
+        assert point == pytest.approx((0, 1, 10), abs=1e-12)
+        assert coords == pytest.approx((64, 58), abs=1e-12)
 
 
 class TestProject:
+    """The pinhole stage of warp_chain: (fx*x/z + cx, fy*y/z + cy) for z > EPS_Z."""
+
     def test_hand_computed_pinhole(self):
-        assert project((1, 2, 10), K) == pytest.approx((74.0, 68.0))
+        # the principal ray at depth 10, moved to the point (1, 2, 10)
+        _, coords, in_front = chain_at(K, PoseSE3(translation=(1, 2, 0)), (64, 48), 10)
+        assert in_front
+        assert coords == pytest.approx((74.0, 68.0))
 
     def test_optical_axis(self):
-        assert project((0, 0, 5), K) == pytest.approx((64.0, 48.0))
+        _, coords, in_front = chain_at(K, PoseSE3(translation=(0, 0, 2)), (64, 48), 3)
+        assert in_front
+        assert coords == pytest.approx((64.0, 48.0))
 
-    def test_behind_camera_error_carries_point(self):
-        with pytest.raises(BehindCameraError) as exc:
-            project((1, 1, 0), K)
-        assert exc.value.point == (1.0, 1.0, 0.0)
+    def test_behind_camera_point_flagged(self):
+        # the principal ray at depth 2, moved to the point (1, 1, 0)
+        point, coords, in_front = chain_at(K, PoseSE3(translation=(1, 1, -2)), (64, 48), 2)
+        assert tuple(point) == (1.0, 1.0, 0.0)
+        assert not in_front
+        assert tuple(coords) == (0.0, 0.0)
 
     def test_cutoff_boundary(self):
-        with pytest.raises(BehindCameraError):
-            project((0, 0, EPS_Z), K)
-        project((0, 0, 2 * EPS_Z), K)
+        # with the identity pose the principal ray's z is exactly its depth
+        _, coords, in_front = chain_at(K, PoseSE3.identity(), (64, 48), EPS_Z)
+        assert not in_front and tuple(coords) == (0.0, 0.0)
+        _, coords, in_front = chain_at(K, PoseSE3.identity(), (64, 48), 2 * EPS_Z)
+        assert in_front and coords == pytest.approx((64.0, 48.0))
 
 
 @given(
-    u=st.floats(0, 127),
-    v=st.floats(0, 95),
+    u=st.integers(0, 127),
+    v=st.integers(0, 95),
     d=st.floats(0.1, 100),
 )
 @settings(max_examples=200, deadline=None)
 def test_project_unproject_round_trip(u, v, d):
-    out = project(unproject((u, v), d, K), K)
-    assert abs(out.u - u) < 1e-9
-    assert abs(out.v - v) < 1e-9
+    # the identity warp projects every back-projected pixel onto itself
+    _, coords, in_front = chain_at(K, PoseSE3.identity(), (u, v), d)
+    assert in_front
+    assert abs(coords[0] - u) < 1e-9
+    assert abs(coords[1] - v) < 1e-9
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_pose_inverse_round_trip(seed):
+def test_pose_from_matrix_round_trip(seed):
+    # from_matrix decodes the manifest's poses; away from gimbal lock
+    # (|beta| < pi/2) it recovers the Euler angles themselves
     rng = np.random.default_rng(seed)
     pose = PoseSE3(
         rotation=tuple(rng.uniform(-1.2, 1.2, 3)),
         translation=tuple(rng.uniform(-5, 5, 3)),
     )
-    p = rng.uniform(-10, 10, 3)
-    back = transform(transform(p, pose), pose.inverse())
-    assert np.abs(np.asarray(back) - p).max() < 1e-9
-    ident = pose.compose(pose.inverse()).matrix()
-    assert np.abs(ident - np.eye(4)).max() < 1e-9
+    back = PoseSE3.from_matrix(pose.rotation_matrix(), pose.translation_vector())
+    assert np.abs(back.as_params() - pose.as_params()).max() < 1e-9
+    assert np.abs(back.matrix() - pose.matrix()).max() < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -171,44 +202,44 @@ class TestWarpCoords:
     def test_identity_pose_is_identity_warp(self):
         rng = np.random.default_rng(0)
         depth = rng.uniform(1, 20, (K.height, K.width))
-        coords, valid = warp_coords(depth, PoseSE3.identity(), K)
-        assert valid.all()
+        chain = warp_chain(depth, PoseSE3.identity(), K)
+        assert chain.valid.all()
         uu, vv = np.meshgrid(np.arange(K.width), np.arange(K.height))
-        assert np.abs(coords[..., 0] - uu).max() < 1e-9
-        assert np.abs(coords[..., 1] - vv).max() < 1e-9
+        assert np.abs(chain.coords[..., 0] - uu).max() < 1e-9
+        assert np.abs(chain.coords[..., 1] - vv).max() < 1e-9
 
     def test_hand_computed_translation(self):
         # unproject (0,0) at d=2 -> (0,0,2); +x by 1 -> (1,0,2); project -> (0.5, 0)
         k = CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=4, height=4)
         depth = np.full((4, 4), 2.0)
-        coords, valid = warp_coords(depth, PoseSE3(translation=(1, 0, 0)), k)
-        assert valid[0, 0]
-        assert coords[0, 0] == pytest.approx((0.5, 0.0))
+        chain = warp_chain(depth, PoseSE3(translation=(1, 0, 0)), k)
+        assert chain.valid[0, 0]
+        assert chain.coords[0, 0] == pytest.approx((0.5, 0.0))
 
     def test_zero_depth_flagged_invalid(self):
         depth = np.full((K.height, K.width), 5.0)
         depth[10, 20] = 0.0
-        _, valid = warp_coords(depth, PoseSE3.identity(), K)
+        valid = warp_chain(depth, PoseSE3.identity(), K).valid
         assert not valid[10, 20]
         assert valid.sum() == valid.size - 1
 
     def test_behind_camera_flagged_invalid(self):
         depth = np.full((K.height, K.width), 1.0)
-        _, valid = warp_coords(depth, PoseSE3(translation=(0, 0, -2)), K)
+        valid = warp_chain(depth, PoseSE3(translation=(0, 0, -2)), K).valid
         assert not valid.any()
 
     def test_out_of_bounds_flagged_not_clamped(self):
         depth = np.full((K.height, K.width), 2.0)
-        coords, valid = warp_coords(depth, PoseSE3(translation=(1, 0, 0)), K)
+        chain = warp_chain(depth, PoseSE3(translation=(1, 0, 0)), K)
         # 50 px uniform shift: columns beyond width-1-50 land outside
-        assert valid[:, : K.width - 51].all()
-        assert not valid[:, K.width - 50 :].any()
+        assert chain.valid[:, : K.width - 51].all()
+        assert not chain.valid[:, K.width - 50 :].any()
         # invalid coordinates are reported where they land, not clamped
-        assert coords[..., 0].max() > K.width - 1 + 1.0
+        assert chain.coords[..., 0].max() > K.width - 1 + 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            warp_coords(np.ones((10, 10)), PoseSE3.identity(), K)
+            warp_chain(np.ones((10, 10)), PoseSE3.identity(), K)
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
     def test_scale_covariance(self, s):
@@ -219,10 +250,10 @@ class TestWarpCoords:
             rotation=pose.rotation,
             translation=tuple(s * np.asarray(pose.translation)),
         )
-        c1, v1 = warp_coords(depth, pose, K)
-        c2, v2 = warp_coords(s * depth, scaled, K)
-        assert (v1 == v2).all()
-        assert np.abs(c1[v1] - c2[v2]).max() < 1e-12
+        a = warp_chain(depth, pose, K)
+        b = warp_chain(s * depth, scaled, K)
+        assert (a.valid == b.valid).all()
+        assert np.abs(a.coords[a.valid] - b.coords[b.valid]).max() < 1e-12
 
 
 def interleaved_warp_chain(depth, pose, k):
@@ -284,7 +315,6 @@ class TestPlanarLayout:
         chain = warp_chain(depth, pose, k)
         points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
         h, w = depth.shape
-        assert chain.rays.shape == (h, w, 3)
         assert chain.points.shape == (h, w, 3) and chain.coords.shape == (h, w, 2)
         assert np.moveaxis(chain.points, -1, 0).flags.c_contiguous
         assert np.moveaxis(chain.coords, -1, 0).flags.c_contiguous

@@ -10,7 +10,7 @@ from sfm_losskit.errors import (
     EmptyContextError,
     NoSupervisionError,
 )
-from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_coords
+from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
 from sfm_losskit.losses import (
     LossBreakdown,
     LossWeights,
@@ -190,8 +190,8 @@ class TestMinPhotometric:
         m, argmin = min_photometric(
             scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics, 0.85
         )
-        coords, valid = warp_coords(scene.gt_depth, pose, scene.intrinsics)
-        synth, mask = warp.sample_bilinear(src, coords, valid)
+        chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
+        synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
         direct = photometric(scene.target, synth, mask, 0.85)
         finite = np.isfinite(direct)
         assert (m[~finite] == np.inf).all() and (direct[~finite] == np.inf).all()
@@ -220,8 +220,8 @@ class TestMinPhotometric:
             scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
         )
         for src, pose in scene.contexts:
-            coords, valid = warp_coords(scene.gt_depth, pose, scene.intrinsics)
-            synth, mask = warp.sample_bilinear(src, coords, valid)
+            chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
+            synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
             single = photometric(scene.target, synth, mask, 0.85)
             assert (m <= single + 1e-15).all()
 
@@ -233,8 +233,8 @@ class TestMinPhotometric:
         )
         per_source = []
         for src, pose in scene.contexts:
-            coords, valid = warp_coords(scene.gt_depth, pose, scene.intrinsics)
-            synth, mask = warp.sample_bilinear(src, coords, valid)
+            chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
+            synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
             per_source.append(photometric(scene.target, synth, mask, 0.85))
         m, argmin = min_photometric(
             scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
@@ -280,8 +280,8 @@ class TestAutomask:
         unwarped = []
         ones = np.ones(scene.target.shape[:2], bool)
         for src, pose in scene.contexts:
-            coords, valid = warp_coords(scene.gt_depth, pose, scene.intrinsics)
-            synth, mask = warp.sample_bilinear(src, coords, valid)
+            chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
+            synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
             warped.append(photometric(scene.target, synth, mask, 0.85))
             unwarped.append(photometric(scene.target, src, ones, 0.85))
         mask = automask(scene.target, scene.contexts, warped, unwarped)

@@ -3,7 +3,6 @@ import pytest
 
 from sfm_losskit.errors import NoSupervisionError
 from sfm_losskit.metrics import CSV_HEADER, DepthMetrics, evaluate
-from sfm_losskit.supervision import SparseDepth
 
 
 def brute_force_metrics(pred, gt, min_depth=0.1, max_depth=80.0, median=False):
@@ -57,30 +56,24 @@ def brute_force_metrics(pred, gt, min_depth=0.1, max_depth=80.0, median=False):
     )
 
 
-def dense_labels(depth):
-    return SparseDepth(
-        depth=depth, beam_id=np.where(depth > 0, 0, -1), num_beams=1
-    )
-
-
 def random_pair(rng, h=10, w=14):
     gt = rng.uniform(1.0, 60.0, (h, w))
     gt[rng.uniform(size=(h, w)) < 0.3] = 0.0
     pred = rng.uniform(0.5, 70.0, (h, w))
-    return pred, dense_labels(gt)
+    return pred, gt
 
 
 class TestEvaluate:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         pred, gt = random_pair(rng)
-        m = evaluate(np.where(gt.depth > 0, gt.depth, 5.0), gt)
+        m = evaluate(np.where(gt > 0, gt, 5.0), gt)
         assert m.abs_rel == 0 and m.sq_rel == 0 and m.rmse == 0 and m.rmse_log == 0
         assert m.delta1 == m.delta2 == m.delta3 == 1.0
 
     def test_double_prediction_hand_derived_deltas(self):
-        gt = dense_labels(np.full((6, 6), 10.0))
-        m = evaluate(2.0 * gt.depth, gt)
+        gt = np.full((6, 6), 10.0)
+        m = evaluate(2.0 * gt, gt)
         # ratio 2: 1.25^3 = 1.953125 < 2, so even delta3 fails
         assert m.abs_rel == pytest.approx(1.0)
         assert m.delta1 == 0.0
@@ -89,9 +82,8 @@ class TestEvaluate:
 
     def test_double_prediction_with_median_scaling_is_exact(self):
         rng = np.random.default_rng(1)
-        gt_depth = rng.uniform(1, 50, (8, 8))
-        gt = dense_labels(gt_depth)
-        m = evaluate(2.0 * gt_depth, gt, use_median_scaling=True)
+        gt = rng.uniform(1, 50, (8, 8))
+        m = evaluate(2.0 * gt, gt, use_median_scaling=True)
         assert m.abs_rel == pytest.approx(0.0, abs=1e-12)
         assert m.rmse == pytest.approx(0.0, abs=1e-10)
         assert m.scale == pytest.approx(0.5)
@@ -102,7 +94,7 @@ class TestEvaluate:
             pred, gt = random_pair(rng)
             median = trial % 2 == 0
             m = evaluate(pred, gt, use_median_scaling=median)
-            oracle = brute_force_metrics(pred, gt.depth, median=median)
+            oracle = brute_force_metrics(pred, gt, median=median)
             ours = (
                 m.abs_rel, m.sq_rel, m.rmse, m.rmse_log,
                 m.delta1, m.delta2, m.delta3, m.n_pixels, m.scale,
@@ -115,7 +107,7 @@ class TestEvaluate:
         pred, gt = random_pair(rng)
         perm = rng.permutation(pred.size)
         pred2 = pred.reshape(-1)[perm].reshape(pred.shape)
-        gt2 = dense_labels(gt.depth.reshape(-1)[perm].reshape(pred.shape))
+        gt2 = gt.reshape(-1)[perm].reshape(pred.shape)
         a = evaluate(pred, gt)
         b = evaluate(pred2, gt2)
         for field in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2",
@@ -132,7 +124,7 @@ class TestEvaluate:
             assert scaled.rmse == pytest.approx(base.rmse, rel=1e-12)
 
     def test_range_clamping(self):
-        gt = dense_labels(np.array([[0.05, 10.0, 100.0, 20.0]]))
+        gt = np.array([[0.05, 10.0, 100.0, 20.0]])
         pred = np.array([[1.0, 0.01, 50.0, 1000.0]])
         m = evaluate(pred, gt, min_depth=0.1, max_depth=80.0)
         # only the two in-range gt pixels count; predictions clamp to range
@@ -142,18 +134,18 @@ class TestEvaluate:
         )
 
     def test_empty_overlap_raises(self):
-        gt = dense_labels(np.zeros((4, 4)))
+        gt = np.zeros((4, 4))
         with pytest.raises(NoSupervisionError):
             evaluate(np.ones((4, 4)), gt)
 
     def test_median_scaling_odd_count_arithmetic(self):
-        gt = dense_labels(np.array([[1.0, 2.0, 3.0]]))
+        gt = np.array([[1.0, 2.0, 3.0]])
         m = evaluate(np.array([[2.0, 4.0, 6.0]]), gt, use_median_scaling=True)
         assert m.scale == pytest.approx(0.5)
         assert m.abs_rel == pytest.approx(0.0, abs=1e-15)
 
     def test_median_scaling_empty_overlap_raises(self):
-        gt = dense_labels(np.array([[1.0, 2.0, 3.0]]))
+        gt = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(NoSupervisionError):
             evaluate(np.zeros((1, 3)), gt, use_median_scaling=True)
 

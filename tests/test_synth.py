@@ -5,21 +5,20 @@ import pytest
 
 from sfm_losskit import losses, warp
 from sfm_losskit.errors import ConfigError
-from sfm_losskit.geometry import PoseSE3, project, unproject, warp_coords
+from sfm_losskit.geometry import PoseSE3, warp_chain
 from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
     SceneSpec,
     _noise_texture,
     make_scene,
     render_view,
-    render_view_with_depth,
 )
 
 
 def photometric_consistency(scene, ctx_index, alpha=0.85):
     src, pose = scene.contexts[ctx_index]
-    coords, valid = warp_coords(scene.gt_depth, pose, scene.intrinsics)
-    synth, mask = warp.sample_bilinear(src, coords, valid)
+    chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
+    synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
     loss = losses.photometric(scene.target, synth, mask, alpha)
     if scene.occluded:
         mask = mask & ~scene.occluded[ctx_index]
@@ -126,12 +125,10 @@ class TestRenderView:
         scene = make_scene(spec)
         pose = PoseSE3(rotation=(0.0, np.radians(2.0), 0.0))
         view = render_view(scene.geometry, pose, scene.intrinsics)
-        k = scene.intrinsics
+        chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
-            p = unproject((u, v), scene.gt_depth[v, u], k)
-            q = project(tuple(pose.rotation_matrix() @ np.array(p)), k)
-            coords = np.array([[[q.u, q.v]]])
+            coords = chain.coords[v : v + 1, u : u + 1]
             sampled, _ = warp.sample_bilinear(view, coords, np.ones((1, 1), bool))
             assert abs(sampled[0, 0, 0] - scene.target[v, u, 0]) < 5e-3
 
@@ -155,9 +152,10 @@ class TestRenderView:
         spec = SceneSpec(geometry="slant", slant=18.0, width=40, height=32,
                          d0=9.0, seed=11, beams=0)
         scene = make_scene(spec)
-        _, depth = render_view_with_depth(
-            scene.geometry, PoseSE3.identity(), scene.intrinsics
-        )
+        # the plane -sin(s) y + cos(s) z = d0 cos(s) along each ray (x, y, 1)
+        rays = scene.intrinsics.pixel_rays()
+        s = math.radians(18.0)
+        depth = 9.0 * math.cos(s) / (rays[..., 2] * math.cos(s) - rays[..., 1] * math.sin(s))
         assert np.abs(depth - scene.gt_depth).max() < 1e-12
         assert depth.std() > 0.1  # slant actually varies depth
 
