@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden bench install
+.PHONY: test acceptance golden bench smoke install
 
 install:
 	pip install -e . --no-build-isolation
@@ -21,3 +21,8 @@ bench:
 	for w in example_cli hires_pyramid gradcheck_rgb; do \
 		python3 perfbench/run.py --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
 	done
+
+# Smoke test of the benchmark itself: every workload at the shortest length,
+# untraced and traced (about 30 s).
+smoke:
+	python3 perfbench/smoke.py

@@ -229,7 +229,7 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     valid &= u <= k.width - 1.0 + BOUNDS_EPS
     valid &= v >= -BOUNDS_EPS
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
-    coords[:, ~in_front] = 0.0
+    np.copyto(coords, 0.0, where=~in_front)
     return WarpChain(
         points=np.moveaxis(points, 0, -1),
         coords=np.moveaxis(coords, 0, -1),

@@ -170,6 +170,9 @@ def read_labels_pfm(path) -> SparseDepth:
     data = read_pfm(path)
     if data.ndim != 3:
         raise CodecError(f"{path}: label PFM must be 3-channel")
+    # before any cast: a NaN or inf depth, beam id or beam count is malformed
+    if not np.isfinite(data).all():
+        raise CodecError(f"{path}: label PFM holds a non-finite value")
     num_beams = data[..., 2]
     if num_beams.size and not np.all(num_beams == num_beams.flat[0]):
         raise CodecError(f"{path}: beam-count channel is not constant")
@@ -179,7 +182,7 @@ def read_labels_pfm(path) -> SparseDepth:
             beam_id=np.rint(data[..., 1]).astype(np.int64),
             num_beams=int(num_beams.flat[0]) if num_beams.size else 0,
         )
-    except ValueError as exc:  # channels SparseDepth rejects, or a NaN beam count
+    except ValueError as exc:  # channels SparseDepth rejects
         raise CodecError(f"{path}: {exc}") from exc
 
 

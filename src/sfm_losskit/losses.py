@@ -106,77 +106,134 @@ def _box_sum(x: np.ndarray, radius: int = SSIM_RADIUS) -> np.ndarray:
     relies on. An output depends only on the inputs inside its window (no
     integral images), so a one-pixel input change leaves every output outside
     that pixel's window bit-identical; finite-difference checks rely on that.
+
+    Every output is x[i, j] + x[i - 1, j] + x[i + 1, j] + x[i - 2, j] + ...
+    over the rows, then the same over the columns of those row sums, added
+    in that order. The first shift of each pass is fused with the copy
+    (x[i] + x[i - 1] in one three-operand add). The column shifts run on
+    the flattened rows: writing into a 2-D column view (``out[:, d:]``) walks
+    memory several times slower than one contiguous pass. A flat shift by d
+    also adds into the first d (shift right) or last d (shift left) columns
+    of each row a value from the neighbouring row, so those border columns
+    are saved before the shift and put back after it.
     """
-    rows = x.copy()
-    for d in range(1, radius + 1):
+    h, w = x.shape
+    rows = np.empty((h, w))
+    rows[0] = x[0]
+    np.add(x[1:], x[:-1], out=rows[1:])
+    rows[:-1] += x[1:]
+    for d in range(2, radius + 1):
         rows[d:] += x[:-d]
         rows[:-d] += x[d:]
-    out = rows.copy()
+    out = np.empty((h, w))
+    flat_out, flat_rows = out.reshape(-1), rows.reshape(-1)
+    np.add(flat_rows[1:], flat_rows[:-1], out=flat_out[1:])
+    out[:, 0] = rows[:, 0]
     for d in range(1, radius + 1):
-        out[:, d:] += rows[:, :-d]
-        out[:, :-d] += rows[:, d:]
+        if d > 1:
+            border = out[:, :d].copy()
+            flat_out[d:] += flat_rows[:-d]
+            out[:, :d] = border
+        border = out[:, -d:].copy()
+        flat_out[:-d] += flat_rows[d:]
+        out[:, -d:] = border
     return out
 
 
 class _SsimChannelCache(NamedTuple):
     mu_x: np.ndarray
     mu_y: np.ndarray
-    var_x: np.ndarray
-    var_y: np.ndarray
-    cov: np.ndarray
     n: np.ndarray
+    num_c: np.ndarray  # 2 cov + C2
+    den_l: np.ndarray  # mu_x^2 + mu_y^2 + C1
+    den_c: np.ndarray  # var_x + var_y + C2
     ssim: np.ndarray
 
 
 def _ssim_channel(a, b, m, n) -> _SsimChannelCache:
     """SSIM map of one channel; window statistics use valid pixels only and
-    n is the valid-pixel count of each window."""
+    n is the valid-pixel count of each window.
+
+    a * m, b * m and the products of the means are computed once and shared
+    by the window statistics and the formula. That is bit-exact: m is 0/1,
+    so a * b * m equals a * (b * m), and 2 * mu_x * mu_y equals
+    2 * (mu_x * mu_y) because doubling is exact.
+    """
     c1, c2 = SSIM_C1, SSIM_C2
-    mu_x = _box_sum(a * m) / n
-    mu_y = _box_sum(b * m) / n
-    var_x = _box_sum(a * a * m) / n - mu_x * mu_x
-    var_y = _box_sum(b * b * m) / n - mu_y * mu_y
-    cov = _box_sum(a * b * m) / n - mu_x * mu_y
-    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
-    return _SsimChannelCache(mu_x, mu_y, var_x, var_y, cov, n, s)
+    am = a * m
+    bm = b * m
+    mu_x = _box_sum(am) / n
+    mu_y = _box_sum(bm) / n
+    mu_xx = mu_x * mu_x
+    mu_yy = mu_y * mu_y
+    mu_xy = mu_x * mu_y
+    var_x = _box_sum(a * am) / n - mu_xx
+    var_y = _box_sum(b * bm) / n - mu_yy
+    cov = _box_sum(a * bm) / n - mu_xy
+    num_l = 2 * mu_xy + c1
+    num_c = 2 * cov + c2
+    den_l = mu_xx + mu_yy + c1
+    den_c = var_x + var_y + c2
+    s = (num_l * num_c) / (den_l * den_c)
+    return _SsimChannelCache(mu_x, mu_y, n, num_c, den_l, den_c, s)
 
 
 def _ssim_channels(a, b, m) -> list[_SsimChannelCache]:
-    """Per-channel SSIM caches of (H, W, C) images under the (H, W) float
-    mask m; the window count depends on the mask only, so it is computed
-    once and shared by every channel."""
+    """Per-channel SSIM caches of (H, W, C) images under the (H, W) 0/1
+    float mask m; the window count depends on the mask only, so it is
+    computed once and shared by every channel."""
     n = np.maximum(_box_sum(m), 1.0)
     return [_ssim_channel(a[..., c], b[..., c], m, n) for c in range(a.shape[2])]
 
 
 def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g):
-    """d(sum g * ssim)/db, the exact adjoint of _ssim_channel in its second arg."""
-    mu_x, mu_y, var_x, var_y, cov, n, s = cache
-    c1, c2 = SSIM_C1, SSIM_C2
-    num_l = 2 * mu_x * mu_y + c1
-    num_c = 2 * cov + c2
-    den_l = mu_x * mu_x + mu_y * mu_y + c1
-    den_c = var_x + var_y + c2
+    """d(sum g * ssim)/db, the exact adjoint of _ssim_channel in its second arg.
 
-    d_num = g / (den_l * den_c)
-    d_num_l = d_num * num_c
-    d_num_c = d_num * num_l
-    d_den_l = -g * s / den_l
-    d_den_c = -g * s / den_c
+    With ssim = num_l num_c / (den_l den_c), num_l = 2 mu_x mu_y + C1,
+    var_y = box(b*b*m)/n - mu_y^2 and cov = box(a*b*m)/n - mu_x mu_y:
 
-    d_mu_y = 2 * mu_x * d_num_l + 2 * mu_y * d_den_l
-    d_cov = 2 * d_num_c
-    d_var_y = d_den_c
+        d_num = g / (den_l den_c),   d_cov = 2 (d_num num_l),
+        d_den_l = (-g ssim) / den_l, d_var_y = (-g ssim) / den_c,
+        d_mu_y = 2 mu_x (d_num num_c) + 2 mu_y d_den_l
+                 + (-2 mu_y d_var_y - mu_x d_cov),
+        db = m (box(d_mu_y / n) + box(d_cov / n) a + box(d_var_y / n) 2 b),
 
-    # var_y = box(b*b*m)/n - mu_y^2 ; cov = box(a*b*m)/n - mu_x*mu_y
-    d_mu_y += -2 * mu_y * d_var_y - mu_x * d_cov
-    db = m * (
-        _box_sum(d_mu_y / n)
-        + _box_sum(d_cov / n) * a
-        + _box_sum(d_var_y / n) * 2 * b
-    )
+    each product and sum taken left to right as written. The in-place steps
+    below keep every one of those operations; they only commute factors
+    and move exact negations and doublings.
+    """
+    mu_x, mu_y, n, num_c, den_l, den_c, s = cache
+    num_l = 2 * (mu_x * mu_y) + SSIM_C1
+    d_num = np.multiply(den_l, den_c)
+    np.divide(g, d_num, out=d_num)
+    d_mu_y = d_num * num_c
+    d_mu_y *= 2 * mu_x
+    d_cov = d_num
+    d_cov *= num_l
+    d_cov *= 2
+    d_var_y = np.negative(g)
+    d_var_y *= s
+    d_den_l = d_var_y / den_l
+    d_var_y /= den_c
+    two_mu_y = 2 * mu_y
+    d_den_l *= two_mu_y
+    d_mu_y += d_den_l
+    # x + (-2 mu_y d_var_y - mu_x d_cov) is x - (2 mu_y d_var_y + mu_x d_cov)
+    two_mu_y *= d_var_y
+    two_mu_y += np.multiply(mu_x, d_cov, out=d_den_l)
+    d_mu_y -= two_mu_y
+    d_mu_y /= n
+    db = _box_sum(d_mu_y)
+    d_cov /= n
+    term = _box_sum(d_cov)
+    term *= a
+    db += term
+    d_var_y /= n
+    term = _box_sum(d_var_y)
+    term *= 2
+    term *= b
+    db += term
+    db *= m
     return db
 
 
@@ -185,14 +242,15 @@ def ssim(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     photometric term runs the same per-channel computation.
 
     Window statistics are uniform over the 3x3 box (SSIM_RADIUS 1), restricted
-    to valid pixels when a mask is given (windows shrink at image borders the
-    same way); SSIM_C1 and SSIM_C2 stabilize them.
+    to valid pixels when a mask is given (read as bool, nonzero = valid;
+    windows shrink at image borders the same way); SSIM_C1 and SSIM_C2
+    stabilize them.
     """
     a = warp.validate_image(a)
     b = warp.validate_image(b)
     if a.shape != b.shape:
         raise DimensionError(f"image shapes differ: {a.shape} vs {b.shape}")
-    m = np.ones(a.shape[:2]) if mask is None else np.asarray(mask, dtype=np.float64)
+    m = np.ones(a.shape[:2]) if mask is None else np.asarray(mask, dtype=bool).astype(np.float64)
     if m.shape != a.shape[:2]:
         raise DimensionError(f"mask shape {m.shape} does not match image {a.shape}")
     out = np.zeros(a.shape[:2])
@@ -219,7 +277,7 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
         loss += alpha * np.clip((1.0 - cache.ssim) / 2.0, 0.0, 1.0)
         loss += (1.0 - alpha) * np.abs(target[..., c] - synth[..., c])
     loss /= channels
-    loss[~mask] = np.inf
+    np.copyto(loss, np.inf, where=~mask)
     return loss, _PhotoCache(target, synth, m, alpha, caches)
 
 
@@ -258,9 +316,24 @@ def _warped_losses(target, context, depth, k, alpha):
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel minimum over the per-source loss maps and its argmin."""
-    stacked = np.stack(maps, axis=0)
-    return stacked.min(axis=0), stacked.argmin(axis=0)
+    """Per-pixel minimum over the per-source loss maps and its argmin.
+
+    A running minimum over the later maps, with the values and first-index
+    argmin of ``np.min``/``np.argmin`` over the stacked maps: a source takes
+    a pixel only when strictly smaller, and a NaN propagates, its first
+    index being the argmin.
+    """
+    maps = [np.asarray(m) for m in maps]
+    best = maps[0].astype(np.result_type(*maps))
+    argmin = np.zeros(best.shape, dtype=np.intp)
+    for s in range(1, len(maps)):
+        # not (m >= best) is m < best or m NaN; a NaN best keeps its index
+        take = maps[s] >= best
+        np.logical_not(take, out=take)
+        take &= best == best
+        np.copyto(argmin, s, where=take)
+        np.minimum(best, maps[s], out=best)
+    return best, argmin
 
 
 def _static_mask(min_unwarped: np.ndarray, min_warped: np.ndarray) -> np.ndarray:

@@ -527,6 +527,33 @@ class TestMalformedInput:
                          "--out", str(tmp_path / "report")])
         assert_codec_error_exit(code, capsys)
 
+    @pytest.mark.parametrize(
+        "channel, bad",
+        [(0, np.inf), (2, np.inf), (1, np.nan)],
+        ids=["depth-inf", "beam_count-inf", "beam_id-nan"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "decimate"])
+    def test_non_finite_labels(self, tmp_path, capsys, command, channel, bad):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        labels = io_codecs.read_pfm(scene_dir / "labels.pfm").copy()
+        if channel == 2:
+            labels[..., 2] = bad  # still constant, so only finiteness rejects it
+        else:
+            row, col = np.argwhere(labels[..., 0] > 0)[0]
+            labels[row, col, channel] = bad
+        io_codecs.write_pfm(scene_dir / "labels.pfm", labels)
+        capsys.readouterr()
+        if command == "optimize":
+            args = ["optimize", str(scene_dir), "--config", str(cfg),
+                    "--out", str(tmp_path / "report")]
+        else:
+            args = ["decimate", str(scene_dir / "labels.pfm"), "--keep", "1",
+                    "--out", str(tmp_path / "kept.pfm")]
+        assert_codec_error_exit(cli.main(args), capsys)
+
 
 class TestGolden:
     def test_optimize_reproduces_golden_history(self, tmp_path):

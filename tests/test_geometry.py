@@ -344,3 +344,22 @@ class TestPlanarLayout:
         assert jac.shape == (50, 2, 3)
         assert np.array_equal(jac, interleaved_projection_jacobian(points, K))
         assert not jac[:3].any() and jac[3:5, 0, 0].all()
+
+    @pytest.mark.parametrize("fill", ["all", "none"])
+    def test_warp_chain_all_or_no_pixel_in_front(self, fill):
+        k = self.K_ODD
+        if fill == "all":
+            # a small motion of a far plane keeps every pixel in front
+            depth, pose = np.full((k.height, k.width), 50.0), self.POSES["small"]
+        else:
+            depth, pose = -np.abs(self.depth(k)), self.POSES["small"]
+        chain = warp_chain(depth, pose, k)
+        points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
+        assert in_front.all() if fill == "all" else not in_front.any()
+        for ours, ref in ((chain.points, points), (chain.coords, coords),
+                          (chain.valid, valid), (chain.in_front, in_front)):
+            assert ours.shape == ref.shape and ours.dtype == ref.dtype
+            assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()
+        if fill == "none":
+            assert not chain.coords.any() and not np.signbit(chain.coords).any()
+

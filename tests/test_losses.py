@@ -616,6 +616,141 @@ class TestBoxSum:
             assert changed[window].all()
 
 
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: stricter than np.array_equal, as it
+    also tells -0.0 from 0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def column_view_box_sum(x, radius):
+    """Reference: the box sum with its column shifts written into 2-D column
+    views."""
+    rows = x.copy()
+    for d in range(1, radius + 1):
+        rows[d:] += x[:-d]
+        rows[:-d] += x[d:]
+    out = rows.copy()
+    for d in range(1, radius + 1):
+        out[:, d:] += rows[:, :-d]
+        out[:, :-d] += rows[:, d:]
+    return out
+
+
+def stacked_min(maps):
+    """Reference: min and argmin over the stacked maps."""
+    stacked = np.stack(maps, axis=0)
+    return stacked.min(axis=0), stacked.argmin(axis=0)
+
+
+def direct_ssim_channel(a, b, m, n):
+    """Reference: one SSIM channel and its adjoint in b, each window
+    statistic computed from its own masked product."""
+    c1, c2 = losses.SSIM_C1, losses.SSIM_C2
+    box = losses._box_sum
+    mu_x = box(a * m) / n
+    mu_y = box(b * m) / n
+    var_x = box(a * a * m) / n - mu_x * mu_x
+    var_y = box(b * b * m) / n - mu_y * mu_y
+    cov = box(a * b * m) / n - mu_x * mu_y
+    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    )
+
+    def grad_b(g):
+        num_l = 2 * mu_x * mu_y + c1
+        num_c = 2 * cov + c2
+        den_l = mu_x * mu_x + mu_y * mu_y + c1
+        den_c = var_x + var_y + c2
+        d_num = g / (den_l * den_c)
+        d_num_l = d_num * num_c
+        d_num_c = d_num * num_l
+        d_den_l = -g * s / den_l
+        d_den_c = -g * s / den_c
+        d_mu_y = 2 * mu_x * d_num_l + 2 * mu_y * d_den_l
+        d_cov = 2 * d_num_c
+        d_var_y = d_den_c
+        d_mu_y += -2 * mu_y * d_var_y - mu_x * d_cov
+        return m * (box(d_mu_y / n) + box(d_cov / n) * a + box(d_var_y / n) * 2 * b)
+
+    return s, grad_b
+
+
+class TestContiguousKernels:
+    """The box sum's flat-row shifts, the running minimum over sources and
+    the shared SSIM statistics must reproduce the direct formulations bit
+    for bit."""
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape",
+        # widths and heights at or below the radius: a flat shift then
+        # wraps whole rows where the column-view slices are empty
+        [(2, 2), (2, 9), (9, 2), (7, 11), (13, 5), (1, 6), (6, 1), (5, 3), (3, 3), (1, 1)],
+    )
+    def test_box_sum_matches_column_views(self, shape, radius):
+        x = np.random.default_rng(sum(shape) + radius).uniform(-1, 1, shape)
+        assert same_bits(losses._box_sum(x, radius), column_view_box_sum(x, radius))
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_box_sum_of_non_contiguous_input(self, radius):
+        rgb = np.random.default_rng(radius).uniform(0, 1, (9, 14, 3))
+        for x in (rgb[..., 1], rgb[::2, ::3, 0], rgb[..., 2].T):
+            assert not x.flags.c_contiguous
+            assert same_bits(losses._box_sum(x, radius), column_view_box_sum(x, radius))
+
+    @pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
+    def test_min_over_sources_matches_stack(self, n_maps):
+        rng = np.random.default_rng(n_maps)
+        # few distinct values, so ties are common; +-inf, NaN and both
+        # zeros mixed in, NaN also in the first map and in several maps
+        values = np.array([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan])
+        maps = [rng.choice(values, size=(6, 7), p=[0.15, 0.1, 0.15, 0.15, 0.15, 0.1, 0.1, 0.1])
+                for _ in range(n_maps)]
+        best, argmin = losses._min_over_sources(maps)
+        ref_best, ref_argmin = stacked_min(maps)
+        assert same_bits(best, ref_best)
+        assert same_bits(argmin, ref_argmin)
+
+    def test_min_over_sources_ties_keep_first_index(self):
+        maps = [np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.full((2, 3), np.inf)]
+        maps[1][0, 0] = 0.25
+        maps[2][1, 2] = 0.5
+        best, argmin = losses._min_over_sources(maps)
+        assert same_bits(argmin, np.array([[1, 0, 0], [0, 0, 0]], dtype=np.intp))
+        assert same_bits(best, stacked_min(maps)[0])
+
+    def test_min_over_sources_does_not_write_its_inputs(self):
+        maps = [np.array([[1.0, np.nan]]), np.array([[0.5, 0.0]])]
+        before = [m.copy() for m in maps]
+        losses._min_over_sources(maps)
+        assert all(same_bits(m, b) for m, b in zip(maps, before))
+
+    @pytest.mark.parametrize("fill", ["random", "all", "none"])
+    def test_ssim_channel_matches_direct_statistics(self, fill):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(0, 1, (2, 11, 13))
+        m = {"random": rng.uniform(size=(11, 13)) > 0.3,
+             "all": np.ones((11, 13), bool), "none": np.zeros((11, 13), bool)}[fill]
+        m = m.astype(np.float64)
+        n = np.maximum(losses._box_sum(m), 1.0)
+        cache = losses._ssim_channel(a, b, m, n)
+        s, grad_b = direct_ssim_channel(a, b, m, n)
+        assert same_bits(cache.ssim, s)
+        g = rng.uniform(-1, 1, (11, 13))
+        assert same_bits(losses._ssim_channel_grad_b(cache, a, b, m, g), grad_b(g))
+
+    def test_photometric_marks_invalid_pixels_inf(self):
+        rng = np.random.default_rng(8)
+        target, synth = rng.uniform(0, 1, (2, 6, 9, 3))
+        for mask in (rng.uniform(size=(6, 9)) > 0.4, np.ones((6, 9), bool),
+                     np.zeros((6, 9), bool)):
+            loss = photometric(target, synth, mask, 0.85)
+            assert np.isposinf(loss[~mask]).all() and np.isfinite(loss[mask]).all()
+
+
 def interp_matrix(n_out, n_in):
     """Dense 1-D corner-aligned linear-interpolation matrix (reference)."""
     a = np.zeros((n_out, n_in))

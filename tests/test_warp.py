@@ -231,3 +231,36 @@ class TestPlanarLayout:
             assert grad.shape == valid.shape + (2,)
             assert np.moveaxis(grad, -1, 0).flags.c_contiguous
             assert np.array_equal(grad, interleaved_sample_grad(src, coords, valid, up))
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: stricter than np.array_equal, as it
+    also tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestMaskedStores:
+    """Invalid pixels are zeroed by masked copies per plane; the result must
+    equal the boolean-index stores of the interleaved references bit for
+    bit, also when every pixel or no pixel is valid."""
+
+    @pytest.mark.parametrize("fill", ["mixed", "all", "none"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_samplers_zero_invalid_pixels(self, channels, fill):
+        rng = np.random.default_rng(40 + channels)
+        # signed values: a product that rounds to -0.0 must not survive
+        src = rng.uniform(-1, 1, (9, 13, channels))
+        coords = np.stack([rng.uniform(-1, 13, (9, 13)), rng.uniform(-1, 9, (9, 13))], axis=-1)
+        valid = {"mixed": rng.uniform(size=(9, 13)) < 0.7, "all": np.ones((9, 13), bool),
+                 "none": np.zeros((9, 13), bool)}[fill]
+        up = rng.uniform(-1, 1, (9, 13, channels))
+        out, mask = sample_bilinear(src, coords, valid)
+        grad = sample_bilinear_grad(src, coords, valid, up)
+        assert same_bits(out, interleaved_sample(src, coords, valid))
+        assert same_bits(grad, interleaved_sample_grad(src, coords, valid, up))
+        assert same_bits(mask, valid)
+        assert same_bits(out[~valid], np.zeros((int((~valid).sum()), channels)))
+        assert same_bits(grad[~valid], np.zeros((int((~valid).sum()), 2)))
+
