@@ -37,17 +37,7 @@ _SECTIONS = {
     "decimation": _schema(DecimationSpec),
 }
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in _BOOLS:
-        raise ValueError(value)
-    return _BOOLS[value.lower()]
-
-
-_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass

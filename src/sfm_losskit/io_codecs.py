@@ -170,16 +170,21 @@ def read_labels_pfm(path) -> SparseDepth:
     data = read_pfm(path)
     if data.ndim != 3:
         raise CodecError(f"{path}: label PFM must be 3-channel")
-    # before any cast: a NaN or inf depth, beam id or beam count is malformed
+    # before any cast: a NaN or inf value, a fractional beam id or beam count
+    # and a negative beam count are malformed
     if not np.isfinite(data).all():
         raise CodecError(f"{path}: label PFM holds a non-finite value")
+    if not np.all(data[..., 1:] == np.floor(data[..., 1:])):
+        raise CodecError(f"{path}: beam ids and beam counts must be integers")
     num_beams = data[..., 2]
+    if np.any(num_beams < 0):
+        raise CodecError(f"{path}: beam count is negative")
     if num_beams.size and not np.all(num_beams == num_beams.flat[0]):
         raise CodecError(f"{path}: beam-count channel is not constant")
     try:
         return SparseDepth(
             depth=data[..., 0].astype(np.float64),
-            beam_id=np.rint(data[..., 1]).astype(np.int64),
+            beam_id=data[..., 1].astype(np.int64),
             num_beams=int(num_beams.flat[0]) if num_beams.size else 0,
         )
     except ValueError as exc:  # channels SparseDepth rejects

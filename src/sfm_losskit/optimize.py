@@ -8,7 +8,7 @@ Adam in its standard form
     param -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
 with lr = lr_depth for depth, lr_pose for translations and lr_pose / 10 for
-rotation angles, all halved every lr_halve_every steps of a phase when set.
+rotation angles.
 
 `run` performs the two-phase schedule: phase A minimizes the unsupervised
 objective (supervised weight zero) and lands somewhere on the scale valley;
@@ -62,14 +62,12 @@ class OptimConfig:
     phase_b_iters: int = 1000
     tol: float = 1e-7
     tol_window: int = 25
-    optimize_pose: bool = True
     weights: LossWeights = field(default_factory=LossWeights)
     init_depth: float = 10.0
     pose_init_rot_std: float = 0.002
     pose_init_trans_std: float = 0.02
     supervised_loss: str = "rep"
     num_scales: int = 1
-    lr_halve_every: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -93,7 +91,7 @@ class OptimConfig:
             raise ConfigError("pose_init_rot_std and pose_init_trans_std must be nonnegative")
         if self.supervised_loss not in losses.SUPERVISED:
             raise ConfigError(f"unknown supervised_loss {self.supervised_loss!r}")
-        if self.num_scales < 1 or self.lr_halve_every < 0 or self.seed < 0:
+        if self.num_scales < 1 or self.seed < 0:
             raise ConfigError("invalid optimizer configuration")
 
 
@@ -138,37 +136,32 @@ def init_state(scene: Scene, config: OptimConfig) -> OptimState:
     return OptimState(log_depth=log_depth, pose_params=pose_params)
 
 
+def _adam_step(param, m, v, g, t, lr, config: OptimConfig):
+    """One Adam step of one parameter block: new parameters and moments."""
+    b1, b2 = config.beta1, config.beta2
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g**2
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + config.epsilon), m, v
+
+
 def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray,
                 config: OptimConfig) -> None:
     """One Adam step on the state, in place. Zero gradients leave parameters
     untouched (the update is exactly zero)."""
     state.adam_t += 1
     t = state.adam_t
-    b1, b2 = config.beta1, config.beta2
-    scale = 1.0
-    if config.lr_halve_every > 0:
-        scale = 0.5 ** ((t - 1) // config.lr_halve_every)
-
-    state.m_depth = b1 * state.m_depth + (1 - b1) * d_log_depth
-    state.v_depth = b2 * state.v_depth + (1 - b2) * d_log_depth**2
-    m_hat = state.m_depth / (1 - b1**t)
-    v_hat = state.v_depth / (1 - b2**t)
-    state.log_depth = state.log_depth - config.lr_depth * scale * m_hat / (
-        np.sqrt(v_hat) + config.epsilon
+    state.log_depth, state.m_depth, state.v_depth = _adam_step(
+        state.log_depth, state.m_depth, state.v_depth, d_log_depth, t, config.lr_depth, config
     )
-
-    if config.optimize_pose:
-        state.m_pose = b1 * state.m_pose + (1 - b1) * d_poses
-        state.v_pose = b2 * state.v_pose + (1 - b2) * d_poses**2
-        m_hat_p = state.m_pose / (1 - b1**t)
-        v_hat_p = state.v_pose / (1 - b2**t)
-        # Rotation angles live on a much finer scale than translations (a few
-        # hundredths of a radian can mimic a whole baseline on planar
-        # scenes), so they step 10x slower than the translations.
-        lr_pose = np.array([config.lr_pose / 10.0] * 3 + [config.lr_pose] * 3)
-        state.pose_params = state.pose_params - lr_pose * scale * m_hat_p / (
-            np.sqrt(v_hat_p) + config.epsilon
-        )
+    # Rotation angles live on a much finer scale than translations (a few
+    # hundredths of a radian can mimic a whole baseline on planar scenes), so
+    # they step 10x slower than the translations.
+    lr_pose = np.array([config.lr_pose / 10.0] * 3 + [config.lr_pose] * 3)
+    state.pose_params, state.m_pose, state.v_pose = _adam_step(
+        state.pose_params, state.m_pose, state.v_pose, d_poses, t, lr_pose, config
+    )
 
 
 def step(

@@ -5,8 +5,7 @@ renderer intersects pixel rays with the planes analytically and looks the
 texture up with the same bilinear kernel as the warp module, so warping a
 rendered context view with ground-truth depth and pose reconstructs the
 target to interpolation accuracy. Textures are band-limited sinusoid
-mixtures rasterized at roughly one texel per image pixel (checkerboards are
-available for structure-similarity sign tests, not for consistency checks).
+mixtures rasterized at roughly one texel per image pixel.
 
 A noise channel is 0.5 plus 8 plane waves a*cos(kx*x + ky*y + p) on an n x n
 raster. Each wave splits into two products of a factor in y alone and a
@@ -31,7 +30,6 @@ from .geometry import CameraIntrinsics, PoseSE3
 from .supervision import SparseDepth
 
 GEOMETRIES = ("plane", "slant", "two_plane")
-TEXTURES = ("noise", "checker")
 
 
 @dataclass
@@ -54,14 +52,8 @@ class SceneSpec:
     beams: int = 16
     px_per_beam: int = 16
     label_frac: float = 0.0
-    texture: str = "noise"
     texture_cycles: float = 0.03
     texture_amp: float = 0.42
-    checker_size: float = 1.0
-    fx: float = 0.0
-    fy: float = 0.0
-    cx: float = -1.0
-    cy: float = -1.0
 
     def validate(self) -> None:
         for f in fields(self):
@@ -69,8 +61,6 @@ class SceneSpec:
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.geometry not in GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}")
-        if self.texture not in TEXTURES:
-            raise ConfigError(f"unknown texture {self.texture!r}")
         if self.width < 8 or self.height < 8:
             raise ConfigError("scene must be at least 8x8 pixels")
         if self.channels not in (1, 3):
@@ -88,19 +78,19 @@ class SceneSpec:
             raise ConfigError("texture_cycles must be in (0, 0.25]")
         if not 0 < self.texture_amp <= 0.45:
             raise ConfigError("texture_amp must be in (0, 0.45]")
-        if self.checker_size <= 0:
-            raise ConfigError("checker_size must be positive")
         if self.beams < 0 or not 0 <= self.label_frac <= 1:
             raise ConfigError("invalid label configuration")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
     def intrinsics(self) -> CameraIntrinsics:
-        fx = self.fx if self.fx > 0 else 0.78125 * self.width
-        fy = self.fy if self.fy > 0 else fx
-        cx = self.cx if self.cx >= 0 else (self.width - 1) / 2.0
-        cy = self.cy if self.cy >= 0 else (self.height - 1) / 2.0
-        return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=self.width, height=self.height)
+        """Fixed intrinsics of every synthesized scene: fx = fy = 0.78125 *
+        width (about 65 degrees across), principal point at the image centre
+        ((width - 1) / 2, (height - 1) / 2)."""
+        f = 0.78125 * self.width
+        return CameraIntrinsics(fx=f, fy=f, cx=(self.width - 1) / 2.0,
+                                cy=(self.height - 1) / 2.0, width=self.width,
+                                height=self.height)
 
 
 class _Texture:
@@ -148,15 +138,6 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
         cols = np.concatenate([np.cos(col_arg), np.sin(col_arg)], axis=1)
         raster[..., c] = 0.5 + np.einsum("iw,jw->ij", rows, cols)
     return _Texture(np.clip(raster, 0.0, 1.0), (-extent, -extent), spacing)
-
-
-def _checker_texture(extent: float, spacing: float, size: float, channels: int) -> _Texture:
-    n = int(math.ceil(2 * extent / spacing)) + 1
-    axis = -extent + spacing * np.arange(n)
-    xx, yy = np.meshgrid(axis, axis)
-    val = ((np.floor(xx / size) + np.floor(yy / size)) % 2).astype(np.float64)
-    raster = np.repeat(val[..., None], channels, axis=2)
-    return _Texture(raster, (-extent, -extent), spacing)
 
 
 @dataclass
@@ -266,8 +247,6 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
         spacing = depth_hint / k.fx
         extent = 2.5 * depth_hint * max_ray / max(math.cos(math.radians(spec.slant)), 0.5) \
             + 3.0 * motion
-        if spec.texture == "checker":
-            return _checker_texture(extent, spacing, spec.checker_size, spec.channels)
         sub = np.random.default_rng(spec.seed + seed_shift)
         return _noise_texture(sub, extent, spacing, spec.texture_cycles,
                               spec.texture_amp, spec.channels)

@@ -529,8 +529,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "channel, bad",
-        [(0, np.inf), (2, np.inf), (1, np.nan)],
-        ids=["depth-inf", "beam_count-inf", "beam_id-nan"],
+        # 8.5 would truncate to the scene's 8 beams, 0.3 round to beam 0
+        [(0, np.inf), (2, np.inf), (1, np.nan), (1, 0.3), (2, 8.5), (2, -3.0)],
+        ids=["depth-inf", "beam_count-inf", "beam_id-nan", "beam_id-fraction",
+             "beam_count-fraction", "beam_count-negative"],
     )
     @pytest.mark.parametrize("command", ["optimize", "decimate"])
     def test_non_finite_labels(self, tmp_path, capsys, command, channel, bad):
@@ -540,7 +542,9 @@ class TestMalformedInput:
         assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
         labels = io_codecs.read_pfm(scene_dir / "labels.pfm").copy()
         if channel == 2:
-            labels[..., 2] = bad  # still constant, so only finiteness rejects it
+            labels[..., 2] = bad  # still constant, so only the value rejects it
+            if bad < 0:  # no labels, so no beam id is checked against the count
+                labels[..., 0], labels[..., 1] = 0.0, -1.0
         else:
             row, col = np.argwhere(labels[..., 0] > 0)[0]
             labels[row, col, channel] = bad

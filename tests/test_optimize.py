@@ -64,7 +64,29 @@ class TestAdamUpdate:
 
             g_state = state.log_depth[0, 0] - 3.0
             adam_update(state, np.array([[g_state]]), np.zeros((1, 6)), cfg)
-            assert state.log_depth[0, 0] == pytest.approx(x, rel=1e-15)
+            assert state.log_depth[0, 0] == x
+
+    def test_pose_block_matches_hand_stepped_trace(self):
+        # f(p) = |p - c|^2 / 2 over one pose vector, three literal steps with
+        # the rotations at lr_pose / 10 and the translations at lr_pose
+        lr, b1, b2, eps = 0.02, 0.8, 0.99, 1e-6
+        cfg = OptimConfig(lr_pose=lr, beta1=b1, beta2=b2, epsilon=eps,
+                          weights=LossWeights())
+        state = scalar_state(0.0)
+        c = [0.3, -0.2, 0.1, 1.5, -0.5, 0.25]
+        p, m, v = [0.0] * 6, [0.0] * 6, [0.0] * 6
+        for t in (1, 2, 3):
+            for i in range(6):
+                g = p[i] - c[i]
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                lr_i = lr / 10.0 if i < 3 else lr
+                p[i] = p[i] - lr_i * (m[i] / (1 - b1**t)) / (math.sqrt(v[i] / (1 - b2**t)) + eps)
+
+            g_state = state.pose_params - np.array([c])
+            adam_update(state, np.zeros((1, 1)), g_state, cfg)
+            assert state.pose_params[0].tolist() == p
+        assert state.log_depth[0, 0] == 0.0
 
     def test_zero_gradient_is_fixed_point(self):
         cfg = OptimConfig(weights=LossWeights())
@@ -82,17 +104,6 @@ class TestAdamUpdate:
         adam_update(state, np.ones((1, 1)), np.ones((1, 6)), cfg)
         assert (state.log_depth == before).all()
         assert (state.pose_params == 0).all()
-
-    def test_lr_halving_schedule(self):
-        cfg = OptimConfig(lr_depth=0.1, lr_halve_every=2, weights=LossWeights())
-        state = scalar_state(0.0)
-        # constant gradient 1: step magnitudes halve every 2 iterations
-        deltas = []
-        for _ in range(4):
-            before = state.log_depth[0, 0]
-            adam_update(state, np.ones((1, 1)), np.zeros((1, 6)), cfg)
-            deltas.append(abs(state.log_depth[0, 0] - before))
-        assert deltas[2] == pytest.approx(deltas[0] / 2, rel=1e-6)
 
     def test_rotation_steps_at_a_tenth_of_lr_pose(self):
         # the rotation rate follows lr_pose, also after dataclasses.replace
@@ -124,16 +135,6 @@ class TestStep:
         assert (state.log_depth == log0).all()
         assert (state.pose_params == pose0).all()
         assert state.iteration == 1
-
-    def test_optimize_pose_flag_freezes_poses(self):
-        scene = quick_scene()
-        cfg = quick_config(optimize_pose=False)
-        state = init_state(scene, cfg)
-        pose0 = state.pose_params.copy()
-        for _ in range(3):
-            step(state, scene, cfg)
-        assert (state.pose_params == pose0).all()
-        assert not (state.log_depth == math.log(cfg.init_depth)).all()
 
     def test_non_finite_gradient_raises_diverged(self, monkeypatch):
         scene = quick_scene()
