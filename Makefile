@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden bench smoke install
+.PHONY: test acceptance golden bench smoke faults install
 
 install:
 	pip install -e . --no-build-isolation
@@ -26,3 +26,9 @@ bench:
 # untraced and traced (about 30 s).
 smoke:
 	python3 perfbench/smoke.py
+
+# Minor page faults of each optimize.step inside the benchmark's own
+# hires_pyramid and example_cli repetitions, by phase (about 20 s); count
+# them whenever a change alters what an evaluation allocates.
+faults:
+	python3 scripts/step_faults.py

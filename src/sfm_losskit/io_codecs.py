@@ -170,12 +170,15 @@ def read_labels_pfm(path) -> SparseDepth:
     data = read_pfm(path)
     if data.ndim != 3:
         raise CodecError(f"{path}: label PFM must be 3-channel")
-    # before any cast: a NaN or inf value, a fractional beam id or beam count
-    # and a negative beam count are malformed
+    # before any cast: a NaN or inf value, a fractional beam id or beam count,
+    # one beyond 2**24 in magnitude (past it float32 skips integers) and a
+    # negative beam count are malformed
     if not np.isfinite(data).all():
         raise CodecError(f"{path}: label PFM holds a non-finite value")
     if not np.all(data[..., 1:] == np.floor(data[..., 1:])):
         raise CodecError(f"{path}: beam ids and beam counts must be integers")
+    if np.any(np.abs(data[..., 1:]) > 2**24):
+        raise CodecError(f"{path}: beam ids and beam counts must be at most 2**24 in magnitude")
     num_beams = data[..., 2]
     if np.any(num_beams < 0):
         raise CodecError(f"{path}: beam count is negative")
@@ -330,5 +333,4 @@ def read_scene_dir(scene_dir):
         labels=labels,
         geometry=None,
         occluded=[],
-        spec=None,
     )

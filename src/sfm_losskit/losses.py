@@ -47,10 +47,9 @@ from .errors import (
 )
 from .geometry import CameraIntrinsics, PoseSE3
 
-# SSIM stabilizers for unit data range, and the uniform window radius.
+# SSIM stabilizers for unit data range.
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
-SSIM_RADIUS = 1
 
 # The objective's terms; total_loss(..., terms=...) selects a subset.
 TERMS = ("photo", "smooth", "rep")
@@ -98,45 +97,37 @@ class RepLoss(NamedTuple):
 ContextSet = Sequence[tuple[np.ndarray, PoseSE3]]
 
 
-def _box_sum(x: np.ndarray, radius: int = SSIM_RADIUS) -> np.ndarray:
-    """Windowed sum over (2r+1)^2 boxes; windows shrink at the borders.
+def _box_sum(x: np.ndarray) -> np.ndarray:
+    """Windowed sum over 3x3 boxes; windows shrink at the borders.
 
-    Separable: 2r+1 row shifts, then 2r+1 column shifts. The window is
-    symmetric, so the operator is self-adjoint, which the SSIM backward pass
-    relies on. An output depends only on the inputs inside its window (no
-    integral images), so a one-pixel input change leaves every output outside
-    that pixel's window bit-identical; finite-difference checks rely on that.
+    Separable: a 3-row pass, then a 3-column pass. The window is symmetric,
+    so the operator is self-adjoint, which the SSIM backward pass relies
+    on. An output depends only on the inputs inside its window (no integral
+    images), so a one-pixel input change leaves every output outside that
+    pixel's window bit-identical; finite-difference checks rely on that.
 
-    Every output is x[i, j] + x[i - 1, j] + x[i + 1, j] + x[i - 2, j] + ...
-    over the rows, then the same over the columns of those row sums, added
-    in that order. The first shift of each pass is fused with the copy
-    (x[i] + x[i - 1] in one three-operand add). The column shifts run on
-    the flattened rows: writing into a 2-D column view (``out[:, d:]``) walks
-    memory several times slower than one contiguous pass. A flat shift by d
-    also adds into the first d (shift right) or last d (shift left) columns
-    of each row a value from the neighbouring row, so those border columns
-    are saved before the shift and put back after it.
+    Every output is x[i, j] + x[i - 1, j] + x[i + 1, j] over the rows, then
+    the same over the columns of those row sums, added in that order. The
+    first shift of each pass is fused with the copy (x[i] + x[i - 1] in one
+    three-operand add). The column pass runs on the flattened rows: writing
+    into a 2-D column view (``out[:, 1:]``) walks memory several times
+    slower than one contiguous pass. A flat shift carries a value across
+    each row boundary, so the first column is then restored from the row
+    sums, and the last column is saved before the left shift and put back
+    after it.
     """
     h, w = x.shape
     rows = np.empty((h, w))
     rows[0] = x[0]
     np.add(x[1:], x[:-1], out=rows[1:])
     rows[:-1] += x[1:]
-    for d in range(2, radius + 1):
-        rows[d:] += x[:-d]
-        rows[:-d] += x[d:]
     out = np.empty((h, w))
     flat_out, flat_rows = out.reshape(-1), rows.reshape(-1)
     np.add(flat_rows[1:], flat_rows[:-1], out=flat_out[1:])
     out[:, 0] = rows[:, 0]
-    for d in range(1, radius + 1):
-        if d > 1:
-            border = out[:, :d].copy()
-            flat_out[d:] += flat_rows[:-d]
-            out[:, :d] = border
-        border = out[:, -d:].copy()
-        flat_out[:-d] += flat_rows[d:]
-        out[:, -d:] = border
+    border = out[:, -1:].copy()
+    flat_out[:-1] += flat_rows[1:]
+    out[:, -1:] = border
     return out
 
 
@@ -241,10 +232,10 @@ def ssim(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     """Per-pixel SSIM map in [-1, 1], per channel then channel-averaged; the
     photometric term runs the same per-channel computation.
 
-    Window statistics are uniform over the 3x3 box (SSIM_RADIUS 1), restricted
-    to valid pixels when a mask is given (read as bool, nonzero = valid;
-    windows shrink at image borders the same way); SSIM_C1 and SSIM_C2
-    stabilize them.
+    Window statistics are uniform over the 3x3 box, restricted to valid
+    pixels when a mask is given (read as bool, nonzero = valid; windows
+    shrink at image borders the same way); SSIM_C1 and SSIM_C2 stabilize
+    them.
     """
     a = warp.validate_image(a)
     b = warp.validate_image(b)
@@ -307,8 +298,8 @@ def _warped_losses(target, context, depth, k, alpha):
     chains, caches, maps = [], [], []
     for src, pose in context:
         chain = geometry.warp_chain(depth, pose, k)
-        synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
-        loss_map, cache = _photometric_forward(target, synth, mask, alpha)
+        synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+        loss_map, cache = _photometric_forward(target, synth, chain.valid, alpha)
         chains.append(chain)
         caches.append(cache)
         maps.append(loss_map)

@@ -12,11 +12,13 @@ rotation angles.
 
 `run` performs the two-phase schedule: phase A minimizes the unsupervised
 objective (supervised weight zero) and lands somewhere on the scale valley;
-phase B turns the supervised term on, which collapses the scale. Each phase
-stops at its own budget (phase_a_iters, phase_b_iters) or once the loss has
-changed by at most tol (relative) for tol_window steps in a row. The
-optimizer state between phases keeps depth/poses but restarts the Adam
-moments, mirroring a fresh refinement run.
+phase B turns the supervised term on, whose gradient pulls depth toward the
+labels' scale. Phase B need not reach that scale: on the shipped example
+the median depth ratio barely moves during it. Each phase stops at its own
+budget (phase_a_iters, phase_b_iters) or once the loss has changed by at
+most tol (relative) for tol_window steps in a row. The optimizer state
+between phases keeps depth/poses but restarts the Adam moments, mirroring
+a fresh refinement run.
 """
 
 from __future__ import annotations
@@ -238,8 +240,9 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
     Phase A runs with the supervised weight forced to zero and records the
     median predicted/true depth ratio (any positive value is admissible:
     the unsupervised objective cannot fix scale). Phase B re-enables the
-    supervised term and collapses the scale. Writes loss-curve and metrics
-    CSVs into ``out_dir`` when given.
+    supervised term, which pulls depth toward the labels' scale without
+    necessarily reaching it. Writes loss-curve and metrics CSVs into
+    ``out_dir`` when given.
     """
     if config.weights.lambda_rep <= 0:
         raise ConfigError("two-phase run needs a positive supervised weight")
@@ -323,8 +326,8 @@ class GradCheckReport:
 FD_ATOL = 1e-9
 
 
-def _rel_err(a: float, b: float, atol: float = FD_ATOL) -> float:
-    return abs(a - b) / max(abs(a), abs(b), atol)
+def _rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), FD_ATOL)
 
 
 def gradcheck(

@@ -84,16 +84,15 @@ def synth_lidar(
     gt_depth: np.ndarray,
     num_beams: int,
     px_per_beam: int,
-    top_row: int | None = None,
-    row_spacing: int | None = None,
     seed: int = 0,
 ) -> SparseDepth:
     """Sample ground-truth depth on a synthetic beam pattern.
 
-    Beam b lands on raster row top_row + b * row_spacing and samples
+    Beam b lands on raster row h // 3 + b * row_spacing, with row_spacing
+    = max(1, (h - 1 - h // 3) // max(num_beams - 1, 1)), and samples
     px_per_beam evenly spaced columns (phase drawn from the seed, per beam).
-    By default beams cover only the lower two thirds of the image, mimicking
-    where a forward-facing range sensor actually intersects the camera view.
+    Beams cover only the lower two thirds of the image, mimicking where a
+    forward-facing range sensor actually intersects the camera view.
     """
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
     h, w = gt_depth.shape
@@ -101,12 +100,9 @@ def synth_lidar(
         raise ConfigError(f"num_beams must be >= 1, got {num_beams}")
     if not 1 <= px_per_beam <= w:
         raise ConfigError(f"px_per_beam must be in [1, {w}], got {px_per_beam}")
-    if top_row is None:
-        top_row = h // 3
-    if row_spacing is None:
-        row_spacing = max(1, (h - 1 - top_row) // max(num_beams - 1, 1))
-    last_row = top_row + (num_beams - 1) * row_spacing
-    if top_row < 0 or row_spacing < 1 or last_row > h - 1:
+    top_row = h // 3
+    row_spacing = max(1, (h - 1 - top_row) // max(num_beams - 1, 1))
+    if top_row + (num_beams - 1) * row_spacing > h - 1:
         raise ConfigError(
             f"{num_beams} beams at spacing {row_spacing} from row {top_row} "
             f"do not fit image height {h}"

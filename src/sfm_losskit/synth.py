@@ -110,7 +110,7 @@ class _Texture:
         u = np.clip((px - self.origin[0]) / self.spacing, 0.0, wt - 1.0)
         v = np.clip((py - self.origin[1]) / self.spacing, 0.0, ht - 1.0)
         coords = np.stack([u, v], axis=-1).reshape(-1, 1, 2)
-        out, _ = warp.sample_bilinear(
+        out = warp.sample_bilinear(
             self.raster, coords, np.ones((coords.shape[0], 1), dtype=bool)
         )
         return out.reshape(px.shape + (self.raster.shape[2],))
@@ -209,7 +209,6 @@ class Scene:
     labels: SparseDepth
     geometry: SceneGeometry | None = None  # None for scenes loaded from disk
     occluded: list[np.ndarray] = field(default_factory=list)
-    spec: SceneSpec | None = None
 
 
 def _render(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
@@ -345,6 +344,5 @@ def make_scene(spec: SceneSpec) -> Scene:
         labels=labels,
         geometry=geometry,
         occluded=occluded,
-        spec=spec,
     )
 

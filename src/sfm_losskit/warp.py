@@ -2,8 +2,8 @@
 
 Images are plain float arrays of shape (H, W, C) with values in [0, 1] and
 C in {1, 3}; validity masks are (H, W) bool arrays. Invalid output pixels
-carry the value 0 and mask False; they contribute nothing downstream and are
-excluded from reductions by mask, never by sentinel values.
+carry the value 0; they contribute nothing downstream and are excluded from
+reductions by the caller's mask, never by sentinel values.
 
 Per-pixel vector fields are read and written as planes: coordinates are
 (H, W, 2) arrays whose components ``coords[..., 0]`` and ``coords[..., 1]``
@@ -65,15 +65,13 @@ def _gather_corners(src: np.ndarray, coords: np.ndarray, valid: np.ndarray):
     return c00, c01, c10, c11, u, v
 
 
-def sample_bilinear(
-    src: np.ndarray, coords: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_bilinear(src: np.ndarray, coords: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Sample ``src`` at continuous coordinates.
 
     coords is (H, W, 2) holding (u, v); valid is (H, W) bool. Each valid
     output pixel is the bilinear blend of the 4 neighbors of its coordinate;
     sampling at exact integer coordinates reproduces the source pixel.
-    Invalid pixels come back as 0 with mask False.
+    Invalid pixels come back as 0.
     """
     src = np.asarray(src, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -98,7 +96,7 @@ def sample_bilinear(
     # the channels, or boolean indexing, walks memory several times slower
     for c in range(out.shape[2]):
         np.copyto(out[..., c], 0.0, where=invalid)
-    return out, valid.copy()
+    return out
 
 
 def sample_bilinear_grad(

@@ -529,10 +529,13 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "channel, bad",
-        # 8.5 would truncate to the scene's 8 beams, 0.3 round to beam 0
-        [(0, np.inf), (2, np.inf), (1, np.nan), (1, 0.3), (2, 8.5), (2, -3.0)],
+        # 8.5 would truncate to the scene's 8 beams, 0.3 round to beam 0;
+        # a beam id of 1e20 overflows the int64 cast
+        [(0, np.inf), (2, np.inf), (1, np.nan), (1, 0.3), (2, 8.5), (2, -3.0),
+         (1, 1e20), (2, 1e20)],
         ids=["depth-inf", "beam_count-inf", "beam_id-nan", "beam_id-fraction",
-             "beam_count-fraction", "beam_count-negative"],
+             "beam_count-fraction", "beam_count-negative", "beam_id-huge",
+             "beam_count-huge"],
     )
     @pytest.mark.parametrize("command", ["optimize", "decimate"])
     def test_non_finite_labels(self, tmp_path, capsys, command, channel, bad):

@@ -16,7 +16,7 @@ def beam_pattern(num_beams=64, px_per_beam=10, h=None, w=128):
     h = h or (num_beams + 40)
     rng = np.random.default_rng(0)
     gt = rng.uniform(2, 30, (h, w))
-    return synth_lidar(gt, num_beams, px_per_beam, top_row=4, row_spacing=1, seed=1)
+    return synth_lidar(gt, num_beams, px_per_beam, seed=1)
 
 
 class TestSparseDepth:
@@ -110,11 +110,25 @@ class TestSynthLidar:
 
     def test_counts_decrease_under_decimation(self):
         gt = np.full((110, 128), 9.0)
-        labels = synth_lidar(gt, num_beams=64, px_per_beam=12, top_row=10, row_spacing=1)
+        labels = synth_lidar(gt, num_beams=64, px_per_beam=12)
         counts = [
             decimate(labels, DecimationSpec(k)).n_labels for k in (64, 32, 16, 8, 4)
         ]
         assert all(a > b for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize(
+        "h, num_beams, top_row, row_spacing",
+        [(40, 4, 13, 8), (96, 64, 32, 1), (192, 64, 64, 2), (33, 1, 11, 21), (20, 13, 6, 1)],
+    )
+    def test_beam_b_sits_on_its_row(self, h, num_beams, top_row, row_spacing):
+        # top_row = h // 3 and row_spacing =
+        # max(1, (h - 1 - top_row) // max(num_beams - 1, 1)), worked out by hand
+        labels = synth_lidar(np.full((h, 16), 5.0), num_beams, px_per_beam=16)
+        for b in range(num_beams):
+            rows, cols = np.nonzero(labels.beam_id == b)
+            assert (rows == top_row + b * row_spacing).all()
+            assert len(cols) == 16
+        assert labels.n_labels == 16 * num_beams
 
     def test_beams_in_lower_region_by_default(self):
         gt = np.full((90, 60), 3.0)
@@ -132,7 +146,7 @@ class TestSynthLidar:
     def test_geometry_must_fit(self):
         gt = np.full((20, 30), 2.0)
         with pytest.raises(ConfigError):
-            synth_lidar(gt, num_beams=30, px_per_beam=3, top_row=0, row_spacing=1)
+            synth_lidar(gt, num_beams=30, px_per_beam=3)
 
 
 class TestRandomLabels:

@@ -18,7 +18,8 @@ from sfm_losskit.synth import (
 def photometric_consistency(scene, ctx_index, alpha=0.85):
     src, pose = scene.contexts[ctx_index]
     chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-    synth, mask = warp.sample_bilinear(src, chain.coords, chain.valid)
+    synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+    mask = chain.valid
     loss = losses.photometric(scene.target, synth, mask, alpha)
     if scene.occluded:
         mask = mask & ~scene.occluded[ctx_index]
@@ -129,7 +130,7 @@ class TestRenderView:
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
             coords = chain.coords[v : v + 1, u : u + 1]
-            sampled, _ = warp.sample_bilinear(view, coords, np.ones((1, 1), bool))
+            sampled = warp.sample_bilinear(view, coords, np.ones((1, 1), bool))
             assert abs(sampled[0, 0, 0] - scene.target[v, u, 0]) < 5e-3
 
     def test_three_channel_scene(self):
