@@ -16,14 +16,7 @@ from .geometry import CameraIntrinsics, PoseSE3
 from .losses import (
     LossBreakdown,
     LossWeights,
-    automask,
-    baseline_berhu,
-    baseline_l1,
     min_photometric,
-    photometric,
-    reprojected_distance,
-    smoothness,
-    ssim,
     total_loss,
     total_loss_grad,
 )

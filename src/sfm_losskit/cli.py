@@ -29,8 +29,7 @@ from .errors import ConfigError, CodecError, LossKitError
 from .losses import TERMS
 from .supervision import DecimationSpec
 
-_VALIDATION_ERRORS = (ConfigError, CodecError, FileNotFoundError, IsADirectoryError,
-                      PermissionError, NotADirectoryError)
+_VALIDATION_ERRORS = (ConfigError, CodecError, OSError)
 
 
 def _split_overrides(extras: list[str]) -> dict[str, str]:
@@ -118,10 +117,14 @@ def cmd_decimate(args, overrides) -> int:
 def cmd_eval(args, overrides) -> int:
     if overrides:
         raise ConfigError("eval takes no --section.key overrides")
+    metrics.check_range(args.min_depth, args.max_depth)
     pred = io_codecs.read_pfm(args.pred).astype(np.float64)
     gt = io_codecs.read_pfm(args.gt).astype(np.float64)
     if gt.ndim == 3:
         gt = io_codecs.read_labels_pfm(args.gt).depth
+    for path, raster in ((args.pred, pred), (args.gt, gt)):
+        if not np.isfinite(raster).all():
+            raise CodecError(f"{path}: depth raster holds a non-finite value")
     if pred.shape != gt.shape:
         raise CodecError(f"{args.pred}: prediction shape {pred.shape} is not the "
                          f"single-channel ground-truth shape {gt.shape}")

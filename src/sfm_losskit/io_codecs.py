@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CodecError, ConfigError, DimensionError
 from .geometry import CameraIntrinsics, PoseSE3
 from .supervision import SparseDepth
+from .synth import Scene
 
 
 def write_pfm(path, data: np.ndarray) -> None:
@@ -295,11 +296,9 @@ def read_scene_dir(scene_dir):
 
     Images come back with the channel count recorded in the manifest: for
     single-channel scenes the replicated PPM channels are collapsed back to
-    one. The analytic scene geometry is not stored, so the loaded Scene has
-    geometry None.
+    one. The closed-form occlusion masks are not stored, so the loaded Scene
+    has none.
     """
-    from .synth import Scene  # local import to avoid a module cycle
-
     man = os.path.join(scene_dir, MANIFEST_NAME)
     k, channels, target_f, depth_f, labels_f, contexts = read_manifest(man)
 
@@ -331,6 +330,4 @@ def read_scene_dir(scene_dir):
         intrinsics=k,
         contexts=ctx,
         labels=labels,
-        geometry=None,
-        occluded=[],
     )

@@ -10,10 +10,13 @@ distance, or the L1 / BerHu depth error it is compared against):
 Each term exists once in private code: the photometric and smoothness
 terms as forward/backward pairs, the supervised term as one function with an
 optional gradient. `_objective` only validates its inputs, builds the depth
-pyramid and sums the terms. The public helpers (`photometric`, `min_photometric`, `automask`, `smoothness`,
-`reprojected_distance`, `baseline_l1`, `baseline_berhu`) validate their
-arguments and then call the same private functions, so what they compute is
-exactly what the optimizer minimizes.
+pyramid and sums the terms. The public entry points are `total_loss` and
+`total_loss_grad` (all terms, or the subset named in ``terms``),
+`unwarped_min_photometric` (the static-pixel mask's reference, constant
+during optimization) and `min_photometric` (the per-pixel minimum over
+sources and its argmin). Each validates its arguments and then calls the
+same private functions, so what it computes is exactly what the optimizer
+minimizes.
 
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
@@ -228,28 +231,6 @@ def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g):
     return db
 
 
-def ssim(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Per-pixel SSIM map in [-1, 1], per channel then channel-averaged; the
-    photometric term runs the same per-channel computation.
-
-    Window statistics are uniform over the 3x3 box, restricted to valid
-    pixels when a mask is given (read as bool, nonzero = valid; windows
-    shrink at image borders the same way); SSIM_C1 and SSIM_C2 stabilize
-    them.
-    """
-    a = warp.validate_image(a)
-    b = warp.validate_image(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"image shapes differ: {a.shape} vs {b.shape}")
-    m = np.ones(a.shape[:2]) if mask is None else np.asarray(mask, dtype=bool).astype(np.float64)
-    if m.shape != a.shape[:2]:
-        raise DimensionError(f"mask shape {m.shape} does not match image {a.shape}")
-    out = np.zeros(a.shape[:2])
-    for cache in _ssim_channels(a, b, m):
-        out += cache.ssim
-    return out / a.shape[2]
-
-
 class _PhotoCache(NamedTuple):
     target: np.ndarray
     synth: np.ndarray
@@ -259,6 +240,8 @@ class _PhotoCache(NamedTuple):
 
 
 def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _PhotoCache]:
+    """Per-source loss map alpha * (1 - SSIM) / 2 + (1 - alpha) * L1,
+    channel-averaged, with +inf at pixels outside the bool mask."""
     m = mask.astype(np.float64)
     channels = target.shape[2]
     loss = np.zeros(target.shape[:2])
@@ -394,26 +377,6 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
         d_poses[s, 3:] += g3.sum(axis=1)
 
 
-def photometric(
-    target: np.ndarray, synth: np.ndarray, mask: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Appearance-matching loss map: alpha*(1-SSIM)/2 + (1-alpha)*L1, the
-    per-source map of the objective's photometric term.
-
-    Channel-averaged; invalid pixels are set to +inf and must be excluded
-    from any reduction by the caller.
-    """
-    target = warp.validate_image(target)
-    synth = warp.validate_image(synth)
-    if target.shape != synth.shape:
-        raise DimensionError(f"image shapes differ: {target.shape} vs {synth.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != target.shape[:2]:
-        raise DimensionError(f"mask shape {mask.shape} does not match {target.shape}")
-    loss, _ = _photometric_forward(target, synth, mask, float(alpha))
-    return loss
-
-
 def _validate_context(target: np.ndarray, context: ContextSet) -> None:
     if len(context) == 0:
         raise EmptyContextError("context set is empty")
@@ -446,27 +409,6 @@ def min_photometric(
     return min_map, np.where(np.isfinite(min_map), argmin, -1)
 
 
-def automask(
-    target: np.ndarray,
-    context: ContextSet,
-    warped_losses: Sequence[np.ndarray],
-    unwarped_losses: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Static-pixel mask of the objective: keep pixels whose unwarped loss
-    strictly exceeds the warped one (both min-reduced over sources)."""
-    target = warp.validate_image(target)
-    _validate_context(target, context)
-    if len(warped_losses) != len(context) or len(unwarped_losses) != len(context):
-        raise DimensionError("loss stacks must have one map per context source")
-    shape = target.shape[:2]
-    for m in list(warped_losses) + list(unwarped_losses):
-        if np.asarray(m).shape != shape:
-            raise DimensionError(f"loss map shape {np.asarray(m).shape} != {shape}")
-    min_warped, _ = _min_over_sources(warped_losses)
-    min_unwarped, _ = _min_over_sources(unwarped_losses)
-    return _static_mask(min_unwarped, min_warped)
-
-
 def unwarped_min_photometric(
     target: np.ndarray, context: ContextSet, alpha: float
 ) -> np.ndarray:
@@ -475,7 +417,10 @@ def unwarped_min_photometric(
     target = warp.validate_image(target)
     _validate_context(target, context)
     ones = np.ones(target.shape[:2], dtype=bool)
-    min_map, _ = _min_over_sources([photometric(target, src, ones, alpha) for src, _ in context])
+    # context images get no other finiteness check
+    maps = [_photometric_forward(target, warp.validate_image(src), ones, float(alpha))[0]
+            for src, _ in context]
+    min_map, _ = _min_over_sources(maps)
     return min_map
 
 
@@ -508,8 +453,10 @@ def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
-    """edge_weights is _image_gradient_weights(target), which depends only
-    on the target image, so callers compute it once per evaluation."""
+    """Mean of |dx dhat| exp(-|dx I|) + |dy dhat| exp(-|dy I|) over pixels
+    with valid forward differences, dhat the mean-normalized disparity.
+    edge_weights is _image_gradient_weights(target), which depends only on
+    the target image, so callers compute it once per evaluation."""
     valid = depth > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
@@ -558,21 +505,6 @@ def _smoothness_backward(cache: _SmoothCache, depth: np.ndarray) -> np.ndarray:
     return np.where(valid, -d_disp * disp * disp, 0.0)
 
 
-def smoothness(depth: np.ndarray, target: np.ndarray) -> float:
-    """Edge-aware smoothness of mean-normalized disparity (forward
-    differences), the objective's smoothness term at one pyramid level.
-
-    Mean over interior pixels whose forward differences exist and are valid of
-    |dx dhat| * exp(-|dx I|) + |dy dhat| * exp(-|dy I|).
-    """
-    depth = np.asarray(depth, dtype=np.float64)
-    target = warp.validate_image(target)
-    if depth.shape != target.shape[:2]:
-        raise DimensionError(f"depth {depth.shape} does not match image {target.shape}")
-    value, _ = _smoothness_forward(depth, _image_gradient_weights(target))
-    return value
-
-
 def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Pixels holding both a label and a valid prediction."""
     if pred.shape != gt.shape:
@@ -584,7 +516,8 @@ def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def _rep_distance(pred, gt, pose, k, want_grad):
-    """Reprojected distance of float64 (H, W) rasters through one pose.
+    """Reprojected distance of float64 (H, W) rasters through one pose: the
+    mean pixel distance between projected predicted and true label points.
 
     Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
     pose parameters are None unless want_grad.
@@ -697,38 +630,6 @@ def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
             d_depth += scale * d_pred
             d_poses[s] += scale * d_pose6
     return value, count, dropped
-
-
-def reprojected_distance(
-    pred: np.ndarray,
-    gt_sparse: np.ndarray,
-    pose: PoseSE3,
-    k: CameraIntrinsics,
-) -> RepLoss:
-    """Mean image-space distance between projections of predicted and true
-    3-D points of each labeled pixel, as seen through the given pose; the
-    objective's supervised term averages it over the context poses."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt_sparse, dtype=np.float64)
-    if pred.shape != (k.height, k.width):
-        raise DimensionError(f"depth {pred.shape} does not match intrinsics")
-    rep, _, _ = _rep_distance(pred, gt, pose, k, want_grad=False)
-    return rep
-
-
-def baseline_l1(pred: np.ndarray, gt_sparse: np.ndarray) -> float:
-    """Mean absolute depth error over labeled pixels (the objective's
-    supervised term with supervised="l1")."""
-    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt_sparse, dtype=np.float64)
-    return _depth_error(pred, gt, "l1", want_grad=False)[0]
-
-
-def baseline_berhu(pred: np.ndarray, gt_sparse: np.ndarray) -> float:
-    """Reverse Huber over labeled pixels: |e| up to c, (e^2 + c^2) / (2c)
-    beyond, with c = 0.2 * max|e| (the objective's supervised term with
-    supervised="berhu")."""
-    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt_sparse, dtype=np.float64)
-    return _depth_error(pred, gt, "berhu", want_grad=False)[0]
 
 
 def _interp_taps(n_out: int, n_in: int):

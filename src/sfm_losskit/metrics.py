@@ -51,6 +51,17 @@ class DepthMetrics:
         )
 
 
+def check_range(min_depth: float, max_depth: float) -> None:
+    """ConfigError unless the evaluation range is finite with
+    0 <= min_depth <= max_depth."""
+    if not (math.isfinite(min_depth) and math.isfinite(max_depth)
+            and 0.0 <= min_depth <= max_depth):
+        raise ConfigError(
+            "evaluation range must be finite with 0 <= min_depth <= max_depth, "
+            f"got min_depth={min_depth}, max_depth={max_depth}"
+        )
+
+
 def evaluate(
     pred: np.ndarray,
     gt_depth: np.ndarray,
@@ -64,15 +75,9 @@ def evaluate(
     Ground-truth pixels outside [min_depth, max_depth] are excluded;
     predictions are clamped into that range before comparison. With median
     scaling enabled the prediction is first rescaled by median(gt)/median(pred)
-    over the selected pixels. The range must be finite with
-    0 <= min_depth <= max_depth (ConfigError otherwise).
+    over the selected pixels. The range must pass check_range.
     """
-    if not (math.isfinite(min_depth) and math.isfinite(max_depth)
-            and 0.0 <= min_depth <= max_depth):
-        raise ConfigError(
-            "evaluation range must be finite with 0 <= min_depth <= max_depth, "
-            f"got min_depth={min_depth}, max_depth={max_depth}"
-        )
+    check_range(min_depth, max_depth)
     pred = np.asarray(pred, dtype=np.float64)
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
     if pred.shape != gt_depth.shape:

@@ -207,7 +207,7 @@ class Scene:
     intrinsics: CameraIntrinsics
     contexts: list[tuple[np.ndarray, PoseSE3]]
     labels: SparseDepth
-    geometry: SceneGeometry | None = None  # None for scenes loaded from disk
+    # per context, target pixels hidden from it; empty when read from disk
     occluded: list[np.ndarray] = field(default_factory=list)
 
 
@@ -342,7 +342,6 @@ def make_scene(spec: SceneSpec) -> Scene:
         intrinsics=k,
         contexts=contexts,
         labels=labels,
-        geometry=geometry,
         occluded=occluded,
     )
 

@@ -435,6 +435,34 @@ class TestMalformedInput:
         code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")])
         assert_codec_error_exit(code, capsys, kind="ConfigError")
 
+    @pytest.mark.parametrize(
+        "which, pixels, bad",
+        [("pred", (2, 3), np.nan), ("pred", (2, 3), np.inf), ("pred", slice(None), np.nan),
+         ("gt", (2, 3), np.nan), ("gt", (2, 3), np.inf)],
+        ids=["pred-nan", "pred-inf", "pred-all-nan", "gt-nan", "gt-inf"],
+    )
+    def test_eval_non_finite_raster(self, tmp_path, capsys, which, pixels, bad):
+        rasters = {"gt": np.full((8, 10), 4.0, dtype=np.float32),
+                   "pred": np.full((8, 10), 4.5, dtype=np.float32)}
+        rasters[which][pixels] = bad
+        for name, raster in rasters.items():
+            io_codecs.write_pfm(tmp_path / f"{name}.pfm", raster)
+        code = cli.main(["eval", str(tmp_path / "pred.pfm"), str(tmp_path / "gt.pfm")])
+        assert_codec_error_exit(code, capsys)
+
+    @pytest.mark.parametrize("command", ["synth", "optimize"])
+    def test_out_names_existing_file(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = ["synth"] if command == "synth" else ["optimize", str(scene_dir)]
+        code = cli.main([*args, "--config", str(cfg), "--out", str(taken)])
+        assert_codec_error_exit(code, capsys, kind="FileExistsError")
+
     def test_eval_size_mismatch(self, tmp_path, capsys):
         gt_path, pred_path = tmp_path / "gt.pfm", tmp_path / "pred.pfm"
         io_codecs.write_pfm(gt_path, np.full((8, 10), 4.0, dtype=np.float32))

@@ -6,22 +6,21 @@ import pytest
 from sfm_losskit import losses, warp
 from sfm_losskit.errors import (
     DegenerateMaskError,
-    DimensionError,
     EmptyContextError,
     NoSupervisionError,
 )
 from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
 from sfm_losskit.losses import (
-    LossBreakdown,
     LossWeights,
-    automask,
-    baseline_berhu,
-    baseline_l1,
+    _depth_error,
+    _image_gradient_weights,
+    _min_over_sources,
+    _photometric_forward,
+    _rep_distance,
+    _smoothness_forward,
+    _ssim_channels,
+    _static_mask,
     min_photometric,
-    photometric,
-    reprojected_distance,
-    smoothness,
-    ssim,
     total_loss,
     total_loss_grad,
 )
@@ -62,32 +61,37 @@ def checkerboard(h, w):
 
 
 class TestSsim:
+    """The per-channel SSIM maps of _ssim_channels under a 0/1 float mask."""
+
     def test_identical_images_score_one(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 1, (8, 9, 3))
-        assert np.abs(ssim(img, img) - 1.0).max() < 1e-12
+        for cache in _ssim_channels(img, img, np.ones((8, 9))):
+            assert np.abs(cache.ssim - 1.0).max() < 1e-12
 
     def test_constant_images_score_one(self):
         a = np.full((6, 6, 1), 0.5)
-        assert np.abs(ssim(a, a.copy()) - 1.0).max() < 1e-12
+        s = _ssim_channels(a, a.copy(), np.ones((6, 6)))[0].ssim
+        assert np.abs(s - 1.0).max() < 1e-12
 
     def test_inverted_checkerboard_is_negative_inside(self):
         img = checkerboard(8, 8)
-        s = ssim(img, 1.0 - img)
+        s = _ssim_channels(img, 1.0 - img, np.ones((8, 8)))[0].ssim
         assert (s[1:-1, 1:-1] < 0).all()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(0, 1, (7, 8, 1))
         b = rng.uniform(0, 1, (7, 8, 1))
-        assert np.abs(ssim(a, b) - brute_force_ssim(a, b)).max() < 1e-12
+        s = _ssim_channels(a, b, np.ones((7, 8)))[0].ssim
+        assert np.abs(s - brute_force_ssim(a, b)).max() < 1e-12
 
     def test_masked_windows_match_brute_force(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(0, 1, (7, 8, 1))
         b = rng.uniform(0, 1, (7, 8, 1))
         mask = rng.uniform(size=(7, 8)) > 0.3
-        ours = ssim(a, b, mask=mask)
+        ours = _ssim_channels(a, b, mask.astype(np.float64))[0].ssim
         oracle = brute_force_ssim(a, b, mask=mask)
         assert np.abs((ours - oracle)[mask]).max() < 1e-12
 
@@ -95,12 +99,8 @@ class TestSsim:
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 1, (10, 10, 3))
         b = rng.uniform(0, 1, (10, 10, 3))
-        s = ssim(a, b)
-        assert (np.abs(s) <= 1.0 + 1e-12).all()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            ssim(np.zeros((4, 4, 1)), np.zeros((4, 5, 1)))
+        for cache in _ssim_channels(a, b, np.ones((10, 10))):
+            assert (np.abs(cache.ssim) <= 1.0 + 1e-12).all()
 
 
 class TestPhotometric:
@@ -108,13 +108,13 @@ class TestPhotometric:
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, (6, 7, 3))
         mask = np.ones((6, 7), bool)
-        loss = photometric(img, img.copy(), mask, 0.85)
+        loss = _photometric_forward(img, img.copy(), mask, 0.85)[0]
         assert np.abs(loss).max() < 1e-12
 
     def test_pure_l1_constant_images(self):
         a = np.full((5, 5, 1), 0.2)
         b = np.full((5, 5, 1), 0.7)
-        loss = photometric(a, b, np.ones((5, 5), bool), alpha=0.0)
+        loss = _photometric_forward(a, b, np.ones((5, 5), bool), alpha=0.0)[0]
         assert loss == pytest.approx(0.5)
 
     def test_matches_independent_two_term_evaluation(self):
@@ -123,10 +123,10 @@ class TestPhotometric:
         b = rng.uniform(0, 1, (6, 8, 3))
         mask = np.ones((6, 8), bool)
         alpha = 0.85
-        loss = photometric(a, b, mask, alpha)
+        loss = _photometric_forward(a, b, mask, alpha)[0]
         expected = np.zeros((6, 8))
         for c in range(3):
-            s = ssim(a[..., c : c + 1], b[..., c : c + 1])
+            s = _ssim_channels(a[..., c : c + 1], b[..., c : c + 1], np.ones((6, 8)))[0].ssim
             expected += alpha * np.clip((1 - s) / 2, 0, 1)
             expected += (1 - alpha) * np.abs(a[..., c] - b[..., c])
         expected /= 3
@@ -137,7 +137,7 @@ class TestPhotometric:
         a = rng.uniform(0, 1, (5, 5, 1))
         mask = np.ones((5, 5), bool)
         mask[1, 2] = False
-        loss = photometric(a, a.copy(), mask, 0.85)
+        loss = _photometric_forward(a, a.copy(), mask, 0.85)[0]
         assert np.isinf(loss[1, 2])
         assert np.isfinite(loss[mask]).all()
 
@@ -145,7 +145,7 @@ class TestPhotometric:
         a = np.zeros((6, 6, 1))
         b = np.ones((6, 6, 1))
         for alpha in (0.0, 0.5, 0.85, 1.0):
-            loss = photometric(a, b, np.ones((6, 6), bool), alpha)
+            loss = _photometric_forward(a, b, np.ones((6, 6), bool), alpha)[0]
             assert (loss <= alpha + (1 - alpha) + 1e-12).all()
 
     def test_window_count_shared_by_channels(self, monkeypatch):
@@ -192,7 +192,7 @@ class TestMinPhotometric:
         )
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         synth = warp.sample_bilinear(src, chain.coords, chain.valid)
-        direct = photometric(scene.target, synth, chain.valid, 0.85)
+        direct = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
         finite = np.isfinite(direct)
         assert (m[~finite] == np.inf).all() and (direct[~finite] == np.inf).all()
         assert np.isfinite(m[finite]).all()
@@ -222,7 +222,7 @@ class TestMinPhotometric:
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
             synth = warp.sample_bilinear(src, chain.coords, chain.valid)
-            single = photometric(scene.target, synth, chain.valid, 0.85)
+            single = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
             assert (m <= single + 1e-15).all()
 
     def test_occluded_region_uses_clean_source(self):
@@ -235,7 +235,7 @@ class TestMinPhotometric:
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
             synth = warp.sample_bilinear(src, chain.coords, chain.valid)
-            per_source.append(photometric(scene.target, synth, chain.valid, 0.85))
+            per_source.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
         m, argmin = min_photometric(
             scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
         )
@@ -260,19 +260,16 @@ class TestAutomask:
     def test_static_scene_masks_everything_out(self):
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 1, (8, 10, 1))
-        context = [(img.copy(), PoseSE3.identity())]
         ones = np.ones((8, 10), bool)
-        warped = [photometric(img, img.copy(), ones, 0.85)]
-        unwarped = [photometric(img, img.copy(), ones, 0.85)]
-        mask = automask(img, context, warped, unwarped)
-        assert not mask.any()
+        warped = _photometric_forward(img, img.copy(), ones, 0.85)[0]
+        unwarped = _photometric_forward(img, img.copy(), ones, 0.85)[0]
+        assert not _static_mask(unwarped, warped).any()
 
     def test_texture_free_images_mask_false(self):
         img = np.full((6, 6, 1), 0.4)
-        context = [(img.copy(), PoseSE3.identity())]
         ones = np.ones((6, 6), bool)
-        loss = photometric(img, img.copy(), ones, 0.85)
-        assert not automask(img, context, [loss], [loss]).any()
+        loss = _photometric_forward(img, img.copy(), ones, 0.85)[0]
+        assert not _static_mask(loss, loss).any()
 
     def test_parallax_scene_keeps_textured_pixels(self):
         scene = small_scene(width=64, height=48)
@@ -282,16 +279,16 @@ class TestAutomask:
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
             synth = warp.sample_bilinear(src, chain.coords, chain.valid)
-            warped.append(photometric(scene.target, synth, chain.valid, 0.85))
-            unwarped.append(photometric(scene.target, src, ones, 0.85))
-        mask = automask(scene.target, scene.contexts, warped, unwarped)
+            warped.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
+            unwarped.append(_photometric_forward(scene.target, src, ones, 0.85)[0])
+        mask = _static_mask(_min_over_sources(unwarped)[0], _min_over_sources(warped)[0])
         assert mask.mean() > 0.9
 
 
 class TestSmoothness:
     def test_constant_depth_is_zero(self):
-        img = np.full((8, 8, 1), 0.3)
-        assert smoothness(np.full((8, 8), 5.0), img) == 0.0
+        weights = _image_gradient_weights(np.full((8, 8, 1), 0.3))
+        assert _smoothness_forward(np.full((8, 8), 5.0), weights)[0] == 0.0
 
     def test_linear_ramp_closed_form(self):
         h, w = 10, 12
@@ -300,7 +297,8 @@ class TestSmoothness:
         disp = 1.0 / depth
         dhat = disp / disp.mean()
         expected = np.abs(np.diff(dhat, axis=1))[: h - 1, :].mean()
-        assert smoothness(depth, img) == pytest.approx(expected, rel=1e-12)
+        value = _smoothness_forward(depth, _image_gradient_weights(img))[0]
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_image_edge_suppresses_depth_step(self):
         h, w = 8, 12
@@ -310,30 +308,26 @@ class TestSmoothness:
         edged = flat.copy()
         g = 0.4
         edged[:, w // 2 :, 0] += g  # hard image edge collocated with the step
-        loss_flat = smoothness(depth, flat)
-        loss_edged = smoothness(depth, edged)
+        loss_flat = _smoothness_forward(depth, _image_gradient_weights(flat))[0]
+        loss_edged = _smoothness_forward(depth, _image_gradient_weights(edged))[0]
         assert loss_edged == pytest.approx(loss_flat * math.exp(-g), rel=1e-12)
 
     def test_scale_invariance_of_normalized_disparity(self):
         rng = np.random.default_rng(8)
         depth = rng.uniform(3, 12, (9, 9))
-        img = rng.uniform(0, 1, (9, 9, 1))
-        a = smoothness(depth, img)
-        b = smoothness(3.7 * depth, img)
+        weights = _image_gradient_weights(rng.uniform(0, 1, (9, 9, 1)))
+        a = _smoothness_forward(depth, weights)[0]
+        b = _smoothness_forward(3.7 * depth, weights)[0]
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            smoothness(np.ones((4, 4)), np.zeros((5, 4, 1)))
 
 
 class TestReprojectedDistance:
     def test_pred_equals_gt_is_zero(self):
         scene = small_scene()
         _, pose = scene.contexts[0]
-        out = reprojected_distance(
-            scene.gt_depth, scene.labels.depth, pose, scene.intrinsics
-        )
+        out = _rep_distance(
+            scene.gt_depth, scene.labels.depth, pose, scene.intrinsics, want_grad=False
+        )[0]
         assert out.value == 0.0
         assert out.count == scene.labels.n_labels
 
@@ -343,7 +337,7 @@ class TestReprojectedDistance:
         gt[0, 0] = 2.0
         pred = np.full((4, 4), 4.0)
         pose = PoseSE3(translation=(1.0, 0.0, 0.0))
-        out = reprojected_distance(pred, gt, pose, k)
+        out = _rep_distance(pred, gt, pose, k, want_grad=False)[0]
         # pi(T*(4,0,0,1)-ray) = 1/4 + 0 = 0.25 ; pi with d=2 -> 0.5
         assert out.value == pytest.approx(0.25, abs=1e-15)
         assert out.count == 1
@@ -351,9 +345,9 @@ class TestReprojectedDistance:
     def test_identity_pose_is_zero_for_any_prediction(self):
         scene = small_scene()
         pred = scene.gt_depth * 3.1
-        out = reprojected_distance(
-            pred, scene.labels.depth, PoseSE3.identity(), scene.intrinsics
-        )
+        out = _rep_distance(
+            pred, scene.labels.depth, PoseSE3.identity(), scene.intrinsics, want_grad=False
+        )[0]
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
     def test_depth_weighting_decreases_with_distance(self):
@@ -366,15 +360,15 @@ class TestReprojectedDistance:
             gt[1, 1] = d
             pred = np.zeros((4, 4))
             pred[1, 1] = 1.2 * d
-            values.append(reprojected_distance(pred, gt, pose, k).value)
+            values.append(_rep_distance(pred, gt, pose, k, want_grad=False)[0].value)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_no_labels_raises(self):
         scene = small_scene()
         with pytest.raises(NoSupervisionError):
-            reprojected_distance(
+            _rep_distance(
                 scene.gt_depth, np.zeros_like(scene.gt_depth),
-                scene.contexts[0][1], scene.intrinsics,
+                scene.contexts[0][1], scene.intrinsics, want_grad=False,
             )
 
     def test_behind_camera_labels_dropped(self):
@@ -384,7 +378,7 @@ class TestReprojectedDistance:
         gt[1, 1] = 5.0
         pred = np.where(gt > 0, gt * 1.1, 0.0)
         pose = PoseSE3(translation=(0.0, 0.0, -2.0))  # pulls near labels behind
-        out = reprojected_distance(pred, gt, pose, k)
+        out = _rep_distance(pred, gt, pose, k, want_grad=False)[0]
         assert out.count == 1
         assert out.dropped == 1
 
@@ -392,30 +386,30 @@ class TestReprojectedDistance:
 class TestBaselines:
     def test_zero_error(self):
         gt = np.array([[1.0, 2.0], [0.0, 3.0]])
-        assert baseline_l1(gt, gt) == 0.0
-        assert baseline_berhu(gt, gt) == 0.0
+        assert _depth_error(gt, gt, "l1", want_grad=False)[0] == 0.0
+        assert _depth_error(gt, gt, "berhu", want_grad=False)[0] == 0.0
 
     def test_l1_single_error(self):
         gt = np.array([[2.0, 0.0]])
         pred = np.array([[7.0, 0.5]])
-        assert baseline_l1(pred, gt) == pytest.approx(5.0)
+        assert _depth_error(pred, gt, "l1", want_grad=False)[0] == pytest.approx(5.0)
 
     def test_berhu_hand_computed_branches(self):
         gt = np.array([[1.0, 1.0]])
         pred = np.array([[2.0, 11.0]])  # errors 1 and 10, c = 0.2 * 10 = 2
         expected = (1.0 + (100 + 4) / 4.0) / 2.0
-        assert baseline_berhu(pred, gt) == pytest.approx(expected)
+        assert _depth_error(pred, gt, "berhu", want_grad=False)[0] == pytest.approx(expected)
 
     def test_berhu_default_threshold(self):
         gt = np.array([[1.0, 1.0]])
         pred = np.array([[2.0, 6.0]])  # errors 1, 5 -> c = 1
         c = 0.2 * 5.0
         expected = ((1.0**2 + c * c) / (2 * c) + (25 + c * c) / (2 * c)) / 2.0
-        assert baseline_berhu(pred, gt) == pytest.approx(expected)
+        assert _depth_error(pred, gt, "berhu", want_grad=False)[0] == pytest.approx(expected)
 
     def test_empty_overlap(self):
         with pytest.raises(NoSupervisionError):
-            baseline_l1(np.zeros((2, 2)), np.zeros((2, 2)))
+            _depth_error(np.zeros((2, 2)), np.zeros((2, 2)), "l1", want_grad=False)
 
 
 def scaled_contexts(contexts, s):
@@ -502,12 +496,13 @@ class TestTotalLoss:
         scene = small_scene()
         w = LossWeights(lambda_rep=1.0)
         pred = scene.gt_depth * 1.3
-        for mode, oracle in (("l1", baseline_l1), ("berhu", baseline_berhu)):
+        for mode in ("l1", "berhu"):
             bd = total_loss(
                 scene.target, scene.contexts, pred, scene.intrinsics, w,
                 labels=scene.labels.depth, supervised=mode,
             )
-            assert bd.rep == pytest.approx(oracle(pred, scene.labels.depth), rel=1e-12)
+            oracle = _depth_error(pred, scene.labels.depth, mode, want_grad=False)[0]
+            assert bd.rep == pytest.approx(oracle, rel=1e-12)
 
 
 class TestTotalLossGrad:
@@ -585,8 +580,7 @@ def nine_shift_box_sum(x):
 
 
 class TestBoxSum:
-    @pytest.mark.parametrize("shape", [(7, 9), (12, 5), (2, 5)],
-                             ids=["1-shape0", "1-shape1", "1-shape2"])
+    @pytest.mark.parametrize("shape", [(7, 9), (12, 5), (2, 5)])
     def test_window_local_self_adjoint_and_matches_reference(self, shape):
         rng = np.random.default_rng(20)
         x = rng.uniform(-1, 1, shape)
@@ -614,7 +608,6 @@ class TestBoxSum:
             # outside the pixel's window the outputs are bit-identical
             assert not changed[~window].any()
             assert changed[window].all()
-
 
 
 def same_bits(a, b):
@@ -686,15 +679,13 @@ class TestContiguousKernels:
         # widths and heights of 1: a flat shift then wraps whole rows where
         # the column-view slices are empty
         [(2, 2), (2, 9), (9, 2), (7, 11), (13, 5), (1, 6), (6, 1), (5, 3), (3, 3), (1, 1)],
-        ids=[f"shape{i}-1" for i in range(10)],
     )
     def test_box_sum_matches_column_views(self, shape):
         x = np.random.default_rng(sum(shape) + 1).uniform(-1, 1, shape)
         assert same_bits(losses._box_sum(x), column_view_box_sum(x))
 
-    @pytest.mark.parametrize("seed", [1])
-    def test_box_sum_of_non_contiguous_input(self, seed):
-        rgb = np.random.default_rng(seed).uniform(0, 1, (9, 14, 3))
+    def test_box_sum_of_non_contiguous_input(self):
+        rgb = np.random.default_rng(1).uniform(0, 1, (9, 14, 3))
         for x in (rgb[..., 1], rgb[::2, ::3, 0], rgb[..., 2].T):
             assert not x.flags.c_contiguous
             assert same_bits(losses._box_sum(x), column_view_box_sum(x))
@@ -748,7 +739,7 @@ class TestContiguousKernels:
             # the objective passes the warp chain's mask without a copy, so
             # the term must only read it: a write into it raises
             mask.setflags(write=False)
-            loss = photometric(target, synth, mask, 0.85)
+            loss = _photometric_forward(target, synth, mask, 0.85)[0]
             assert np.isposinf(loss[~mask]).all() and np.isfinite(loss[mask]).all()
 
 

@@ -9,6 +9,7 @@ from sfm_losskit.geometry import PoseSE3, warp_chain
 from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
     SceneSpec,
+    _build_geometry,
     _noise_texture,
     make_scene,
     render_view,
@@ -20,7 +21,7 @@ def photometric_consistency(scene, ctx_index, alpha=0.85):
     chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
     synth = warp.sample_bilinear(src, chain.coords, chain.valid)
     mask = chain.valid
-    loss = losses.photometric(scene.target, synth, mask, alpha)
+    loss = losses._photometric_forward(scene.target, synth, mask, alpha)[0]
     if scene.occluded:
         mask = mask & ~scene.occluded[ctx_index]
     return loss[mask].mean()
@@ -94,7 +95,8 @@ class TestRenderView:
     def test_identity_pose_renders_target(self):
         spec = SceneSpec(width=48, height=40, seed=4, beams=0)
         scene = make_scene(spec)
-        again = render_view(scene.geometry, PoseSE3.identity(), scene.intrinsics)
+        geometry = _build_geometry(spec, spec.intrinsics())
+        again = render_view(geometry, PoseSE3.identity(), scene.intrinsics)
         assert np.abs(again - scene.target).max() == 0.0
 
     def test_warp_consistency_ground_truth(self):
@@ -125,7 +127,7 @@ class TestRenderView:
                          seed=8, beams=0, texture_cycles=0.02)
         scene = make_scene(spec)
         pose = PoseSE3(rotation=(0.0, np.radians(2.0), 0.0))
-        view = render_view(scene.geometry, pose, scene.intrinsics)
+        view = render_view(_build_geometry(spec, spec.intrinsics()), pose, scene.intrinsics)
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
