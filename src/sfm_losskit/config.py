@@ -4,9 +4,10 @@ Config files hold ``section.key = value`` lines (``#`` starts a comment).
 Bare keys are accepted as shorthand for the scene section, so plain scene
 files (``geometry = plane``) parse too. Command-line ``--section.key=value``
 flags override file values, which override defaults. Each section's keys
-and value types are the fields of its dataclass (SceneSpec plus ppm_maxval,
-LossWeights, OptimConfig without weights, DecimationSpec). Unknown keys are
-rejected and every numeric range is validated at parse time.
+and value types are the fields of its dataclass: the three sections are
+scene (SceneSpec), weights (LossWeights) and optimizer (OptimConfig without
+weights). Unknown keys are rejected and every numeric range is validated at
+parse time.
 
 Seeds are mandatory: a config used to synthesize must set scene.seed and a
 config used to optimize must set optimizer.seed. Nothing is ever seeded
@@ -20,7 +21,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .losses import LossWeights
 from .optimize import OptimConfig
-from .supervision import DecimationSpec
 from .synth import SceneSpec
 
 
@@ -31,10 +31,9 @@ def _schema(cls, skip=()) -> dict[str, str]:
 
 # section -> {key: value type}
 _SECTIONS = {
-    "scene": {**_schema(SceneSpec), "ppm_maxval": "int"},
+    "scene": _schema(SceneSpec),
     "weights": _schema(LossWeights),
     "optimizer": _schema(OptimConfig, skip={"weights"}),
-    "decimation": _schema(DecimationSpec),
 }
 
 _PARSERS = {"int": int, "float": float, "str": str}
@@ -44,8 +43,6 @@ _PARSERS = {"int": int, "float": float, "str": str}
 class RunConfig:
     scene: SceneSpec
     optimizer: OptimConfig
-    decimation: DecimationSpec | None
-    ppm_maxval: int = 65535
     provided: frozenset = frozenset()
 
     def require(self, *keys: str) -> None:
@@ -74,34 +71,17 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
             raise ConfigError(f"{section}.{key}: cannot parse {value!r}") from exc
 
     try:
-        ppm_maxval = by_section["scene"].pop("ppm_maxval", 65535)
-        if ppm_maxval not in (255, 65535):
-            raise ConfigError(f"scene.ppm_maxval must be 255 or 65535, got {ppm_maxval}")
         scene = SceneSpec(**by_section["scene"])
         scene.validate()
         weights = LossWeights(**by_section["weights"])
         optimizer = OptimConfig(weights=weights, **by_section["optimizer"])
-        decimation = None
-        if by_section["decimation"]:
-            decimation = DecimationSpec(
-                keep_beams=by_section["decimation"].get("keep_beams", 0),
-                offset=by_section["decimation"].get("offset", 0),
-            )
-            if decimation.keep_beams < 1:
-                raise ConfigError("decimation.keep_beams must be >= 1")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     provided = frozenset(
         dotted if "." in dotted else f"scene.{dotted}" for dotted in pairs
     )
-    return RunConfig(
-        scene=scene,
-        optimizer=optimizer,
-        decimation=decimation,
-        ppm_maxval=ppm_maxval,
-        provided=provided,
-    )
+    return RunConfig(scene=scene, optimizer=optimizer, provided=provided)
 
 
 def read_config_file(path) -> dict[str, str]:

@@ -2,9 +2,10 @@
 scene-directory layout used by the command-line tools.
 
 PFM streams are little-endian float32 (scale header -1.0) with the standard
-bottom-to-top row order. PPM is binary P6 with maxval 255 (1 byte/sample) or
-65535 (2 bytes/sample, big-endian); single-channel images are written with
-the gray value replicated over R, G, B.
+bottom-to-top row order. PPM is binary P6: written with maxval 65535 (2
+bytes/sample, big-endian), read with maxval 65535 or 255 (1 byte/sample, as
+other tools write it); single-channel images are written with the gray value
+replicated over R, G, B.
 
 Sparse labels travel as one 3-channel PFM: channel 0 holds the label depth
 (0 = no label), channel 1 the beam id (-1 = none), channel 2 the constant
@@ -19,7 +20,7 @@ import stat
 
 import numpy as np
 
-from .errors import CodecError, ConfigError, DimensionError
+from .errors import CodecError, DimensionError
 from .geometry import CameraIntrinsics, PoseSE3
 from .supervision import SparseDepth
 from .synth import Scene
@@ -63,19 +64,17 @@ def read_pfm(path) -> np.ndarray:
     return np.array(data[::-1], dtype=np.float32)
 
 
-def write_ppm(path, img: np.ndarray, maxval: int = 65535) -> None:
-    if maxval not in (255, 65535):
-        raise ConfigError(f"PPM maxval must be 255 or 65535, got {maxval}")
+def write_ppm(path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] not in (1, 3):
         raise DimensionError(f"PPM expects (H, W, C) with C in {{1, 3}}, got {img.shape}")
     if img.shape[2] == 1:
         img = np.repeat(img, 3, axis=2)
-    levels = np.clip(np.rint(img * maxval), 0, maxval)
-    payload = levels.astype(">u2" if maxval == 65535 else "u1").tobytes()
+    levels = np.clip(np.rint(img * 65535), 0, 65535)
+    payload = levels.astype(">u2").tobytes()
     h, w = img.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
         fh.write(payload)
 
 
@@ -168,7 +167,11 @@ def write_labels_pfm(path, labels: SparseDepth) -> None:
 
 
 def read_labels_pfm(path) -> SparseDepth:
-    data = read_pfm(path)
+    return unpack_labels(path, read_pfm(path))
+
+
+def unpack_labels(path, data: np.ndarray) -> SparseDepth:
+    """Check the raster of a label PFM read from ``path`` and unpack it."""
     if data.ndim != 3:
         raise CodecError(f"{path}: label PFM must be 3-channel")
     # before any cast: a NaN or inf value, a fractional beam id or beam count,
@@ -269,16 +272,16 @@ def read_manifest(path):
         raise CodecError(f"{path}: {exc}") from exc
 
 
-def write_scene_dir(out_dir, scene, ppm_maxval: int = 65535) -> None:
+def write_scene_dir(out_dir, scene) -> None:
     """Write a scene as PPM/PFM files plus a manifest into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    write_ppm(os.path.join(out_dir, "target.ppm"), scene.target, ppm_maxval)
+    write_ppm(os.path.join(out_dir, "target.ppm"), scene.target)
     write_pfm(os.path.join(out_dir, "depth.pfm"), scene.gt_depth)
     write_labels_pfm(os.path.join(out_dir, "labels.pfm"), scene.labels)
     ctx_entries = []
     for i, (img, pose) in enumerate(scene.contexts):
         name = f"context_{i:02d}.ppm"
-        write_ppm(os.path.join(out_dir, name), img, ppm_maxval)
+        write_ppm(os.path.join(out_dir, name), img)
         ctx_entries.append((name, pose))
     write_manifest(
         os.path.join(out_dir, MANIFEST_NAME),

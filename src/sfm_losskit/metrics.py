@@ -1,19 +1,19 @@
-"""Standard depth-evaluation metrics (abs rel, sq rel, RMSE, deltas)."""
+"""Standard depth-evaluation metrics (abs rel, sq rel, RMSE, deltas) over
+the fixed street-scene range of 0.1-80 m."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NoSupervisionError
+from .errors import DimensionError, NoSupervisionError
 
 CSV_HEADER = "abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,n_pixels,scale"
 
-# De-facto evaluation clamp range for street scenes; configurable per call.
-DEFAULT_MIN_DEPTH = 0.1
-DEFAULT_MAX_DEPTH = 80.0
+# De-facto evaluation clamp range for street scenes
+MIN_DEPTH = 0.1
+MAX_DEPTH = 80.0
 
 
 @dataclass(frozen=True)
@@ -51,38 +51,24 @@ class DepthMetrics:
         )
 
 
-def check_range(min_depth: float, max_depth: float) -> None:
-    """ConfigError unless the evaluation range is finite with
-    0 <= min_depth <= max_depth."""
-    if not (math.isfinite(min_depth) and math.isfinite(max_depth)
-            and 0.0 <= min_depth <= max_depth):
-        raise ConfigError(
-            "evaluation range must be finite with 0 <= min_depth <= max_depth, "
-            f"got min_depth={min_depth}, max_depth={max_depth}"
-        )
-
-
 def evaluate(
     pred: np.ndarray,
     gt_depth: np.ndarray,
-    min_depth: float = DEFAULT_MIN_DEPTH,
-    max_depth: float = DEFAULT_MAX_DEPTH,
     use_median_scaling: bool = False,
 ) -> DepthMetrics:
     """Compare a predicted depth map against a ground-truth raster of the
     same (H, W) shape, in which 0 marks a pixel without a label.
 
-    Ground-truth pixels outside [min_depth, max_depth] are excluded;
+    Ground-truth pixels outside [MIN_DEPTH, MAX_DEPTH] are excluded;
     predictions are clamped into that range before comparison. With median
     scaling enabled the prediction is first rescaled by median(gt)/median(pred)
-    over the selected pixels. The range must pass check_range.
+    over the selected pixels.
     """
-    check_range(min_depth, max_depth)
     pred = np.asarray(pred, dtype=np.float64)
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
     if pred.shape != gt_depth.shape:
         raise DimensionError(f"pred {pred.shape} does not match gt {gt_depth.shape}")
-    select = (gt_depth > 0) & (gt_depth >= min_depth) & (gt_depth <= max_depth) & (pred > 0)
+    select = (gt_depth >= MIN_DEPTH) & (gt_depth <= MAX_DEPTH) & (pred > 0)
     if not select.any():
         raise NoSupervisionError("no overlapping pixel in the evaluation range")
 
@@ -95,7 +81,7 @@ def evaluate(
             raise NoSupervisionError("non-positive median prediction")
         scale = float(np.median(g)) / med_p
         p = p * scale
-    p = np.clip(p, min_depth, max_depth)
+    p = np.clip(p, MIN_DEPTH, MAX_DEPTH)
 
     ratio = np.maximum(g / p, p / g)
     diff = p - g

@@ -42,41 +42,21 @@ class SparseDepth:
         return int((self.depth > 0).sum())
 
 
-@dataclass(frozen=True)
-class DecimationSpec:
-    """Keep ``keep_beams`` equally spaced beams, the top one shifted by
-    ``offset`` rows of the beam grid."""
-
-    keep_beams: int
-    offset: int = 0
-
-    def validate(self, num_beams: int) -> int:
-        """Check against a sensor's beam count; returns the beam stride."""
-        if self.keep_beams < 1 or num_beams % self.keep_beams:
-            raise ConfigError(
-                f"keep_beams={self.keep_beams} must divide num_beams={num_beams}"
-            )
-        stride = num_beams // self.keep_beams
-        if stride & (stride - 1):
-            raise ConfigError(
-                f"num_beams/keep_beams={stride} must be a power of two"
-            )
-        if not 0 <= self.offset < stride:
-            raise ConfigError(
-                f"offset={self.offset} must be in [0, {stride}) for keep_beams={self.keep_beams}"
-            )
-        return stride
-
-
-def decimate(labels: SparseDepth, spec: DecimationSpec) -> SparseDepth:
-    """Retain exactly the labels whose beam id is ``offset`` modulo the
-    beam stride; everything else is zeroed. num_beams is unchanged."""
-    stride = spec.validate(labels.num_beams)
-    keep = (labels.beam_id >= 0) & (labels.beam_id % stride == spec.offset)
+def decimate(labels: SparseDepth, keep_beams: int) -> SparseDepth:
+    """Keep ``keep_beams`` equally spaced beams, the top one included: the
+    labels whose beam id is a multiple of the beam stride num_beams //
+    keep_beams; everything else is zeroed. num_beams is unchanged."""
+    num_beams = labels.num_beams
+    if keep_beams < 1 or num_beams % keep_beams:
+        raise ConfigError(f"keep_beams={keep_beams} must divide num_beams={num_beams}")
+    stride = num_beams // keep_beams
+    if stride & (stride - 1):
+        raise ConfigError(f"num_beams/keep_beams={stride} must be a power of two")
+    keep = (labels.beam_id >= 0) & (labels.beam_id % stride == 0)
     return SparseDepth(
         depth=np.where(keep, labels.depth, 0.0),
         beam_id=np.where(keep, labels.beam_id, -1),
-        num_beams=labels.num_beams,
+        num_beams=num_beams,
     )
 
 

@@ -46,7 +46,6 @@ class SceneSpec:
     strip_max: float = -0.5
     slant: float = 0.0
     baseline: float = 0.5
-    baseline_z: float = 0.0
     rotation: float = 0.0
     seed: int = 0
     beams: int = 16
@@ -240,7 +239,7 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
         (k.width - 1 - k.cx) / k.fx, k.cx / k.fx,
         (k.height - 1 - k.cy) / k.fy, k.cy / k.fy,
     )
-    motion = abs(spec.baseline) + abs(spec.baseline_z) + 1.0
+    motion = abs(spec.baseline) + 1.0
 
     def _texture(depth_hint: float, seed_shift: int) -> _Texture:
         spacing = depth_hint / k.fx
@@ -283,7 +282,7 @@ def _context_poses(spec: SceneSpec) -> list[PoseSE3]:
         poses.append(
             PoseSE3(
                 rotation=(0.0, sign * ry, 0.0),
-                translation=(sign * spec.baseline, 0.0, sign * spec.baseline_z),
+                translation=(sign * spec.baseline, 0.0, 0.0),
             )
         )
     return poses

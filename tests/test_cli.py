@@ -55,11 +55,15 @@ class TestPfmCodec:
 class TestPpmCodec:
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_round_trip_representable_levels(self, tmp_path, maxval):
+        # write_ppm writes 16-bit files; 8-bit ones come from other tools
         rng = np.random.default_rng(2)
         levels = rng.integers(0, maxval + 1, (9, 7, 3))
         img = levels / maxval
         path = tmp_path / "x.ppm"
-        io_codecs.write_ppm(path, img, maxval)
+        if maxval == 255:
+            path.write_bytes(b"P6\n7 9\n255\n" + levels.astype("u1").tobytes())
+        else:
+            io_codecs.write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert (back == img).all()
 
@@ -68,21 +72,23 @@ class TestPpmCodec:
         levels = np.arange(65536, dtype=np.float64).reshape(256, 256)
         img = np.repeat((levels / 65535)[..., None], 3, axis=2)
         path = tmp_path / "sweep.ppm"
-        io_codecs.write_ppm(path, img, 65535)
+        io_codecs.write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert (back == img).all()
 
     def test_gray_images_replicate_channels(self, tmp_path):
         img = np.random.default_rng(3).uniform(0, 1, (5, 6, 1))
         path = tmp_path / "g.ppm"
-        io_codecs.write_ppm(path, img, 255)
+        io_codecs.write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert back.shape == (5, 6, 3)
         assert (back[..., 0] == back[..., 1]).all()
 
     def test_invalid_maxval(self, tmp_path):
-        with pytest.raises(ConfigError):
-            io_codecs.write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 1)), 1023)
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n2 2\n1023\n" + bytes(24))
+        with pytest.raises(CodecError, match="unsupported maxval 1023"):
+            io_codecs.read_ppm(path)
 
 
 class TestLabelsCodec:
@@ -174,7 +180,7 @@ class TestCommands:
         assert labels.n_labels == 4
 
     def test_decimate_counting_oracle(self, tmp_path, capsys):
-        from sfm_losskit.supervision import DecimationSpec, decimate
+        from sfm_losskit.supervision import decimate
 
         scene = make_scene(SceneSpec(width=64, height=96, seed=6, beams=32, px_per_beam=10))
         src = tmp_path / "labels.pfm"
@@ -182,7 +188,7 @@ class TestCommands:
         out = tmp_path / "labels4.pfm"
         assert cli.main(["decimate", str(src), "--keep", "4", "--out", str(out)]) == 0
         back = io_codecs.read_labels_pfm(out)
-        oracle = decimate(scene.labels, DecimationSpec(keep_beams=4))
+        oracle = decimate(scene.labels, 4)
         assert back.n_labels == oracle.n_labels
         assert (back.depth == oracle.depth.astype(np.float32)).all()
 
@@ -205,6 +211,22 @@ class TestCommands:
         row = [float(v) for v in lines[1].split(",")]
         assert row[0] == 0.0 and row[4] == 1.0 and row[6] == 1.0
 
+    def test_eval_reads_each_raster_once(self, tmp_path, capsys, monkeypatch):
+        scene = make_scene(SceneSpec(width=48, height=40, seed=7, beams=8))
+        gt_path, pred_path = tmp_path / "labels.pfm", tmp_path / "pred.pfm"
+        io_codecs.write_labels_pfm(gt_path, scene.labels)
+        io_codecs.write_pfm(pred_path, scene.gt_depth.astype(np.float32))
+        reads = []
+        read_pfm = io_codecs.read_pfm
+
+        def counting_read_pfm(path):
+            reads.append(os.path.basename(path))
+            return read_pfm(path)
+
+        monkeypatch.setattr(io_codecs, "read_pfm", counting_read_pfm)
+        assert cli.main(["eval", str(pred_path), str(gt_path)]) == 0
+        assert sorted(reads) == ["labels.pfm", "pred.pfm"]
+
     def test_eval_accepts_plain_depth_gt(self, tmp_path, capsys):
         scene = make_scene(SceneSpec(width=48, height=40, seed=7, beams=8))
         gt_path = tmp_path / "gt.pfm"
@@ -219,26 +241,19 @@ class TestCommands:
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
         code = cli.main(
-            ["gradcheck", "--config", str(cfg), "--scenes", "1",
-             "--n-samples", "200", "--terms", "rep"]
+            ["gradcheck", "--config", str(cfg), "--n-samples", "200", "--terms", "rep"]
         )
         assert code == 0
         assert "result=PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [
-            ("--h", "nan", "finite-difference step h must be positive and finite, got nan"),
-            ("--tol", "nan", "tol must be nonnegative and finite, got nan"),
-            ("--n-samples", "-3", "n_samples must be nonnegative, got -3"),
-            ("--scenes", "0", "--scenes must be at least 1, got 0"),
-            ("--scenes", "-2", "--scenes must be at least 1, got -2"),
-        ],
+        [("--n-samples", "-3", "n_samples must be nonnegative, got -3")],
     )
     def test_gradcheck_invalid_argument(self, tmp_path, capsys, flag, value, message):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
-        code = cli.main(["gradcheck", "--config", str(cfg), "--scenes", "1", flag, value])
+        code = cli.main(["gradcheck", "--config", str(cfg), flag, value])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"sfm-losskit: error: ConfigError: {message}"]
@@ -331,6 +346,37 @@ class TestCommands:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["optimize", "scene"], "the following arguments are required: --config, --out"),
+            (["decimate", "labels.pfm", "--keep", "abc", "--out", "kept.pfm"],
+             "argument --keep: invalid int value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            # flags match only when spelled in full: --o is no --out
+            (["decimate", "labels.pfm", "--keep", "4", "--o", "kept.pfm"],
+             "the following arguments are required: --out"),
+            # nor --n an --n-samples
+            (["gradcheck", "--config", "run.cfg", "--n", "2"],
+             "unrecognized argument '--n' (expected --section.key=value)"),
+        ],
+        ids=["missing-flag", "non-integer", "unknown-command", "prefix-o", "prefix-n"],
+    )
+    def test_argument_error_exit_1(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"sfm-losskit: error: ConfigError: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gradcheck", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sfm-losskit")
+
+
 def assert_codec_error_exit(code, capsys, kind="CodecError"):
     """Exit 1 with the one-line error message of ``kind`` and no traceback."""
     assert code == 1
@@ -349,26 +395,6 @@ class TestMalformedInput:
         pred = tmp_path / "pred.pfm"
         pred.write_bytes(b"Pf\n-2 -2\n-1.0\n" + bytes(16))
         assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--max-depth", "inf"],  # the inf prediction pixel survives the clamp
-            ["--min-depth", "nan"],
-            ["--max-depth", "nan"],
-            ["--min-depth", "-1"],
-            ["--min-depth", "5", "--max-depth", "1"],  # inverted range
-        ],
-    )
-    def test_eval_invalid_depth_range(self, tmp_path, capsys, flags):
-        gt = np.full((8, 10), 4.0, dtype=np.float32)
-        pred = gt.copy()
-        pred[2, 3] = np.inf
-        gt_path, pred_path = tmp_path / "gt.pfm", tmp_path / "pred.pfm"
-        io_codecs.write_pfm(gt_path, gt)
-        io_codecs.write_pfm(pred_path, pred)
-        code = cli.main(["eval", str(pred_path), str(gt_path), *flags])
-        assert_codec_error_exit(code, capsys, kind="ConfigError")
 
     @pytest.mark.parametrize(
         "key, index, token",
@@ -438,10 +464,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "which, pixels, bad",
         [("pred", (2, 3), np.nan), ("pred", (2, 3), np.inf), ("pred", slice(None), np.nan),
-         ("gt", (2, 3), np.nan), ("gt", (2, 3), np.inf)],
-        ids=["pred-nan", "pred-inf", "pred-all-nan", "gt-nan", "gt-inf"],
+         ("gt", (2, 3), np.nan), ("gt", (2, 3), np.inf),
+         ("pred", (2, 3), -1.0), ("pred", (2, 3), 0.0), ("pred", slice(None), 0.0)],
+        ids=["pred-nan", "pred-inf", "pred-all-nan", "gt-nan", "gt-inf",
+             "pred-negative", "pred-zero", "pred-all-zero"],
     )
     def test_eval_non_finite_raster(self, tmp_path, capsys, which, pixels, bad):
+        # a predicted depth must be positive as well as finite
         rasters = {"gt": np.full((8, 10), 4.0, dtype=np.float32),
                    "pred": np.full((8, 10), 4.5, dtype=np.float32)}
         rasters[which][pixels] = bad
@@ -565,7 +594,7 @@ class TestMalformedInput:
              "beam_count-fraction", "beam_count-negative", "beam_id-huge",
              "beam_count-huge"],
     )
-    @pytest.mark.parametrize("command", ["optimize", "decimate"])
+    @pytest.mark.parametrize("command", ["optimize", "decimate", "eval"])
     def test_non_finite_labels(self, tmp_path, capsys, command, channel, bad):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
@@ -584,9 +613,11 @@ class TestMalformedInput:
         if command == "optimize":
             args = ["optimize", str(scene_dir), "--config", str(cfg),
                     "--out", str(tmp_path / "report")]
-        else:
+        elif command == "decimate":
             args = ["decimate", str(scene_dir / "labels.pfm"), "--keep", "1",
                     "--out", str(tmp_path / "kept.pfm")]
+        else:
+            args = ["eval", str(scene_dir / "depth.pfm"), str(scene_dir / "labels.pfm")]
         assert_codec_error_exit(cli.main(args), capsys)
 
 

@@ -126,7 +126,7 @@ class TestEvaluate:
     def test_range_clamping(self):
         gt = np.array([[0.05, 10.0, 100.0, 20.0]])
         pred = np.array([[1.0, 0.01, 50.0, 1000.0]])
-        m = evaluate(pred, gt, min_depth=0.1, max_depth=80.0)
+        m = evaluate(pred, gt)
         # only the two in-range gt pixels count; predictions clamp to range
         assert m.n_pixels == 2
         assert m.rmse == pytest.approx(

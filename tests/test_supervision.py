@@ -3,7 +3,6 @@ import pytest
 
 from sfm_losskit.errors import ConfigError
 from sfm_losskit.supervision import (
-    DecimationSpec,
     SparseDepth,
     decimate,
     random_labels,
@@ -33,14 +32,14 @@ class TestSparseDepth:
 class TestDecimate:
     def test_keep_all_is_identity(self):
         labels = beam_pattern()
-        out = decimate(labels, DecimationSpec(keep_beams=64))
+        out = decimate(labels, 64)
         assert (out.depth == labels.depth).all()
         assert (out.beam_id == labels.beam_id).all()
         assert out.num_beams == labels.num_beams
 
     def test_keep_half_keeps_every_second_beam(self):
         labels = beam_pattern()
-        out = decimate(labels, DecimationSpec(keep_beams=32))
+        out = decimate(labels, 32)
         kept = np.unique(out.beam_id[out.beam_id >= 0])
         assert (kept % 2 == 0).all()
         assert len(kept) == 32
@@ -48,52 +47,31 @@ class TestDecimate:
 
     def test_four_beam_count_bound(self):
         labels = beam_pattern(num_beams=64, px_per_beam=10)
-        out = decimate(labels, DecimationSpec(keep_beams=4))
+        out = decimate(labels, 4)
         assert out.n_labels <= 40
         kept = np.unique(out.beam_id[out.beam_id >= 0])
         assert len(kept) == 4
 
-    def test_offset_moves_top_beam(self):
-        labels = beam_pattern()
-        out = decimate(labels, DecimationSpec(keep_beams=16, offset=3))
-        kept = np.unique(out.beam_id[out.beam_id >= 0])
-        assert (kept % 4 == 3).all()
-
     def test_composition_equals_smaller_keep(self):
         labels = beam_pattern()
-        twice = decimate(decimate(labels, DecimationSpec(32)), DecimationSpec(8))
-        once = decimate(labels, DecimationSpec(8))
+        twice = decimate(decimate(labels, 32), 8)
+        once = decimate(labels, 8)
         assert (twice.depth == once.depth).all()
         assert (twice.beam_id == once.beam_id).all()
 
     def test_counts_nonincreasing_in_stride(self):
         labels = beam_pattern()
-        counts = [
-            decimate(labels, DecimationSpec(k)).n_labels for k in (64, 32, 16, 8, 4)
-        ]
+        counts = [decimate(labels, k).n_labels for k in (64, 32, 16, 8, 4)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    def test_offsets_partition_the_beams(self):
-        labels = beam_pattern()
-        union = np.zeros_like(labels.depth, dtype=bool)
-        total = 0
-        for off in range(4):
-            part = decimate(labels, DecimationSpec(16, offset=off))
-            sel = part.depth > 0
-            assert not (union & sel).any()
-            union |= sel
-            total += part.n_labels
-        assert total == labels.n_labels
-        assert (union == (labels.depth > 0)).all()
 
     def test_invalid_specs_rejected(self):
         labels = beam_pattern()
-        with pytest.raises(ConfigError):
-            decimate(labels, DecimationSpec(keep_beams=3))
-        with pytest.raises(ConfigError):
-            decimate(labels, DecimationSpec(keep_beams=16, offset=4))
-        with pytest.raises(ConfigError):
-            decimate(labels, DecimationSpec(keep_beams=0))
+        with pytest.raises(ConfigError, match="must divide"):
+            decimate(labels, 3)
+        with pytest.raises(ConfigError, match="must divide"):
+            decimate(labels, 0)
+        with pytest.raises(ConfigError, match="power of two"):
+            decimate(beam_pattern(num_beams=12), 4)
 
 
 class TestSynthLidar:
@@ -111,9 +89,7 @@ class TestSynthLidar:
     def test_counts_decrease_under_decimation(self):
         gt = np.full((110, 128), 9.0)
         labels = synth_lidar(gt, num_beams=64, px_per_beam=12)
-        counts = [
-            decimate(labels, DecimationSpec(k)).n_labels for k in (64, 32, 16, 8, 4)
-        ]
+        counts = [decimate(labels, k).n_labels for k in (64, 32, 16, 8, 4)]
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize(
