@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden bench smoke faults install
+.PHONY: test acceptance golden bench smoke faults pairs install
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,3 +32,16 @@ smoke:
 # them whenever a change alters what an evaluation allocates.
 faults:
 	python3 scripts/step_faults.py
+
+# Alternating untraced benchmark runs of a parent checkout and this one on
+# shared seeds: each metric's median [quartiles] per side, the paired median
+# change and the win count (the protocol for a speedup claim).
+#   make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=6 RUN_SECONDS=30 SEED=701
+WORKLOAD ?= example_cli
+PAIRS ?= 6
+RUN_SECONDS ?= 30
+SEED ?= 1
+pairs:
+	$(if $(PARENT),,$(error set PARENT to the root of the parent checkout))
+	python3 scripts/ab_pairs.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS) \
+		--seconds $(RUN_SECONDS) --first-seed $(SEED)

@@ -44,13 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_overrides(extras: list[str]) -> dict[str, str]:
+    """``--section.key=value`` arguments as {section.key: value}. The key
+    must be dotted: a bare key is scene shorthand in config files only, so
+    ``--h=1e-3`` is an unrecognized argument, as ``--h 1e-3`` is."""
     overrides = {}
     for item in extras:
-        if not item.startswith("--") or "=" not in item:
+        key, eq, value = item[2:].partition("=")
+        if not (item.startswith("--") and eq and "." in key):
             raise ConfigError(
                 f"unrecognized argument {item!r} (expected --section.key=value)"
             )
-        key, value = item[2:].split("=", 1)
         overrides[key] = value
     return overrides
 

@@ -1,13 +1,13 @@
 """Sectioned key=value run configuration.
 
 Config files hold ``section.key = value`` lines (``#`` starts a comment).
-Bare keys are accepted as shorthand for the scene section, so plain scene
-files (``geometry = plane``) parse too. Command-line ``--section.key=value``
-flags override file values, which override defaults. Each section's keys
-and value types are the fields of its dataclass: the three sections are
-scene (SceneSpec), weights (LossWeights) and optimizer (OptimConfig without
-weights). Unknown keys are rejected and every numeric range is validated at
-parse time.
+In config files, bare keys are accepted as shorthand for the scene section,
+so plain scene files (``geometry = plane``) parse too. Command-line
+``--section.key=value`` flags, always dotted, override file values, which
+override defaults. Each section's keys and value types are the fields of
+its dataclass: the three sections are scene (SceneSpec), weights
+(LossWeights) and optimizer (OptimConfig without weights). Unknown keys are
+rejected and every numeric range is validated at parse time.
 
 Seeds are mandatory: a config used to synthesize must set scene.seed and a
 config used to optimize must set optimizer.seed. Nothing is ever seeded

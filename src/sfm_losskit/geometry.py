@@ -15,7 +15,7 @@ Conventions used throughout the package:
 The per-pixel warp fields are stored as planes, one contiguous (H, W) plane
 per component: points in a (3, H, W) array, coordinates in (2, H, W) and
 projection Jacobians in (2, 3, H, W). The documented (H, W, 3), (H, W, 2)
-and (H, W, 2, 3) shapes are `np.moveaxis` views over that storage, so a
+and (H, W, 2, 3) shapes are transposed views over that storage, so a
 component read such as ``points[..., 2]`` is a contiguous plane.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +69,11 @@ class CameraIntrinsics:
         return _ray_planes_cached(self)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=32)
 def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
     u = np.arange(k.width, dtype=np.float64)
@@ -77,15 +82,12 @@ def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
     rays[..., 0] = (u[None, :] - k.cx) / k.fx
     rays[..., 1] = (v[:, None] - k.cy) / k.fy
     rays[..., 2] = 1.0
-    rays.setflags(write=False)
-    return rays
+    return _read_only(rays)
 
 
 @lru_cache(maxsize=32)
 def _ray_planes_cached(k: "CameraIntrinsics") -> np.ndarray:
-    planes = np.ascontiguousarray(np.moveaxis(_pixel_rays_cached(k), -1, 0))
-    planes.setflags(write=False)
-    return planes
+    return _read_only(np.ascontiguousarray(_pixel_rays_cached(k).transpose(2, 0, 1)))
 
 
 def _rx(a: float) -> np.ndarray:
@@ -120,7 +122,12 @@ def _drz(g: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoseSE3:
-    """Rigid transform: Euler rotation (radians) + Euclidean translation (meters)."""
+    """Rigid transform: Euler rotation (radians) + Euclidean translation (meters).
+
+    The rotation matrix and its three Jacobians are built once per instance,
+    on first use, and cached as read-only arrays: every call returns the same
+    objects.
+    """
 
     rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -130,17 +137,26 @@ class PoseSE3:
         return cls()
 
     def rotation_matrix(self) -> np.ndarray:
-        a, b, g = self.rotation
-        return _rz(g) @ _ry(b) @ _rx(a)
+        """R = Rz(gamma) @ Ry(beta) @ Rx(alpha); cached, read-only."""
+        return self._rotation
 
-    def rotation_jacobians(self) -> list[np.ndarray]:
-        """dR/dalpha, dR/dbeta, dR/dgamma as 3x3 matrices."""
+    def rotation_jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dR/dalpha, dR/dbeta, dR/dgamma as 3x3 matrices; cached, read-only."""
+        return self._rotation_jacobians
+
+    @cached_property
+    def _rotation(self) -> np.ndarray:
         a, b, g = self.rotation
-        return [
-            _rz(g) @ _ry(b) @ _drx(a),
-            _rz(g) @ _dry(b) @ _rx(a),
-            _drz(g) @ _ry(b) @ _rx(a),
-        ]
+        return _read_only(_rz(g) @ _ry(b) @ _rx(a))
+
+    @cached_property
+    def _rotation_jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b, g = self.rotation
+        return (
+            _read_only(_rz(g) @ _ry(b) @ _drx(a)),
+            _read_only(_rz(g) @ _dry(b) @ _rx(a)),
+            _read_only(_drz(g) @ _ry(b) @ _rx(a)),
+        )
 
     def translation_vector(self) -> np.ndarray:
         return np.asarray(self.translation, dtype=np.float64)
@@ -192,7 +208,7 @@ class WarpChain(NamedTuple):
     in_front: (H, W) bool; depth valid and z > EPS_Z (ignores image bounds)
 
     points and coords are views over contiguous (3, H, W) and (2, H, W)
-    planes; ``np.moveaxis(chain.points, -1, 0)`` recovers the planes.
+    planes; ``chain.points.transpose(2, 0, 1)`` recovers the planes.
     """
 
     points: np.ndarray
@@ -231,8 +247,8 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
     np.copyto(coords, 0.0, where=~in_front)
     return WarpChain(
-        points=np.moveaxis(points, 0, -1),
-        coords=np.moveaxis(coords, 0, -1),
+        points=points.transpose(1, 2, 0),
+        coords=coords.transpose(1, 2, 0),
         valid=valid,
         in_front=in_front,
     )
@@ -254,4 +270,4 @@ def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     jac[0, 2] = -k.fx * x * inv_z * inv_z
     jac[1, 1] = k.fy * inv_z
     jac[1, 2] = -k.fy * y * inv_z * inv_z
-    return np.moveaxis(jac, (0, 1), (-2, -1))
+    return jac.transpose(*range(2, jac.ndim), 0, 1)

@@ -248,7 +248,11 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
     caches = _ssim_channels(target, synth, m)
     for c, cache in enumerate(caches):
         # clip guards float dust pushing SSIM past 1 on identical windows
-        loss += alpha * np.clip((1.0 - cache.ssim) / 2.0, 0.0, 1.0)
+        dssim = 1.0 - cache.ssim
+        dssim /= 2.0
+        dssim.clip(0.0, 1.0, out=dssim)
+        dssim *= alpha
+        loss += dssim
         loss += (1.0 - alpha) * np.abs(target[..., c] - synth[..., c])
     loss /= channels
     np.copyto(loss, np.inf, where=~mask)
@@ -515,37 +519,58 @@ def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return shared
 
 
-def _rep_distance(pred, gt, pose, k, want_grad):
-    """Reprojected distance of float64 (H, W) rasters through one pose: the
-    mean pixel distance between projected predicted and true label points.
+class _LabelPoints(NamedTuple):
+    """The labeled pixels of one evaluation and their unrotated points,
+    shared by every context pose."""
 
-    Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
-    pose parameters are None unless want_grad.
-    """
+    rows: np.ndarray
+    cols: np.ndarray
+    rays: np.ndarray  # (N, 3)
+    p_hat: np.ndarray  # (N, 3) predicted points d_hat * ray
+    p_true: np.ndarray  # (N, 3) label points d_true * ray
+
+
+def _label_points(pred, gt, k) -> _LabelPoints:
     shared = _labeled(pred, gt)
     rows, cols = np.nonzero(shared)
     rays = k.pixel_rays()[rows, cols]
+    return _LabelPoints(
+        rows, cols, rays, pred[rows, cols][:, None] * rays, gt[rows, cols][:, None] * rays
+    )
+
+
+def _rep_distance(pred, gt, pose, k, want_grad, points=None):
+    """Reprojected distance of float64 (H, W) rasters through one pose: the
+    mean pixel distance between projected predicted and true label points.
+
+    points is `_label_points(pred, gt, k)`, which does not depend on the
+    pose; `_supervised` builds it once for all poses (None builds it here).
+    Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
+    pose parameters are None unless want_grad.
+    """
+    if points is None:
+        points = _label_points(pred, gt, k)
+    rows, cols, rays, p_hat, p_true = points
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
-    d_hat = pred[rows, cols]
-    d_true = gt[rows, cols]
-    x_hat = (d_hat[:, None] * rays) @ rot.T + t
-    x_true = (d_true[:, None] * rays) @ rot.T + t
+    x_hat = p_hat @ rot.T + t
+    x_true = p_true @ rot.T + t
 
     front = (x_hat[:, 2] > geometry.EPS_Z) & (x_true[:, 2] > geometry.EPS_Z)
-    dropped = int((~front).sum())
-    count = int(front.sum())
+    count = int(np.count_nonzero(front))
+    dropped = len(front) - count
     if count == 0:
         raise NoSupervisionError("every label projects behind the camera")
-
-    rows, cols, rays = rows[front], cols[front], rays[front]
-    d_hat, d_true = d_hat[front], d_true[front]
-    x_hat, x_true = x_hat[front], x_true[front]
+    if dropped:
+        rows, cols, rays = rows[front], cols[front], rays[front]
+        p_hat, p_true = p_hat[front], p_true[front]
+        x_hat, x_true = x_hat[front], x_true[front]
 
     def _proj(p):
-        return np.stack(
-            [k.fx * p[:, 0] / p[:, 2] + k.cx, k.fy * p[:, 1] / p[:, 2] + k.cy], axis=1
-        )
+        uv = np.empty((len(p), 2))
+        uv[:, 0] = k.fx * p[:, 0] / p[:, 2] + k.cx
+        uv[:, 1] = k.fy * p[:, 1] / p[:, 2] + k.cy
+        return uv
 
     e = _proj(x_hat) - _proj(x_true)
     norms = np.sqrt((e * e).sum(axis=1))
@@ -563,12 +588,11 @@ def _rep_distance(pred, gt, pose, k, want_grad):
     g_true = np.einsum("ni,nij->nj", beta, jac_true) / count
 
     d_pred = np.zeros_like(pred)
-    # dX_hat/dd = R @ ray; only the predicted branch depends on pred
-    np.add.at(d_pred, (rows, cols), np.einsum("nj,nj->n", g_hat, rays @ rot.T))
+    # dX_hat/dd = R @ ray; only the predicted branch depends on pred. Each
+    # label pixel appears once, so the fancy-index add equals np.add.at.
+    d_pred[rows, cols] += np.einsum("nj,nj->n", g_hat, rays @ rot.T)
 
     d_pose = np.zeros(6)
-    p_hat = d_hat[:, None] * rays
-    p_true = d_true[:, None] * rays
     for i, drot in enumerate(pose.rotation_jacobians()):
         d_pose[i] = np.einsum("nj,nj->", g_hat, p_hat @ drot.T) - np.einsum(
             "nj,nj->", g_true, p_true @ drot.T
@@ -621,8 +645,9 @@ def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
         return value, count, 0
     value, count, dropped = 0.0, 0, 0
     scale = weight / len(context)
+    points = _label_points(depth, labels, k)
     for s, (_, pose) in enumerate(context):
-        rep, d_pred, d_pose6 = _rep_distance(depth, labels, pose, k, want_grad)
+        rep, d_pred, d_pose6 = _rep_distance(depth, labels, pose, k, want_grad, points)
         value += rep.value / len(context)
         count = max(count, rep.count)
         dropped += rep.dropped

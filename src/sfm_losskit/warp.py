@@ -41,13 +41,13 @@ def _gather_corners(src: np.ndarray, coords: np.ndarray, valid: np.ndarray):
     h, w = src.shape[:2]
     u = np.where(valid, coords[..., 0], 0.0)
     v = np.where(valid, coords[..., 1], 0.0)
-    np.clip(u, 0.0, w - 1.0, out=u)
-    np.clip(v, 0.0, h - 1.0, out=v)
-    # u, v >= 0, so truncation is the floor
+    u.clip(0.0, w - 1.0, out=u)
+    v.clip(0.0, h - 1.0, out=v)
+    # u, v >= 0, so truncation is the floor and x0, y0 need no lower clip
     x0 = u.astype(np.intp)
     y0 = v.astype(np.intp)
-    np.clip(x0, 0, max(w - 2, 0), out=x0)
-    np.clip(y0, 0, max(h - 2, 0), out=y0)
+    np.minimum(x0, max(w - 2, 0), out=x0)
+    np.minimum(y0, max(h - 2, 0), out=y0)
     u -= x0
     v -= y0
     dx = 1 if w > 1 else 0
@@ -138,4 +138,4 @@ def sample_bilinear_grad(
     c10 *= upstream
     np.sum(c10, axis=-1, out=grad[1])
     np.copyto(grad, 0.0, where=~valid)
-    return np.moveaxis(grad, 0, -1)
+    return grad.transpose(1, 2, 0)

@@ -34,19 +34,23 @@ CLI_FLAGS = {
     "eval": ["--median-scaling", "--out"],
 }
 
+UNRECOGNIZED = "unrecognized argument '{}' (expected --section.key=value)"
+
 # Options no longer taken: the command given them and its error for the
 # ``--x=v`` form; the ``--x v`` form is an unrecognized argument everywhere.
+# A bare key is scene shorthand in config files only, so an undotted
+# ``--x=v`` is unrecognized too.
 REMOVED_OPTIONS = [
     ("optimize", "--scene.ppm_maxval", "unknown config key scene.ppm_maxval"),
     ("optimize", "--scene.baseline_z", "unknown config key scene.baseline_z"),
     ("optimize", "--decimation.keep_beams", "unknown config section 'decimation'"),
     ("optimize", "--decimation.offset", "unknown config section 'decimation'"),
-    ("gradcheck", "--scenes", "unknown config key scene.scenes"),
-    ("gradcheck", "--h", "unknown config key scene.h"),
-    ("gradcheck", "--tol", "unknown config key scene.tol"),
-    ("decimate", "--offset", "decimate takes no --section.key overrides"),
-    ("eval", "--min-depth", "eval takes no --section.key overrides"),
-    ("eval", "--max-depth", "eval takes no --section.key overrides"),
+    ("gradcheck", "--scenes", UNRECOGNIZED.format("--scenes=1")),
+    ("gradcheck", "--h", UNRECOGNIZED.format("--h=1")),
+    ("gradcheck", "--tol", UNRECOGNIZED.format("--tol=1")),
+    ("decimate", "--offset", UNRECOGNIZED.format("--offset=1")),
+    ("eval", "--min-depth", UNRECOGNIZED.format("--min-depth=1")),
+    ("eval", "--max-depth", UNRECOGNIZED.format("--max-depth=1")),
 ]
 
 
@@ -142,8 +146,14 @@ class TestSchema:
             "eval": ["eval", str(tmp_path / "pred.pfm"), str(tmp_path / "gt.pfm")],
         }[command]
         assert_rejected([*argv, f"{option}=1"], capsys, message)
-        assert_rejected([*argv, option, "1"], capsys,
-                        f"unrecognized argument {option!r} (expected --section.key=value)")
+        assert_rejected([*argv, option, "1"], capsys, UNRECOGNIZED.format(option))
+
+    def test_bare_key_is_scene_shorthand_in_files_only(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nwidth = 40\n")
+        assert config.load_config(cfg).scene.width == 40
+        assert_rejected(["synth", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                         "--width=40"], capsys, UNRECOGNIZED.format("--width=40"))
 
     @pytest.mark.parametrize("key", [
         "optimizer.optimize_pose", "optimizer.lr_halve_every", "scene.texture",

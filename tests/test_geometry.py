@@ -11,6 +11,12 @@ from sfm_losskit.geometry import (
     EPS_Z,
     CameraIntrinsics,
     PoseSE3,
+    _drx,
+    _dry,
+    _drz,
+    _rx,
+    _ry,
+    _rz,
     projection_jacobian,
     warp_chain,
 )
@@ -196,6 +202,51 @@ def test_euler_round_trip_through_matrix():
     pose = PoseSE3(rotation=(0.2, -0.7, 1.1), translation=(1, 2, 3))
     back = PoseSE3.from_matrix(pose.rotation_matrix(), pose.translation)
     assert np.allclose(back.as_params(), pose.as_params(), atol=1e-12)
+
+
+CACHE_ANGLES = [
+    (0.0, 0.0, 0.0),
+    (0.2, -0.7, 1.1),
+    (0.3, math.pi / 2, -0.4),
+    (-1.0, -math.pi / 2, 2.5),
+    (3.0, -0.1, -3.0),
+]
+
+
+class TestPoseCache:
+    """The rotation matrix and its Jacobians are built once per pose."""
+
+    @pytest.mark.parametrize("angles", CACHE_ANGLES)
+    def test_cached_read_only_and_bit_equal(self, angles):
+        a, b, g = angles
+        pose = PoseSE3(rotation=angles, translation=(0.1, -0.2, 0.3))
+        rot, jacs = pose.rotation_matrix(), pose.rotation_jacobians()
+        assert pose.rotation_matrix() is rot
+        assert pose.rotation_jacobians() is jacs
+        expected = [
+            _rz(g) @ _ry(b) @ _rx(a),
+            _rz(g) @ _ry(b) @ _drx(a),
+            _rz(g) @ _dry(b) @ _rx(a),
+            _drz(g) @ _ry(b) @ _rx(a),
+        ]
+        assert len(jacs) == 3
+        for ours, ref in zip((rot, *jacs), expected):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+            assert not ours.flags.writeable
+            with pytest.raises(ValueError):
+                ours[0, 0] = 1.0
+
+    def test_poses_from_params_share_no_array(self):
+        params = [np.r_[angles, 0.1 * i, 0.0, -0.2] for i, angles in enumerate(CACHE_ANGLES)]
+        arrays = [
+            (i, m)
+            for i, pose in enumerate(PoseSE3.from_params(p) for p in params)
+            for m in (pose.rotation_matrix(), *pose.rotation_jacobians())
+        ]
+        for i, a in arrays:
+            for j, b in arrays:
+                if i != j:
+                    assert not np.shares_memory(a, b)
 
 
 class TestWarpCoords:

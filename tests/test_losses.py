@@ -382,6 +382,43 @@ class TestReprojectedDistance:
         assert out.count == 1
         assert out.dropped == 1
 
+    def test_shared_label_points_match_per_pose_calls(self):
+        # _supervised builds the label points once for every pose; its sums
+        # must equal per-pose _rep_distance calls added up in pose order,
+        # bit for bit, also when one pose drops labels behind its camera
+        rng = np.random.default_rng(21)
+        k = SMALL_K
+        gt = np.zeros((k.height, k.width))
+        flat = rng.choice(gt.size, 60, replace=False)
+        gt.flat[flat] = rng.uniform(1.0, 6.0, flat.size)
+        pred = rng.uniform(1.0, 6.0, gt.shape)
+        poses = [
+            PoseSE3(rotation=(0.01, -0.02, 0.005), translation=(0.3, 0.05, 0.1)),
+            PoseSE3(rotation=(-0.02, 0.01, 0.0), translation=(0.1, 0.0, -2.5)),
+        ]
+        context = [(None, pose) for pose in poses]
+        weight = 0.37
+        base = rng.normal(size=gt.shape)
+
+        value, count, dropped = 0.0, 0, 0
+        d_depth, d_poses = base.copy(), np.zeros((2, 6))
+        drops = []
+        for s, pose in enumerate(poses):
+            rep, d_pred, d_pose6 = _rep_distance(pred, gt, pose, k, want_grad=True)
+            value += rep.value / 2
+            count = max(count, rep.count)
+            dropped += rep.dropped
+            drops.append(rep.dropped)
+            d_depth += (weight / 2) * d_pred
+            d_poses[s] += (weight / 2) * d_pose6
+        assert drops[0] == 0 and 0 < drops[1] < flat.size
+
+        ours_depth, ours_poses = base.copy(), np.zeros((2, 6))
+        out = losses._supervised(pred, gt, context, k, "rep", weight, ours_depth, ours_poses)
+        assert out == (value, count, dropped)
+        assert same_bits(ours_depth, d_depth) and same_bits(ours_poses, d_poses)
+        assert losses._supervised(pred, gt, context, k, "rep", weight, None, None) == out
+
 
 class TestBaselines:
     def test_zero_error(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfm_losskit import warp
 from sfm_losskit.errors import DimensionError
 from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
 from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, validate_image
@@ -236,6 +237,20 @@ def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def test_corner_clip_keeps_np_clip_bits():
+    # the corner set-up clips in place and skips the integer corners' lower
+    # clip; its bits must stay np.clip's, a -0.0 coordinate included
+    rng = np.random.default_rng(5)
+    src = random_image(rng, 6, 7, 3)
+    u = np.tile([-0.0, 0.0, -1e-12, 6.0, 6.5, 3.25, 5.999], (6, 1))
+    v = np.tile([[-0.0], [0.0], [-3e-10], [5.0], [9.0], [2.5]], (1, 7))
+    coords = np.stack([u, v], axis=-1)
+    valid = np.ones((6, 7), bool)
+    for ours, ref in zip(warp._gather_corners(src, coords, valid),
+                         interleaved_corners(src, coords, valid)):
+        assert same_bits(ours, ref)
 
 
 class TestMaskedStores:
