@@ -36,9 +36,9 @@ faults:
 # Alternating untraced benchmark runs of a parent checkout and this one on
 # shared seeds: each metric's median [quartiles] per side, the paired median
 # change and the win count (the protocol for a speedup claim).
-#   make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=6 RUN_SECONDS=30 SEED=701
+#   make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=10 RUN_SECONDS=30 SEED=701
 WORKLOAD ?= example_cli
-PAIRS ?= 6
+PAIRS ?= 10
 RUN_SECONDS ?= 30
 SEED ?= 1
 pairs:

@@ -15,8 +15,8 @@ For every end-to-end metric of BENCHMARK.json it prints the median
 if any run is not ``correct`` or fails an operation.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload example_cli \\
-        --pairs 6 --seconds 30 --first-seed 701
-    make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=6 RUN_SECONDS=30 SEED=701
+        --pairs 10 --seconds 30 --first-seed 701
+    make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=10 RUN_SECONDS=30 SEED=701
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the change checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)

@@ -539,17 +539,15 @@ def _label_points(pred, gt, k) -> _LabelPoints:
     )
 
 
-def _rep_distance(pred, gt, pose, k, want_grad, points=None):
-    """Reprojected distance of float64 (H, W) rasters through one pose: the
-    mean pixel distance between projected predicted and true label points.
+def _rep_distance(pred, points, pose, k, want_grad):
+    """Reprojected distance of a float64 (H, W) prediction through one pose:
+    the mean pixel distance between projected predicted and true label points.
 
     points is `_label_points(pred, gt, k)`, which does not depend on the
-    pose; `_supervised` builds it once for all poses (None builds it here).
+    pose, so `_supervised` builds it once for all poses.
     Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
     pose parameters are None unless want_grad.
     """
-    if points is None:
-        points = _label_points(pred, gt, k)
     rows, cols, rays, p_hat, p_true = points
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
@@ -647,7 +645,7 @@ def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
     scale = weight / len(context)
     points = _label_points(depth, labels, k)
     for s, (_, pose) in enumerate(context):
-        rep, d_pred, d_pose6 = _rep_distance(depth, labels, pose, k, want_grad, points)
+        rep, d_pred, d_pose6 = _rep_distance(depth, points, pose, k, want_grad)
         value += rep.value / len(context)
         count = max(count, rep.count)
         dropped += rep.dropped

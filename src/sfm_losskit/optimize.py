@@ -27,7 +27,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,23 +157,13 @@ def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray,
     state.log_depth, state.m_depth, state.v_depth = _adam_step(
         state.log_depth, state.m_depth, state.v_depth, d_log_depth, t, config.lr_depth, config
     )
+    # Rotation angles live on a much finer scale than translations (a few
+    # hundredths of a radian can mimic a whole baseline on planar scenes), so
+    # they step 10x slower than the translations.
+    lr_pose = np.array([config.lr_pose / 10.0] * 3 + [config.lr_pose] * 3)
     state.pose_params, state.m_pose, state.v_pose = _adam_step(
-        state.pose_params, state.m_pose, state.v_pose, d_poses, t,
-        _pose_rates(config.lr_pose), config,
+        state.pose_params, state.m_pose, state.v_pose, d_poses, t, lr_pose, config
     )
-
-
-@lru_cache(maxsize=8)
-def _pose_rates(lr_pose: float) -> np.ndarray:
-    """Step sizes of the 6 pose parameters, built once per lr_pose; read-only.
-
-    Rotation angles live on a much finer scale than translations (a few
-    hundredths of a radian can mimic a whole baseline on planar scenes), so
-    they step 10x slower than the translations.
-    """
-    rates = np.array([lr_pose / 10.0] * 3 + [lr_pose] * 3)
-    rates.setflags(write=False)
-    return rates
 
 
 def step(

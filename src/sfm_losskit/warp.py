@@ -43,11 +43,12 @@ def _gather_corners(src: np.ndarray, coords: np.ndarray, valid: np.ndarray):
     v = np.where(valid, coords[..., 1], 0.0)
     u.clip(0.0, w - 1.0, out=u)
     v.clip(0.0, h - 1.0, out=v)
-    # u, v >= 0, so truncation is the floor and x0, y0 need no lower clip
+    # u, v >= 0, so truncation is the floor; the corners keep their lower
+    # clip because a NaN coordinate casts to the most negative intp
     x0 = u.astype(np.intp)
     y0 = v.astype(np.intp)
-    np.minimum(x0, max(w - 2, 0), out=x0)
-    np.minimum(y0, max(h - 2, 0), out=y0)
+    x0.clip(0, max(w - 2, 0), out=x0)
+    y0.clip(0, max(h - 2, 0), out=y0)
     u -= x0
     v -= y0
     dx = 1 if w > 1 else 0

@@ -9,11 +9,18 @@ from sfm_losskit.errors import (
     EmptyContextError,
     NoSupervisionError,
 )
-from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
+from sfm_losskit.geometry import (
+    EPS_Z,
+    CameraIntrinsics,
+    PoseSE3,
+    projection_jacobian,
+    warp_chain,
+)
 from sfm_losskit.losses import (
     LossWeights,
     _depth_error,
     _image_gradient_weights,
+    _label_points,
     _min_over_sources,
     _photometric_forward,
     _rep_distance,
@@ -325,9 +332,8 @@ class TestReprojectedDistance:
     def test_pred_equals_gt_is_zero(self):
         scene = small_scene()
         _, pose = scene.contexts[0]
-        out = _rep_distance(
-            scene.gt_depth, scene.labels.depth, pose, scene.intrinsics, want_grad=False
-        )[0]
+        points = _label_points(scene.gt_depth, scene.labels.depth, scene.intrinsics)
+        out = _rep_distance(scene.gt_depth, points, pose, scene.intrinsics, want_grad=False)[0]
         assert out.value == 0.0
         assert out.count == scene.labels.n_labels
 
@@ -337,7 +343,7 @@ class TestReprojectedDistance:
         gt[0, 0] = 2.0
         pred = np.full((4, 4), 4.0)
         pose = PoseSE3(translation=(1.0, 0.0, 0.0))
-        out = _rep_distance(pred, gt, pose, k, want_grad=False)[0]
+        out = _rep_distance(pred, _label_points(pred, gt, k), pose, k, want_grad=False)[0]
         # pi(T*(4,0,0,1)-ray) = 1/4 + 0 = 0.25 ; pi with d=2 -> 0.5
         assert out.value == pytest.approx(0.25, abs=1e-15)
         assert out.count == 1
@@ -345,8 +351,9 @@ class TestReprojectedDistance:
     def test_identity_pose_is_zero_for_any_prediction(self):
         scene = small_scene()
         pred = scene.gt_depth * 3.1
+        points = _label_points(pred, scene.labels.depth, scene.intrinsics)
         out = _rep_distance(
-            pred, scene.labels.depth, PoseSE3.identity(), scene.intrinsics, want_grad=False
+            pred, points, PoseSE3.identity(), scene.intrinsics, want_grad=False
         )[0]
         assert out.value == pytest.approx(0.0, abs=1e-12)
 
@@ -360,16 +367,14 @@ class TestReprojectedDistance:
             gt[1, 1] = d
             pred = np.zeros((4, 4))
             pred[1, 1] = 1.2 * d
-            values.append(_rep_distance(pred, gt, pose, k, want_grad=False)[0].value)
+            points = _label_points(pred, gt, k)
+            values.append(_rep_distance(pred, points, pose, k, want_grad=False)[0].value)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_no_labels_raises(self):
         scene = small_scene()
         with pytest.raises(NoSupervisionError):
-            _rep_distance(
-                scene.gt_depth, np.zeros_like(scene.gt_depth),
-                scene.contexts[0][1], scene.intrinsics, want_grad=False,
-            )
+            _label_points(scene.gt_depth, np.zeros_like(scene.gt_depth), scene.intrinsics)
 
     def test_behind_camera_labels_dropped(self):
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=1.5, cy=1.5, width=4, height=4)
@@ -378,13 +383,13 @@ class TestReprojectedDistance:
         gt[1, 1] = 5.0
         pred = np.where(gt > 0, gt * 1.1, 0.0)
         pose = PoseSE3(translation=(0.0, 0.0, -2.0))  # pulls near labels behind
-        out = _rep_distance(pred, gt, pose, k, want_grad=False)[0]
+        out = _rep_distance(pred, _label_points(pred, gt, k), pose, k, want_grad=False)[0]
         assert out.count == 1
         assert out.dropped == 1
 
     def test_shared_label_points_match_per_pose_calls(self):
         # _supervised builds the label points once for every pose; its sums
-        # must equal per-pose _rep_distance calls added up in pose order,
+        # must equal a per-pose build of everything, added up in pose order,
         # bit for bit, also when one pose drops labels behind its camera
         rng = np.random.default_rng(21)
         k = SMALL_K
@@ -404,11 +409,11 @@ class TestReprojectedDistance:
         d_depth, d_poses = base.copy(), np.zeros((2, 6))
         drops = []
         for s, pose in enumerate(poses):
-            rep, d_pred, d_pose6 = _rep_distance(pred, gt, pose, k, want_grad=True)
-            value += rep.value / 2
-            count = max(count, rep.count)
-            dropped += rep.dropped
-            drops.append(rep.dropped)
+            (v, n, gone), d_pred, d_pose6 = per_pose_rep_distance(pred, gt, pose, k)
+            value += v / 2
+            count = max(count, n)
+            dropped += gone
+            drops.append(gone)
             d_depth += (weight / 2) * d_pred
             d_poses[s] += (weight / 2) * d_pose6
         assert drops[0] == 0 and 0 < drops[1] < flat.size
@@ -418,6 +423,46 @@ class TestReprojectedDistance:
         assert out == (value, count, dropped)
         assert same_bits(ours_depth, d_depth) and same_bits(ours_poses, d_poses)
         assert losses._supervised(pred, gt, context, k, "rep", weight, None, None) == out
+
+
+def per_pose_rep_distance(pred, gt, pose, k):
+    """Reference reprojected distance that builds the label points for one
+    pose, always re-indexes by the in-front mask and scatters with np.add.at.
+    Returns ((value, count, dropped), d_pred, d_pose6)."""
+    rows, cols = np.nonzero((gt > 0) & (pred > 0))
+    rays = k.pixel_rays()[rows, cols]
+    rot = pose.rotation_matrix()
+    t = pose.translation_vector()
+    d_hat, d_true = pred[rows, cols], gt[rows, cols]
+    x_hat = (d_hat[:, None] * rays) @ rot.T + t
+    x_true = (d_true[:, None] * rays) @ rot.T + t
+    front = (x_hat[:, 2] > EPS_Z) & (x_true[:, 2] > EPS_Z)
+    dropped, count = int((~front).sum()), int(front.sum())
+    rows, cols, rays = rows[front], cols[front], rays[front]
+    d_hat, d_true = d_hat[front], d_true[front]
+    x_hat, x_true = x_hat[front], x_true[front]
+
+    def proj(p):
+        return np.stack(
+            [k.fx * p[:, 0] / p[:, 2] + k.cx, k.fy * p[:, 1] / p[:, 2] + k.cy], axis=1
+        )
+
+    e = proj(x_hat) - proj(x_true)
+    norms = np.sqrt((e * e).sum(axis=1))
+    safe = np.where(norms > 0, norms, 1.0)
+    beta = np.where(norms[:, None] > 0, e / safe[:, None], 0.0)
+    g_hat = np.einsum("ni,nij->nj", beta, projection_jacobian(x_hat, k)) / count
+    g_true = np.einsum("ni,nij->nj", beta, projection_jacobian(x_true, k)) / count
+    d_pred = np.zeros_like(pred)
+    np.add.at(d_pred, (rows, cols), np.einsum("nj,nj->n", g_hat, rays @ rot.T))
+    d_pose = np.zeros(6)
+    p_hat, p_true = d_hat[:, None] * rays, d_true[:, None] * rays
+    for i, drot in enumerate(pose.rotation_jacobians()):
+        d_pose[i] = np.einsum("nj,nj->", g_hat, p_hat @ drot.T) - np.einsum(
+            "nj,nj->", g_true, p_true @ drot.T
+        )
+    d_pose[3:] = (g_hat - g_true).sum(axis=0)
+    return (float(np.sum(norms)) / count, count, dropped), d_pred, d_pose
 
 
 class TestBaselines:

@@ -240,8 +240,8 @@ def same_bits(a, b):
 
 
 def test_corner_clip_keeps_np_clip_bits():
-    # the corner set-up clips in place and skips the integer corners' lower
-    # clip; its bits must stay np.clip's, a -0.0 coordinate included
+    # the corner set-up clips in place with the ndarray method; its bits
+    # must stay np.clip's, a -0.0 coordinate included
     rng = np.random.default_rng(5)
     src = random_image(rng, 6, 7, 3)
     u = np.tile([-0.0, 0.0, -1e-12, 6.0, 6.5, 3.25, 5.999], (6, 1))
@@ -251,6 +251,26 @@ def test_corner_clip_keeps_np_clip_bits():
     for ours, ref in zip(warp._gather_corners(src, coords, valid),
                          interleaved_corners(src, coords, valid)):
         assert same_bits(ours, ref)
+
+
+def test_nan_coordinate_reads_nan_at_its_pixel_only():
+    # a NaN coordinate casts to the most negative intp; the corner clip must
+    # still land it in bounds, so only its own pixel comes back NaN
+    rng = np.random.default_rng(6)
+    src = random_image(rng, 5, 6, 3)
+    coords = np.stack(np.meshgrid(np.linspace(0, 5, 6), np.linspace(0, 4, 5)), axis=-1)
+    coords[1, 2, 0] = np.nan
+    coords[3, 4, 1] = np.nan
+    valid = np.ones((5, 6), bool)
+    upstream = rng.normal(size=src.shape)
+    with np.errstate(invalid="ignore"):
+        out = sample_bilinear(src, coords, valid)
+        grad = sample_bilinear_grad(src, coords, valid, upstream)
+    nan_at = [[1, 2], [3, 4]]
+    assert np.argwhere(np.isnan(out).all(axis=-1)).tolist() == nan_at
+    assert np.argwhere(np.isnan(grad).any(axis=-1)).tolist() == nan_at
+    finite = ~np.isnan(out).any(axis=-1)
+    assert same_bits(out[finite], src[finite])
 
 
 class TestMaskedStores:
