@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden bench smoke faults pairs install
+.PHONY: test acceptance golden bench smoke faults pairs fingerprint install
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,6 +14,11 @@ acceptance:
 # in the benchmark, which compares its example run with this file byte for byte.
 golden:
 	OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 python3 scripts/regen_golden.py
+
+# One SHA-256 over the CLI reports, gradcheck reports and objective outputs
+# (about 10 s); a refactor prints the same digest as its parent.
+fingerprint:
+	python3 scripts/fingerprint.py
 
 # Run the benchmark (BENCHMARK.json) once on every workload, 30 s each;
 # records go to .bench_work/.

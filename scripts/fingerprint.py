@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the numbers the package produces, for refactors.
+
+A change that claims to keep every output prints the same digest as its
+parent. The digest covers, in this order:
+
+* the `loss_history.csv` and `metrics.csv` that `synth` + `optimize` write
+  for `configs/example_plane.cfg` and `perfbench/hires_pyramid.cfg` (seed 1),
+  under each supervised loss (rep, l1, berhu);
+* `optimize.gradcheck` reports on a 3-channel 128x96 slant (seeds 1 and 2,
+  48 depth probes, all terms);
+* `total_loss_grad` breakdowns and the bytes of both gradients, and the
+  `min_photometric` maps, on a 64x48 two-plane scene at 1, 2 and 3 scales
+  under each supervised loss.
+
+BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
+10 s.
+
+    python3 scripts/fingerprint.py
+    make fingerprint
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+import numpy as np  # noqa: E402
+
+from sfm_losskit import cli, losses, optimize, synth  # noqa: E402
+from sfm_losskit.geometry import PoseSE3  # noqa: E402
+
+CONFIGS = ("configs/example_plane.cfg", "perfbench/hires_pyramid.cfg")
+
+
+def cli_outputs(digest, tmp: Path) -> None:
+    for config in CONFIGS:
+        for loss in losses.SUPERVISED:
+            scene_dir, report_dir = tmp / "scene", tmp / "report"
+            seeds = ["--scene.seed=1", "--optimizer.seed=1"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["synth", "--config", str(REPO / config),
+                               "--out", str(scene_dir), *seeds])
+                rc = rc or cli.main(["optimize", str(scene_dir), "--config", str(REPO / config),
+                                     "--out", str(report_dir), *seeds,
+                                     f"--optimizer.supervised_loss={loss}"])
+            if rc:
+                raise SystemExit(f"fingerprint: {config} under {loss} exited {rc}")
+            for name in ("loss_history.csv", "metrics.csv"):
+                digest.update((report_dir / name).read_bytes())
+
+
+def gradcheck_reports(digest) -> None:
+    weights = losses.LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
+    for seed in (1, 2):
+        scene = synth.make_scene(synth.SceneSpec(geometry="slant", slant=20.0, width=128,
+                                                 height=96, channels=3, seed=seed))
+        report = optimize.gradcheck(scene, weights, n_samples=48, seed=seed)
+        digest.update(repr(report).encode())
+
+
+def objective_outputs(digest) -> None:
+    scene = synth.make_scene(synth.SceneSpec(geometry="two_plane", width=64, height=48,
+                                             beams=16, px_per_beam=16, seed=3))
+    rng = np.random.default_rng(3)
+    depth = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+    context = [(img, PoseSE3.from_params(pose.as_params() + rng.normal(0.0, 0.01, 6)))
+               for img, pose in scene.contexts]
+    weights = losses.LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
+    k = scene.intrinsics
+    for num_scales in (1, 2, 3):
+        for loss in losses.SUPERVISED:
+            breakdown, d_depth, d_poses = losses.total_loss_grad(
+                scene.target, context, depth, k, weights, labels=scene.labels.depth,
+                num_scales=num_scales, supervised=loss,
+            )
+            digest.update(repr(breakdown).encode())
+            digest.update(d_depth.tobytes())
+            digest.update(d_poses.tobytes())
+    min_map, argmin = losses.min_photometric(scene.target, context, depth, k, weights.alpha)
+    digest.update(min_map.tobytes())
+    digest.update(argmin.tobytes())
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_outputs(digest, Path(tmp))
+    gradcheck_reports(digest)
+    objective_outputs(digest)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

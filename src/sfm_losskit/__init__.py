@@ -24,6 +24,5 @@ from .metrics import DepthMetrics, evaluate
 from .optimize import OptimConfig, OptimState, gradcheck, run, step
 from .supervision import SparseDepth, decimate, synth_lidar
 from .synth import Scene, SceneSpec, make_scene, render_view
-from .warp import sample_bilinear, sample_bilinear_grad
 
 __version__ = "0.1.0"

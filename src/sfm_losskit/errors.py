@@ -14,7 +14,7 @@ class DimensionError(LossKitError):
 
 
 class InvalidDepthError(LossKitError):
-    """A depth value required to be positive was zero or negative."""
+    """A depth required to be positive and finite was not (0, < 0, NaN, inf)."""
 
 
 class EmptyContextError(LossKitError):

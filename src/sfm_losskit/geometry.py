@@ -204,8 +204,7 @@ class WarpChain(NamedTuple):
 
     points: (H, W, 3) source-frame points R (d * ray) + t
     coords: (H, W, 2) continuous source-pixel coordinates (u, v)
-    valid:  (H, W) bool; depth valid, in front of camera, inside the image
-    in_front: (H, W) bool; depth valid and z > EPS_Z (ignores image bounds)
+    valid:  (H, W) bool; in front of the source camera and inside the image
 
     points and coords are views over contiguous (3, H, W) and (2, H, W)
     planes; ``chain.points.transpose(2, 0, 1)`` recovers the planes.
@@ -214,14 +213,16 @@ class WarpChain(NamedTuple):
     points: np.ndarray
     coords: np.ndarray
     valid: np.ndarray
-    in_front: np.ndarray
 
 
 def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpChain:
     """Vectorized projection chain for every target pixel.
 
-    Out-of-bounds coordinates are flagged invalid, never clamped; pixels
-    that are not in front of the source camera get coordinates (0, 0).
+    depth must be finite; the objective checks that it is positive and
+    finite before it warps. A pixel is valid when its source-frame z exceeds
+    EPS_Z and its coordinates fall inside the image. Out-of-bounds
+    coordinates are flagged invalid, never clamped; pixels that are not in
+    front of the source camera get coordinates (0, 0).
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (k.height, k.width):
@@ -235,7 +236,7 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     points = points.reshape(planes.shape)
     x, y, z = points
 
-    in_front = (depth > 0) & (z > EPS_Z)
+    in_front = z > EPS_Z
     z_safe = np.where(in_front, z, 1.0)
     coords = np.empty((2,) + depth.shape)
     u, v = coords
@@ -246,12 +247,7 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     valid &= v >= -BOUNDS_EPS
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
     np.copyto(coords, 0.0, where=~in_front)
-    return WarpChain(
-        points=points.transpose(1, 2, 0),
-        coords=coords.transpose(1, 2, 0),
-        valid=valid,
-        in_front=in_front,
-    )
+    return WarpChain(points.transpose(1, 2, 0), coords.transpose(1, 2, 0), valid)
 
 
 def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:

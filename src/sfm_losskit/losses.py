@@ -26,9 +26,12 @@ is local (a one-pixel change leaves outputs outside its window
 bit-identical), and scalar reductions are plain ``np.sum`` calls, which are
 deterministic for a fixed shape. The windowed and pyramid operators are
 separable, and each backward pass applies their exact transposes.
-Images are (H, W, C) float arrays in [0, 1]; depth maps are (H, W) with
-0 or negative marking invalid; per-pixel loss maps carry +inf at invalid
-pixels, which every reduction here excludes by mask.
+Images are (H, W, C) float arrays in [0, 1]. Depth maps are (H, W) and
+positive and finite at every pixel (smoothness works on disparity
+1 / depth): that is the objective's one precondition, checked where depth
+enters it, so the terms handle no holes. Label rasters hold 0 where
+unlabeled. Per-pixel loss maps carry +inf where the warp is invalid, which
+every reduction here excludes by mask.
 """
 
 from __future__ import annotations
@@ -393,6 +396,16 @@ def _validate_context(target: np.ndarray, context: ContextSet) -> None:
             raise TypeError(f"context {i} pose must be PoseSE3, got {type(pose)!r}")
 
 
+def _checked_depth(depth) -> np.ndarray:
+    """depth as float64, checked for the objective's one precondition."""
+    depth = np.asarray(depth, dtype=np.float64)
+    ok = (depth > 0) & (depth < np.inf)
+    if not ok.all():
+        bad = ok.size - int(ok.sum())
+        raise InvalidDepthError(f"depth is not positive and finite at {bad} pixel(s)")
+    return depth
+
+
 def min_photometric(
     target: np.ndarray,
     context: ContextSet,
@@ -404,11 +417,12 @@ def min_photometric(
     objective's photometric term computes it before the static-pixel mask.
 
     Returns the min-reduced loss map (+inf where no source is valid) and the
-    argmin source index map (-1 where no source is valid).
+    argmin source index map (-1 where no source is valid). Raises
+    InvalidDepthError unless depth is positive and finite at every pixel.
     """
     target = warp.validate_image(target)
     _validate_context(target, context)
-    _, _, maps = _warped_losses(target, context, depth, k, alpha)
+    _, _, maps = _warped_losses(target, context, _checked_depth(depth), k, alpha)
     min_map, argmin = _min_over_sources(maps)
     return min_map, np.where(np.isfinite(min_map), argmin, -1)
 
@@ -429,16 +443,12 @@ def unwarped_min_photometric(
 
 
 class _SmoothCache(NamedTuple):
-    valid: np.ndarray
     disp: np.ndarray
     mean_disp: float
-    n_valid: int
     sign_dx: np.ndarray
     sign_dy: np.ndarray
     wx: np.ndarray
     wy: np.ndarray
-    contrib: np.ndarray
-    n_contrib: int
 
 
 def _channel_mean(x: np.ndarray) -> np.ndarray:
@@ -457,65 +467,46 @@ def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
-    """Mean of |dx dhat| exp(-|dx I|) + |dy dhat| exp(-|dy I|) over pixels
-    with valid forward differences, dhat the mean-normalized disparity.
+    """Mean of |dx dhat| exp(-|dx I|) + |dy dhat| exp(-|dy I|) over the
+    pixels with both forward neighbors, dhat the mean-normalized disparity.
     edge_weights is _image_gradient_weights(target), which depends only on
     the target image, so callers compute it once per evaluation."""
-    valid = depth > 0
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise InvalidDepthError("smoothness needs at least one valid depth")
-    disp = np.where(valid, 1.0 / np.where(valid, depth, 1.0), 0.0)
-    mean_disp = float(np.sum(disp)) / n_valid
+    disp = 1.0 / depth
+    mean_disp = float(np.sum(disp)) / disp.size
     dhat = disp / mean_disp
-
-    wx_full, wy_full = edge_weights
-    dx = dhat[:, 1:] - dhat[:, :-1]
-    dy = dhat[1:, :] - dhat[:-1, :]
-
-    # A pixel contributes when itself and both forward neighbors are valid.
-    contrib = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1]
-    n_contrib = int(contrib.sum())
-    if n_contrib == 0:
-        raise InvalidDepthError("no interior pixel with valid forward differences")
-
-    dx_in = dx[:-1, :]
-    dy_in = dy[:, :-1]
-    wx = wx_full[:-1, :]
-    wy = wy_full[:, :-1]
-    value = float(np.sum((np.abs(dx_in) * wx + np.abs(dy_in) * wy) * contrib)) / n_contrib
-    cache = _SmoothCache(
-        valid, disp, float(mean_disp), n_valid,
-        np.sign(dx_in), np.sign(dy_in), wx, wy, contrib, n_contrib,
-    )
-    return value, cache
+    dx = dhat[:-1, 1:] - dhat[:-1, :-1]
+    dy = dhat[1:, :-1] - dhat[:-1, :-1]
+    wx = edge_weights[0][:-1, :]
+    wy = edge_weights[1][:, :-1]
+    value = float(np.sum(np.abs(dx) * wx + np.abs(dy) * wy)) / dx.size
+    return value, _SmoothCache(disp, mean_disp, np.sign(dx), np.sign(dy), wx, wy)
 
 
-def _smoothness_backward(cache: _SmoothCache, depth: np.ndarray) -> np.ndarray:
-    """d(smoothness)/d(depth); zero at invalid pixels."""
-    valid, disp, mean_disp, n_valid, sign_dx, sign_dy, wx, wy, contrib, n_contrib = cache
-    gx = sign_dx * wx * contrib / n_contrib
-    gy = sign_dy * wy * contrib / n_contrib
+def _smoothness_backward(cache: _SmoothCache) -> np.ndarray:
+    """d(smoothness)/d(depth)."""
+    disp, mean_disp, sign_dx, sign_dy, wx, wy = cache
+    gx = sign_dx * wx / sign_dx.size
+    gy = sign_dy * wy / sign_dy.size
 
-    d_dhat = np.zeros(depth.shape)
+    d_dhat = np.zeros(disp.shape)
     d_dhat[:-1, 1:] += gx
     d_dhat[:-1, :-1] -= gx
     d_dhat[1:, :-1] += gy
     d_dhat[:-1, :-1] -= gy
 
-    # dhat = disp / mean(disp over valid)
+    # dhat = disp / mean(disp)
     dot = (d_dhat * disp).sum()
-    d_disp = d_dhat / mean_disp - dot / (mean_disp * mean_disp * n_valid)
-    return np.where(valid, -d_disp * disp * disp, 0.0)
+    d_disp = d_dhat / mean_disp - dot / (mean_disp * mean_disp * disp.size)
+    return -d_disp * disp * disp
 
 
 def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Pixels holding both a label and a valid prediction."""
+    """Labeled pixels (labels hold 0 where unlabeled)."""
     if pred.shape != gt.shape:
         raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
-    shared = (gt > 0) & (pred > 0)
+    shared = gt > 0
     if not shared.any():
-        raise NoSupervisionError("no pixel with both a label and a valid prediction")
+        raise NoSupervisionError("no labeled pixel")
     return shared
 
 
@@ -752,9 +743,11 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     """
     target = warp.validate_image(target)
     _validate_context(target, context)
-    depth = np.asarray(depth, dtype=np.float64)
+    depth = _checked_depth(depth)
     if depth.shape != (k.height, k.width) or target.shape[:2] != depth.shape:
         raise DimensionError("target, depth and intrinsics dimensions disagree")
+    if unwarped_min is not None and np.shape(unwarped_min) != depth.shape:
+        raise DimensionError(f"unwarped_min {np.shape(unwarped_min)} != depth {depth.shape}")
     if supervised not in SUPERVISED:
         raise ValueError(f"unknown supervised term {supervised!r}")
     if num_scales < 1:
@@ -803,7 +796,7 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
             _photo_backward(photo_term, context, k, ray_dirs, len(levels), d_level, d_poses)
         smooth_up = weights.lambda_smooth * level_w / len(levels)
         if use_smooth and smooth_up != 0.0:
-            d_level += smooth_up * _smoothness_backward(smooth_cache, level.depth)
+            d_level += smooth_up * _smoothness_backward(smooth_cache)
         if level.factor == 1:
             d_depth += d_level
         else:
@@ -851,8 +844,10 @@ def total_loss(
     supervised term is averaged over context poses. labels is a sparse depth
     raster (0 = unlabeled); it may be omitted when lambda_rep is 0.
     unwarped_min can carry a precomputed unwarped_min_photometric map (it is
-    constant while depth and poses change). ``terms`` selects a subset of
-    "photo", "smooth" and "rep" so each can be verified in isolation.
+    constant while depth and poses change) and must have the depth's shape.
+    ``terms`` selects a subset of "photo", "smooth" and "rep" so each can be
+    verified in isolation. Raises InvalidDepthError unless depth is positive
+    and finite at every pixel.
     """
     breakdown, _, _ = _objective(
         target, context, depth, k, weights, labels, num_scales, supervised,
@@ -877,7 +872,9 @@ def total_loss_grad(
     6 pose parameters (alpha, beta, gamma, tx, ty, tz) of every context.
 
     Masks, argmin source selections and validity flags are held constant, so
-    these are the piecewise gradients away from switching boundaries.
+    these are the piecewise gradients away from switching boundaries. The
+    arguments are those of `total_loss`, with the same checks: a depth that
+    is not positive and finite at every pixel raises InvalidDepthError.
     """
     return _objective(
         target, context, depth, k, weights, labels, num_scales, supervised,

@@ -10,6 +10,10 @@ Per-pixel vector fields are read and written as planes: coordinates are
 are contiguous when the array is a view over (2, H, W) storage, as
 `geometry.warp_chain` returns it, and the coordinate gradient comes back as
 the same kind of (H, W, 2) view over a (2, H, W) array.
+
+Callers pass finite coordinates at valid pixels, as `geometry.warp_chain`
+makes them from a checked depth and the synthesizer's clipped texture
+lookups do; only shapes are checked here.
 """
 
 from __future__ import annotations

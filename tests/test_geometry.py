@@ -56,11 +56,11 @@ def quat_oracle_matrix(alpha, beta, gamma):
 
 
 def chain_at(k, pose, pixel, depth):
-    """warp_chain over a constant depth map; the (point, coords, in_front)
+    """warp_chain over a constant depth map; the (point, coords, valid)
     of one (u, v) pixel."""
     chain = warp_chain(np.full((k.height, k.width), float(depth)), pose, k)
     u, v = pixel
-    return chain.points[v, u], chain.coords[v, u], chain.in_front[v, u]
+    return chain.points[v, u], chain.coords[v, u], chain.valid[v, u]
 
 
 class TestUnproject:
@@ -85,12 +85,15 @@ class TestUnproject:
         assert point[2] == 7.25
 
     def test_nonpositive_depth_rejected(self):
+        # under the identity pose z is the depth itself, so 0 and -1 fall
+        # behind the cut-off (the objective rejects such a depth before it
+        # warps)
         depth = np.full((K.height, K.width), 3.0)
         depth[0, 0], depth[1, 2] = 0.0, -1.0
         chain = warp_chain(depth, PoseSE3.identity(), K)
-        assert not chain.in_front[0, 0] and not chain.in_front[1, 2]
+        assert not chain.valid[0, 0] and not chain.valid[1, 2]
         assert tuple(chain.coords[0, 0]) == (0, 0) and tuple(chain.coords[1, 2]) == (0, 0)
-        assert chain.in_front.sum() == chain.in_front.size - 2
+        assert chain.valid.sum() == chain.valid.size - 2
 
 
 class TestTransform:
@@ -119,28 +122,28 @@ class TestProject:
 
     def test_hand_computed_pinhole(self):
         # the principal ray at depth 10, moved to the point (1, 2, 10)
-        _, coords, in_front = chain_at(K, PoseSE3(translation=(1, 2, 0)), (64, 48), 10)
-        assert in_front
+        _, coords, valid = chain_at(K, PoseSE3(translation=(1, 2, 0)), (64, 48), 10)
+        assert valid
         assert coords == pytest.approx((74.0, 68.0))
 
     def test_optical_axis(self):
-        _, coords, in_front = chain_at(K, PoseSE3(translation=(0, 0, 2)), (64, 48), 3)
-        assert in_front
+        _, coords, valid = chain_at(K, PoseSE3(translation=(0, 0, 2)), (64, 48), 3)
+        assert valid
         assert coords == pytest.approx((64.0, 48.0))
 
     def test_behind_camera_point_flagged(self):
         # the principal ray at depth 2, moved to the point (1, 1, 0)
-        point, coords, in_front = chain_at(K, PoseSE3(translation=(1, 1, -2)), (64, 48), 2)
+        point, coords, valid = chain_at(K, PoseSE3(translation=(1, 1, -2)), (64, 48), 2)
         assert tuple(point) == (1.0, 1.0, 0.0)
-        assert not in_front
+        assert not valid
         assert tuple(coords) == (0.0, 0.0)
 
     def test_cutoff_boundary(self):
         # with the identity pose the principal ray's z is exactly its depth
-        _, coords, in_front = chain_at(K, PoseSE3.identity(), (64, 48), EPS_Z)
-        assert not in_front and tuple(coords) == (0.0, 0.0)
-        _, coords, in_front = chain_at(K, PoseSE3.identity(), (64, 48), 2 * EPS_Z)
-        assert in_front and coords == pytest.approx((64.0, 48.0))
+        _, coords, valid = chain_at(K, PoseSE3.identity(), (64, 48), EPS_Z)
+        assert not valid and tuple(coords) == (0.0, 0.0)
+        _, coords, valid = chain_at(K, PoseSE3.identity(), (64, 48), 2 * EPS_Z)
+        assert valid and coords == pytest.approx((64.0, 48.0))
 
 
 @given(
@@ -151,8 +154,8 @@ class TestProject:
 @settings(max_examples=200, deadline=None)
 def test_project_unproject_round_trip(u, v, d):
     # the identity warp projects every back-projected pixel onto itself
-    _, coords, in_front = chain_at(K, PoseSE3.identity(), (u, v), d)
-    assert in_front
+    _, coords, valid = chain_at(K, PoseSE3.identity(), (u, v), d)
+    assert valid
     assert abs(coords[0] - u) < 1e-9
     assert abs(coords[1] - v) < 1e-9
 
@@ -312,7 +315,7 @@ def interleaved_warp_chain(depth, pose, k):
     rays = k.pixel_rays()
     points = (depth[..., None] * rays) @ pose.rotation_matrix().T + pose.translation_vector()
     z = points[..., 2]
-    in_front = (depth > 0) & (z > EPS_Z)
+    in_front = z > EPS_Z
     z_safe = np.where(in_front, z, 1.0)
     coords = np.empty(depth.shape + (2,))
     coords[..., 0] = k.fx * points[..., 0] / z_safe + k.cx
@@ -353,10 +356,7 @@ class TestPlanarLayout:
     }
 
     def depth(self, k, seed=0):
-        depth = np.random.default_rng(seed).uniform(1.0, 6.0, (k.height, k.width))
-        depth[0, :4] = 0.0
-        depth[3, 5] = -1.0
-        return depth
+        return np.random.default_rng(seed).uniform(1.0, 6.0, (k.height, k.width))
 
     @pytest.mark.parametrize("k", [K, K_ODD], ids=["128x96", "37x23"])
     @pytest.mark.parametrize("pose_name", list(POSES))
@@ -372,9 +372,8 @@ class TestPlanarLayout:
         assert np.array_equal(chain.points, points)
         assert np.array_equal(chain.coords, coords)
         assert np.array_equal(chain.valid, valid)
-        assert np.array_equal(chain.in_front, in_front)
         if pose_name == "behind":
-            assert (~in_front & (depth > 0)).any() and valid.any()
+            assert (~in_front).any() and valid.any()
         if pose_name == "out_of_bounds":
             assert (in_front & ~valid).any() and valid.any()
 
@@ -403,12 +402,13 @@ class TestPlanarLayout:
             # a small motion of a far plane keeps every pixel in front
             depth, pose = np.full((k.height, k.width), 50.0), self.POSES["small"]
         else:
-            depth, pose = -np.abs(self.depth(k)), self.POSES["small"]
+            # the source camera sits 10 m ahead of every point (depth <= 6 m)
+            depth, pose = self.depth(k), PoseSE3(translation=(0.0, 0.0, -10.0))
         chain = warp_chain(depth, pose, k)
         points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
         assert in_front.all() if fill == "all" else not in_front.any()
         for ours, ref in ((chain.points, points), (chain.coords, coords),
-                          (chain.valid, valid), (chain.in_front, in_front)):
+                          (chain.valid, valid)):
             assert ours.shape == ref.shape and ours.dtype == ref.dtype
             assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()
         if fill == "none":

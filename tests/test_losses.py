@@ -6,7 +6,9 @@ import pytest
 from sfm_losskit import losses, warp
 from sfm_losskit.errors import (
     DegenerateMaskError,
+    DimensionError,
     EmptyContextError,
+    InvalidDepthError,
     NoSupervisionError,
 )
 from sfm_losskit.geometry import (
@@ -585,6 +587,39 @@ class TestTotalLoss:
             )
             oracle = _depth_error(pred, scene.labels.depth, mode, want_grad=False)[0]
             assert bd.rep == pytest.approx(oracle, rel=1e-12)
+
+
+class TestEntryChecks:
+    """Depth is positive and finite at every pixel, and a precomputed
+    unwarped_min has the depth's shape; the objective checks both where its
+    inputs enter it."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad", "min_photometric"])
+    def test_one_bad_depth_pixel_raises(self, entry, bad):
+        scene = small_scene()
+        depth = scene.gt_depth.copy()
+        depth[17, 23] = bad
+        k = scene.intrinsics
+        with pytest.raises(InvalidDepthError, match="1 pixel"):
+            if entry == "min_photometric":
+                min_photometric(scene.target, scene.contexts, depth, k, 0.85)
+            else:
+                getattr(losses, entry)(
+                    scene.target, scene.contexts, depth, k, LossWeights(lambda_rep=1.0),
+                    labels=scene.labels.depth,
+                )
+
+    @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],
+                             ids=["row", "flat", "scalar", "3d"])
+    def test_unwarped_min_of_another_shape_raises(self, shape):
+        scene = small_scene()
+        with pytest.raises(DimensionError, match="unwarped_min"):
+            total_loss(
+                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=0.0), unwarped_min=np.full(shape, 0.5),
+            )
 
 
 class TestTotalLossGrad:

@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sfm_losskit import losses
+from sfm_losskit import losses, optimize
 from sfm_losskit.errors import ConfigError, DivergedError, NoSupervisionError
 from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.losses import LossWeights
@@ -266,6 +266,29 @@ class TestGradcheck:
         assert isinstance(report, GradCheckReport)
         assert report.n_checked == 40 + 12
         assert 0 <= report.n_passed <= report.n_checked
+
+
+    def test_thread_pool_report_equals_serial_report(self, monkeypatch):
+        # the opt-in worker pool must not change any field of the report
+        pools = []
+
+        class CountingPool(optimize.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(optimize, "ThreadPoolExecutor", CountingPool)
+        scene = quick_scene(width=48, height=40, channels=3)
+        weights = LossWeights(lambda_rep=1.0)
+        monkeypatch.delenv("SFM_LOSSKIT_THREADS", raising=False)
+        serial = gradcheck(scene, weights, n_samples=24, seed=2)
+        assert pools == []
+        monkeypatch.setenv("SFM_LOSSKIT_THREADS", "2")
+        pooled = gradcheck(scene, weights, n_samples=24, seed=2)
+        assert pools == [2]
+        assert serial.failures and serial.max_rel_err > 0.0
+        for f in fields(GradCheckReport):
+            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
 
 
 class TestOptimState:
