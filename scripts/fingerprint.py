@@ -8,10 +8,12 @@ parent. The digest covers, in this order:
   for `configs/example_plane.cfg` and `perfbench/hires_pyramid.cfg` (seed 1),
   under each supervised loss (rep, l1, berhu);
 * `optimize.gradcheck` reports on a 3-channel 128x96 slant (seeds 1 and 2,
-  48 depth probes, all terms);
+  48 depth probes, all terms), and under l1 and berhu at seed 1;
 * `total_loss_grad` breakdowns and the bytes of both gradients, and the
   `min_photometric` maps, on a 64x48 two-plane scene at 1, 2 and 3 scales
-  under each supervised loss.
+  under each supervised loss;
+* one more `total_loss_grad` on that scene under rep, with a context pose
+  that puts some labels behind its camera.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 10 s.
@@ -67,6 +69,10 @@ def gradcheck_reports(digest) -> None:
                                                  height=96, channels=3, seed=seed))
         report = optimize.gradcheck(scene, weights, n_samples=48, seed=seed)
         digest.update(repr(report).encode())
+        for loss in losses.SUPERVISED[1:] if seed == 1 else ():
+            report = optimize.gradcheck(scene, weights, n_samples=48, seed=seed,
+                                        supervised=loss)
+            digest.update(repr(report).encode())
 
 
 def objective_outputs(digest) -> None:
@@ -90,6 +96,18 @@ def objective_outputs(digest) -> None:
     min_map, argmin = losses.min_photometric(scene.target, context, depth, k, weights.alpha)
     digest.update(min_map.tobytes())
     digest.update(argmin.tobytes())
+    # a pose backed up past the nearest labels drops them behind its camera
+    labeled = scene.labels.depth[scene.labels.depth > 0]
+    behind = PoseSE3(translation=(0.1, 0.0, -(labeled.min() + labeled.max()) / 2))
+    breakdown, d_depth, d_poses = losses.total_loss_grad(
+        scene.target, [context[0], (context[1][0], behind)], depth, k, weights,
+        labels=scene.labels.depth,
+    )
+    if breakdown.rep_dropped_behind == 0:
+        raise SystemExit("fingerprint: the backed-up pose dropped no label")
+    digest.update(repr(breakdown).encode())
+    digest.update(d_depth.tobytes())
+    digest.update(d_poses.tobytes())
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ class DimensionError(LossKitError):
 
 
 class InvalidDepthError(LossKitError):
-    """A depth required to be positive and finite was not (0, < 0, NaN, inf)."""
+    """A depth required to be finite and above geometry.EPS_Z (1e-6) was not."""
 
 
 class EmptyContextError(LossKitError):

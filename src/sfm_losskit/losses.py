@@ -8,30 +8,34 @@ distance, or the L1 / BerHu depth error it is compared against):
     total = photo + lambda_smooth * smooth + lambda_rep * rep
 
 Each term exists once in private code: the photometric and smoothness
-terms as forward/backward pairs, the supervised term as one function with an
-optional gradient. `_objective` only validates its inputs, builds the depth
-pyramid and sums the terms. The public entry points are `total_loss` and
-`total_loss_grad` (all terms, or the subset named in ``terms``),
-`unwarped_min_photometric` (the static-pixel mask's reference, constant
-during optimization) and `min_photometric` (the per-pixel minimum over
-sources and its argmin). Each validates its arguments and then calls the
-same private functions, so what it computes is exactly what the optimizer
-minimizes.
+terms as forward/backward pairs, the supervised term as `_supervised`,
+whose three losses read one set of label points per evaluation and return a
+gradient per label, added into the depth gradient at the label pixels only.
+`_objective` only validates its inputs, builds the depth pyramid and sums
+the terms. The public entry points are `total_loss` and `total_loss_grad`
+(all terms, or the subset named in ``terms``), `unwarped_min_photometric`
+(the static-pixel mask's reference, constant during optimization) and
+`min_photometric` (the per-pixel minimum over sources and its argmin). Each
+validates its arguments and then calls the same private functions, so what
+it computes is exactly what the optimizer minimizes.
 
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
-central finite differences away from the measure-zero switching sets.
-Two properties keep those differences meaningful: every windowed operator
-is local (a one-pixel change leaves outputs outside its window
-bit-identical), and scalar reductions are plain ``np.sum`` calls, which are
-deterministic for a fixed shape. The windowed and pyramid operators are
-separable, and each backward pass applies their exact transposes.
-Images are (H, W, C) float arrays in [0, 1]. Depth maps are (H, W) and
-positive and finite at every pixel (smoothness works on disparity
-1 / depth): that is the objective's one precondition, checked where depth
-enters it, so the terms handle no holes. Label rasters hold 0 where
-unlabeled. Per-pixel loss maps carry +inf where the warp is invalid, which
-every reduction here excludes by mask.
+central finite differences away from the measure-zero switching sets, with
+one exception: BerHu's gradient holds its threshold c = 0.2 max|e| fixed,
+though c moves with the prediction, so it differs from a finite difference
+at the label of largest error. Two properties keep those differences
+meaningful: every windowed operator is local (a one-pixel change leaves
+outputs outside its window bit-identical), and scalar reductions are plain
+``np.sum`` calls, which are deterministic for a fixed shape. The windowed
+and pyramid operators are separable, and each backward pass applies their
+exact transposes. Images are (H, W, C) float arrays in [0, 1]. Depth maps
+are (H, W), finite and above the in-front cut-off geometry.EPS_Z at every
+pixel (smoothness works on disparity 1 / depth, at most 1e6): that is the
+objective's one precondition, checked where depth enters it, so the terms
+handle no holes. Label rasters hold 0 where unlabeled. Per-pixel loss maps
+carry +inf where the warp is invalid, which every reduction here excludes
+by mask.
 """
 
 from __future__ import annotations
@@ -88,15 +92,6 @@ class LossBreakdown:
     masked_pixel_count: int
     rep_pixel_count: int = 0
     rep_dropped_behind: int = 0
-
-
-class RepLoss(NamedTuple):
-    """Mean reprojected distance, the label count used, and how many labels
-    were dropped because a projection fell behind the camera."""
-
-    value: float
-    count: int
-    dropped: int
 
 
 # A context set is an ordered list of (source image, pose target->source).
@@ -397,12 +392,14 @@ def _validate_context(target: np.ndarray, context: ContextSet) -> None:
 
 
 def _checked_depth(depth) -> np.ndarray:
-    """depth as float64, checked for the objective's one precondition."""
+    """depth as float64, checked for the objective's one precondition; its
+    lower bound EPS_Z is the in-front cut-off, as a target pixel's point
+    has target-frame z equal to its depth."""
     depth = np.asarray(depth, dtype=np.float64)
-    ok = (depth > 0) & (depth < np.inf)
+    ok = (depth > geometry.EPS_Z) & (depth < np.inf)
     if not ok.all():
         bad = ok.size - int(ok.sum())
-        raise InvalidDepthError(f"depth is not positive and finite at {bad} pixel(s)")
+        raise InvalidDepthError(f"depth is not finite and > EPS_Z at {bad} pixel(s)")
     return depth
 
 
@@ -418,7 +415,7 @@ def min_photometric(
 
     Returns the min-reduced loss map (+inf where no source is valid) and the
     argmin source index map (-1 where no source is valid). Raises
-    InvalidDepthError unless depth is positive and finite at every pixel.
+    InvalidDepthError unless depth is finite and above EPS_Z at every pixel.
     """
     target = warp.validate_image(target)
     _validate_context(target, context)
@@ -500,46 +497,42 @@ def _smoothness_backward(cache: _SmoothCache) -> np.ndarray:
     return -d_disp * disp * disp
 
 
-def _labeled(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Labeled pixels (labels hold 0 where unlabeled)."""
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
-    shared = gt > 0
-    if not shared.any():
-        raise NoSupervisionError("no labeled pixel")
-    return shared
-
-
 class _LabelPoints(NamedTuple):
-    """The labeled pixels of one evaluation and their unrotated points,
-    shared by every context pose."""
+    """The labeled pixels of one evaluation, their predicted and label
+    depths and their unrotated points, shared by every supervised loss and
+    every context pose."""
 
-    rows: np.ndarray
-    cols: np.ndarray
+    index: np.ndarray  # (N,) flat C-order pixel indices
+    d_hat: np.ndarray  # (N,) predicted depths
+    d_true: np.ndarray  # (N,) label depths
     rays: np.ndarray  # (N, 3)
     p_hat: np.ndarray  # (N, 3) predicted points d_hat * ray
     p_true: np.ndarray  # (N, 3) label points d_true * ray
 
 
 def _label_points(pred, gt, k) -> _LabelPoints:
-    shared = _labeled(pred, gt)
-    rows, cols = np.nonzero(shared)
-    rays = k.pixel_rays()[rows, cols]
-    return _LabelPoints(
-        rows, cols, rays, pred[rows, cols][:, None] * rays, gt[rows, cols][:, None] * rays
-    )
+    """The label points of a prediction; labels hold 0 where unlabeled."""
+    if pred.shape != gt.shape:
+        raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
+    index = np.flatnonzero(gt > 0)
+    if len(index) == 0:
+        raise NoSupervisionError("no labeled pixel")
+    d_hat, d_true = pred.reshape(-1)[index], gt.reshape(-1)[index]
+    rays = k.pixel_rays().reshape(-1, 3)[index]
+    return _LabelPoints(index, d_hat, d_true, rays, d_hat[:, None] * rays, d_true[:, None] * rays)
 
 
-def _rep_distance(pred, points, pose, k, want_grad):
-    """Reprojected distance of a float64 (H, W) prediction through one pose:
-    the mean pixel distance between projected predicted and true label points.
+def _rep_distance(points, pose, k, want_grad):
+    """Reprojected distance through one pose: the mean pixel distance between
+    the projected predicted and true label points.
 
     points is `_label_points(pred, gt, k)`, which does not depend on the
-    pose, so `_supervised` builds it once for all poses.
-    Returns (RepLoss, d_pred, d_pose6); the gradients w.r.t. pred and the 6
-    pose parameters are None unless want_grad.
+    pose, so `_supervised` builds it once for all poses. Returns (value,
+    labels used, labels dropped behind the camera, d_pred, d_pose6): d_pred
+    is the (N,) gradient per label, 0 at the dropped ones, and d_pose6 the
+    gradient w.r.t. the 6 pose parameters; both are None unless want_grad.
     """
-    rows, cols, rays, p_hat, p_true = points
+    rays, p_hat, p_true = points.rays, points.p_hat, points.p_true
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
     x_hat = p_hat @ rot.T + t
@@ -551,8 +544,7 @@ def _rep_distance(pred, points, pose, k, want_grad):
     if count == 0:
         raise NoSupervisionError("every label projects behind the camera")
     if dropped:
-        rows, cols, rays = rows[front], cols[front], rays[front]
-        p_hat, p_true = p_hat[front], p_true[front]
+        rays, p_hat, p_true = rays[front], p_hat[front], p_true[front]
         x_hat, x_true = x_hat[front], x_true[front]
 
     def _proj(p):
@@ -563,9 +555,9 @@ def _rep_distance(pred, points, pose, k, want_grad):
 
     e = _proj(x_hat) - _proj(x_true)
     norms = np.sqrt((e * e).sum(axis=1))
-    rep = RepLoss(float(np.sum(norms)) / count, count, dropped)
+    value = float(np.sum(norms)) / count
     if not want_grad:
-        return rep, None, None
+        return value, count, dropped, None, None
 
     # beta = e / |e| with the zero subgradient at |e| = 0
     safe = np.where(norms > 0, norms, 1.0)
@@ -576,10 +568,9 @@ def _rep_distance(pred, points, pose, k, want_grad):
     g_hat = np.einsum("ni,nij->nj", beta, jac_hat) / count
     g_true = np.einsum("ni,nij->nj", beta, jac_true) / count
 
-    d_pred = np.zeros_like(pred)
-    # dX_hat/dd = R @ ray; only the predicted branch depends on pred. Each
-    # label pixel appears once, so the fancy-index add equals np.add.at.
-    d_pred[rows, cols] += np.einsum("nj,nj->n", g_hat, rays @ rot.T)
+    # dX_hat/dd = R @ ray; only the predicted branch depends on pred
+    d_pred = np.zeros(len(front))
+    d_pred[front] = np.einsum("nj,nj->n", g_hat, rays @ rot.T)
 
     d_pose = np.zeros(6)
     for i, drot in enumerate(pose.rotation_jacobians()):
@@ -587,61 +578,51 @@ def _rep_distance(pred, points, pose, k, want_grad):
             "nj,nj->", g_true, p_true @ drot.T
         )
     d_pose[3:] = (g_hat - g_true).sum(axis=0)
-    return rep, d_pred, d_pose
+    return value, count, dropped, d_pred, d_pose
 
 
-def _depth_error(pred, gt, mode, want_grad):
-    """Mean L1 or BerHu depth error over labeled pixels.
-
-    BerHu is |e| up to c = 0.2 * max|e| and (e^2 + c^2) / (2c) beyond.
-    Returns (value, label count, d_pred); d_pred is None unless want_grad.
-    """
-    shared = _labeled(pred, gt)
-    err = (pred - gt)[shared]
-    count = int(shared.sum())
+def _depth_error(points, mode):
+    """Mean L1 or BerHu depth error over the label points, and its (N,)
+    gradient per label. BerHu is |e| up to c = 0.2 * max|e| and
+    (e^2 + c^2) / (2c) beyond; the gradient holds c fixed."""
+    err = points.d_hat - points.d_true
+    count = len(err)
     abs_err = np.abs(err)
     if mode == "l1":
-        value = float(abs_err.mean())
-        d_err = np.sign(err) / count
-    else:
-        c = 0.2 * float(abs_err.max())
-        if c <= 0:
-            value = 0.0
-            d_err = np.zeros_like(err)
-        else:
-            quad = (err * err + c * c) / (2.0 * c)
-            value = float(np.where(abs_err <= c, abs_err, quad).mean())
-            d_err = np.where(abs_err <= c, np.sign(err), err / c) / count
-    if not want_grad:
-        return value, count, None
-    d_pred = np.zeros_like(pred)
-    d_pred[shared] = d_err
-    return value, count, d_pred
+        return float(abs_err.mean()), np.sign(err) / count
+    c = 0.2 * float(abs_err.max())
+    if c <= 0:
+        return 0.0, np.zeros_like(err)
+    quad = (err * err + c * c) / (2.0 * c)
+    value = float(np.where(abs_err <= c, abs_err, quad).mean())
+    return value, np.where(abs_err <= c, np.sign(err), err / c) / count
 
 
 def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
     """The supervised term: the reprojected distance averaged over the
     context poses, or the pose-free L1 / BerHu depth error.
 
-    Returns (value, label count, labels dropped behind the camera). When the
-    gradient buffers are given (not None), adds d(weight * value) to them.
+    Builds the label points once for all three losses. Returns (value,
+    label count, labels dropped behind the camera). When the gradient
+    buffers are given (not None), adds d(weight * value) to them; only this
+    code adds supervised gradient to d_depth, and only at label pixels.
     """
     want_grad = d_depth is not None
+    points = _label_points(depth, labels, k)
     if mode != "rep":
-        value, count, d_pred = _depth_error(depth, labels, mode, want_grad)
+        value, d_pred = _depth_error(points, mode)
         if want_grad:
-            d_depth += weight * d_pred
-        return value, count, 0
+            d_depth.flat[points.index] += weight * d_pred
+        return value, len(d_pred), 0
     value, count, dropped = 0.0, 0, 0
     scale = weight / len(context)
-    points = _label_points(depth, labels, k)
     for s, (_, pose) in enumerate(context):
-        rep, d_pred, d_pose6 = _rep_distance(depth, points, pose, k, want_grad)
-        value += rep.value / len(context)
-        count = max(count, rep.count)
-        dropped += rep.dropped
+        v, n, gone, d_pred, d_pose6 = _rep_distance(points, pose, k, want_grad)
+        value += v / len(context)
+        count = max(count, n)
+        dropped += gone
         if want_grad:
-            d_depth += scale * d_pred
+            d_depth.flat[points.index] += scale * d_pred
             d_poses[s] += scale * d_pose6
     return value, count, dropped
 
@@ -846,8 +827,8 @@ def total_loss(
     unwarped_min can carry a precomputed unwarped_min_photometric map (it is
     constant while depth and poses change) and must have the depth's shape.
     ``terms`` selects a subset of "photo", "smooth" and "rep" so each can be
-    verified in isolation. Raises InvalidDepthError unless depth is positive
-    and finite at every pixel.
+    verified in isolation. Raises InvalidDepthError unless depth is finite
+    and above EPS_Z at every pixel.
     """
     breakdown, _, _ = _objective(
         target, context, depth, k, weights, labels, num_scales, supervised,
@@ -874,7 +855,7 @@ def total_loss_grad(
     Masks, argmin source selections and validity flags are held constant, so
     these are the piecewise gradients away from switching boundaries. The
     arguments are those of `total_loss`, with the same checks: a depth that
-    is not positive and finite at every pixel raises InvalidDepthError.
+    is not finite and above EPS_Z at every pixel raises InvalidDepthError.
     """
     return _objective(
         target, context, depth, k, weights, labels, num_scales, supervised,

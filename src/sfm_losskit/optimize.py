@@ -345,8 +345,11 @@ def gradcheck(
 
     Samples ``n_samples`` random depth pixels plus all pose parameters at a
     generic evaluation point (ground truth perturbed multiplicatively, poses
-    jittered). ``terms`` selects which loss terms are active, so each can be
-    verified in isolation as well as combined. Passes when at least 99% of the checked coordinates satisfy
+    jittered). Both index one probe vector: the flattened depth, then the
+    flattened (S, 6) pose parameters; a failure still names its coordinate
+    as ("depth", pixel) or ("pose", parameter). ``terms`` selects which loss
+    terms are active, so each can be verified in isolation as well as
+    combined. Passes when at least 99% of the checked coordinates satisfy
     |analytic - fd| <= FD_ATOL + tol * max(|analytic|, |fd|); the absolute
     floor covers gradients too small for float64 central differences to
     resolve at the given step.
@@ -366,49 +369,35 @@ def gradcheck(
     pose_params = np.stack([pose.as_params() for _, pose in scene.contexts])
     pose_params[:, :3] += rng.normal(0.0, 0.01, pose_params[:, :3].shape)
     pose_params[:, 3:] += rng.normal(0.0, 0.02, pose_params[:, 3:].shape)
+    x0 = np.concatenate([depth0.reshape(-1), pose_params.reshape(-1)])
+    n_depth = depth0.size
 
     labels = scene.labels.depth if scene.labels.n_labels else None
     images = [img for img, _ in scene.contexts]
-    k = scene.intrinsics
     unwarped = None
     if "photo" in terms:
         unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, weights.alpha)
 
-    def total_at(depth, params):
+    def evaluate(x, loss=losses.total_loss):
+        params = x[n_depth:].reshape(pose_params.shape)
         ctx = [(img, PoseSE3.from_params(p)) for img, p in zip(images, params)]
-        return losses.total_loss(
-            scene.target, ctx, depth, k, weights, labels=labels,
-            num_scales=num_scales, supervised=supervised, unwarped_min=unwarped,
-            terms=terms,
-        ).total
+        return loss(
+            scene.target, ctx, x[:n_depth].reshape(depth0.shape), scene.intrinsics,
+            weights, labels=labels, num_scales=num_scales, supervised=supervised,
+            unwarped_min=unwarped, terms=terms,
+        )
 
-    ctx0 = [(img, PoseSE3.from_params(p)) for img, p in zip(images, pose_params)]
-    _, d_depth, d_poses = losses.total_loss_grad(
-        scene.target, ctx0, depth0, k, weights, labels=labels,
-        num_scales=num_scales, supervised=supervised, unwarped_min=unwarped,
-        terms=terms,
-    )
+    _, d_depth, d_poses = evaluate(x0, losses.total_loss_grad)
+    analytic = np.concatenate([d_depth.reshape(-1), d_poses.reshape(-1)])
+    pixels = rng.choice(n_depth, size=min(n_samples, n_depth), replace=False)
+    probes = [int(p) for p in pixels] + list(range(n_depth, x0.size))
 
-    hgt, wid = depth0.shape
-    pixels = rng.choice(hgt * wid, size=min(n_samples, hgt * wid), replace=False)
-    probes = [("depth", int(p)) for p in pixels]
-    probes += [("pose", i) for i in range(pose_params.size)]
-
-    def fd_probe(probe):
-        kind, idx = probe
-        if kind == "depth":
-            dp = depth0.copy().reshape(-1)
-            dp[idx] += h
-            f_plus = total_at(dp.reshape(hgt, wid), pose_params)
-            dp[idx] -= 2 * h
-            f_minus = total_at(dp.reshape(hgt, wid), pose_params)
-        else:
-            pp = pose_params.copy().reshape(-1)
-            pp[idx] += h
-            f_plus = total_at(depth0, pp.reshape(pose_params.shape))
-            pp[idx] -= 2 * h
-            f_minus = total_at(depth0, pp.reshape(pose_params.shape))
-        return (f_plus - f_minus) / (2 * h)
+    def fd_probe(i):
+        x = x0.copy()
+        x[i] += h
+        f_plus = evaluate(x).total
+        x[i] -= 2 * h
+        return (f_plus - evaluate(x).total) / (2 * h)
 
     workers = thread_count()
     if workers > 1:
@@ -419,13 +408,12 @@ def gradcheck(
 
     failures = []
     errs = []
-    for probe, fd in zip(probes, fd_values):
-        kind, idx = probe
-        analytic = d_depth.reshape(-1)[idx] if kind == "depth" else d_poses.reshape(-1)[idx]
-        err = _rel_err(analytic, fd)
+    for i, a, fd in zip(probes, analytic[probes], fd_values):
+        err = _rel_err(a, fd)
         errs.append(err)
-        if abs(analytic - fd) > FD_ATOL + tol * max(abs(analytic), abs(fd)):
-            failures.append((kind, idx, float(analytic), float(fd), float(err)))
+        if abs(a - fd) > FD_ATOL + tol * max(abs(a), abs(fd)):
+            coord = ("depth", i) if i < n_depth else ("pose", i - n_depth)
+            failures.append((*coord, float(a), float(fd), float(err)))
 
     n_checked = len(probes)
     n_passed = n_checked - len(failures)

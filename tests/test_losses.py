@@ -335,9 +335,9 @@ class TestReprojectedDistance:
         scene = small_scene()
         _, pose = scene.contexts[0]
         points = _label_points(scene.gt_depth, scene.labels.depth, scene.intrinsics)
-        out = _rep_distance(scene.gt_depth, points, pose, scene.intrinsics, want_grad=False)[0]
-        assert out.value == 0.0
-        assert out.count == scene.labels.n_labels
+        value, count, _, _, _ = _rep_distance(points, pose, scene.intrinsics, want_grad=False)
+        assert value == 0.0
+        assert count == scene.labels.n_labels
 
     def test_single_pixel_hand_computed(self):
         k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
@@ -345,19 +345,17 @@ class TestReprojectedDistance:
         gt[0, 0] = 2.0
         pred = np.full((4, 4), 4.0)
         pose = PoseSE3(translation=(1.0, 0.0, 0.0))
-        out = _rep_distance(pred, _label_points(pred, gt, k), pose, k, want_grad=False)[0]
+        value, count, _, _, _ = _rep_distance(_label_points(pred, gt, k), pose, k, want_grad=False)
         # pi(T*(4,0,0,1)-ray) = 1/4 + 0 = 0.25 ; pi with d=2 -> 0.5
-        assert out.value == pytest.approx(0.25, abs=1e-15)
-        assert out.count == 1
+        assert value == pytest.approx(0.25, abs=1e-15)
+        assert count == 1
 
     def test_identity_pose_is_zero_for_any_prediction(self):
         scene = small_scene()
         pred = scene.gt_depth * 3.1
         points = _label_points(pred, scene.labels.depth, scene.intrinsics)
-        out = _rep_distance(
-            pred, points, PoseSE3.identity(), scene.intrinsics, want_grad=False
-        )[0]
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        value = _rep_distance(points, PoseSE3.identity(), scene.intrinsics, want_grad=False)[0]
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_depth_weighting_decreases_with_distance(self):
         # same relative error at growing depth reprojects ever smaller
@@ -370,7 +368,7 @@ class TestReprojectedDistance:
             pred = np.zeros((4, 4))
             pred[1, 1] = 1.2 * d
             points = _label_points(pred, gt, k)
-            values.append(_rep_distance(pred, points, pose, k, want_grad=False)[0].value)
+            values.append(_rep_distance(points, pose, k, want_grad=False)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_no_labels_raises(self):
@@ -385,9 +383,12 @@ class TestReprojectedDistance:
         gt[1, 1] = 5.0
         pred = np.where(gt > 0, gt * 1.1, 0.0)
         pose = PoseSE3(translation=(0.0, 0.0, -2.0))  # pulls near labels behind
-        out = _rep_distance(pred, _label_points(pred, gt, k), pose, k, want_grad=False)[0]
-        assert out.count == 1
-        assert out.dropped == 1
+        points = _label_points(pred, gt, k)
+        _, count, dropped, d_pred, _ = _rep_distance(points, pose, k, want_grad=True)
+        assert count == 1
+        assert dropped == 1
+        # the per-label gradient is 0 at the label dropped behind the camera
+        assert d_pred.shape == (2,) and d_pred[0] == 0.0 and d_pred[1] != 0.0
 
     def test_shared_label_points_match_per_pose_calls(self):
         # _supervised builds the label points once for every pose; its sums
@@ -425,6 +426,45 @@ class TestReprojectedDistance:
         assert out == (value, count, dropped)
         assert same_bits(ours_depth, d_depth) and same_bits(ours_poses, d_poses)
         assert losses._supervised(pred, gt, context, k, "rep", weight, None, None) == out
+
+    @pytest.mark.parametrize("mode", ["l1", "berhu"])
+    def test_depth_error_adds_at_label_pixels_only(self, mode):
+        # L1 and BerHu add their per-label gradient at the label pixels; the
+        # sum must equal adding a dense (H, W) reference raster, bit for bit
+        rng = np.random.default_rng(22)
+        k = SMALL_K
+        gt = np.zeros((k.height, k.width))
+        flat = rng.choice(gt.size, 60, replace=False)
+        gt.flat[flat] = rng.uniform(1.0, 6.0, flat.size)
+        pred = rng.uniform(1.0, 6.0, gt.shape)
+        weight = 0.37
+        base = rng.normal(size=gt.shape)
+        value, count, d_pred = dense_depth_error(pred, gt, mode)
+
+        ours = base.copy()
+        out = losses._supervised(pred, gt, None, k, mode, weight, ours, None)
+        assert out == (value, count, 0)
+        assert same_bits(ours, base + weight * d_pred)
+        assert losses._supervised(pred, gt, None, k, mode, weight, None, None) == out
+
+
+def dense_depth_error(pred, gt, mode):
+    """Reference L1 / BerHu depth error over the whole raster, with a dense
+    (H, W) gradient that is 0 off the labels.
+    Returns (value, count, d_pred)."""
+    shared = gt > 0
+    err = (pred - gt)[shared]
+    count = int(shared.sum())
+    abs_err = np.abs(err)
+    if mode == "l1":
+        value, d_err = float(abs_err.mean()), np.sign(err) / count
+    else:
+        c = 0.2 * float(abs_err.max())
+        value = float(np.where(abs_err <= c, abs_err, (err * err + c * c) / (2.0 * c)).mean())
+        d_err = np.where(abs_err <= c, np.sign(err), err / c) / count
+    d_pred = np.zeros_like(pred)
+    d_pred[shared] = d_err
+    return value, count, d_pred
 
 
 def per_pose_rep_distance(pred, gt, pose, k):
@@ -467,33 +507,39 @@ def per_pose_rep_distance(pred, gt, pose, k):
     return (float(np.sum(norms)) / count, count, dropped), d_pred, d_pose
 
 
+def depth_error(pred, gt, mode):
+    """_depth_error's value on a raster of at most 2x2 pixels."""
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
+    return _depth_error(_label_points(pred, gt, k), mode)[0]
+
+
 class TestBaselines:
     def test_zero_error(self):
         gt = np.array([[1.0, 2.0], [0.0, 3.0]])
-        assert _depth_error(gt, gt, "l1", want_grad=False)[0] == 0.0
-        assert _depth_error(gt, gt, "berhu", want_grad=False)[0] == 0.0
+        assert depth_error(gt, gt, "l1") == 0.0
+        assert depth_error(gt, gt, "berhu") == 0.0
 
     def test_l1_single_error(self):
         gt = np.array([[2.0, 0.0]])
         pred = np.array([[7.0, 0.5]])
-        assert _depth_error(pred, gt, "l1", want_grad=False)[0] == pytest.approx(5.0)
+        assert depth_error(pred, gt, "l1") == pytest.approx(5.0)
 
     def test_berhu_hand_computed_branches(self):
         gt = np.array([[1.0, 1.0]])
         pred = np.array([[2.0, 11.0]])  # errors 1 and 10, c = 0.2 * 10 = 2
         expected = (1.0 + (100 + 4) / 4.0) / 2.0
-        assert _depth_error(pred, gt, "berhu", want_grad=False)[0] == pytest.approx(expected)
+        assert depth_error(pred, gt, "berhu") == pytest.approx(expected)
 
     def test_berhu_default_threshold(self):
         gt = np.array([[1.0, 1.0]])
         pred = np.array([[2.0, 6.0]])  # errors 1, 5 -> c = 1
         c = 0.2 * 5.0
         expected = ((1.0**2 + c * c) / (2 * c) + (25 + c * c) / (2 * c)) / 2.0
-        assert _depth_error(pred, gt, "berhu", want_grad=False)[0] == pytest.approx(expected)
+        assert depth_error(pred, gt, "berhu") == pytest.approx(expected)
 
     def test_empty_overlap(self):
         with pytest.raises(NoSupervisionError):
-            _depth_error(np.zeros((2, 2)), np.zeros((2, 2)), "l1", want_grad=False)
+            depth_error(np.zeros((2, 2)), np.zeros((2, 2)), "l1")
 
 
 def scaled_contexts(contexts, s):
@@ -585,17 +631,18 @@ class TestTotalLoss:
                 scene.target, scene.contexts, pred, scene.intrinsics, w,
                 labels=scene.labels.depth, supervised=mode,
             )
-            oracle = _depth_error(pred, scene.labels.depth, mode, want_grad=False)[0]
+            points = _label_points(pred, scene.labels.depth, scene.intrinsics)
+            oracle = _depth_error(points, mode)[0]
             assert bd.rep == pytest.approx(oracle, rel=1e-12)
 
 
 class TestEntryChecks:
-    """Depth is positive and finite at every pixel, and a precomputed
+    """Depth is finite and above EPS_Z at every pixel, and a precomputed
     unwarped_min has the depth's shape; the objective checks both where its
     inputs enter it."""
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf],
-                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e-7],
+                             ids=["zero", "negative", "nan", "inf", "subnormal", "below_eps_z"])
     @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad", "min_photometric"])
     def test_one_bad_depth_pixel_raises(self, entry, bad):
         scene = small_scene()

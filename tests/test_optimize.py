@@ -268,6 +268,27 @@ class TestGradcheck:
         assert 0 <= report.n_passed <= report.n_checked
 
 
+    def test_failure_analytic_values_are_the_gradient_at_the_point(self):
+        # every failure names its coordinate in the depth or the pose block,
+        # and its analytic value is total_loss_grad's at gradcheck's point
+        scene = quick_scene(width=48, height=40)
+        weights = LossWeights(lambda_rep=1.0)
+        report = gradcheck(scene, weights, n_samples=24, h=1e-2, tol=0.0, seed=4)
+        rng = np.random.default_rng(4)
+        depth = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+        params = np.stack([pose.as_params() for _, pose in scene.contexts])
+        params[:, :3] += rng.normal(0.0, 0.01, params[:, :3].shape)
+        params[:, 3:] += rng.normal(0.0, 0.02, params[:, 3:].shape)
+        context = [(img, PoseSE3.from_params(p)) for (img, _), p in zip(scene.contexts, params)]
+        _, d_depth, d_poses = losses.total_loss_grad(
+            scene.target, context, depth, scene.intrinsics, weights,
+            labels=scene.labels.depth,
+        )
+        kinds = {kind for kind, *_ in report.failures}
+        assert kinds == {"depth", "pose"}
+        for kind, i, analytic, _, _ in report.failures:
+            assert analytic == (d_depth if kind == "depth" else d_poses).flat[i]
+
     def test_thread_pool_report_equals_serial_report(self, monkeypatch):
         # the opt-in worker pool must not change any field of the report
         pools = []

@@ -21,7 +21,7 @@ CONFIG = REPO / "configs" / "example_plane.cfg"
 
 # Defined but reached by no command, each for a stated reason.
 ALLOWED = {
-    # ROADMAP direction 2's ablation script reads its argmin over the
+    # ROADMAP direction 4's ablation script reads its argmin over the
     # closed-form occlusion masks (Scene.occluded)
     "losses.min_photometric",
     # only a diverging optimization builds it
