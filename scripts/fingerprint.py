@@ -4,9 +4,11 @@
 A change that claims to keep every output prints the same digest as its
 parent. The digest covers, in this order:
 
-* the `loss_history.csv` and `metrics.csv` that `synth` + `optimize` write
-  for `configs/example_plane.cfg` and `perfbench/hires_pyramid.cfg` (seed 1),
-  under each supervised loss (rep, l1, berhu);
+* the scene directory that `synth` writes for `configs/example_plane.cfg`
+  and `perfbench/hires_pyramid.cfg` (seed 1): each file's name and bytes
+  (manifest, PPM images, PFM depth and labels), in name order;
+* the `loss_history.csv` and `metrics.csv` that `optimize` writes from that
+  scene under each supervised loss (rep, l1, berhu);
 * `optimize.gradcheck` reports on a 3-channel 128x96 slant (seeds 1 and 2,
   48 depth probes, all terms), and under l1 and berhu at seed 1;
 * `total_loss_grad` breakdowns and the bytes of both gradients, and the
@@ -45,19 +47,24 @@ from sfm_losskit.geometry import PoseSE3  # noqa: E402
 CONFIGS = ("configs/example_plane.cfg", "perfbench/hires_pyramid.cfg")
 
 
+def _cli(argv: list[str], what: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*argv, "--scene.seed=1", "--optimizer.seed=1"])
+    if rc:
+        raise SystemExit(f"fingerprint: {what} exited {rc}")
+
+
 def cli_outputs(digest, tmp: Path) -> None:
-    for config in CONFIGS:
+    for i, config in enumerate(CONFIGS):
+        cfg = str(REPO / config)
+        scene_dir, report_dir = tmp / f"scene{i}", tmp / "report"
+        _cli(["synth", "--config", cfg, "--out", str(scene_dir)], f"synth of {config}")
+        for path in sorted(scene_dir.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
         for loss in losses.SUPERVISED:
-            scene_dir, report_dir = tmp / "scene", tmp / "report"
-            seeds = ["--scene.seed=1", "--optimizer.seed=1"]
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["synth", "--config", str(REPO / config),
-                               "--out", str(scene_dir), *seeds])
-                rc = rc or cli.main(["optimize", str(scene_dir), "--config", str(REPO / config),
-                                     "--out", str(report_dir), *seeds,
-                                     f"--optimizer.supervised_loss={loss}"])
-            if rc:
-                raise SystemExit(f"fingerprint: {config} under {loss} exited {rc}")
+            _cli(["optimize", str(scene_dir), "--config", cfg, "--out", str(report_dir),
+                  f"--optimizer.supervised_loss={loss}"], f"{config} under {loss}")
             for name in ("loss_history.csv", "metrics.csv"):
                 digest.update((report_dir / name).read_bytes())
 

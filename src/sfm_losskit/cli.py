@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _split_overrides(extras: list[str]) -> dict[str, str]:
     """``--section.key=value`` arguments as {section.key: value}. The key
-    must be dotted: a bare key is scene shorthand in config files only, so
-    ``--h=1e-3`` is an unrecognized argument, as ``--h 1e-3`` is."""
+    must be dotted, so ``--h=1e-3`` is an unrecognized argument, as
+    ``--h 1e-3`` is."""
     overrides = {}
     for item in extras:
         key, eq, value = item[2:].partition("=")

@@ -1,13 +1,12 @@
 """Sectioned key=value run configuration.
 
 Config files hold ``section.key = value`` lines (``#`` starts a comment).
-In config files, bare keys are accepted as shorthand for the scene section,
-so plain scene files (``geometry = plane``) parse too. Command-line
-``--section.key=value`` flags, always dotted, override file values, which
-override defaults. Each section's keys and value types are the fields of
-its dataclass: the three sections are scene (SceneSpec), weights
-(LossWeights) and optimizer (OptimConfig without weights). Unknown keys are
-rejected and every numeric range is validated at parse time.
+Command-line ``--section.key=value`` flags override file values, which
+override defaults; a key is always dotted, in a file as on the command line.
+Each section's keys and value types are the fields of its dataclass: the
+three sections are scene (SceneSpec), weights (LossWeights) and optimizer
+(OptimConfig without weights), 22 keys in all. Unknown keys are rejected
+and every numeric range is validated at parse time.
 
 Seeds are mandatory: a config used to synthesize must set scene.seed and a
 config used to optimize must set optimizer.seed. Nothing is ever seeded
@@ -56,10 +55,9 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
     """Build a validated RunConfig from dotted-key -> string pairs."""
     by_section: dict[str, dict] = {name: {} for name in _SECTIONS}
     for dotted, value in pairs.items():
-        if "." in dotted:
-            section, key = dotted.split(".", 1)
-        else:
-            section, key = "scene", dotted
+        section, dot, key = dotted.partition(".")
+        if not dot:
+            raise ConfigError(f"config key {dotted!r} is not dotted (expected section.key)")
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
         kind = _SECTIONS[section].get(key)
@@ -78,10 +76,7 @@ def parse_pairs(pairs: dict[str, str]) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    provided = frozenset(
-        dotted if "." in dotted else f"scene.{dotted}" for dotted in pairs
-    )
-    return RunConfig(scene=scene, optimizer=optimizer, provided=provided)
+    return RunConfig(scene=scene, optimizer=optimizer, provided=frozenset(pairs))
 
 
 def read_config_file(path) -> dict[str, str]:

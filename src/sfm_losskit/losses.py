@@ -380,13 +380,16 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
 
 
 def _validate_context(target: np.ndarray, context: ContextSet) -> None:
+    """Every context image has the target's shape and finite values, and
+    every pose is a PoseSE3; the one check of the context images."""
     if len(context) == 0:
         raise EmptyContextError("context set is empty")
     for i, (img, pose) in enumerate(context):
-        if np.asarray(img).shape != target.shape:
-            raise DimensionError(
-                f"context image {i} shape {np.asarray(img).shape} != target {target.shape}"
-            )
+        img = np.asarray(img)
+        if img.shape != target.shape:
+            raise DimensionError(f"context image {i} shape {img.shape} != target {target.shape}")
+        if not np.isfinite(img).all():
+            raise DimensionError(f"context image {i} contains non-finite values")
         if not isinstance(pose, PoseSE3):
             raise TypeError(f"context {i} pose must be PoseSE3, got {type(pose)!r}")
 
@@ -432,8 +435,7 @@ def unwarped_min_photometric(
     target = warp.validate_image(target)
     _validate_context(target, context)
     ones = np.ones(target.shape[:2], dtype=bool)
-    # context images get no other finiteness check
-    maps = [_photometric_forward(target, warp.validate_image(src), ones, float(alpha))[0]
+    maps = [_photometric_forward(target, np.asarray(src, dtype=np.float64), ones, float(alpha))[0]
             for src, _ in context]
     min_map, _ = _min_over_sources(maps)
     return min_map
@@ -498,41 +500,42 @@ def _smoothness_backward(cache: _SmoothCache) -> np.ndarray:
 
 
 class _LabelPoints(NamedTuple):
-    """The labeled pixels of one evaluation, their predicted and label
-    depths and their unrotated points, shared by every supervised loss and
-    every context pose."""
+    """The labeled pixels of one evaluation and their predicted and label
+    depths, shared by every supervised loss."""
 
     index: np.ndarray  # (N,) flat C-order pixel indices
     d_hat: np.ndarray  # (N,) predicted depths
     d_true: np.ndarray  # (N,) label depths
-    rays: np.ndarray  # (N, 3)
-    p_hat: np.ndarray  # (N, 3) predicted points d_hat * ray
-    p_true: np.ndarray  # (N, 3) label points d_true * ray
 
 
-def _label_points(pred, gt, k) -> _LabelPoints:
+def _label_points(pred, gt) -> _LabelPoints:
     """The label points of a prediction; labels hold 0 where unlabeled."""
     if pred.shape != gt.shape:
         raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
     index = np.flatnonzero(gt > 0)
     if len(index) == 0:
         raise NoSupervisionError("no labeled pixel")
-    d_hat, d_true = pred.reshape(-1)[index], gt.reshape(-1)[index]
-    rays = k.pixel_rays().reshape(-1, 3)[index]
-    return _LabelPoints(index, d_hat, d_true, rays, d_hat[:, None] * rays, d_true[:, None] * rays)
+    return _LabelPoints(index, pred.reshape(-1)[index], gt.reshape(-1)[index])
 
 
-def _rep_distance(points, pose, k, want_grad):
+def _label_rays(points: _LabelPoints, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (N, 3) rays of the label pixels and their unrotated predicted and
+    label points d_hat * ray and d_true * ray: the pose-free part of the
+    reprojected distance, which `_supervised` builds once for all poses."""
+    rays = k.pixel_rays().reshape(-1, 3)[points.index]
+    return rays, points.d_hat[:, None] * rays, points.d_true[:, None] * rays
+
+
+def _rep_distance(label_rays, pose, k, want_grad):
     """Reprojected distance through one pose: the mean pixel distance between
     the projected predicted and true label points.
 
-    points is `_label_points(pred, gt, k)`, which does not depend on the
-    pose, so `_supervised` builds it once for all poses. Returns (value,
-    labels used, labels dropped behind the camera, d_pred, d_pose6): d_pred
-    is the (N,) gradient per label, 0 at the dropped ones, and d_pose6 the
-    gradient w.r.t. the 6 pose parameters; both are None unless want_grad.
+    label_rays is `_label_rays(points, k)`. Returns (value, labels used,
+    labels dropped behind the camera, d_pred, d_pose6): d_pred is the (N,)
+    gradient per label, 0 at the dropped ones, and d_pose6 the gradient
+    w.r.t. the 6 pose parameters; both are None unless want_grad.
     """
-    rays, p_hat, p_true = points.rays, points.p_hat, points.p_true
+    rays, p_hat, p_true = label_rays
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
     x_hat = p_hat @ rot.T + t
@@ -602,22 +605,24 @@ def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
     """The supervised term: the reprojected distance averaged over the
     context poses, or the pose-free L1 / BerHu depth error.
 
-    Builds the label points once for all three losses. Returns (value,
+    Builds the label points once for all three losses, and the reprojected
+    distance's rays and points once for all poses. Returns (value,
     label count, labels dropped behind the camera). When the gradient
     buffers are given (not None), adds d(weight * value) to them; only this
     code adds supervised gradient to d_depth, and only at label pixels.
     """
     want_grad = d_depth is not None
-    points = _label_points(depth, labels, k)
+    points = _label_points(depth, labels)
     if mode != "rep":
         value, d_pred = _depth_error(points, mode)
         if want_grad:
             d_depth.flat[points.index] += weight * d_pred
         return value, len(d_pred), 0
+    label_rays = _label_rays(points, k)
     value, count, dropped = 0.0, 0, 0
     scale = weight / len(context)
     for s, (_, pose) in enumerate(context):
-        v, n, gone, d_pred, d_pose6 = _rep_distance(points, pose, k, want_grad)
+        v, n, gone, d_pred, d_pose6 = _rep_distance(label_rays, pose, k, want_grad)
         value += v / len(context)
         count = max(count, n)
         dropped += gone

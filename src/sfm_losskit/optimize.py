@@ -2,12 +2,12 @@
 
 Depth is parameterized in log space (positivity by construction, symmetric
 multiplicative steps); poses as 6 parameters per context frame. Updates use
-Adam in its standard form
+Adam in its standard form, with b1 = BETA1, b2 = BETA2 and eps = EPSILON:
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
     param -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-with lr = lr_depth for depth, lr_pose for translations and lr_pose / 10 for
+with lr = LR_DEPTH for depth, LR_POSE for translations and LR_POSE / 10 for
 rotation angles.
 
 `run` performs the two-phase schedule: phase A minimizes the unsupervised
@@ -16,7 +16,7 @@ phase B turns the supervised term on, whose gradient pulls depth toward the
 labels' scale. Phase B need not reach that scale: on the shipped example
 the median depth ratio barely moves during it. Each phase stops at its own
 budget (phase_a_iters, phase_b_iters) or once the loss has changed by at
-most tol (relative) for tol_window steps in a row. The optimizer state
+most tol (relative) for TOL_WINDOW steps in a row. The optimizer state
 between phases keeps depth/poses but restarts the Adam moments, mirroring
 a fresh refinement run.
 """
@@ -38,6 +38,17 @@ from .synth import Scene
 
 THREADS_ENV = "SFM_LOSSKIT_THREADS"
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's standard moments
+LR_DEPTH, LR_POSE = 0.02, 5e-3
+# Rotation angles live on a much finer scale than translations (a few
+# hundredths of a radian can mimic a whole baseline on planar scenes), so
+# they step 10x slower than the translations.
+LR_POSE_PARAMS = np.array([LR_POSE / 10.0] * 3 + [LR_POSE] * 3)
+LR_POSE_PARAMS.flags.writeable = False
+TOL_WINDOW = 25  # flat steps in a row that end a phase
+# Standard deviations of the seeded pose perturbation init_state starts from.
+POSE_INIT_ROT_STD, POSE_INIT_TRANS_STD = 0.002, 0.02
+
 
 def thread_count() -> int:
     """Worker-thread cap from the environment (0 = all cores, unset = 1)."""
@@ -55,19 +66,11 @@ def thread_count() -> int:
 
 @dataclass
 class OptimConfig:
-    lr_depth: float = 0.02
-    lr_pose: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     phase_a_iters: int = 2000
     phase_b_iters: int = 1000
     tol: float = 1e-7
-    tol_window: int = 25
     weights: LossWeights = field(default_factory=LossWeights)
     init_depth: float = 10.0
-    pose_init_rot_std: float = 0.002
-    pose_init_trans_std: float = 0.02
     supervised_loss: str = "rep"
     num_scales: int = 1
     seed: int = 0
@@ -76,21 +79,12 @@ class OptimConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        # lr == 0 is admitted as the degenerate "frozen parameters" case
-        if self.lr_depth < 0 or self.lr_pose < 0:
-            raise ConfigError("learning rates must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if min(self.phase_a_iters, self.phase_b_iters) < 1:
             raise ConfigError("iteration budgets must be >= 1")
-        if self.tol < 0 or self.tol_window < 1:
+        if self.tol < 0:
             raise ConfigError("invalid convergence tolerance")
         if self.init_depth <= 0:
             raise ConfigError("init_depth must be positive")
-        if self.pose_init_rot_std < 0 or self.pose_init_trans_std < 0:
-            raise ConfigError("pose_init_rot_std and pose_init_trans_std must be nonnegative")
         if self.supervised_loss not in losses.SUPERVISED:
             raise ConfigError(f"unknown supervised_loss {self.supervised_loss!r}")
         if self.num_scales < 1 or self.seed < 0:
@@ -132,37 +126,31 @@ def init_state(scene: Scene, config: OptimConfig) -> OptimState:
     rng = np.random.default_rng(config.seed)
     n_ctx = len(scene.contexts)
     pose_params = np.zeros((n_ctx, 6))
-    pose_params[:, :3] = rng.normal(0.0, config.pose_init_rot_std, (n_ctx, 3))
-    pose_params[:, 3:] = rng.normal(0.0, config.pose_init_trans_std, (n_ctx, 3))
+    pose_params[:, :3] = rng.normal(0.0, POSE_INIT_ROT_STD, (n_ctx, 3))
+    pose_params[:, 3:] = rng.normal(0.0, POSE_INIT_TRANS_STD, (n_ctx, 3))
     log_depth = np.full(scene.gt_depth.shape, math.log(config.init_depth))
     return OptimState(log_depth=log_depth, pose_params=pose_params)
 
 
-def _adam_step(param, m, v, g, t, lr, config: OptimConfig):
+def _adam_step(param, m, v, g, t, lr):
     """One Adam step of one parameter block: new parameters and moments."""
-    b1, b2 = config.beta1, config.beta2
-    m = b1 * m + (1 - b1) * g
-    v = b2 * v + (1 - b2) * g**2
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + config.epsilon), m, v
+    m = BETA1 * m + (1 - BETA1) * g
+    v = BETA2 * v + (1 - BETA2) * g**2
+    m_hat = m / (1 - BETA1**t)
+    v_hat = v / (1 - BETA2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + EPSILON), m, v
 
 
-def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray,
-                config: OptimConfig) -> None:
+def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray) -> None:
     """One Adam step on the state, in place. Zero gradients leave parameters
     untouched (the update is exactly zero)."""
     state.adam_t += 1
     t = state.adam_t
     state.log_depth, state.m_depth, state.v_depth = _adam_step(
-        state.log_depth, state.m_depth, state.v_depth, d_log_depth, t, config.lr_depth, config
+        state.log_depth, state.m_depth, state.v_depth, d_log_depth, t, LR_DEPTH
     )
-    # Rotation angles live on a much finer scale than translations (a few
-    # hundredths of a radian can mimic a whole baseline on planar scenes), so
-    # they step 10x slower than the translations.
-    lr_pose = np.array([config.lr_pose / 10.0] * 3 + [config.lr_pose] * 3)
     state.pose_params, state.m_pose, state.v_pose = _adam_step(
-        state.pose_params, state.m_pose, state.v_pose, d_poses, t, lr_pose, config
+        state.pose_params, state.m_pose, state.v_pose, d_poses, t, LR_POSE_PARAMS
     )
 
 
@@ -195,7 +183,7 @@ def step(
     if not (np.isfinite(d_log).all() and np.isfinite(d_poses).all()
             and np.isfinite(breakdown.total)):
         raise DivergedError(state.iteration)
-    adam_update(state, d_log, d_poses, config)
+    adam_update(state, d_log, d_poses)
     state.iteration += 1
     state.loss_history.append(breakdown)
     return state
@@ -227,7 +215,7 @@ def _run_phase(state, scene, config, weights, budget, unwarped_min, median_histo
         cur = state.loss_history[-1].total
         if prev is not None and abs(cur - prev) <= config.tol * max(abs(prev), 1e-12):
             flat += 1
-            if flat >= config.tol_window:
+            if flat >= TOL_WINDOW:
                 break
         else:
             flat = 0

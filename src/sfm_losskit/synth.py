@@ -31,28 +31,32 @@ from .supervision import SparseDepth
 
 GEOMETRIES = ("plane", "slant", "two_plane")
 
+# two_plane's foreground: a fronto-parallel strip at depth STRIP_DEPTH
+# spanning STRIP_X along the target frame's x, in front of the plane at d0.
+STRIP_DEPTH = 6.0
+STRIP_X = (-2.5, -0.5)
+TEXTURE_AMP = 0.42  # summed amplitude of a noise channel's plane waves
+
 
 @dataclass
 class SceneSpec:
-    """Flat description of a synthetic scene (mirrors the scene file keys)."""
+    """Flat description of a synthetic scene (the config's scene keys). The
+    two context cameras are pure translations by +-baseline along x; d0 is
+    the background plane's depth on the optical axis, slant its tilt about x
+    in degrees (geometry slant only)."""
 
     geometry: str = "plane"
     width: int = 128
     height: int = 96
     channels: int = 1
     d0: float = 10.0
-    d1: float = 6.0
-    strip_min: float = -2.5
-    strip_max: float = -0.5
     slant: float = 0.0
     baseline: float = 0.5
-    rotation: float = 0.0
     seed: int = 0
     beams: int = 16
     px_per_beam: int = 16
     label_frac: float = 0.0
     texture_cycles: float = 0.03
-    texture_amp: float = 0.42
 
     def validate(self) -> None:
         for f in fields(self):
@@ -66,17 +70,12 @@ class SceneSpec:
             raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
         if self.d0 <= 0:
             raise ConfigError(f"d0 must be positive, got {self.d0}")
-        if self.geometry == "two_plane":
-            if not 0 < self.d1 < self.d0:
-                raise ConfigError("two_plane needs 0 < d1 < d0")
-            if not self.strip_min < self.strip_max:
-                raise ConfigError("strip_min must be below strip_max")
+        if self.geometry == "two_plane" and not self.d0 > STRIP_DEPTH:
+            raise ConfigError(f"two_plane needs d0 > {STRIP_DEPTH} (the strip's depth)")
         if abs(self.slant) >= 60.0:
             raise ConfigError("slant beyond 60 degrees degenerates the plane")
         if not 0 < self.texture_cycles <= 0.25:
             raise ConfigError("texture_cycles must be in (0, 0.25]")
-        if not 0 < self.texture_amp <= 0.45:
-            raise ConfigError("texture_amp must be in (0, 0.45]")
         if self.beams < 0 or not 0 <= self.label_frac <= 1:
             raise ConfigError("invalid label configuration")
         if self.seed < 0:
@@ -247,17 +246,17 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
             + 3.0 * motion
         sub = np.random.default_rng(spec.seed + seed_shift)
         return _noise_texture(sub, extent, spacing, spec.texture_cycles,
-                              spec.texture_amp, spec.channels)
+                              TEXTURE_AMP, spec.channels)
 
     planes = []
     if spec.geometry == "two_plane":
         front = _Plane(
             normal=np.array([0.0, 0.0, 1.0]),
-            offset=spec.d1,
+            offset=STRIP_DEPTH,
             basis=_plane_basis(np.array([0.0, 0.0, 1.0])),
-            anchor=np.array([0.0, 0.0, spec.d1]),
-            texture=_texture(spec.d1, 1000),
-            x_bounds=(spec.strip_min, spec.strip_max),
+            anchor=np.array([0.0, 0.0, STRIP_DEPTH]),
+            texture=_texture(STRIP_DEPTH, 1000),
+            x_bounds=STRIP_X,
         )
         planes.append(front)
     slant_rad = math.radians(spec.slant) if spec.geometry == "slant" else 0.0
@@ -275,21 +274,8 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
     return SceneGeometry(planes=planes)
 
 
-def _context_poses(spec: SceneSpec) -> list[PoseSE3]:
-    ry = math.radians(spec.rotation)
-    poses = []
-    for sign in (+1.0, -1.0):
-        poses.append(
-            PoseSE3(
-                rotation=(0.0, sign * ry, 0.0),
-                translation=(sign * spec.baseline, 0.0, 0.0),
-            )
-        )
-    return poses
-
-
-def _occlusion_mask(spec: SceneSpec, k: CameraIntrinsics, gt_depth: np.ndarray,
-                    plane_idx: np.ndarray, pose: PoseSE3) -> np.ndarray:
+def _occlusion_mask(k: CameraIntrinsics, gt_depth: np.ndarray, plane_idx: np.ndarray,
+                    pose: PoseSE3) -> np.ndarray:
     """Background pixels of the target whose 3-D point is hidden behind the
     foreground strip when seen from the context camera (closed form)."""
     rays = k.pixel_rays()
@@ -300,9 +286,9 @@ def _occlusion_mask(spec: SceneSpec, k: CameraIntrinsics, gt_depth: np.ndarray,
     bg = plane_idx == 1  # the background plane is listed after the strip
     dz = pts[..., 2] - cam[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(np.abs(dz) > 1e-12, (spec.d1 - cam[2]) / dz, np.inf)
+        lam = np.where(np.abs(dz) > 1e-12, (STRIP_DEPTH - cam[2]) / dz, np.inf)
     x_star = cam[0] + lam * (pts[..., 0] - cam[0])
-    hit = (lam > 0) & (lam < 1) & (x_star >= spec.strip_min) & (x_star <= spec.strip_max)
+    hit = (lam > 0) & (lam < 1) & (x_star >= STRIP_X[0]) & (x_star <= STRIP_X[1])
     return bg & hit
 
 
@@ -315,11 +301,12 @@ def make_scene(spec: SceneSpec) -> Scene:
 
     contexts = []
     occluded = []
-    for pose in _context_poses(spec):
+    for sign in (+1.0, -1.0):
+        pose = PoseSE3(translation=(sign * spec.baseline, 0.0, 0.0))
         img = render_view(geometry, pose, k, spec.channels)
         contexts.append((img, pose))
         if spec.geometry == "two_plane":
-            occluded.append(_occlusion_mask(spec, k, gt_depth, plane_idx, pose))
+            occluded.append(_occlusion_mask(k, gt_depth, plane_idx, pose))
         else:
             occluded.append(np.zeros(gt_depth.shape, dtype=bool))
 

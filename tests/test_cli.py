@@ -104,7 +104,11 @@ class TestLabelsCodec:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        scene = make_scene(SceneSpec(width=48, height=40, seed=5, beams=8, rotation=1.0))
+        scene = make_scene(SceneSpec(width=48, height=40, seed=5, beams=8))
+        # rotated context poses, so the manifest carries a full rotation block
+        scene.contexts = [(img, PoseSE3(rotation=(0.01, 0.0175, -0.02),
+                                        translation=pose.translation))
+                          for img, pose in scene.contexts]
         io_codecs.write_scene_dir(tmp_path / "scene", scene)
         loaded = io_codecs.read_scene_dir(tmp_path / "scene")
         assert loaded.intrinsics == scene.intrinsics
@@ -301,12 +305,11 @@ class TestCommands:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("optimizer.lr_depth=inf", "lr_depth must be finite, got inf"),
+            ("optimizer.tol=inf", "tol must be finite, got inf"),
             ("optimizer.init_depth=nan", "init_depth must be finite, got nan"),
             ("weights.lambda_rep=nan", "loss weights must be finite"),
             ("weights.lambda_smooth=nan", "loss weights must be finite"),
-            ("optimizer.pose_init_trans_std=-0.1",
-             "pose_init_rot_std and pose_init_trans_std must be nonnegative"),
+            ("optimizer.tol=-0.1", "invalid convergence tolerance"),
             ("scene.d0=inf", "d0 must be finite, got inf"),
         ],
     )

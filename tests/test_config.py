@@ -16,14 +16,11 @@ SECTION_CLASSES = {
 }
 
 SETTABLE_KEYS = {
-    "scene": ["geometry", "width", "height", "channels", "d0", "d1", "strip_min",
-              "strip_max", "slant", "baseline", "rotation", "seed", "beams",
-              "px_per_beam", "label_frac", "texture_cycles", "texture_amp"],
+    "scene": ["geometry", "width", "height", "channels", "d0", "slant", "baseline",
+              "seed", "beams", "px_per_beam", "label_frac", "texture_cycles"],
     "weights": ["alpha", "lambda_smooth", "lambda_rep"],
-    "optimizer": ["lr_depth", "lr_pose", "beta1", "beta2", "epsilon", "phase_a_iters",
-                  "phase_b_iters", "tol", "tol_window", "init_depth",
-                  "pose_init_rot_std", "pose_init_trans_std", "supervised_loss",
-                  "num_scales", "seed"],
+    "optimizer": ["phase_a_iters", "phase_b_iters", "tol", "init_depth",
+                  "supervised_loss", "num_scales", "seed"],
 }
 
 CLI_FLAGS = {
@@ -38,9 +35,18 @@ UNRECOGNIZED = "unrecognized argument '{}' (expected --section.key=value)"
 
 # Options no longer taken: the command given them and its error for the
 # ``--x=v`` form; the ``--x v`` form is an unrecognized argument everywhere.
-# A bare key is scene shorthand in config files only, so an undotted
-# ``--x=v`` is unrecognized too.
+# A key is always dotted, so an undotted ``--x=v`` is unrecognized too.
+# The Adam rates and moments, the convergence window, the initial pose
+# spread and the two_plane strip and texture amplitude are module
+# constants, and the context poses carry no rotation.
+CONSTANT_KEYS = [
+    "optimizer.lr_depth", "optimizer.lr_pose", "optimizer.beta1", "optimizer.beta2",
+    "optimizer.epsilon", "optimizer.tol_window", "optimizer.pose_init_rot_std",
+    "optimizer.pose_init_trans_std", "scene.d1", "scene.strip_min", "scene.strip_max",
+    "scene.texture_amp", "scene.rotation",
+]
 REMOVED_OPTIONS = [
+    *[("optimize", f"--{key}", f"unknown config key {key}") for key in CONSTANT_KEYS],
     ("optimize", "--scene.ppm_maxval", "unknown config key scene.ppm_maxval"),
     ("optimize", "--scene.baseline_z", "unknown config key scene.baseline_z"),
     ("optimize", "--decimation.keep_beams", "unknown config section 'decimation'"),
@@ -83,11 +89,11 @@ class TestSchema:
     def test_settable_key_count(self):
         assert {section: list(keys) for section, keys in config._SECTIONS.items()} \
             == SETTABLE_KEYS
-        assert len(settable_keys()) == 35
+        assert len(settable_keys()) == 22
 
     def test_cli_flag_count(self):
         # optional flags of each subcommand, --help aside; with the config
-        # keys and SFM_LOSSKIT_THREADS, 47 settable options in all
+        # keys and SFM_LOSSKIT_THREADS, 34 settable options in all
         subcommands = next(
             action.choices for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
@@ -113,11 +119,13 @@ class TestSchema:
 
     def test_values_reach_their_fields(self):
         cfg = config.parse_pairs({
-            "width": "40", "scene.texture_amp": "0.3",
+            "scene.width": "40", "scene.texture_cycles": "0.2",
             "weights.alpha": "0.5", "optimizer.phase_b_iters": "7",
             "optimizer.supervised_loss": "l1",
         })
-        assert cfg.scene.width == 40 and cfg.scene.texture_amp == 0.3
+        assert cfg.scene.width == 40 and cfg.scene.texture_cycles == 0.2
+        assert cfg.provided == {"scene.width", "scene.texture_cycles", "weights.alpha",
+                                "optimizer.phase_b_iters", "optimizer.supervised_loss"}
         assert cfg.optimizer.weights.alpha == 0.5
         assert cfg.optimizer.phase_b_iters == 7 and cfg.optimizer.supervised_loss == "l1"
 
@@ -148,12 +156,15 @@ class TestSchema:
         assert_rejected([*argv, f"{option}=1"], capsys, message)
         assert_rejected([*argv, option, "1"], capsys, UNRECOGNIZED.format(option))
 
-    def test_bare_key_is_scene_shorthand_in_files_only(self, tmp_path, capsys):
+    def test_bare_key_is_rejected_in_files_and_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 1\nwidth = 40\n")
-        assert config.load_config(cfg).scene.width == 40
-        assert_rejected(["synth", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                         "--width=40"], capsys, UNRECOGNIZED.format("--width=40"))
+        cfg.write_text("scene.seed = 1\nwidth = 40\n")
+        synth = ["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]
+        assert_rejected(synth, capsys,
+                        "config key 'width' is not dotted (expected section.key)")
+        assert not (tmp_path / "s").exists()
+        cfg.write_text("scene.seed = 1\n")
+        assert_rejected([*synth, "--width=40"], capsys, UNRECOGNIZED.format("--width=40"))
 
     @pytest.mark.parametrize("key", [
         "optimizer.optimize_pose", "optimizer.lr_halve_every", "scene.texture",

@@ -23,6 +23,7 @@ from sfm_losskit.losses import (
     _depth_error,
     _image_gradient_weights,
     _label_points,
+    _label_rays,
     _min_over_sources,
     _photometric_forward,
     _rep_distance,
@@ -235,11 +236,9 @@ class TestMinPhotometric:
             assert (m <= single + 1e-15).all()
 
     def test_occluded_region_uses_clean_source(self):
-        # d1=4 vs d0=10 at baseline 0.8 gives a ~6 px occlusion band
-        scene = small_scene(
-            geometry="two_plane", d0=10.0, d1=4.0, strip_min=-2.0,
-            strip_max=-0.2, baseline=0.8, width=64, height=48,
-        )
+        # the strip at STRIP_DEPTH = 6 vs d0 = 10 at baseline 1.8 gives a
+        # ~6 px occlusion band
+        scene = small_scene(geometry="two_plane", d0=10.0, baseline=1.8, width=64, height=48)
         per_source = []
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
@@ -334,7 +333,7 @@ class TestReprojectedDistance:
     def test_pred_equals_gt_is_zero(self):
         scene = small_scene()
         _, pose = scene.contexts[0]
-        points = _label_points(scene.gt_depth, scene.labels.depth, scene.intrinsics)
+        points = _label_rays(_label_points(scene.gt_depth, scene.labels.depth), scene.intrinsics)
         value, count, _, _, _ = _rep_distance(points, pose, scene.intrinsics, want_grad=False)
         assert value == 0.0
         assert count == scene.labels.n_labels
@@ -345,7 +344,8 @@ class TestReprojectedDistance:
         gt[0, 0] = 2.0
         pred = np.full((4, 4), 4.0)
         pose = PoseSE3(translation=(1.0, 0.0, 0.0))
-        value, count, _, _, _ = _rep_distance(_label_points(pred, gt, k), pose, k, want_grad=False)
+        points = _label_rays(_label_points(pred, gt), k)
+        value, count, _, _, _ = _rep_distance(points, pose, k, want_grad=False)
         # pi(T*(4,0,0,1)-ray) = 1/4 + 0 = 0.25 ; pi with d=2 -> 0.5
         assert value == pytest.approx(0.25, abs=1e-15)
         assert count == 1
@@ -353,7 +353,7 @@ class TestReprojectedDistance:
     def test_identity_pose_is_zero_for_any_prediction(self):
         scene = small_scene()
         pred = scene.gt_depth * 3.1
-        points = _label_points(pred, scene.labels.depth, scene.intrinsics)
+        points = _label_rays(_label_points(pred, scene.labels.depth), scene.intrinsics)
         value = _rep_distance(points, PoseSE3.identity(), scene.intrinsics, want_grad=False)[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -367,14 +367,14 @@ class TestReprojectedDistance:
             gt[1, 1] = d
             pred = np.zeros((4, 4))
             pred[1, 1] = 1.2 * d
-            points = _label_points(pred, gt, k)
+            points = _label_rays(_label_points(pred, gt), k)
             values.append(_rep_distance(points, pose, k, want_grad=False)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_no_labels_raises(self):
         scene = small_scene()
         with pytest.raises(NoSupervisionError):
-            _label_points(scene.gt_depth, np.zeros_like(scene.gt_depth), scene.intrinsics)
+            _label_points(scene.gt_depth, np.zeros_like(scene.gt_depth))
 
     def test_behind_camera_labels_dropped(self):
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=1.5, cy=1.5, width=4, height=4)
@@ -383,7 +383,7 @@ class TestReprojectedDistance:
         gt[1, 1] = 5.0
         pred = np.where(gt > 0, gt * 1.1, 0.0)
         pose = PoseSE3(translation=(0.0, 0.0, -2.0))  # pulls near labels behind
-        points = _label_points(pred, gt, k)
+        points = _label_rays(_label_points(pred, gt), k)
         _, count, dropped, d_pred, _ = _rep_distance(points, pose, k, want_grad=True)
         assert count == 1
         assert dropped == 1
@@ -509,8 +509,7 @@ def per_pose_rep_distance(pred, gt, pose, k):
 
 def depth_error(pred, gt, mode):
     """_depth_error's value on a raster of at most 2x2 pixels."""
-    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2, height=2)
-    return _depth_error(_label_points(pred, gt, k), mode)[0]
+    return _depth_error(_label_points(pred, gt), mode)[0]
 
 
 class TestBaselines:
@@ -631,15 +630,14 @@ class TestTotalLoss:
                 scene.target, scene.contexts, pred, scene.intrinsics, w,
                 labels=scene.labels.depth, supervised=mode,
             )
-            points = _label_points(pred, scene.labels.depth, scene.intrinsics)
-            oracle = _depth_error(points, mode)[0]
+            oracle = _depth_error(_label_points(pred, scene.labels.depth), mode)[0]
             assert bd.rep == pytest.approx(oracle, rel=1e-12)
 
 
 class TestEntryChecks:
-    """Depth is finite and above EPS_Z at every pixel, and a precomputed
-    unwarped_min has the depth's shape; the objective checks both where its
-    inputs enter it."""
+    """Depth is finite and above EPS_Z at every pixel, every context image is
+    finite, and a precomputed unwarped_min has the depth's shape; the
+    objective checks each where its inputs enter it."""
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e-7],
                              ids=["zero", "negative", "nan", "inf", "subnormal", "below_eps_z"])
@@ -657,6 +655,25 @@ class TestEntryChecks:
                     scene.target, scene.contexts, depth, k, LossWeights(lambda_rep=1.0),
                     labels=scene.labels.depth,
                 )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("precomputed", [False, True], ids=["own", "precomputed"])
+    @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
+    def test_one_bad_context_pixel_raises(self, entry, precomputed, bad):
+        # a precomputed unwarped_min skips the objective's own pass over the
+        # raw context images, which must not skip their check
+        scene = small_scene()
+        unwarped = None
+        if precomputed:
+            unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, 0.85)
+        img = scene.contexts[1][0].copy()
+        img[17, 23, 0] = bad
+        context = [scene.contexts[0], (img, scene.contexts[1][1])]
+        with pytest.raises(DimensionError, match="context image 1 contains non-finite"):
+            getattr(losses, entry)(
+                scene.target, context, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=1.0), labels=scene.labels.depth, unwarped_min=unwarped,
+            )
 
     @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],
                              ids=["row", "flat", "scalar", "3d"])

@@ -8,6 +8,8 @@ from sfm_losskit.errors import ConfigError
 from sfm_losskit.geometry import PoseSE3, warp_chain
 from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
+    STRIP_DEPTH,
+    STRIP_X,
     SceneSpec,
     _build_geometry,
     _noise_texture,
@@ -49,22 +51,20 @@ class TestMakeScene:
 
     def test_two_plane_occlusion_band_hand_computed(self):
         spec = SceneSpec(geometry="two_plane", width=64, height=48, d0=10.0,
-                         d1=4.0, strip_min=-2.0, strip_max=-0.2, baseline=0.8,
-                         seed=5, beams=0)
+                         baseline=1.8, seed=5, beams=0)
         scene = make_scene(spec)
         k = scene.intrinsics
         band = scene.occluded[0]
         assert band.any()
         # closed form: bg point (x, y, d0) is hidden from the camera at
-        # (-b, 0, 0) iff the ray crosses z=d1 inside the strip
+        # (-b, 0, 0) iff the ray crosses z=STRIP_DEPTH inside the strip
         b = spec.baseline
-        lam = spec.d1 / spec.d0
-        x_lo = (spec.strip_min + b) / lam - b
-        x_hi = (spec.strip_max + b) / lam - b
+        lam = STRIP_DEPTH / spec.d0
+        x_lo = (STRIP_X[0] + b) / lam - b
+        x_hi = (STRIP_X[1] + b) / lam - b
         cols = np.nonzero(band.any(axis=0))[0]
         xs = (cols - k.cx) / k.fx * spec.d0
         # every flagged background column lies in the predicted interval
-        bg_cols = xs[(xs >= spec.strip_min * spec.d0 / spec.d1)]
         assert xs.min() >= x_lo - 2 * spec.d0 / k.fx
         assert xs.max() <= x_hi + 2 * spec.d0 / k.fx
 
@@ -87,8 +87,8 @@ class TestMakeScene:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError):
             make_scene(SceneSpec(geometry="sphere"))
-        with pytest.raises(ConfigError):
-            make_scene(SceneSpec(geometry="two_plane", d1=20.0, d0=10.0))
+        with pytest.raises(ConfigError, match="two_plane needs d0 > 6.0"):
+            make_scene(SceneSpec(geometry="two_plane", d0=STRIP_DEPTH))
 
 
 class TestRenderView:
@@ -158,14 +158,13 @@ class TestSceneSpecIO:
         path = tmp_path / "scene.cfg"
         path.write_text(
             "# demo scene\n"
-            "geometry = two_plane\n"
-            "width = 64\n"
-            "height = 48\n"
-            "d0 = 12.5\n"
-            "d1 = 5.0\n"
-            "baseline = 0.4\n"
-            "seed = 17\n"
-            "beams = 8\n"
+            "scene.geometry = two_plane\n"
+            "scene.width = 64\n"
+            "scene.height = 48\n"
+            "scene.d0 = 12.5\n"
+            "scene.baseline = 0.4\n"
+            "scene.seed = 17\n"
+            "scene.beams = 8\n"
         )
         spec = load_config(path).scene
         assert spec.geometry == "two_plane"
@@ -174,14 +173,14 @@ class TestSceneSpecIO:
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "scene.cfg"
-        path.write_text("geometry = plane\nwobble = 3\n")
-        with pytest.raises(ConfigError):
+        path.write_text("scene.geometry = plane\nscene.wobble = 3\n")
+        with pytest.raises(ConfigError, match="unknown config key scene.wobble"):
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "scene.cfg"
-        path.write_text("geometry = plane\nd0 = ten\n")
-        with pytest.raises(ConfigError):
+        path.write_text("scene.geometry = plane\nscene.d0 = ten\n")
+        with pytest.raises(ConfigError, match="scene.d0: cannot parse 'ten'"):
             load_config(path)
 
 
