@@ -40,7 +40,8 @@ faults:
 
 # Alternating untraced benchmark runs of a parent checkout and this one on
 # shared seeds: each metric's median [quartiles] per side, the paired median
-# change and the win count (the protocol for a speedup claim).
+# change and the win count (the protocol for a speedup claim); JSON=path
+# also writes that summary, with each side's machine settings, to path.
 #   make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=10 RUN_SECONDS=30 SEED=701
 WORKLOAD ?= example_cli
 PAIRS ?= 10
@@ -49,4 +50,4 @@ SEED ?= 1
 pairs:
 	$(if $(PARENT),,$(error set PARENT to the root of the parent checkout))
 	python3 scripts/ab_pairs.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS) \
-		--seconds $(RUN_SECONDS) --first-seed $(SEED)
+		--seconds $(RUN_SECONDS) --first-seed $(SEED) $(if $(JSON),--json $(JSON))

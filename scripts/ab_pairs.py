@@ -14,9 +14,16 @@ For every end-to-end metric of BENCHMARK.json it prints the median
 (change / parent - 1) and in how many pairs the change was better. Exits 1
 if any run is not ``correct`` or fails an operation.
 
+With ``--json PATH`` the same summary, each run's values and each side's
+machine and library settings (git sha and whether the tree differs from
+it, nproc, numpy version, BLAS thread variables, from the record the run
+leaves in ``.bench_work/``) are also written to PATH, the checked-in
+record of a speed claim.
+
     python3 scripts/ab_pairs.py PARENT CHANGE --workload example_cli \\
-        --pairs 10 --seconds 30 --first-seed 701
-    make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=10 RUN_SECONDS=30 SEED=701
+        --pairs 10 --seconds 30 --first-seed 701 --json pairs.json
+    make pairs PARENT=../parent WORKLOAD=example_cli PAIRS=10 RUN_SECONDS=30 SEED=701 \\
+        JSON=pairs.json
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its final JSON line."""
+    """One untraced benchmark run; its final JSON line, with the run
+    record's machine and library settings under "environment"."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -44,14 +52,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"ab_pairs: {checkout}: no result line (exit {proc.returncode})")
+    record = checkout / ".bench_work" / workload / f"result-seed{seed}-trace0.json"
+    env = json.loads(record.read_text())["environment"]
+    result["environment"] = {
+        "git_sha": env["git_sha"], "nproc": env["nproc"], "affinity": env["affinity"],
+        "python": env["python"], "numpy": env["numpy"],
+        "blas": env["blas"].get("blas", {}).get("name"), "threads": env["env"],
+    }
     return result
+
+
+def tree_differs(checkout: Path) -> bool | None:
+    """Whether tracked files differ from the checkout's commit (None when
+    it is not a git checkout)."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                          cwd=checkout, capture_output=True, text=True, check=False)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile)"""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
 
 
 def spread(values: list[float]) -> str:
     """median [lower quartile, upper quartile]"""
-    if len(values) < 2:
-        return f"{values[0]:.6g}"
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
@@ -63,6 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="also write the summary to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -83,8 +113,10 @@ def main(argv=None) -> int:
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
             ok &= bool(result["correct"]) and result["failed"] == 0
 
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     print(f"\n{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s, "
-          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+          f"seeds {seeds[0]}-{seeds[-1]}")
+    summary = {}
     for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
         before = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -95,8 +127,23 @@ def main(argv=None) -> int:
               f"parent {spread(before)}  change {spread(after)}  "
               f"paired median {statistics.median(changes):+.2%}, "
               f"change better in {wins}/{len(changes)}")
+        summary[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            **{side: dict(zip(("q1", "median", "q3"), quartiles(values)), runs=values)
+               for side, values in (("parent", before), ("change", after))},
+            "paired_median": statistics.median(changes), "wins": wins,
+        }
     if not ok:
         print("ab_pairs: some run was not correct or failed an operation")
+    if args.json:
+        record = {
+            "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+            "seeds": seeds, "all_correct": ok,
+            "environment": {side: {**results[side][0]["environment"],
+                                   "dirty": tree_differs(sides[side])} for side in sides},
+            "metrics": summary,
+        }
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if ok else 1
 
 

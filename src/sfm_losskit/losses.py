@@ -277,18 +277,20 @@ def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarra
 def _warped_losses(target, context, depth, k, alpha):
     """Warp every source into the target view at this depth and score it.
 
-    Returns per source the warp chain, the photometric cache and the
-    photometric loss map (+inf where the warp is invalid).
+    Returns per source the warp chain's points with its sampling state, the
+    photometric cache and the photometric loss map (+inf where invalid).
     """
-    chains, caches, maps = [], [], []
+    warps, caches, maps = [], [], []
     for src, pose in context:
-        chain = geometry.warp_chain(depth, pose, k)
-        synth = warp.sample_bilinear(src, chain.coords, chain.valid)
-        loss_map, cache = _photometric_forward(target, synth, chain.valid, alpha)
-        chains.append(chain)
+        points, coords, valid = geometry.warp_chain(depth, pose, k)
+        at = warp.sampling(coords, valid, target.shape[:2])
+        del coords  # the state stands in for it, freed before the scoring
+        synth = warp.sample_bilinear(src, at)
+        loss_map, cache = _photometric_forward(target, synth, valid, alpha)
+        warps.append((points, at))
         caches.append(cache)
         maps.append(loss_map)
-    return chains, caches, maps
+    return warps, caches, maps
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +323,7 @@ def _static_mask(min_unwarped: np.ndarray, min_warped: np.ndarray) -> np.ndarray
 
 class _PhotoTerm(NamedTuple):
     depth: np.ndarray
-    chains: list
+    warps: list
     caches: list
     argmin: np.ndarray
     mask: np.ndarray
@@ -331,14 +333,14 @@ class _PhotoTerm(NamedTuple):
 def _photo_forward(target, context, depth, k, alpha, unwarped_min) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
     by the static-pixel mask."""
-    chains, caches, maps = _warped_losses(target, context, depth, k, alpha)
+    warps, caches, maps = _warped_losses(target, context, depth, k, alpha)
     min_map, argmin = _min_over_sources(maps)
     mask = _static_mask(unwarped_min, min_map)
     count = int(mask.sum())
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
     value = float(np.sum(np.where(mask, min_map, 0.0))) / count
-    return value, _PhotoTerm(depth, chains, caches, argmin, mask, count)
+    return value, _PhotoTerm(depth, warps, caches, argmin, mask, count)
 
 
 def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d_poses) -> None:
@@ -354,12 +356,12 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
         u_s = np.where(term.argmin == s, upstream, 0.0)
         if not u_s.any():
             continue
-        chain = term.chains[s]
+        points, at = term.warps[s]
         d_synth = _photometric_backward(term.caches[s], u_s)
-        d_coords = warp.sample_bilinear_grad(src, chain.coords, chain.valid, d_synth)
+        d_coords = warp.sample_bilinear_grad(src, d_synth, at)
         # g3 = d(loss)/d(source point) = J^T (du, dv) as (3, H, W) planes,
         # from the two rows of J; the pinhole's J[0, 1] and J[1, 0] are 0
-        jac = geometry.projection_jacobian(chain.points, k)
+        jac = geometry.projection_jacobian(points, k)
         du, dv = d_coords[..., 0], d_coords[..., 1]
         g3 = np.empty((3,) + du.shape)
         np.multiply(jac[..., 0, 0], du, out=g3[0])

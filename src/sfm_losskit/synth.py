@@ -108,9 +108,8 @@ class _Texture:
         u = np.clip((px - self.origin[0]) / self.spacing, 0.0, wt - 1.0)
         v = np.clip((py - self.origin[1]) / self.spacing, 0.0, ht - 1.0)
         coords = np.stack([u, v], axis=-1).reshape(-1, 1, 2)
-        out = warp.sample_bilinear(
-            self.raster, coords, np.ones((coords.shape[0], 1), dtype=bool)
-        )
+        at = warp.sampling(coords, np.ones((coords.shape[0], 1), dtype=bool), (ht, wt))
+        out = warp.sample_bilinear(self.raster, at)
         return out.reshape(px.shape + (self.raster.shape[2],))
 
 

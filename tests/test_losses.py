@@ -201,7 +201,8 @@ class TestMinPhotometric:
             scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics, 0.85
         )
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-        synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+        at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+        synth = warp.sample_bilinear(src, at)
         direct = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
         finite = np.isfinite(direct)
         assert (m[~finite] == np.inf).all() and (direct[~finite] == np.inf).all()
@@ -231,7 +232,8 @@ class TestMinPhotometric:
         )
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            synth = warp.sample_bilinear(src, at)
             single = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
             assert (m <= single + 1e-15).all()
 
@@ -242,7 +244,8 @@ class TestMinPhotometric:
         per_source = []
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            synth = warp.sample_bilinear(src, at)
             per_source.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
         m, argmin = min_photometric(
             scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
@@ -286,7 +289,8 @@ class TestAutomask:
         ones = np.ones(scene.target.shape[:2], bool)
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            synth = warp.sample_bilinear(src, at)
             warped.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
             unwarped.append(_photometric_forward(scene.target, src, ones, 0.85)[0])
         mask = _static_mask(_min_over_sources(unwarped)[0], _min_over_sources(warped)[0])
@@ -743,6 +747,35 @@ class TestTotalLossGrad:
         )
         # constant-depth pyramid levels reproduce the same depth, so photo agrees
         assert four.photo == pytest.approx(one.photo, rel=1e-9)
+
+    def test_one_sampling_state_per_warp(self, monkeypatch):
+        # each context and scale builds its bilinear sampling state once, and
+        # the sample and its gradient both read that state
+        scene = small_scene(geometry="two_plane", d0=10.0, baseline=1.8, width=64, height=48)
+        built, read = [], []
+
+        def wrap(name, log, logged):
+            fn = getattr(warp, name)
+
+            def wrapper(*args):
+                out = fn(*args)
+                log.append(logged(out, args))
+                return out
+            monkeypatch.setattr(warp, name, wrapper)
+
+        wrap("sampling", built, lambda out, args: out)
+        wrap("sample_bilinear", read, lambda out, args: args[-1])
+        wrap("sample_bilinear_grad", read, lambda out, args: args[-1])
+        w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
+        args = (scene.target, scene.contexts, scene.gt_depth * 1.05, scene.intrinsics, w)
+        warps = len(scene.contexts) * 3
+        for objective in (total_loss, total_loss_grad):
+            built.clear()
+            read.clear()
+            objective(*args, labels=scene.labels.depth, num_scales=3)
+            assert len(built) == warps
+            assert len(read) > warps if objective is total_loss_grad else len(read) == warps
+            assert {id(at) for at in read} == {id(at) for at in built}
 
 
 EPS = np.finfo(np.float64).eps

@@ -21,7 +21,8 @@ from sfm_losskit.synth import (
 def photometric_consistency(scene, ctx_index, alpha=0.85):
     src, pose = scene.contexts[ctx_index]
     chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-    synth = warp.sample_bilinear(src, chain.coords, chain.valid)
+    at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+    synth = warp.sample_bilinear(src, at)
     mask = chain.valid
     loss = losses._photometric_forward(scene.target, synth, mask, alpha)[0]
     if scene.occluded:
@@ -132,7 +133,9 @@ class TestRenderView:
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
             coords = chain.coords[v : v + 1, u : u + 1]
-            sampled = warp.sample_bilinear(view, coords, np.ones((1, 1), bool))
+            sampled = warp.sample_bilinear(
+                view, warp.sampling(coords, np.ones((1, 1), bool), view.shape[:2])
+            )
             assert abs(sampled[0, 0, 0] - scene.target[v, u, 0]) < 5e-3
 
     def test_three_channel_scene(self):

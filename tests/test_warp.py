@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sfm_losskit import warp
 from sfm_losskit.errors import DimensionError
 from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
-from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, validate_image
+from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, sampling, validate_image
 
 
 def identity_coords(h, w):
@@ -18,18 +18,28 @@ def random_image(rng, h, w, c=1):
     return rng.uniform(0, 1, (h, w, c))
 
 
+def sample(src, coords, valid):
+    """sample_bilinear at a sampling state built for this call alone."""
+    return sample_bilinear(src, sampling(coords, valid, src.shape[:2]))
+
+
+def sample_grad(src, coords, valid, upstream):
+    """sample_bilinear_grad at a sampling state built for this call alone."""
+    return sample_bilinear_grad(src, upstream, sampling(coords, valid, src.shape[:2]))
+
+
 class TestSampleBilinear:
     def test_identity_reproduces_source_exactly(self):
         rng = np.random.default_rng(0)
         src = random_image(rng, 7, 9, 3)
-        out = sample_bilinear(src, identity_coords(7, 9), np.ones((7, 9), bool))
+        out = sample(src, identity_coords(7, 9), np.ones((7, 9), bool))
         assert (out == src).all()
 
     def test_hand_computed_half_blend(self):
         src = np.zeros((2, 3, 1))
         src[0, :, 0] = [0.0, 1.0, 0.25]
         coords = np.array([[[0.5, 0.0]]])
-        out = sample_bilinear(src, coords, np.ones((1, 1), bool))
+        out = sample(src, coords, np.ones((1, 1), bool))
         assert out[0, 0, 0] == pytest.approx(0.5)
 
     def test_invalid_pixels_zeroed(self):
@@ -38,13 +48,19 @@ class TestSampleBilinear:
         coords = identity_coords(5, 5)
         valid = np.ones((5, 5), bool)
         valid[2, 2] = False
-        out = sample_bilinear(src, coords, valid)
+        out = sample(src, coords, valid)
         assert out[2, 2, 0] == 0.0
 
     def test_dimension_mismatch(self):
         src = np.zeros((4, 4, 1))
         with pytest.raises(DimensionError):
-            sample_bilinear(src, identity_coords(3, 3), np.ones((4, 4), bool))
+            sample(src, identity_coords(3, 3), np.ones((4, 4), bool))
+        # a state built for another source shape reads other pixels
+        at = sampling(identity_coords(3, 3), np.ones((3, 3), bool), (3, 3))
+        with pytest.raises(DimensionError):
+            sample_bilinear(src, at)
+        with pytest.raises(DimensionError):
+            sample_bilinear_grad(src, np.ones((3, 3, 1)), at)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -54,7 +70,7 @@ class TestSampleBilinear:
         u = rng.uniform(0, 7, (4, 5))
         v = rng.uniform(0, 5, (4, 5))
         coords = np.stack([u, v], axis=-1)
-        out = sample_bilinear(src, coords, np.ones((4, 5), bool))
+        out = sample(src, coords, np.ones((4, 5), bool))
         x0 = np.clip(np.floor(u).astype(int), 0, 6)
         y0 = np.clip(np.floor(v).astype(int), 0, 4)
         corners = np.stack(
@@ -79,10 +95,10 @@ class TestSampleBilinear:
             [rng.uniform(0, 5, (3, 3)), rng.uniform(0, 5, (3, 3))], axis=-1
         )
         valid = np.ones((3, 3), bool)
-        combined = sample_bilinear(a * img_a + b * img_b, coords, valid)
+        combined = sample(a * img_a + b * img_b, coords, valid)
         separate = (
-            a * sample_bilinear(img_a, coords, valid)
-            + b * sample_bilinear(img_b, coords, valid)
+            a * sample(img_a, coords, valid)
+            + b * sample(img_b, coords, valid)
         )
         assert np.abs(combined - separate).max() < 1e-12
 
@@ -95,7 +111,7 @@ class TestSampleBilinearGrad:
             [rng.uniform(0, 6, (4, 4)), rng.uniform(0, 4, (4, 4))], axis=-1
         )
         up = rng.uniform(0, 1, (4, 4, 1))
-        grad = sample_bilinear_grad(src, coords, np.ones((4, 4), bool), up)
+        grad = sample_grad(src, coords, np.ones((4, 4), bool), up)
         assert np.abs(grad).max() < 1e-12
 
     def test_column_ramp_gradient(self):
@@ -103,7 +119,7 @@ class TestSampleBilinearGrad:
         ramp = np.tile(np.arange(w) / (w - 1), (5, 1))[..., None]
         coords = np.stack([np.full((2, 2), 3.3), np.full((2, 2), 2.6)], axis=-1)
         up = np.ones((2, 2, 1))
-        grad = sample_bilinear_grad(ramp, coords, np.ones((2, 2), bool), up)
+        grad = sample_grad(ramp, coords, np.ones((2, 2), bool), up)
         assert grad[..., 0] == pytest.approx(1.0 / (w - 1))
         assert grad[..., 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -114,7 +130,7 @@ class TestSampleBilinearGrad:
             [rng.uniform(1, 3, (2, 2)), rng.uniform(1, 3, (2, 2))], axis=-1
         )
         valid = np.array([[True, False], [False, True]])
-        grad = sample_bilinear_grad(src, coords, valid, np.ones((2, 2, 1)))
+        grad = sample_grad(src, coords, valid, np.ones((2, 2, 1)))
         assert (grad[~valid] == 0).all()
 
     @given(st.integers(0, 2**32 - 1))
@@ -131,15 +147,15 @@ class TestSampleBilinearGrad:
         coords = np.stack([u, v], axis=-1)
         valid = np.ones((3, 4), bool)
         up = rng.uniform(-1, 1, (3, 4, 3))
-        grad = sample_bilinear_grad(src, coords, valid, up)
+        grad = sample_grad(src, coords, valid, up)
         for i in range(3):
             for j in range(4):
                 for d in range(2):
                     cp = coords.copy()
                     cp[i, j, d] += h
-                    fp = (sample_bilinear(src, cp, valid) * up).sum()
+                    fp = (sample(src, cp, valid) * up).sum()
                     cp[i, j, d] -= 2 * h
-                    fm = (sample_bilinear(src, cp, valid) * up).sum()
+                    fm = (sample(src, cp, valid) * up).sum()
                     fd = (fp - fm) / (2 * h)
                     a = grad[i, j, d]
                     assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1.0)
@@ -216,7 +232,7 @@ class TestPlanarLayout:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_sample_matches_interleaved(self, channels):
         for src, coords, valid in self.cases(channels):
-            out = sample_bilinear(src, coords, valid)
+            out = sample(src, coords, valid)
             assert out.shape == valid.shape + (channels,)
             assert np.array_equal(out, interleaved_sample(src, coords, valid))
 
@@ -225,7 +241,7 @@ class TestPlanarLayout:
         rng = np.random.default_rng(10 + channels)
         for src, coords, valid in self.cases(channels):
             up = rng.uniform(-1, 1, valid.shape + (channels,))
-            grad = sample_bilinear_grad(src, coords, valid, up)
+            grad = sample_grad(src, coords, valid, up)
             assert grad.shape == valid.shape + (2,)
             assert np.moveaxis(grad, -1, 0).flags.c_contiguous
             assert np.array_equal(grad, interleaved_sample_grad(src, coords, valid, up))
@@ -240,17 +256,49 @@ def same_bits(a, b):
 
 
 def test_corner_clip_keeps_np_clip_bits():
-    # the corner set-up clips in place with the ndarray method; its bits
-    # must stay np.clip's, a -0.0 coordinate included
+    # the sampling state clips its float coordinates in place with the
+    # ndarray method; its bits must stay np.clip's, a -0.0 coordinate included
     rng = np.random.default_rng(5)
     src = random_image(rng, 6, 7, 3)
     u = np.tile([-0.0, 0.0, -1e-12, 6.0, 6.5, 3.25, 5.999], (6, 1))
     v = np.tile([[-0.0], [0.0], [-3e-10], [5.0], [9.0], [2.5]], (1, 7))
     coords = np.stack([u, v], axis=-1)
     valid = np.ones((6, 7), bool)
-    for ours, ref in zip(warp._gather_corners(src, coords, valid),
-                         interleaved_corners(src, coords, valid)):
-        assert same_bits(ours, ref)
+    at = sampling(coords, valid, src.shape[:2])
+    ours = warp._corners(src, at) + (at.wu, at.wv)
+    for got, ref in zip(ours, interleaved_corners(src, coords, valid)):
+        assert same_bits(got, ref)
+
+
+class TestSharedSampling:
+    """One sampling state serves the sample and its gradient, as in the
+    objective; both must read it without writing and match the interleaved
+    references bit for bit, on sources one pixel wide or high too, where
+    the upper corner is the lower one."""
+
+    def cases(self, channels):
+        yield from TestPlanarLayout().cases(channels)
+        rng = np.random.default_rng(20 + channels)
+        for h, w in ((1, 9), (9, 1), (1, 1)):
+            src = random_image(rng, h, w, channels)
+            u = rng.uniform(-2.0, w + 1.0, (4, 6))
+            v = rng.uniform(-2.0, h + 1.0, (4, 6))
+            u[0] = [-0.0, 0.0, w - 1.0, w, 0.5, 1.0]
+            v[:, 0] = [-0.0, 0.0, h - 1.0, h]
+            yield src, np.stack([u, v], axis=-1), rng.uniform(size=(4, 6)) < 0.8
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_one_state_for_both_samplers(self, channels):
+        rng = np.random.default_rng(30 + channels)
+        for src, coords, valid in self.cases(channels):
+            up = rng.uniform(-1, 1, valid.shape + (channels,))
+            at = sampling(coords, valid, src.shape[:2])
+            for plane in at[:4]:
+                plane.setflags(write=False)  # a write into the shared state raises
+            out = sample_bilinear(src, at)
+            grad = sample_bilinear_grad(src, up, at)
+            assert same_bits(out, interleaved_sample(src, coords, valid))
+            assert same_bits(grad, interleaved_sample_grad(src, coords, valid, up))
 
 
 def test_nan_coordinate_reads_nan_at_its_pixel_only():
@@ -264,8 +312,8 @@ def test_nan_coordinate_reads_nan_at_its_pixel_only():
     valid = np.ones((5, 6), bool)
     upstream = rng.normal(size=src.shape)
     with np.errstate(invalid="ignore"):
-        out = sample_bilinear(src, coords, valid)
-        grad = sample_bilinear_grad(src, coords, valid, upstream)
+        out = sample(src, coords, valid)
+        grad = sample_grad(src, coords, valid, upstream)
     nan_at = [[1, 2], [3, 4]]
     assert np.argwhere(np.isnan(out).all(axis=-1)).tolist() == nan_at
     assert np.argwhere(np.isnan(grad).any(axis=-1)).tolist() == nan_at
@@ -291,8 +339,8 @@ class TestMaskedStores:
                  "none": np.zeros((9, 13), bool)}[fill]
         valid.setflags(write=False)  # a write into it raises
         up = rng.uniform(-1, 1, (9, 13, channels))
-        out = sample_bilinear(src, coords, valid)
-        grad = sample_bilinear_grad(src, coords, valid, up)
+        out = sample(src, coords, valid)
+        grad = sample_grad(src, coords, valid, up)
         assert same_bits(out, interleaved_sample(src, coords, valid))
         assert same_bits(grad, interleaved_sample_grad(src, coords, valid, up))
         assert same_bits(out[~valid], np.zeros((int((~valid).sum()), channels)))
