@@ -4,9 +4,10 @@
 A change that claims to keep every output prints the same digest as its
 parent. The digest covers, in this order:
 
-* the scene directory that `synth` writes for `configs/example_plane.cfg`
-  and `perfbench/hires_pyramid.cfg` (seed 1): each file's name and bytes
-  (manifest, PPM images, PFM depth and labels), in name order;
+* the scene directory that `synth` writes for `configs/example_plane.cfg`,
+  `perfbench/hires_pyramid.cfg` and `configs/example_plane.cfg` at
+  `--scene.channels=3` (seed 1): each file's name and bytes (manifest, PPM
+  images, PFM depth and labels), in name order;
 * the `loss_history.csv` and `metrics.csv` that `optimize` writes from that
   scene under each supervised loss (rep, l1, berhu);
 * `optimize.gradcheck` reports on a 3-channel 128x96 slant (seeds 1 and 2,
@@ -15,7 +16,9 @@ parent. The digest covers, in this order:
   `min_photometric` maps, on a 64x48 two-plane scene at 1, 2 and 3 scales
   under each supervised loss;
 * one more `total_loss_grad` on that scene under rep, with a context pose
-  that puts some labels behind its camera.
+  that puts some labels behind its camera;
+* the `total_loss_grad` breakdowns and gradient bytes of the same scene in
+  3 channels under rep, at 1, 2 and 3 scales.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 10 s.
@@ -44,7 +47,12 @@ import numpy as np  # noqa: E402
 from sfm_losskit import cli, losses, optimize, synth  # noqa: E402
 from sfm_losskit.geometry import PoseSE3  # noqa: E402
 
-CONFIGS = ("configs/example_plane.cfg", "perfbench/hires_pyramid.cfg")
+# (config, flags given to both synth and optimize)
+RUNS = (
+    ("configs/example_plane.cfg", ()),
+    ("perfbench/hires_pyramid.cfg", ()),
+    ("configs/example_plane.cfg", ("--scene.channels=3",)),
+)
 
 
 def _cli(argv: list[str], what: str) -> None:
@@ -55,16 +63,17 @@ def _cli(argv: list[str], what: str) -> None:
 
 
 def cli_outputs(digest, tmp: Path) -> None:
-    for i, config in enumerate(CONFIGS):
+    for i, (config, flags) in enumerate(RUNS):
         cfg = str(REPO / config)
         scene_dir, report_dir = tmp / f"scene{i}", tmp / "report"
-        _cli(["synth", "--config", cfg, "--out", str(scene_dir)], f"synth of {config}")
+        _cli(["synth", "--config", cfg, "--out", str(scene_dir), *flags],
+             f"synth of {config}")
         for path in sorted(scene_dir.iterdir()):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
         for loss in losses.SUPERVISED:
             _cli(["optimize", str(scene_dir), "--config", cfg, "--out", str(report_dir),
-                  f"--optimizer.supervised_loss={loss}"], f"{config} under {loss}")
+                  f"--optimizer.supervised_loss={loss}", *flags], f"{config} under {loss}")
             for name in ("loss_history.csv", "metrics.csv"):
                 digest.update((report_dir / name).read_bytes())
 
@@ -82,13 +91,21 @@ def gradcheck_reports(digest) -> None:
             digest.update(repr(report).encode())
 
 
-def objective_outputs(digest) -> None:
+def _perturbed(channels: int):
+    """A 64x48 two-plane scene, a depth off its ground truth and context
+    poses off theirs."""
     scene = synth.make_scene(synth.SceneSpec(geometry="two_plane", width=64, height=48,
-                                             beams=16, px_per_beam=16, seed=3))
+                                             channels=channels, beams=16, px_per_beam=16,
+                                             seed=3))
     rng = np.random.default_rng(3)
     depth = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
     context = [(img, PoseSE3.from_params(pose.as_params() + rng.normal(0.0, 0.01, 6)))
                for img, pose in scene.contexts]
+    return scene, depth, context
+
+
+def objective_outputs(digest) -> None:
+    scene, depth, context = _perturbed(1)
     weights = losses.LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
     k = scene.intrinsics
     for num_scales in (1, 2, 3):
@@ -115,6 +132,15 @@ def objective_outputs(digest) -> None:
     digest.update(repr(breakdown).encode())
     digest.update(d_depth.tobytes())
     digest.update(d_poses.tobytes())
+    scene, depth, context = _perturbed(3)
+    for num_scales in (1, 2, 3):
+        breakdown, d_depth, d_poses = losses.total_loss_grad(
+            scene.target, context, depth, scene.intrinsics, weights,
+            labels=scene.labels.depth, num_scales=num_scales,
+        )
+        digest.update(repr(breakdown).encode())
+        digest.update(d_depth.tobytes())
+        digest.update(d_poses.tobytes())
 
 
 def main() -> int:

@@ -16,7 +16,9 @@ The per-pixel warp fields are stored as planes, one contiguous (H, W) plane
 per component: points in a (3, H, W) array, coordinates in (2, H, W) and
 projection Jacobians in (2, 3, H, W). The documented (H, W, 3), (H, W, 2)
 and (H, W, 2, 3) shapes are transposed views over that storage, so a
-component read such as ``points[..., 2]`` is a contiguous plane.
+component read such as ``points[..., 2]`` is a contiguous plane. Images
+follow the same convention: (H, W, C) views over (C, H, W) planes, built by
+the synthesizer and the scene reader (see `warp.planar`).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import stat
 
 import numpy as np
 
+from . import warp
 from .errors import CodecError, DimensionError
 from .geometry import CameraIntrinsics, PoseSE3
 from .supervision import SparseDepth
@@ -299,8 +300,9 @@ def read_scene_dir(scene_dir):
 
     Images come back with the channel count recorded in the manifest: for
     single-channel scenes the replicated PPM channels are collapsed back to
-    one. The closed-form occlusion masks are not stored, so the loaded Scene
-    has none.
+    one. Each is an (H, W, C) view over contiguous (C, H, W) planes, the
+    layout `warp.planar` builds. The closed-form occlusion masks are not
+    stored, so the loaded Scene has none.
     """
     man = os.path.join(scene_dir, MANIFEST_NAME)
     k, channels, target_f, depth_f, labels_f, contexts = read_manifest(man)
@@ -315,9 +317,7 @@ def read_scene_dir(scene_dir):
     def _load_image(name):
         img = read_ppm(os.path.join(scene_dir, name))
         _check_size(name, img.shape)
-        if channels == 1:
-            img = img[..., :1]
-        return img
+        return warp.planar(img[..., :channels])
 
     target = _load_image(target_f)
     gt_depth = read_pfm(os.path.join(scene_dir, depth_f)).astype(np.float64)

@@ -729,7 +729,7 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
     gradient outputs are None when want_grad is False.
     """
-    target = warp.validate_image(target)
+    target = warp.planar(warp.validate_image(target))
     _validate_context(target, context)
     depth = _checked_depth(depth)
     if depth.shape != (k.height, k.width) or target.shape[:2] != depth.shape:

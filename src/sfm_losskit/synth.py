@@ -99,7 +99,7 @@ class _Texture:
     """
 
     def __init__(self, raster: np.ndarray, origin: tuple[float, float], spacing: float):
-        self.raster = raster  # (Ht, Wt, C)
+        self.raster = raster  # (Ht, Wt, C), over (C, Ht, Wt) planes
         self.origin = origin
         self.spacing = spacing
 
@@ -120,7 +120,7 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
         raise ConfigError(f"texture raster of {n} texels is unreasonably large")
     axis = -extent + spacing * np.arange(n)
     f_max = cycles_per_px / spacing  # cycles per meter
-    raster = np.empty((n, n, channels))
+    raster = np.empty((channels, n, n))
     n_waves = 8
     for c in range(channels):
         mags = f_max * rng.uniform(0.2, 1.0, n_waves)
@@ -133,8 +133,9 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
         col_arg = np.multiply.outer(axis, 2 * math.pi * mags * np.cos(dirs))
         rows = np.concatenate([amps * np.cos(row_arg), -amps * np.sin(row_arg)], axis=1)
         cols = np.concatenate([np.cos(col_arg), np.sin(col_arg)], axis=1)
-        raster[..., c] = 0.5 + np.einsum("iw,jw->ij", rows, cols)
-    return _Texture(np.clip(raster, 0.0, 1.0), (-extent, -extent), spacing)
+        raster[c] = 0.5 + np.einsum("iw,jw->ij", rows, cols)
+    raster.clip(0.0, 1.0, out=raster)
+    return _Texture(raster.transpose(1, 2, 0), (-extent, -extent), spacing)
 
 
 @dataclass
@@ -185,7 +186,7 @@ class SceneGeometry:
         rot = pose.rotation_matrix()
         t = pose.translation_vector()
         pts_t = (depth[..., None] * rays - t) @ rot
-        img = np.zeros(depth.shape + (channels,))
+        img = np.zeros((channels,) + depth.shape).transpose(1, 2, 0)
         for i, plane in enumerate(self.planes):
             sel = plane_idx == i
             if not sel.any():

@@ -5,6 +5,12 @@ C in {1, 3}; validity masks are (H, W) bool arrays. Invalid output pixels
 carry the value 0; they contribute nothing downstream and are excluded from
 reductions by the caller's mask, never by sentinel values.
 
+Images are stored as planes too: an (H, W, C) image is a view over
+contiguous (C, H, W) storage, as `planar` returns it. The synthesizer and
+`io_codecs.read_scene_dir` build images so, `losses` passes the target
+through `planar`, and both samplers return such views; they copy an
+interleaved source (from tests or user code) into planes on each call.
+
 Per-pixel vector fields are read and written as planes: coordinates are
 (H, W, 2) arrays whose components ``coords[..., 0]`` and ``coords[..., 1]``
 are contiguous when the array is a view over (2, H, W) storage, as
@@ -38,11 +44,17 @@ def validate_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def planar(img: np.ndarray) -> np.ndarray:
+    """img as an (H, W, C) view over contiguous (C, H, W) storage; copies
+    nothing when img already is one, as a contiguous (H, W, 1) array is."""
+    return np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 class Sampling(NamedTuple):
     """A warp's corner set-up into an (H, W) source; the samplers only read it."""
 
     valid: np.ndarray  # output pixels that are sampled; the others read 0
-    index: np.ndarray  # flat row of each upper-left corner in src as (H*W, C)
+    index: np.ndarray  # flat index of each upper-left corner in an (H*W) source plane
     wu: np.ndarray  # fractional weight of the right corners
     wv: np.ndarray  # fractional weight of the lower corners
     src_shape: tuple[int, int]  # the source's (H, W)
@@ -80,20 +92,21 @@ def sampling(coords: np.ndarray, valid: np.ndarray, src_shape: tuple[int, int]) 
 
 
 def _corners(src: np.ndarray, at: Sampling):
-    """I[y0,x0], I[y0,x1], I[y1,x0], I[y1,x1] through one flat row index."""
-    if src.shape[:2] != at.src_shape:
-        raise DimensionError(f"src {src.shape} was not sampled at shape {at.src_shape}")
+    """I[y0,x0], I[y0,x1], I[y1,x0], I[y1,x1] as (C, H', W') planes, gathered
+    through one flat row index from the source's (C, H*W) planes."""
+    if src.ndim != 3 or src.shape[:2] != at.src_shape:
+        raise DimensionError(f"src {src.shape} is no (H, W, C) image of shape {at.src_shape}")
     h, w = at.src_shape
     dx, dy = int(w > 1), w * (h > 1)
-    flat = src.reshape(-1, src.shape[2])
+    flat = src.transpose(2, 0, 1).reshape(src.shape[2], -1)  # copies unless planar
     index = at.index.astype(np.intp)
-    c00 = flat.take(index, axis=0)
+    c00 = flat.take(index, axis=1)
     index += dx
-    c01 = flat.take(index, axis=0)
+    c01 = flat.take(index, axis=1)
     index += dy - dx
-    c10 = flat.take(index, axis=0)
+    c10 = flat.take(index, axis=1)
     index += dx
-    c11 = flat.take(index, axis=0)
+    c11 = flat.take(index, axis=1)
     return c00, c01, c10, c11
 
 
@@ -102,28 +115,26 @@ def sample_bilinear(src: np.ndarray, at: Sampling) -> np.ndarray:
 
     Each valid output pixel is the bilinear blend of the 4 neighbors of its
     coordinate; sampling at exact integer coordinates reproduces the source
-    pixel. Invalid pixels come back as 0.
+    pixel. Invalid pixels come back as 0. The (H', W', C) result is a view
+    over a contiguous (C, H', W') array.
     """
     src = np.asarray(src, dtype=np.float64)
     c00, c01, c10, c11 = _corners(src, at)
     wu, wv = at.wu, at.wv
     one_wu = 1.0 - wu
     one_wv = 1.0 - wv
-    # out = w00 c00 + w01 c01 + w10 c10 + w11 c11, summed left to right
+    # out = w00 c00 + w01 c01 + w10 c10 + w11 c11, summed left to right; an
+    # (H', W') weight broadcasts over the channel planes
     out = c00
-    out *= (one_wu * one_wv)[..., None]
-    c01 *= (wu * one_wv)[..., None]
+    out *= one_wu * one_wv
+    c01 *= wu * one_wv
     out += c01
-    c10 *= (one_wu * wv)[..., None]
+    c10 *= one_wu * wv
     out += c10
-    c11 *= (wu * wv)[..., None]
+    c11 *= wu * wv
     out += c11
-    invalid = ~at.valid
-    # one masked store per channel plane: a (H, W, 1) mask broadcast over
-    # the channels, or boolean indexing, walks memory several times slower
-    for c in range(out.shape[2]):
-        np.copyto(out[..., c], 0.0, where=invalid)
-    return out
+    np.copyto(out, 0.0, where=~at.valid)
+    return out.transpose(1, 2, 0)
 
 
 def sample_bilinear_grad(src: np.ndarray, upstream: np.ndarray, at: Sampling) -> np.ndarray:
@@ -137,29 +148,30 @@ def sample_bilinear_grad(src: np.ndarray, upstream: np.ndarray, at: Sampling) ->
     """
     src = np.asarray(src, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape[:2] != at.valid.shape or upstream.shape[2] != src.shape[2]:
+    if upstream.shape != at.valid.shape + src.shape[2:]:
         raise DimensionError(
             f"upstream {upstream.shape} inconsistent with src {src.shape} / valid {at.valid.shape}"
         )
 
     c00, c01, c10, c11 = _corners(src, at)
     wu, wv = at.wu, at.wv
+    up = upstream.transpose(2, 0, 1)
     grad = np.empty((2,) + at.valid.shape)
     # d(out)/du = (1-wv) * (I[y0,x1] - I[y0,x0]) + wv * (I[y1,x1] - I[y1,x0])
     dx_top = c01 - c00
-    dx_top *= (1.0 - wv)[..., None]
+    dx_top *= 1.0 - wv
     dx_bot = c11 - c10
-    dx_bot *= wv[..., None]
+    dx_bot *= wv
     dx_top += dx_bot
-    dx_top *= upstream
-    np.add.reduce(dx_top, axis=-1, out=grad[0])
+    dx_top *= up
+    np.add.reduce(dx_top, axis=0, out=grad[0])
     # d(out)/dv = (1-wu) * (I[y1,x0] - I[y0,x0]) + wu * (I[y1,x1] - I[y0,x1])
     c10 -= c00
-    c10 *= (1.0 - wu)[..., None]
+    c10 *= 1.0 - wu
     c11 -= c01
-    c11 *= wu[..., None]
+    c11 *= wu
     c10 += c11
-    c10 *= upstream
-    np.add.reduce(c10, axis=-1, out=grad[1])
+    c10 *= up
+    np.add.reduce(c10, axis=0, out=grad[1])
     np.copyto(grad, 0.0, where=~at.valid)
     return grad.transpose(1, 2, 0)

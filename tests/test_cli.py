@@ -118,6 +118,15 @@ class TestManifest:
             assert np.abs(pose_a.matrix() - pose_b.matrix()).max() < 1e-12
             assert np.abs(img_a - img_b).max() <= 1.0 / 65535
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_images_load_planar(self, tmp_path, channels):
+        scene = make_scene(SceneSpec(width=24, height=16, channels=channels, beams=0))
+        io_codecs.write_scene_dir(tmp_path / "scene", scene)
+        loaded = io_codecs.read_scene_dir(tmp_path / "scene")
+        for img in [loaded.target] + [img for img, _ in loaded.contexts]:
+            assert img.shape == (16, 24, channels)
+            assert img.transpose(2, 0, 1).flags.c_contiguous
+
 
 def write_config(path, extra=""):
     path.write_text(

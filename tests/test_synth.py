@@ -39,6 +39,13 @@ class TestMakeScene:
             assert np.asarray(pose.translation == (0, 0, 0)).all()
             assert np.abs(img - scene.target).max() == 0.0
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_images_are_planar(self, channels):
+        scene = make_scene(SceneSpec(width=24, height=16, channels=channels, beams=0))
+        for img in [scene.target] + [img for img, _ in scene.contexts]:
+            assert img.shape == (16, 24, channels)
+            assert img.transpose(2, 0, 1).flags.c_contiguous
+
     def test_uniform_disparity_shift_five_columns(self):
         # fx = 0.78125 * 128 = 100, so disparity fx * baseline / d0 = 5 px
         spec = SceneSpec(geometry="plane", width=128, height=96, d0=10.0,
@@ -218,7 +225,7 @@ class TestNoiseTexture:
         tex = _noise_texture(rng, *args)
         ref = reference_noise_texture(ref_rng, *args)
         assert tex.raster.shape == ref.shape == (321, 321, channels)
-        assert tex.raster.flags.c_contiguous
+        assert tex.raster.transpose(2, 0, 1).flags.c_contiguous  # (C, n, n) planes
         assert np.abs(tex.raster - ref).max() <= 1e-12
         # the same number of draws in the same order: the generators agree after
         assert rng.random() == ref_rng.random()

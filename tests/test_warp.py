@@ -265,9 +265,12 @@ def test_corner_clip_keeps_np_clip_bits():
     coords = np.stack([u, v], axis=-1)
     valid = np.ones((6, 7), bool)
     at = sampling(coords, valid, src.shape[:2])
-    ours = warp._corners(src, at) + (at.wu, at.wv)
-    for got, ref in zip(ours, interleaved_corners(src, coords, valid)):
-        assert same_bits(got, ref)
+    *ref_corners, ref_wu, ref_wv = interleaved_corners(src, coords, valid)
+    # the corners come back as (C, H, W) planes
+    for got, ref in zip(warp._corners(src, at), ref_corners):
+        assert same_bits(got, ref.transpose(2, 0, 1))
+    assert same_bits(at.wu, ref_wu)
+    assert same_bits(at.wv, ref_wv)
 
 
 class TestSharedSampling:
@@ -299,6 +302,59 @@ class TestSharedSampling:
             grad = sample_bilinear_grad(src, up, at)
             assert same_bits(out, interleaved_sample(src, coords, valid))
             assert same_bits(grad, interleaved_sample_grad(src, coords, valid, up))
+
+
+def is_planar(img):
+    """img is an (H, W, C) view over contiguous (C, H, W) storage."""
+    return img.ndim == 3 and img.transpose(2, 0, 1).flags.c_contiguous
+
+
+class TestImageLayout:
+    """Images are (H, W, C) views over (C, H, W) planes. The samplers accept
+    an interleaved image too, with the same bits, and return planar views."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_interleaved_and_planar_sources_agree(self, channels):
+        rng = np.random.default_rng(50 + channels)
+        for src, coords, valid in TestSharedSampling().cases(channels):
+            # interleaved: as allocated for 3 channels, one channel of an RGB
+            # array (stride 24 bytes) for 1
+            src = np.repeat(src, 3, axis=2)[..., :1] if channels == 1 else src
+            assert not is_planar(src) or src.shape[:2] == (1, 1)
+            planes = warp.planar(src)
+            assert is_planar(planes) and same_bits(planes, src)
+            up = rng.uniform(-1, 1, valid.shape + (channels,))
+            at = sampling(coords, valid, src.shape[:2])
+            out = sample_bilinear(src, at)
+            grad = sample_bilinear_grad(src, up, at)
+            assert is_planar(out)
+            assert same_bits(sample_bilinear(planes, at), out)
+            assert same_bits(sample_bilinear_grad(planes, up, at), grad)
+            assert same_bits(sample_bilinear_grad(planes, warp.planar(up), at), grad)
+
+    def test_planar_copies_only_interleaved_images(self):
+        rgb = np.random.default_rng(7).uniform(0, 1, (5, 6, 3))
+        planes = warp.planar(rgb)
+        assert not np.shares_memory(planes, rgb)
+        assert np.shares_memory(warp.planar(planes), planes)
+        gray = rgb[..., :1].copy()  # contiguous (H, W, 1): already planar
+        assert is_planar(gray) and np.shares_memory(warp.planar(gray), gray)
+        strided = rgb[..., :1]  # every third value of rgb
+        assert not is_planar(strided)
+        assert is_planar(warp.planar(strided)) and same_bits(warp.planar(strided), strided)
+
+    def test_samplers_reject_images_that_are_not_3d(self):
+        rng = np.random.default_rng(8)
+        src = rng.uniform(0, 1, (5, 6, 3))
+        at = sampling(identity_coords(4, 4), np.ones((4, 4), bool), (5, 6))
+        for bad_src in (src[..., 0], src[..., None]):
+            with pytest.raises(DimensionError):
+                sample_bilinear(bad_src, at)
+            with pytest.raises(DimensionError):
+                sample_bilinear_grad(bad_src, np.ones((4, 4)), at)
+        for bad_up in (np.ones((4, 4)), np.ones((4, 4, 3, 1)), np.ones((4, 4, 1))):
+            with pytest.raises(DimensionError):
+                sample_bilinear_grad(src, bad_up, at)
 
 
 def test_nan_coordinate_reads_nan_at_its_pixel_only():
