@@ -18,7 +18,11 @@ parent. The digest covers, in this order:
 * one more `total_loss_grad` on that scene under rep, with a context pose
   that puts some labels behind its camera;
 * the `total_loss_grad` breakdowns and gradient bytes of the same scene in
-  3 channels under rep, at 1, 2 and 3 scales.
+  3 channels under rep, at 1, 2 and 3 scales;
+* the example scene with its PPM images rewritten at maxval 255 (1 byte per
+  sample, as other tools write them; rounded here with numpy alone): the
+  rewritten files' bytes, and the `loss_history.csv` and `metrics.csv` that
+  `optimize` writes from that scene under rep.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 10 s.
@@ -76,6 +80,31 @@ def cli_outputs(digest, tmp: Path) -> None:
                   f"--optimizer.supervised_loss={loss}", *flags], f"{config} under {loss}")
             for name in ("loss_history.csv", "metrics.csv"):
                 digest.update((report_dir / name).read_bytes())
+
+
+def _to_8bit(path: Path) -> None:
+    """Rewrite a 16-bit binary PPM (as `synth` writes it) at maxval 255,
+    each sample rounded to the nearest level, halves up."""
+    magic, size, maxval, payload = path.read_bytes().split(b"\n", 3)
+    if (magic, maxval) != (b"P6", b"65535"):
+        raise SystemExit(f"fingerprint: {path} is not a 16-bit binary PPM")
+    levels = np.frombuffer(payload, dtype=">u2").astype(np.int64)
+    path.write_bytes(b"P6\n" + size + b"\n255\n"
+                     + ((levels * 255 + 32767) // 65535).astype("u1").tobytes())
+
+
+def eight_bit_outputs(digest, tmp: Path) -> None:
+    cfg = str(REPO / RUNS[0][0])
+    scene_dir, report_dir = tmp / "scene8", tmp / "report8"
+    _cli(["synth", "--config", cfg, "--out", str(scene_dir)], "synth of the 8-bit scene")
+    for path in sorted(scene_dir.glob("*.ppm")):
+        _to_8bit(path)
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    _cli(["optimize", str(scene_dir), "--config", cfg, "--out", str(report_dir)],
+         "optimize of the 8-bit scene")
+    for name in ("loss_history.csv", "metrics.csv"):
+        digest.update((report_dir / name).read_bytes())
 
 
 def gradcheck_reports(digest) -> None:
@@ -147,8 +176,9 @@ def main() -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         cli_outputs(digest, Path(tmp))
-    gradcheck_reports(digest)
-    objective_outputs(digest)
+        gradcheck_reports(digest)
+        objective_outputs(digest)
+        eight_bit_outputs(digest, Path(tmp))
     print(digest.hexdigest())
     return 0
 

@@ -12,13 +12,9 @@ Conventions used throughout the package:
 * Points with z <= EPS_Z are treated as behind the camera: their warp
   coordinates are flagged invalid and their projection Jacobian is zero.
 
-The per-pixel warp fields are stored as planes, one contiguous (H, W) plane
-per component: points in a (3, H, W) array, coordinates in (2, H, W) and
-projection Jacobians in (2, 3, H, W). The documented (H, W, 3), (H, W, 2)
-and (H, W, 2, 3) shapes are transposed views over that storage, so a
-component read such as ``points[..., 2]`` is a contiguous plane. Images
-follow the same convention: (H, W, C) views over (C, H, W) planes, built by
-the synthesizer and the scene reader (see `warp.planar`).
+* Per-pixel fields are component-first, one contiguous (H, W) plane per
+  component: warp points are (3, H, W), coordinates (2, H, W) and
+  projection Jacobians (2, 3, H, W); images are (C, H, W) (see `warp`).
 """
 
 from __future__ import annotations
@@ -204,12 +200,9 @@ class PoseSE3:
 class WarpChain(NamedTuple):
     """Intermediate values of the per-pixel warp, kept for gradient reuse.
 
-    points: (H, W, 3) source-frame points R (d * ray) + t
-    coords: (H, W, 2) continuous source-pixel coordinates (u, v)
+    points: (3, H, W) source-frame points R (d * ray) + t
+    coords: (2, H, W) continuous source-pixel coordinates (u, v)
     valid:  (H, W) bool; in front of the source camera and inside the image
-
-    points and coords are views over contiguous (3, H, W) and (2, H, W)
-    planes; ``chain.points.transpose(2, 0, 1)`` recovers the planes.
     """
 
     points: np.ndarray
@@ -249,17 +242,16 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
     valid &= v >= -BOUNDS_EPS
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
     np.copyto(coords, 0.0, where=~in_front)
-    return WarpChain(points.transpose(1, 2, 0), coords.transpose(1, 2, 0), valid)
+    return WarpChain(points, coords, valid)
 
 
 def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """d(u, v)/d(x, y, z) of the pinhole projection, per point.
 
-    points: (..., 3). Returns (..., 2, 3), a view over a contiguous
-    (2, 3, ...) array. Rows for points at or behind the cut-off are zeroed
-    (no gradient flows through invalid projections).
+    points: (3, ...). Returns (2, 3, ...). Rows for points at or behind the
+    cut-off are zeroed (no gradient flows through invalid projections).
     """
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    x, y, z = points
     ok = z > EPS_Z
     # 1/z is set to 0 past the cut-off, which zeroes those rows outright
     inv_z = np.divide(1.0, z, out=np.zeros_like(z), where=ok)
@@ -268,4 +260,4 @@ def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     jac[0, 2] = -k.fx * x * inv_z * inv_z
     jac[1, 1] = k.fy * inv_z
     jac[1, 2] = -k.fy * y * inv_z * inv_z
-    return jac.transpose(*range(2, jac.ndim), 0, 1)
+    return jac

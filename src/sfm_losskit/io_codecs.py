@@ -5,7 +5,9 @@ PFM streams are little-endian float32 (scale header -1.0) with the standard
 bottom-to-top row order. PPM is binary P6: written with maxval 65535 (2
 bytes/sample, big-endian), read with maxval 65535 or 255 (1 byte/sample, as
 other tools write it); single-channel images are written with the gray value
-replicated over R, G, B.
+replicated over R, G, B. Images are (C, H, W) planes in memory, as
+everywhere in the package; the PPM codec is the one place that interleaves
+them into (H, W, 3) samples and back.
 
 Sparse labels travel as one 3-channel PFM: channel 0 holds the label depth
 (0 = no label), channel 1 the beam id (-1 = none), channel 2 the constant
@@ -20,7 +22,6 @@ import stat
 
 import numpy as np
 
-from . import warp
 from .errors import CodecError, DimensionError
 from .geometry import CameraIntrinsics, PoseSE3
 from .supervision import SparseDepth
@@ -56,6 +57,8 @@ def read_pfm(path) -> np.ndarray:
             raise CodecError(f"{path}: not a PFM stream (got {ident!r})")
         w, h = _read_size(fh, path)
         scale = _read_float(fh, path)
+        if scale == 0 or not math.isfinite(scale):
+            raise CodecError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
         endian = "<" if scale < 0 else ">"
         count = h * w * channels
         raw = _read_payload(fh, path, 4 * count)
@@ -67,10 +70,10 @@ def read_pfm(path) -> np.ndarray:
 
 def write_ppm(path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] not in (1, 3):
-        raise DimensionError(f"PPM expects (H, W, C) with C in {{1, 3}}, got {img.shape}")
-    if img.shape[2] == 1:
-        img = np.repeat(img, 3, axis=2)
+    if img.ndim != 3 or img.shape[0] not in (1, 3):
+        raise DimensionError(f"PPM expects (C, H, W) with C in {{1, 3}}, got {img.shape}")
+    # interleave (gray replicated) first: the casts run 4x slower through a transpose
+    img = np.repeat(img.transpose(1, 2, 0), 3 // img.shape[0], axis=2)
     levels = np.clip(np.rint(img * 65535), 0, 65535)
     payload = levels.astype(">u2").tobytes()
     h, w = img.shape[:2]
@@ -91,7 +94,7 @@ def read_ppm(path) -> np.ndarray:
         count = h * w * 3
         raw = _read_payload(fh, path, count * (2 if maxval == 65535 else 1))
         data = np.frombuffer(raw, dtype=dtype)
-    return data.reshape(h, w, 3).astype(np.float64) / maxval
+    return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
 
 
 def _read_token(fh) -> bytes:
@@ -287,7 +290,7 @@ def write_scene_dir(out_dir, scene) -> None:
     write_manifest(
         os.path.join(out_dir, MANIFEST_NAME),
         scene.intrinsics,
-        scene.target.shape[2],
+        scene.target.shape[0],
         "target.ppm",
         "depth.pfm",
         "labels.pfm",
@@ -298,11 +301,10 @@ def write_scene_dir(out_dir, scene) -> None:
 def read_scene_dir(scene_dir):
     """Load a scene directory written by write_scene_dir.
 
-    Images come back with the channel count recorded in the manifest: for
-    single-channel scenes the replicated PPM channels are collapsed back to
-    one. Each is an (H, W, C) view over contiguous (C, H, W) planes, the
-    layout `warp.planar` builds. The closed-form occlusion masks are not
-    stored, so the loaded Scene has none.
+    Images come back as contiguous (C, H, W) planes with the channel count
+    recorded in the manifest: for single-channel scenes the replicated PPM
+    channels are collapsed back to one. The closed-form occlusion masks are
+    not stored, so the loaded Scene has none.
     """
     man = os.path.join(scene_dir, MANIFEST_NAME)
     k, channels, target_f, depth_f, labels_f, contexts = read_manifest(man)
@@ -316,8 +318,8 @@ def read_scene_dir(scene_dir):
 
     def _load_image(name):
         img = read_ppm(os.path.join(scene_dir, name))
-        _check_size(name, img.shape)
-        return warp.planar(img[..., :channels])
+        _check_size(name, img.shape[1:])
+        return np.ascontiguousarray(img[:channels])
 
     target = _load_image(target_f)
     gt_depth = read_pfm(os.path.join(scene_dir, depth_f)).astype(np.float64)

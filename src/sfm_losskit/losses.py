@@ -29,7 +29,7 @@ meaningful: every windowed operator is local (a one-pixel change leaves
 outputs outside its window bit-identical), and scalar reductions are plain
 ``np.sum`` calls, which are deterministic for a fixed shape. The windowed
 and pyramid operators are separable, and each backward pass applies their
-exact transposes. Images are (H, W, C) float arrays in [0, 1]. Depth maps
+exact transposes. Images are (C, H, W) float arrays in [0, 1]. Depth maps
 are (H, W), finite and above the in-front cut-off geometry.EPS_Z at every
 pixel (smoothness works on disparity 1 / depth, at most 1e6): that is the
 objective's one precondition, checked where depth enters it, so the terms
@@ -171,11 +171,11 @@ def _ssim_channel(a, b, m, n) -> _SsimChannelCache:
 
 
 def _ssim_channels(a, b, m) -> list[_SsimChannelCache]:
-    """Per-channel SSIM caches of (H, W, C) images under the (H, W) 0/1
+    """Per-channel SSIM caches of (C, H, W) images under the (H, W) 0/1
     float mask m; the window count depends on the mask only, so it is
     computed once and shared by every channel."""
     n = np.maximum(_box_sum(m), 1.0)
-    return [_ssim_channel(a[..., c], b[..., c], m, n) for c in range(a.shape[2])]
+    return [_ssim_channel(a[c], b[c], m, n) for c in range(a.shape[0])]
 
 
 def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g):
@@ -241,8 +241,8 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
     """Per-source loss map alpha * (1 - SSIM) / 2 + (1 - alpha) * L1,
     channel-averaged, with +inf at pixels outside the bool mask."""
     m = mask.astype(np.float64)
-    channels = target.shape[2]
-    loss = np.zeros(target.shape[:2])
+    channels = target.shape[0]
+    loss = np.zeros(target.shape[1:])
     caches = _ssim_channels(target, synth, m)
     for c, cache in enumerate(caches):
         # clip guards float dust pushing SSIM past 1 on identical windows
@@ -251,7 +251,7 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
         dssim.clip(0.0, 1.0, out=dssim)
         dssim *= alpha
         loss += dssim
-        loss += (1.0 - alpha) * np.abs(target[..., c] - synth[..., c])
+        loss += (1.0 - alpha) * np.abs(target[c] - synth[c])
     loss /= channels
     np.copyto(loss, np.inf, where=~mask)
     return loss, _PhotoCache(target, synth, m, alpha, caches)
@@ -260,17 +260,17 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
 def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarray:
     """d(sum upstream * loss_map)/d(synth); upstream must be 0 at invalid pixels."""
     target, synth, m, alpha, caches = cache
-    channels = target.shape[2]
+    channels = target.shape[0]
     u = upstream / channels
     d_synth = np.empty_like(synth)
     for c in range(channels):
-        diff = synth[..., c] - target[..., c]
+        diff = synth[c] - target[c]
         db = (1.0 - alpha) * np.sign(diff) * u
         active = (caches[c].ssim > -1.0) & (caches[c].ssim < 1.0)
         db += _ssim_channel_grad_b(
-            caches[c], target[..., c], synth[..., c], m, -0.5 * alpha * u * active
+            caches[c], target[c], synth[c], m, -0.5 * alpha * u * active
         )
-        d_synth[..., c] = db
+        d_synth[c] = db
     return d_synth
 
 
@@ -283,7 +283,7 @@ def _warped_losses(target, context, depth, k, alpha):
     warps, caches, maps = [], [], []
     for src, pose in context:
         points, coords, valid = geometry.warp_chain(depth, pose, k)
-        at = warp.sampling(coords, valid, target.shape[:2])
+        at = warp.sampling(coords, valid, target.shape[1:])
         del coords  # the state stands in for it, freed before the scoring
         synth = warp.sample_bilinear(src, at)
         loss_map, cache = _photometric_forward(target, synth, valid, alpha)
@@ -362,12 +362,12 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
         # g3 = d(loss)/d(source point) = J^T (du, dv) as (3, H, W) planes,
         # from the two rows of J; the pinhole's J[0, 1] and J[1, 0] are 0
         jac = geometry.projection_jacobian(points, k)
-        du, dv = d_coords[..., 0], d_coords[..., 1]
+        du, dv = d_coords
         g3 = np.empty((3,) + du.shape)
-        np.multiply(jac[..., 0, 0], du, out=g3[0])
-        np.multiply(jac[..., 1, 1], dv, out=g3[1])
-        np.multiply(jac[..., 0, 2], du, out=g3[2])
-        g3[2] += jac[..., 1, 2] * dv
+        np.multiply(jac[0, 0], du, out=g3[0])
+        np.multiply(jac[1, 1], dv, out=g3[1])
+        np.multiply(jac[0, 2], du, out=g3[2])
+        g3[2] += jac[1, 2] * dv
         dirs = ray_dirs[s]
         dot = g3[0] * dirs[0]
         dot += g3[1] * dirs[1]
@@ -436,7 +436,7 @@ def unwarped_min_photometric(
     source images; constant during optimization, so callers may cache it."""
     target = warp.validate_image(target)
     _validate_context(target, context)
-    ones = np.ones(target.shape[:2], dtype=bool)
+    ones = np.ones(target.shape[1:], dtype=bool)
     maps = [_photometric_forward(target, np.asarray(src, dtype=np.float64), ones, float(alpha))[0]
             for src, _ in context]
     min_map, _ = _min_over_sources(maps)
@@ -453,17 +453,17 @@ class _SmoothCache(NamedTuple):
 
 
 def _channel_mean(x: np.ndarray) -> np.ndarray:
-    """x.mean(axis=2), bit for bit (the same sequential sum over the channel
-    slices, then / C), without the reduction's overhead on 1-3 channels."""
-    total = x[..., 0]
-    for c in range(1, x.shape[2]):
-        total = total + x[..., c]
-    return total / x.shape[2]
+    """x.mean(axis=0), bit for bit (the same sequential sum over the channel
+    planes, then / C), without the reduction's overhead on 1-3 channels."""
+    total = x[0]
+    for c in range(1, x.shape[0]):
+        total = total + x[c]
+    return total / x.shape[0]
 
 
 def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = _channel_mean(np.abs(target[:, 1:, :] - target[:, :-1, :]))
-    gy = _channel_mean(np.abs(target[1:, :, :] - target[:-1, :, :]))
+    gx = _channel_mean(np.abs(target[:, :, 1:] - target[:, :, :-1]))
+    gy = _channel_mean(np.abs(target[:, 1:, :] - target[:, :-1, :]))
     return np.exp(-gx), np.exp(-gy)
 
 
@@ -568,10 +568,10 @@ def _rep_distance(label_rays, pose, k, want_grad):
     safe = np.where(norms > 0, norms, 1.0)
     beta = np.where(norms[:, None] > 0, e / safe[:, None], 0.0)
 
-    jac_hat = geometry.projection_jacobian(x_hat, k)
-    jac_true = geometry.projection_jacobian(x_true, k)
-    g_hat = np.einsum("ni,nij->nj", beta, jac_hat) / count
-    g_true = np.einsum("ni,nij->nj", beta, jac_true) / count
+    jac_hat = geometry.projection_jacobian(x_hat.T, k)
+    jac_true = geometry.projection_jacobian(x_true.T, k)
+    g_hat = np.einsum("ni,ijn->nj", beta, jac_hat) / count
+    g_true = np.einsum("ni,ijn->nj", beta, jac_true) / count
 
     # dX_hat/dd = R @ ray; only the predicted branch depends on pred
     d_pred = np.zeros(len(front))
@@ -729,10 +729,10 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
     gradient outputs are None when want_grad is False.
     """
-    target = warp.planar(warp.validate_image(target))
+    target = warp.validate_image(target)
     _validate_context(target, context)
     depth = _checked_depth(depth)
-    if depth.shape != (k.height, k.width) or target.shape[:2] != depth.shape:
+    if depth.shape != (k.height, k.width) or target.shape[1:] != depth.shape:
         raise DimensionError("target, depth and intrinsics dimensions disagree")
     if unwarped_min is not None and np.shape(unwarped_min) != depth.shape:
         raise DimensionError(f"unwarped_min {np.shape(unwarped_min)} != depth {depth.shape}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import losses, metrics
 from .errors import ConfigError, DivergedError, NoSupervisionError
-from .geometry import PoseSE3
+from .geometry import EPS_Z, PoseSE3
 from .losses import LossBreakdown, LossWeights
 from .synth import Scene
 
@@ -83,8 +83,8 @@ class OptimConfig:
             raise ConfigError("iteration budgets must be >= 1")
         if self.tol < 0:
             raise ConfigError("invalid convergence tolerance")
-        if self.init_depth <= 0:
-            raise ConfigError("init_depth must be positive")
+        if not self.init_depth > EPS_Z:  # the objective's depth precondition
+            raise ConfigError(f"init_depth must exceed EPS_Z={EPS_Z}, got {self.init_depth}")
         if self.supervised_loss not in losses.SUPERVISED:
             raise ConfigError(f"unknown supervised_loss {self.supervised_loss!r}")
         if self.num_scales < 1 or self.seed < 0:

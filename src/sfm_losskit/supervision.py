@@ -47,6 +47,8 @@ def decimate(labels: SparseDepth, keep_beams: int) -> SparseDepth:
     labels whose beam id is a multiple of the beam stride num_beams //
     keep_beams; everything else is zeroed. num_beams is unchanged."""
     num_beams = labels.num_beams
+    if num_beams < 1:
+        raise ConfigError("the labels record no beams (num_beams=0); nothing to decimate")
     if keep_beams < 1 or num_beams % keep_beams:
         raise ConfigError(f"keep_beams={keep_beams} must divide num_beams={num_beams}")
     stride = num_beams // keep_beams

@@ -1,21 +1,12 @@
 """Differentiable bilinear image sampling.
 
-Images are plain float arrays of shape (H, W, C) with values in [0, 1] and
-C in {1, 3}; validity masks are (H, W) bool arrays. Invalid output pixels
-carry the value 0; they contribute nothing downstream and are excluded from
-reductions by the caller's mask, never by sentinel values.
-
-Images are stored as planes too: an (H, W, C) image is a view over
-contiguous (C, H, W) storage, as `planar` returns it. The synthesizer and
-`io_codecs.read_scene_dir` build images so, `losses` passes the target
-through `planar`, and both samplers return such views; they copy an
-interleaved source (from tests or user code) into planes on each call.
-
-Per-pixel vector fields are read and written as planes: coordinates are
-(H, W, 2) arrays whose components ``coords[..., 0]`` and ``coords[..., 1]``
-are contiguous when the array is a view over (2, H, W) storage, as
-`geometry.warp_chain` returns it, and the coordinate gradient comes back as
-the same kind of (H, W, 2) view over a (2, H, W) array.
+Images are plain float arrays of shape (C, H, W), one contiguous (H, W)
+plane per channel, with values in [0, 1] and C in {1, 3}; validity masks
+are (H, W) bool arrays. Invalid output pixels carry the value 0; they
+contribute nothing downstream and are excluded from reductions by the
+caller's mask, never by sentinel values. Per-pixel vector fields are
+component-first too: coordinates are (2, H, W) arrays (u, v), and the
+coordinate gradient comes back as one.
 
 A warp's corner set-up is one `Sampling` state, built by `sampling` and
 read by the sample and its gradient: `losses._warped_losses` builds one per
@@ -37,17 +28,11 @@ from .errors import DimensionError
 
 def validate_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] not in (1, 3):
-        raise DimensionError(f"expected (H, W, C) image with C in {{1, 3}}, got {img.shape}")
+    if img.ndim != 3 or img.shape[0] not in (1, 3):
+        raise DimensionError(f"expected (C, H, W) image with C in {{1, 3}}, got {img.shape}")
     if not np.all(np.isfinite(img)):
         raise DimensionError("image contains non-finite values")
     return img
-
-
-def planar(img: np.ndarray) -> np.ndarray:
-    """img as an (H, W, C) view over contiguous (C, H, W) storage; copies
-    nothing when img already is one, as a contiguous (H, W, 1) array is."""
-    return np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 class Sampling(NamedTuple):
@@ -61,18 +46,18 @@ class Sampling(NamedTuple):
 
 
 def sampling(coords: np.ndarray, valid: np.ndarray, src_shape: tuple[int, int]) -> Sampling:
-    """The sampling state of (H', W', 2) coordinates (u, v) into an (H, W)
+    """The sampling state of (2, H', W') coordinates (u, v) into an (H, W)
     source: valid ones clipped into [0, W-1] x [0, H-1], invalid ones at
     pixel 0. The lower corner is clipped to size-2 so the upper corner stays
     in bounds; at u == W-1 the weight shifts fully onto the upper corner,
     reproducing the border pixel."""
     coords = np.asarray(coords, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    if coords.shape[:2] != valid.shape or coords.shape[2:] != (2,):
+    if coords.shape != (2,) + valid.shape:
         raise DimensionError(f"coords {coords.shape} inconsistent with valid {valid.shape}")
     h, w = src_shape
-    u = np.where(valid, coords[..., 0], 0.0)
-    v = np.where(valid, coords[..., 1], 0.0)
+    u = np.where(valid, coords[0], 0.0)
+    v = np.where(valid, coords[1], 0.0)
     u.clip(0.0, w - 1.0, out=u)
     v.clip(0.0, h - 1.0, out=v)
     # truncation is the floor (u, v >= 0); the lower clip catches a NaN, cast
@@ -94,11 +79,11 @@ def sampling(coords: np.ndarray, valid: np.ndarray, src_shape: tuple[int, int]) 
 def _corners(src: np.ndarray, at: Sampling):
     """I[y0,x0], I[y0,x1], I[y1,x0], I[y1,x1] as (C, H', W') planes, gathered
     through one flat row index from the source's (C, H*W) planes."""
-    if src.ndim != 3 or src.shape[:2] != at.src_shape:
-        raise DimensionError(f"src {src.shape} is no (H, W, C) image of shape {at.src_shape}")
+    if src.ndim != 3 or src.shape[1:] != at.src_shape:
+        raise DimensionError(f"src {src.shape} is no (C, H, W) image of shape {at.src_shape}")
     h, w = at.src_shape
     dx, dy = int(w > 1), w * (h > 1)
-    flat = src.transpose(2, 0, 1).reshape(src.shape[2], -1)  # copies unless planar
+    flat = src.reshape(src.shape[0], -1)
     index = at.index.astype(np.intp)
     c00 = flat.take(index, axis=1)
     index += dx
@@ -115,8 +100,7 @@ def sample_bilinear(src: np.ndarray, at: Sampling) -> np.ndarray:
 
     Each valid output pixel is the bilinear blend of the 4 neighbors of its
     coordinate; sampling at exact integer coordinates reproduces the source
-    pixel. Invalid pixels come back as 0. The (H', W', C) result is a view
-    over a contiguous (C, H', W') array.
+    pixel. Invalid pixels come back as 0 in the (C, H', W') result.
     """
     src = np.asarray(src, dtype=np.float64)
     c00, c01, c10, c11 = _corners(src, at)
@@ -134,28 +118,26 @@ def sample_bilinear(src: np.ndarray, at: Sampling) -> np.ndarray:
     c11 *= wu * wv
     out += c11
     np.copyto(out, 0.0, where=~at.valid)
-    return out.transpose(1, 2, 0)
+    return out
 
 
 def sample_bilinear_grad(src: np.ndarray, upstream: np.ndarray, at: Sampling) -> np.ndarray:
     """Gradient of ``sample_bilinear(src, at)`` with respect to the coordinates.
 
-    upstream is (H, W, C), the loss gradient at each output pixel; the result
-    is (H, W, 2) holding d(loss)/d(u, v), zero at invalid pixels, as a view
-    over a contiguous (2, H, W) array. At integer coordinates the
-    right-continuous derivative branch is used (left branch on the far image
-    border, where no right neighbor exists).
+    upstream is (C, H, W), the loss gradient at each output pixel; the result
+    is (2, H, W) holding d(loss)/d(u, v), zero at invalid pixels. At integer
+    coordinates the right-continuous derivative branch is used (left branch
+    on the far image border, where no right neighbor exists).
     """
     src = np.asarray(src, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != at.valid.shape + src.shape[2:]:
+    if upstream.shape != src.shape[:1] + at.valid.shape:
         raise DimensionError(
             f"upstream {upstream.shape} inconsistent with src {src.shape} / valid {at.valid.shape}"
         )
 
     c00, c01, c10, c11 = _corners(src, at)
     wu, wv = at.wu, at.wv
-    up = upstream.transpose(2, 0, 1)
     grad = np.empty((2,) + at.valid.shape)
     # d(out)/du = (1-wv) * (I[y0,x1] - I[y0,x0]) + wv * (I[y1,x1] - I[y1,x0])
     dx_top = c01 - c00
@@ -163,7 +145,7 @@ def sample_bilinear_grad(src: np.ndarray, upstream: np.ndarray, at: Sampling) ->
     dx_bot = c11 - c10
     dx_bot *= wv
     dx_top += dx_bot
-    dx_top *= up
+    dx_top *= upstream
     np.add.reduce(dx_top, axis=0, out=grad[0])
     # d(out)/dv = (1-wu) * (I[y1,x0] - I[y0,x0]) + wu * (I[y1,x1] - I[y0,x1])
     c10 -= c00
@@ -171,7 +153,7 @@ def sample_bilinear_grad(src: np.ndarray, upstream: np.ndarray, at: Sampling) ->
     c11 -= c01
     c11 *= wu
     c10 += c11
-    c10 *= up
+    c10 *= upstream
     np.add.reduce(c10, axis=0, out=grad[1])
     np.copyto(grad, 0.0, where=~at.valid)
-    return grad.transpose(1, 2, 0)
+    return grad

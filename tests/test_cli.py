@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm_losskit import cli, io_codecs
-from sfm_losskit.errors import CodecError, ConfigError
+from sfm_losskit.errors import CodecError, ConfigError, DimensionError
 from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.synth import SceneSpec, make_scene
 
@@ -56,33 +56,41 @@ class TestPpmCodec:
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_round_trip_representable_levels(self, tmp_path, maxval):
         # write_ppm writes 16-bit files; 8-bit ones come from other tools
+        # the file interleaves the samples, (H, W, 3); images are (3, H, W)
         rng = np.random.default_rng(2)
         levels = rng.integers(0, maxval + 1, (9, 7, 3))
-        img = levels / maxval
+        img = np.moveaxis(levels, -1, 0) / maxval
         path = tmp_path / "x.ppm"
         if maxval == 255:
             path.write_bytes(b"P6\n7 9\n255\n" + levels.astype("u1").tobytes())
         else:
             io_codecs.write_ppm(path, img)
+            assert path.read_bytes() == b"P6\n7 9\n65535\n" + levels.astype(">u2").tobytes()
         back = io_codecs.read_ppm(path)
+        assert back.shape == (3, 9, 7)
         assert (back == img).all()
 
     def test_16bit_exhaustive_level_sweep(self, tmp_path):
         # every one of the 65536 levels survives the round trip exactly
         levels = np.arange(65536, dtype=np.float64).reshape(256, 256)
-        img = np.repeat((levels / 65535)[..., None], 3, axis=2)
+        img = np.repeat((levels / 65535)[None], 3, axis=0)
         path = tmp_path / "sweep.ppm"
         io_codecs.write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert (back == img).all()
 
     def test_gray_images_replicate_channels(self, tmp_path):
-        img = np.random.default_rng(3).uniform(0, 1, (5, 6, 1))
+        img = np.random.default_rng(3).uniform(0, 1, (1, 5, 6))
         path = tmp_path / "g.ppm"
         io_codecs.write_ppm(path, img)
         back = io_codecs.read_ppm(path)
-        assert back.shape == (5, 6, 3)
-        assert (back[..., 0] == back[..., 1]).all()
+        assert back.shape == (3, 5, 6)
+        assert (back[0] == back[1]).all() and (back[0] == back[2]).all()
+
+    def test_interleaved_image_rejected(self, tmp_path):
+        # an image in the (H, W, C) layout, H and W not in {1, 3}
+        with pytest.raises(DimensionError):
+            io_codecs.write_ppm(tmp_path / "x.ppm", np.zeros((5, 6, 3)))
 
     def test_invalid_maxval(self, tmp_path):
         path = tmp_path / "x.ppm"
@@ -124,8 +132,8 @@ class TestManifest:
         io_codecs.write_scene_dir(tmp_path / "scene", scene)
         loaded = io_codecs.read_scene_dir(tmp_path / "scene")
         for img in [loaded.target] + [img for img, _ in loaded.contexts]:
-            assert img.shape == (16, 24, channels)
-            assert img.transpose(2, 0, 1).flags.c_contiguous
+            assert img.shape == (channels, 16, 24)
+            assert img.flags.c_contiguous
 
 
 def write_config(path, extra=""):
@@ -211,6 +219,16 @@ class TestCommands:
         io_codecs.write_labels_pfm(src, scene.labels)
         code = cli.main(["decimate", str(src), "--keep", "3", "--out", str(tmp_path / "o.pfm")])
         assert code == 1
+
+    def test_decimate_labels_without_beams(self, tmp_path, capsys):
+        # a scene.beams=0 scene records num_beams 0: no beam stride exists
+        scene = make_scene(SceneSpec(width=48, height=40, seed=6, beams=0))
+        src = tmp_path / "labels.pfm"
+        io_codecs.write_labels_pfm(src, scene.labels)
+        out = tmp_path / "o.pfm"
+        code = cli.main(["decimate", str(src), "--keep", "1", "--out", str(out)])
+        assert_codec_error_exit(code, capsys, kind="ConfigError")
+        assert not out.exists()
 
     def test_eval_perfect_prediction(self, tmp_path, capsys):
         scene = make_scene(SceneSpec(width=48, height=40, seed=7, beams=8))
@@ -316,6 +334,9 @@ class TestCommands:
         [
             ("optimizer.tol=inf", "tol must be finite, got inf"),
             ("optimizer.init_depth=nan", "init_depth must be finite, got nan"),
+            # at or below the in-front cut-off EPS_Z the first step's depth check fails
+            ("optimizer.init_depth=1e-7", "init_depth must exceed EPS_Z=1e-06, got 1e-07"),
+            ("optimizer.init_depth=1e-6", "init_depth must exceed EPS_Z=1e-06, got 1e-06"),
             ("weights.lambda_rep=nan", "loss weights must be finite"),
             ("weights.lambda_smooth=nan", "loss weights must be finite"),
             ("optimizer.tol=-0.1", "invalid convergence tolerance"),
@@ -402,6 +423,15 @@ class TestMalformedInput:
         pred = tmp_path / "pred.pfm"
         pred.write_bytes(b"Pf\n2 2\nabc\n")
         assert_codec_error_exit(cli.main(["eval", str(pred), str(pred)]), capsys)
+
+    @pytest.mark.parametrize("scale", ["0", "-0.0", "nan", "inf"])
+    def test_eval_pfm_zero_or_non_finite_scale(self, tmp_path, capsys, scale):
+        # no byte order follows from such a scale: read as big-endian, 4.0
+        # would come back as a positive subnormal that passes eval's checks
+        gt, pred = tmp_path / "gt.pfm", tmp_path / "pred.pfm"
+        io_codecs.write_pfm(gt, np.full((2, 2), 4.0, dtype=np.float32))
+        pred.write_bytes(f"Pf\n2 2\n{scale}\n".encode() + np.full(4, 4.0, "<f4").tobytes())
+        assert_codec_error_exit(cli.main(["eval", str(pred), str(gt)]), capsys)
 
     def test_eval_pfm_non_positive_size(self, tmp_path, capsys):
         pred = tmp_path / "pred.pfm"

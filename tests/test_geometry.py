@@ -60,7 +60,7 @@ def chain_at(k, pose, pixel, depth):
     of one (u, v) pixel."""
     chain = warp_chain(np.full((k.height, k.width), float(depth)), pose, k)
     u, v = pixel
-    return chain.points[v, u], chain.coords[v, u], chain.valid[v, u]
+    return chain.points[:, v, u], chain.coords[:, v, u], chain.valid[v, u]
 
 
 class TestUnproject:
@@ -92,7 +92,7 @@ class TestUnproject:
         depth[0, 0], depth[1, 2] = 0.0, -1.0
         chain = warp_chain(depth, PoseSE3.identity(), K)
         assert not chain.valid[0, 0] and not chain.valid[1, 2]
-        assert tuple(chain.coords[0, 0]) == (0, 0) and tuple(chain.coords[1, 2]) == (0, 0)
+        assert tuple(chain.coords[:, 0, 0]) == (0, 0) and tuple(chain.coords[:, 1, 2]) == (0, 0)
         assert chain.valid.sum() == chain.valid.size - 2
 
 
@@ -259,8 +259,8 @@ class TestWarpCoords:
         chain = warp_chain(depth, PoseSE3.identity(), K)
         assert chain.valid.all()
         uu, vv = np.meshgrid(np.arange(K.width), np.arange(K.height))
-        assert np.abs(chain.coords[..., 0] - uu).max() < 1e-9
-        assert np.abs(chain.coords[..., 1] - vv).max() < 1e-9
+        assert np.abs(chain.coords[0] - uu).max() < 1e-9
+        assert np.abs(chain.coords[1] - vv).max() < 1e-9
 
     def test_hand_computed_translation(self):
         # unproject (0,0) at d=2 -> (0,0,2); +x by 1 -> (1,0,2); project -> (0.5, 0)
@@ -268,7 +268,7 @@ class TestWarpCoords:
         depth = np.full((4, 4), 2.0)
         chain = warp_chain(depth, PoseSE3(translation=(1, 0, 0)), k)
         assert chain.valid[0, 0]
-        assert chain.coords[0, 0] == pytest.approx((0.5, 0.0))
+        assert chain.coords[:, 0, 0] == pytest.approx((0.5, 0.0))
 
     def test_zero_depth_flagged_invalid(self):
         depth = np.full((K.height, K.width), 5.0)
@@ -289,7 +289,7 @@ class TestWarpCoords:
         assert chain.valid[:, : K.width - 51].all()
         assert not chain.valid[:, K.width - 50 :].any()
         # invalid coordinates are reported where they land, not clamped
-        assert chain.coords[..., 0].max() > K.width - 1 + 1.0
+        assert chain.coords[0].max() > K.width - 1 + 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -307,7 +307,12 @@ class TestWarpCoords:
         a = warp_chain(depth, pose, K)
         b = warp_chain(s * depth, scaled, K)
         assert (a.valid == b.valid).all()
-        assert np.abs(a.coords[a.valid] - b.coords[b.valid]).max() < 1e-12
+        assert np.abs(a.coords[:, a.valid] - b.coords[:, b.valid]).max() < 1e-12
+
+
+def planes(a):
+    """A (k, H, W) view of an interleaved (H, W, k) array."""
+    return np.moveaxis(a, -1, 0)
 
 
 def interleaved_warp_chain(depth, pose, k):
@@ -343,8 +348,8 @@ def interleaved_projection_jacobian(points, k):
 
 
 class TestPlanarLayout:
-    """The warp fields are planar underneath; every value must match the
-    interleaved computation bit for bit."""
+    """The warp fields are component-first (k, H, W) planes; every value
+    must match the interleaved computation bit for bit."""
 
     K_ODD = CameraIntrinsics(fx=31.0, fy=27.5, cx=17.3, cy=10.6, width=37, height=23)
     POSES = {
@@ -366,11 +371,10 @@ class TestPlanarLayout:
         chain = warp_chain(depth, pose, k)
         points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
         h, w = depth.shape
-        assert chain.points.shape == (h, w, 3) and chain.coords.shape == (h, w, 2)
-        assert np.moveaxis(chain.points, -1, 0).flags.c_contiguous
-        assert np.moveaxis(chain.coords, -1, 0).flags.c_contiguous
-        assert np.array_equal(chain.points, points)
-        assert np.array_equal(chain.coords, coords)
+        assert chain.points.shape == (3, h, w) and chain.coords.shape == (2, h, w)
+        assert chain.points.flags.c_contiguous and chain.coords.flags.c_contiguous
+        assert np.array_equal(chain.points, planes(points))
+        assert np.array_equal(chain.coords, planes(coords))
         assert np.array_equal(chain.valid, valid)
         if pose_name == "behind":
             assert (~in_front).any() and valid.any()
@@ -382,18 +386,19 @@ class TestPlanarLayout:
     def test_projection_jacobian_matches_interleaved(self, k, pose_name):
         points = warp_chain(self.depth(k), self.POSES[pose_name], k).points
         jac = projection_jacobian(points, k)
-        assert jac.shape == points.shape[:2] + (2, 3)
-        assert np.moveaxis(jac, (-2, -1), (0, 1)).flags.c_contiguous
-        assert np.array_equal(jac, interleaved_projection_jacobian(points, k))
+        assert jac.shape == (2, 3) + points.shape[1:]
+        assert jac.flags.c_contiguous
+        ref = interleaved_projection_jacobian(np.moveaxis(points, 0, -1), k)
+        assert np.array_equal(jac, np.moveaxis(ref, (-2, -1), (0, 1)))
 
     def test_projection_jacobian_of_point_rows(self):
-        # the (N, 3) form the reprojected-distance term passes
+        # the (3, N) view of (N, 3) point rows the reprojected-distance term passes
         points = np.random.default_rng(3).normal(0.0, 2.0, (50, 3))
         points[:5, 2] = [-1.0, 0.0, EPS_Z, 2 * EPS_Z, 4.0]
-        jac = projection_jacobian(points, K)
-        assert jac.shape == (50, 2, 3)
-        assert np.array_equal(jac, interleaved_projection_jacobian(points, K))
-        assert not jac[:3].any() and jac[3:5, 0, 0].all()
+        jac = projection_jacobian(points.T, K)
+        assert jac.shape == (2, 3, 50)
+        assert np.array_equal(jac, np.moveaxis(interleaved_projection_jacobian(points, K), 0, -1))
+        assert not jac[..., :3].any() and jac[0, 0, 3:5].all()
 
     @pytest.mark.parametrize("fill", ["all", "none"])
     def test_warp_chain_all_or_no_pixel_in_front(self, fill):
@@ -407,7 +412,7 @@ class TestPlanarLayout:
         chain = warp_chain(depth, pose, k)
         points, coords, valid, in_front = interleaved_warp_chain(depth, pose, k)
         assert in_front.all() if fill == "all" else not in_front.any()
-        for ours, ref in ((chain.points, points), (chain.coords, coords),
+        for ours, ref in ((chain.points, planes(points)), (chain.coords, planes(coords)),
                           (chain.valid, valid)):
             assert ours.shape == ref.shape and ours.dtype == ref.dtype
             assert np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(ref).tobytes()

@@ -40,7 +40,7 @@ from sfm_losskit.synth import SceneSpec, make_scene
 def brute_force_ssim(a, b, mask=None, c1=losses.SSIM_C1, c2=losses.SSIM_C2):
     """Independent SSIM oracle: naive per-pixel loops over the 3x3 window,
     statistics over the valid pixels inside the (clipped) box."""
-    h, w, channels = a.shape
+    channels, h, w = a.shape
     if mask is None:
         mask = np.ones((h, w), bool)
     out = np.zeros((h, w))
@@ -52,8 +52,8 @@ def brute_force_ssim(a, b, mask=None, c1=losses.SSIM_C1, c2=losses.SSIM_C2):
                     for dj in (-1, 0, 1):
                         ii, jj = i + di, j + dj
                         if 0 <= ii < h and 0 <= jj < w and mask[ii, jj]:
-                            xs.append(a[ii, jj, c])
-                            ys.append(b[ii, jj, c])
+                            xs.append(a[c, ii, jj])
+                            ys.append(b[c, ii, jj])
                 xs, ys = np.array(xs), np.array(ys)
                 mx, my = xs.mean(), ys.mean()
                 vx = (xs * xs).mean() - mx * mx
@@ -67,7 +67,7 @@ def brute_force_ssim(a, b, mask=None, c1=losses.SSIM_C1, c2=losses.SSIM_C2):
 
 def checkerboard(h, w):
     img = ((np.arange(h)[:, None] + np.arange(w)[None, :]) % 2).astype(float)
-    return img[..., None]
+    return img[None]
 
 
 class TestSsim:
@@ -75,12 +75,12 @@ class TestSsim:
 
     def test_identical_images_score_one(self):
         rng = np.random.default_rng(0)
-        img = rng.uniform(0, 1, (8, 9, 3))
+        img = rng.uniform(0, 1, (3, 8, 9))
         for cache in _ssim_channels(img, img, np.ones((8, 9))):
             assert np.abs(cache.ssim - 1.0).max() < 1e-12
 
     def test_constant_images_score_one(self):
-        a = np.full((6, 6, 1), 0.5)
+        a = np.full((1, 6, 6), 0.5)
         s = _ssim_channels(a, a.copy(), np.ones((6, 6)))[0].ssim
         assert np.abs(s - 1.0).max() < 1e-12
 
@@ -91,15 +91,15 @@ class TestSsim:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
-        a = rng.uniform(0, 1, (7, 8, 1))
-        b = rng.uniform(0, 1, (7, 8, 1))
+        a = rng.uniform(0, 1, (1, 7, 8))
+        b = rng.uniform(0, 1, (1, 7, 8))
         s = _ssim_channels(a, b, np.ones((7, 8)))[0].ssim
         assert np.abs(s - brute_force_ssim(a, b)).max() < 1e-12
 
     def test_masked_windows_match_brute_force(self):
         rng = np.random.default_rng(2)
-        a = rng.uniform(0, 1, (7, 8, 1))
-        b = rng.uniform(0, 1, (7, 8, 1))
+        a = rng.uniform(0, 1, (1, 7, 8))
+        b = rng.uniform(0, 1, (1, 7, 8))
         mask = rng.uniform(size=(7, 8)) > 0.3
         ours = _ssim_channels(a, b, mask.astype(np.float64))[0].ssim
         oracle = brute_force_ssim(a, b, mask=mask)
@@ -107,8 +107,8 @@ class TestSsim:
 
     def test_values_bounded(self):
         rng = np.random.default_rng(3)
-        a = rng.uniform(0, 1, (10, 10, 3))
-        b = rng.uniform(0, 1, (10, 10, 3))
+        a = rng.uniform(0, 1, (3, 10, 10))
+        b = rng.uniform(0, 1, (3, 10, 10))
         for cache in _ssim_channels(a, b, np.ones((10, 10))):
             assert (np.abs(cache.ssim) <= 1.0 + 1e-12).all()
 
@@ -116,35 +116,35 @@ class TestSsim:
 class TestPhotometric:
     def test_perfect_reconstruction_is_zero(self):
         rng = np.random.default_rng(4)
-        img = rng.uniform(0, 1, (6, 7, 3))
+        img = rng.uniform(0, 1, (3, 6, 7))
         mask = np.ones((6, 7), bool)
         loss = _photometric_forward(img, img.copy(), mask, 0.85)[0]
         assert np.abs(loss).max() < 1e-12
 
     def test_pure_l1_constant_images(self):
-        a = np.full((5, 5, 1), 0.2)
-        b = np.full((5, 5, 1), 0.7)
+        a = np.full((1, 5, 5), 0.2)
+        b = np.full((1, 5, 5), 0.7)
         loss = _photometric_forward(a, b, np.ones((5, 5), bool), alpha=0.0)[0]
         assert loss == pytest.approx(0.5)
 
     def test_matches_independent_two_term_evaluation(self):
         rng = np.random.default_rng(5)
-        a = rng.uniform(0, 1, (6, 8, 3))
-        b = rng.uniform(0, 1, (6, 8, 3))
+        a = rng.uniform(0, 1, (3, 6, 8))
+        b = rng.uniform(0, 1, (3, 6, 8))
         mask = np.ones((6, 8), bool)
         alpha = 0.85
         loss = _photometric_forward(a, b, mask, alpha)[0]
         expected = np.zeros((6, 8))
         for c in range(3):
-            s = _ssim_channels(a[..., c : c + 1], b[..., c : c + 1], np.ones((6, 8)))[0].ssim
+            s = _ssim_channels(a[c : c + 1], b[c : c + 1], np.ones((6, 8)))[0].ssim
             expected += alpha * np.clip((1 - s) / 2, 0, 1)
-            expected += (1 - alpha) * np.abs(a[..., c] - b[..., c])
+            expected += (1 - alpha) * np.abs(a[c] - b[c])
         expected /= 3
         assert np.abs(loss - expected).max() < 1e-12
 
     def test_invalid_pixels_carry_inf(self):
         rng = np.random.default_rng(6)
-        a = rng.uniform(0, 1, (5, 5, 1))
+        a = rng.uniform(0, 1, (1, 5, 5))
         mask = np.ones((5, 5), bool)
         mask[1, 2] = False
         loss = _photometric_forward(a, a.copy(), mask, 0.85)[0]
@@ -152,8 +152,8 @@ class TestPhotometric:
         assert np.isfinite(loss[mask]).all()
 
     def test_upper_bound(self):
-        a = np.zeros((6, 6, 1))
-        b = np.ones((6, 6, 1))
+        a = np.zeros((1, 6, 6))
+        b = np.ones((1, 6, 6))
         for alpha in (0.0, 0.5, 0.85, 1.0):
             loss = _photometric_forward(a, b, np.ones((6, 6), bool), alpha)[0]
             assert (loss <= alpha + (1 - alpha) + 1e-12).all()
@@ -201,7 +201,7 @@ class TestMinPhotometric:
             scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics, 0.85
         )
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-        at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+        at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
         synth = warp.sample_bilinear(src, at)
         direct = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
         finite = np.isfinite(direct)
@@ -232,7 +232,7 @@ class TestMinPhotometric:
         )
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
             synth = warp.sample_bilinear(src, at)
             single = _photometric_forward(scene.target, synth, chain.valid, 0.85)[0]
             assert (m <= single + 1e-15).all()
@@ -244,7 +244,7 @@ class TestMinPhotometric:
         per_source = []
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
             synth = warp.sample_bilinear(src, at)
             per_source.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
         m, argmin = min_photometric(
@@ -270,14 +270,14 @@ class TestMinPhotometric:
 class TestAutomask:
     def test_static_scene_masks_everything_out(self):
         rng = np.random.default_rng(7)
-        img = rng.uniform(0, 1, (8, 10, 1))
+        img = rng.uniform(0, 1, (1, 8, 10))
         ones = np.ones((8, 10), bool)
         warped = _photometric_forward(img, img.copy(), ones, 0.85)[0]
         unwarped = _photometric_forward(img, img.copy(), ones, 0.85)[0]
         assert not _static_mask(unwarped, warped).any()
 
     def test_texture_free_images_mask_false(self):
-        img = np.full((6, 6, 1), 0.4)
+        img = np.full((1, 6, 6), 0.4)
         ones = np.ones((6, 6), bool)
         loss = _photometric_forward(img, img.copy(), ones, 0.85)[0]
         assert not _static_mask(loss, loss).any()
@@ -286,10 +286,10 @@ class TestAutomask:
         scene = small_scene(width=64, height=48)
         warped = []
         unwarped = []
-        ones = np.ones(scene.target.shape[:2], bool)
+        ones = np.ones(scene.target.shape[1:], bool)
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-            at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+            at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
             synth = warp.sample_bilinear(src, at)
             warped.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
             unwarped.append(_photometric_forward(scene.target, src, ones, 0.85)[0])
@@ -299,13 +299,13 @@ class TestAutomask:
 
 class TestSmoothness:
     def test_constant_depth_is_zero(self):
-        weights = _image_gradient_weights(np.full((8, 8, 1), 0.3))
+        weights = _image_gradient_weights(np.full((1, 8, 8), 0.3))
         assert _smoothness_forward(np.full((8, 8), 5.0), weights)[0] == 0.0
 
     def test_linear_ramp_closed_form(self):
         h, w = 10, 12
         depth = 5.0 + 0.25 * np.tile(np.arange(w, dtype=float), (h, 1))
-        img = np.full((h, w, 1), 0.5)  # constant image: edge weights are 1
+        img = np.full((1, h, w), 0.5)  # constant image: edge weights are 1
         disp = 1.0 / depth
         dhat = disp / disp.mean()
         expected = np.abs(np.diff(dhat, axis=1))[: h - 1, :].mean()
@@ -316,10 +316,10 @@ class TestSmoothness:
         h, w = 8, 12
         depth = np.full((h, w), 5.0)
         depth[:, w // 2 :] = 7.0
-        flat = np.full((h, w, 1), 0.5)
+        flat = np.full((1, h, w), 0.5)
         edged = flat.copy()
         g = 0.4
-        edged[:, w // 2 :, 0] += g  # hard image edge collocated with the step
+        edged[0, :, w // 2 :] += g  # hard image edge collocated with the step
         loss_flat = _smoothness_forward(depth, _image_gradient_weights(flat))[0]
         loss_edged = _smoothness_forward(depth, _image_gradient_weights(edged))[0]
         assert loss_edged == pytest.approx(loss_flat * math.exp(-g), rel=1e-12)
@@ -327,7 +327,7 @@ class TestSmoothness:
     def test_scale_invariance_of_normalized_disparity(self):
         rng = np.random.default_rng(8)
         depth = rng.uniform(3, 12, (9, 9))
-        weights = _image_gradient_weights(rng.uniform(0, 1, (9, 9, 1)))
+        weights = _image_gradient_weights(rng.uniform(0, 1, (1, 9, 9)))
         a = _smoothness_forward(depth, weights)[0]
         b = _smoothness_forward(3.7 * depth, weights)[0]
         assert a == pytest.approx(b, rel=1e-12)
@@ -497,8 +497,11 @@ def per_pose_rep_distance(pred, gt, pose, k):
     norms = np.sqrt((e * e).sum(axis=1))
     safe = np.where(norms > 0, norms, 1.0)
     beta = np.where(norms[:, None] > 0, e / safe[:, None], 0.0)
-    g_hat = np.einsum("ni,nij->nj", beta, projection_jacobian(x_hat, k)) / count
-    g_true = np.einsum("ni,nij->nj", beta, projection_jacobian(x_true, k)) / count
+    # (N, 2, 3) Jacobians, each a view over the (2, 3, N) array
+    jac_hat = np.moveaxis(projection_jacobian(x_hat.T, k), -1, 0)
+    jac_true = np.moveaxis(projection_jacobian(x_true.T, k), -1, 0)
+    g_hat = np.einsum("ni,nij->nj", beta, jac_hat) / count
+    g_true = np.einsum("ni,nij->nj", beta, jac_true) / count
     d_pred = np.zeros_like(pred)
     np.add.at(d_pred, (rows, cols), np.einsum("nj,nj->n", g_hat, rays @ rot.T))
     d_pose = np.zeros(6)
@@ -607,7 +610,7 @@ class TestTotalLoss:
 
     def test_static_scene_raises_degenerate_mask(self):
         rng = np.random.default_rng(10)
-        img = rng.uniform(0, 1, (16, 16, 1))
+        img = rng.uniform(0, 1, (1, 16, 16))
         k = CameraIntrinsics(fx=16, fy=16, cx=7.5, cy=7.5, width=16, height=16)
         depth = np.full((16, 16), 4.0)
         with pytest.raises(DegenerateMaskError):
@@ -671,12 +674,27 @@ class TestEntryChecks:
         if precomputed:
             unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, 0.85)
         img = scene.contexts[1][0].copy()
-        img[17, 23, 0] = bad
+        img[0, 17, 23] = bad
         context = [scene.contexts[0], (img, scene.contexts[1][1])]
         with pytest.raises(DimensionError, match="context image 1 contains non-finite"):
             getattr(losses, entry)(
                 scene.target, context, scene.gt_depth, scene.intrinsics,
                 LossWeights(lambda_rep=1.0), labels=scene.labels.depth, unwarped_min=unwarped,
+            )
+
+    @pytest.mark.parametrize("where", ["target", "context"])
+    def test_interleaved_image_raises(self, where):
+        # an image in the (H, W, C) layout, H and W not in {1, 3}
+        scene = small_scene(channels=3)
+        target, context = scene.target, list(scene.contexts)
+        if where == "target":
+            target = np.moveaxis(target, 0, -1)
+        else:
+            context[1] = (np.moveaxis(context[1][0], 0, -1), context[1][1])
+        with pytest.raises(DimensionError):
+            total_loss(
+                target, context, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=1.0), labels=scene.labels.depth,
             )
 
     @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],
@@ -707,8 +725,8 @@ class TestTotalLossGrad:
         # force the mask open via the cache override: the flat photometric
         # landscape must still give exactly zero depth/pose gradients
         k = CameraIntrinsics(fx=16, fy=16, cx=7.5, cy=7.5, width=16, height=16)
-        img = np.full((16, 16, 1), 0.5)
-        ctx_img = np.full((16, 16, 1), 0.6)
+        img = np.full((1, 16, 16), 0.5)
+        ctx_img = np.full((1, 16, 16), 0.6)
         depth = np.full((16, 16), 4.0)
         pose = PoseSE3(translation=(0.2, 0.0, 0.0))
         w = LossWeights(alpha=0.0, lambda_smooth=0.0, lambda_rep=0.0)
@@ -947,7 +965,7 @@ class TestContiguousKernels:
 
     def test_photometric_marks_invalid_pixels_inf(self):
         rng = np.random.default_rng(8)
-        target, synth = rng.uniform(0, 1, (2, 6, 9, 3))
+        target, synth = rng.uniform(0, 1, (2, 3, 6, 9))
         for mask in (rng.uniform(size=(6, 9)) > 0.4, np.ones((6, 9), bool),
                      np.zeros((6, 9), bool)):
             # the objective passes the warp chain's mask without a copy, so

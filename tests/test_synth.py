@@ -21,7 +21,7 @@ from sfm_losskit.synth import (
 def photometric_consistency(scene, ctx_index, alpha=0.85):
     src, pose = scene.contexts[ctx_index]
     chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
-    at = warp.sampling(chain.coords, chain.valid, src.shape[:2])
+    at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
     synth = warp.sample_bilinear(src, at)
     mask = chain.valid
     loss = losses._photometric_forward(scene.target, synth, mask, alpha)[0]
@@ -43,8 +43,8 @@ class TestMakeScene:
     def test_images_are_planar(self, channels):
         scene = make_scene(SceneSpec(width=24, height=16, channels=channels, beams=0))
         for img in [scene.target] + [img for img, _ in scene.contexts]:
-            assert img.shape == (16, 24, channels)
-            assert img.transpose(2, 0, 1).flags.c_contiguous
+            assert img.shape == (channels, 16, 24)
+            assert img.flags.c_contiguous
 
     def test_uniform_disparity_shift_five_columns(self):
         # fx = 0.78125 * 128 = 100, so disparity fx * baseline / d0 = 5 px
@@ -55,7 +55,7 @@ class TestMakeScene:
         assert (k.fx, k.fy, k.cx, k.cy) == (100.0, 100.0, 63.5, 47.5)
         ctx, pose = scene.contexts[0]
         assert pose.translation == (0.5, 0.0, 0.0)
-        assert np.abs(ctx[:, 5:] - scene.target[:, :-5]).max() < 1e-12
+        assert np.abs(ctx[:, :, 5:] - scene.target[:, :, :-5]).max() < 1e-12
 
     def test_two_plane_occlusion_band_hand_computed(self):
         spec = SceneSpec(geometry="two_plane", width=64, height=48, d0=10.0,
@@ -139,17 +139,17 @@ class TestRenderView:
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
-            coords = chain.coords[v : v + 1, u : u + 1]
+            coords = chain.coords[:, v : v + 1, u : u + 1]
             sampled = warp.sample_bilinear(
-                view, warp.sampling(coords, np.ones((1, 1), bool), view.shape[:2])
+                view, warp.sampling(coords, np.ones((1, 1), bool), view.shape[1:])
             )
-            assert abs(sampled[0, 0, 0] - scene.target[v, u, 0]) < 5e-3
+            assert abs(sampled[0, 0, 0] - scene.target[0, v, u]) < 5e-3
 
     def test_three_channel_scene(self):
         scene = make_scene(SceneSpec(width=40, height=32, seed=10, beams=0, channels=3))
-        assert scene.target.shape == (32, 40, 3)
+        assert scene.target.shape == (3, 32, 40)
         # channels carry distinct textures
-        assert np.abs(scene.target[..., 0] - scene.target[..., 1]).max() > 0.05
+        assert np.abs(scene.target[0] - scene.target[1]).max() > 0.05
 
     def test_depth_from_view_matches_plane_equation(self):
         spec = SceneSpec(geometry="slant", slant=18.0, width=40, height=32,
@@ -201,7 +201,7 @@ def reference_noise_texture(rng, extent, spacing, cycles_per_px, amp, channels):
     axis = -extent + spacing * np.arange(n)
     xx, yy = np.meshgrid(axis, axis)
     f_max = cycles_per_px / spacing
-    raster = np.empty((n, n, channels))
+    raster = np.empty((channels, n, n))
     for c in range(channels):
         val = np.full((n, n), 0.5)
         mags = f_max * rng.uniform(0.2, 1.0, 8)
@@ -211,7 +211,7 @@ def reference_noise_texture(rng, extent, spacing, cycles_per_px, amp, channels):
         amps *= amp / amps.sum()
         for m, d, p, a in zip(mags, dirs, phases, amps):
             val += a * np.cos(2 * math.pi * m * (xx * math.cos(d) + yy * math.sin(d)) + p)
-        raster[..., c] = val
+        raster[c] = val
     return np.clip(raster, 0.0, 1.0)
 
 
@@ -224,8 +224,8 @@ class TestNoiseTexture:
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         tex = _noise_texture(rng, *args)
         ref = reference_noise_texture(ref_rng, *args)
-        assert tex.raster.shape == ref.shape == (321, 321, channels)
-        assert tex.raster.transpose(2, 0, 1).flags.c_contiguous  # (C, n, n) planes
+        assert tex.raster.shape == ref.shape == (channels, 321, 321)
+        assert tex.raster.flags.c_contiguous
         assert np.abs(tex.raster - ref).max() <= 1e-12
         # the same number of draws in the same order: the generators agree after
         assert rng.random() == ref_rng.random()
