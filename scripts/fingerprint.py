@@ -22,7 +22,11 @@ parent. The digest covers, in this order:
 * the example scene with its PPM images rewritten at maxval 255 (1 byte per
   sample, as other tools write them; rounded here with numpy alone): the
   rewritten files' bytes, and the `loss_history.csv` and `metrics.csv` that
-  `optimize` writes from that scene under rep.
+  `optimize` writes from that scene under rep;
+* the in-memory `make_scene` outputs of a 128x96 plane, 20-degree slant and
+  two-plane scene (seed 1), each at 1 and 3 channels: the target, the
+  ground-truth depth, each context image and pose parameters, the label
+  depth and beam ids, and each context's `occluded` mask, unquantized.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 10 s.
@@ -172,6 +176,19 @@ def objective_outputs(digest) -> None:
         digest.update(d_poses.tobytes())
 
 
+def scene_outputs(digest) -> None:
+    for geometry, slant in (("plane", 0.0), ("slant", 20.0), ("two_plane", 0.0)):
+        for channels in (1, 3):
+            scene = synth.make_scene(synth.SceneSpec(geometry=geometry, slant=slant,
+                                                     channels=channels, seed=1))
+            arrays = [scene.target, scene.gt_depth]
+            for img, pose in scene.contexts:
+                arrays += [img, pose.as_params()]
+            arrays += [scene.labels.depth, scene.labels.beam_id, *scene.occluded]
+            for a in arrays:
+                digest.update(np.ascontiguousarray(a).tobytes())
+
+
 def main() -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,6 +196,7 @@ def main() -> int:
         gradcheck_reports(digest)
         objective_outputs(digest)
         eight_bit_outputs(digest, Path(tmp))
+    scene_outputs(digest)
     print(digest.hexdigest())
     return 0
 

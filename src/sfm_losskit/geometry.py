@@ -13,8 +13,9 @@ Conventions used throughout the package:
   coordinates are flagged invalid and their projection Jacobian is zero.
 
 * Per-pixel fields are component-first, one contiguous (H, W) plane per
-  component: warp points are (3, H, W), coordinates (2, H, W) and
-  projection Jacobians (2, 3, H, W); images are (C, H, W) (see `warp`).
+  component: pixel rays and warp points are (3, H, W), coordinates
+  (2, H, W) and projection Jacobians (2, 3, H, W); images are (C, H, W)
+  (see `warp`).
 """
 
 from __future__ import annotations
@@ -55,16 +56,9 @@ class CameraIntrinsics:
             raise ValueError(f"image must be at least 2x2, got {self.width}x{self.height}")
 
     def pixel_rays(self) -> np.ndarray:
-        """(H, W, 3) rays K^-1 (u, v, 1) for every pixel center.
-
-        Cached per intrinsics; treat the returned array as read-only.
-        """
+        """(3, H, W) rays K^-1 (u, v, 1) for every pixel center, one
+        contiguous plane per component. Cached per intrinsics; read-only."""
         return _pixel_rays_cached(self)
-
-    def pixel_ray_planes(self) -> np.ndarray:
-        """The same rays as a contiguous (3, H, W) array, one plane per
-        component. Cached per intrinsics; read-only."""
-        return _ray_planes_cached(self)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -76,16 +70,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
     u = np.arange(k.width, dtype=np.float64)
     v = np.arange(k.height, dtype=np.float64)
-    rays = np.empty((k.height, k.width, 3))
-    rays[..., 0] = (u[None, :] - k.cx) / k.fx
-    rays[..., 1] = (v[:, None] - k.cy) / k.fy
-    rays[..., 2] = 1.0
+    rays = np.empty((3, k.height, k.width))
+    rays[0] = (u - k.cx) / k.fx
+    rays[1] = ((v - k.cy) / k.fy)[:, None]
+    rays[2] = 1.0
     return _read_only(rays)
-
-
-@lru_cache(maxsize=32)
-def _ray_planes_cached(k: "CameraIntrinsics") -> np.ndarray:
-    return _read_only(np.ascontiguousarray(_pixel_rays_cached(k).transpose(2, 0, 1)))
 
 
 def _rx(a: float) -> np.ndarray:
@@ -224,25 +213,33 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
         raise DimensionError(
             f"depth shape {depth.shape} does not match intrinsics {k.height}x{k.width}"
         )
-    planes = k.pixel_ray_planes()
+    rays = k.pixel_rays()
     # one (3, 3) @ (3, H*W) product rotates every point
-    points = pose.rotation_matrix() @ (depth * planes).reshape(3, -1)
+    points = pose.rotation_matrix() @ (depth * rays).reshape(3, -1)
     points += pose.translation_vector()[:, None]
-    points = points.reshape(planes.shape)
+    points = points.reshape(rays.shape)
     x, y, z = points
 
     in_front = z > EPS_Z
-    z_safe = np.where(in_front, z, 1.0)
-    coords = np.empty((2,) + depth.shape)
+    coords = project((x, y, np.where(in_front, z, 1.0)), k)
     u, v = coords
-    u[...] = k.fx * x / z_safe + k.cx
-    v[...] = k.fy * y / z_safe + k.cy
     valid = in_front & (u >= -BOUNDS_EPS)
     valid &= u <= k.width - 1.0 + BOUNDS_EPS
     valid &= v >= -BOUNDS_EPS
     valid &= v <= k.height - 1.0 + BOUNDS_EPS
     np.copyto(coords, 0.0, where=~in_front)
     return WarpChain(points, coords, valid)
+
+
+def project(points, k: CameraIntrinsics) -> np.ndarray:
+    """Pinhole projection (fx x / z + cx, fy y / z + cy) of (3, ...) points
+    to (2, ...) pixel coordinates (u, v). Points are taken as in front of
+    the camera: callers mask or replace z at or below EPS_Z."""
+    x, y, z = points
+    coords = np.empty((2,) + np.shape(z))
+    coords[0] = k.fx * x / z + k.cx
+    coords[1] = k.fy * y / z + k.cy
+    return coords
 
 
 def projection_jacobian(points: np.ndarray, k: CameraIntrinsics) -> np.ndarray:

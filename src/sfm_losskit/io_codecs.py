@@ -228,7 +228,8 @@ def write_manifest(path, k: CameraIntrinsics, channels: int,
 
 def read_manifest(path):
     """Parse a manifest; returns (intrinsics, channels, target, depth, labels,
-    [(context_file, pose), ...])."""
+    [(context_file, pose), ...]). Every field but context appears once;
+    an unknown or repeated field is a CodecError."""
     fields = {}
     contexts = []
     try:
@@ -242,6 +243,8 @@ def read_manifest(path):
             continue
         parts = line.split()
         key = parts[0]
+        if key in fields:
+            raise CodecError(f"{path}: repeated manifest field {key!r}")
         if key == "context":
             if len(parts) != 14:
                 raise CodecError(f"{path}: context line needs a file and 12 floats")
@@ -251,10 +254,12 @@ def read_manifest(path):
             if len(parts) != 5:
                 raise CodecError(f"{path}: intrinsics line needs 4 floats (fx fy cx cy)")
             fields[key] = _floats(path, parts[1:])
-        else:
+        elif key in ("width", "height", "channels", "target", "depth", "labels"):
             if len(parts) != 2:
                 raise CodecError(f"{path}: malformed line {raw!r}")
             fields[key] = parts[1]
+        else:
+            raise CodecError(f"{path}: unknown manifest field {key!r}")
     if not contexts:
         raise CodecError(f"{path}: no context line")
     try:

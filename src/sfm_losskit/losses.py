@@ -68,7 +68,10 @@ SUPERVISED = ("rep", "l1", "berhu")
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Mixing weights of the objective (defaults follow the reference setup)."""
+    """Mixing weights of the objective. alpha 0.85 and lambda_smooth 1e-3
+    follow Monodepth2. lambda_rep 1e4 cannot be checked against the paper,
+    whose full text the repository does not hold (PAPER.md has only the
+    abstract); configs/example_plane.cfg sets 0.01."""
 
     alpha: float = 0.85
     lambda_smooth: float = 1e-3
@@ -351,7 +354,7 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
     d(source point)/d(depth).
     """
     upstream = term.mask / (term.count * n_levels)
-    p_target = (term.depth * k.pixel_ray_planes()).reshape(3, -1)
+    p_target = (term.depth * k.pixel_rays()).reshape(3, -1)
     for s, (src, pose) in enumerate(context):
         u_s = np.where(term.argmin == s, upstream, 0.0)
         if not u_s.any():
@@ -523,8 +526,11 @@ def _label_points(pred, gt) -> _LabelPoints:
 def _label_rays(points: _LabelPoints, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (N, 3) rays of the label pixels and their unrotated predicted and
     label points d_hat * ray and d_true * ray: the pose-free part of the
-    reprojected distance, which `_supervised` builds once for all poses."""
-    rays = k.pixel_rays().reshape(-1, 3)[points.index]
+    reprojected distance, which `_supervised` builds once for all poses.
+    They stay C-contiguous (N, 3) rows, gathered from the ray planes: the
+    fingerprint pins the order of the distance's reductions over labels,
+    which (3, N) planes change from about 96 labels on."""
+    rays = k.pixel_rays().reshape(3, -1).T[points.index]
     return rays, points.d_hat[:, None] * rays, points.d_true[:, None] * rays
 
 
@@ -552,26 +558,21 @@ def _rep_distance(label_rays, pose, k, want_grad):
         rays, p_hat, p_true = rays[front], p_hat[front], p_true[front]
         x_hat, x_true = x_hat[front], x_true[front]
 
-    def _proj(p):
-        uv = np.empty((len(p), 2))
-        uv[:, 0] = k.fx * p[:, 0] / p[:, 2] + k.cx
-        uv[:, 1] = k.fy * p[:, 1] / p[:, 2] + k.cy
-        return uv
-
-    e = _proj(x_hat) - _proj(x_true)
-    norms = np.sqrt((e * e).sum(axis=1))
+    e = geometry.project(x_hat.T, k) - geometry.project(x_true.T, k)
+    norms = np.sqrt((e * e).sum(axis=0))
     value = float(np.sum(norms)) / count
     if not want_grad:
         return value, count, dropped, None, None
 
     # beta = e / |e| with the zero subgradient at |e| = 0
     safe = np.where(norms > 0, norms, 1.0)
-    beta = np.where(norms[:, None] > 0, e / safe[:, None], 0.0)
+    beta = np.where(norms > 0, e / safe, 0.0)
 
     jac_hat = geometry.projection_jacobian(x_hat.T, k)
     jac_true = geometry.projection_jacobian(x_true.T, k)
-    g_hat = np.einsum("ni,ijn->nj", beta, jac_hat) / count
-    g_true = np.einsum("ni,ijn->nj", beta, jac_true) / count
+    # C-order (N, 3) rows: the reductions below keep the pinned label order
+    g_hat = np.einsum("in,ijn->nj", beta, jac_hat, order="C") / count
+    g_true = np.einsum("in,ijn->nj", beta, jac_true, order="C") / count
 
     # dX_hat/dd = R @ ray; only the predicted branch depends on pred
     d_pred = np.zeros(len(front))
@@ -688,15 +689,6 @@ def _pool_t(g: np.ndarray, f: int) -> np.ndarray:
     return spread.reshape(h * f, w * f)
 
 
-class _PyramidLevel(NamedTuple):
-    depth: np.ndarray
-    # The level's depth is the full-resolution depth average-pooled over
-    # factor x factor blocks, then upsampled back to full size (corner-aligned
-    # linear, rows then columns); factor is 1 at level 0 (identity). Both
-    # operators are separable and _pyramid_level_t applies their transpose.
-    factor: int
-
-
 def _pyramid_level_t(g: np.ndarray, f: int) -> np.ndarray:
     """Transpose of the level operator: maps d(loss)/d(level depth) to
     d(loss)/d(full-resolution depth)."""
@@ -704,19 +696,23 @@ def _pyramid_level_t(g: np.ndarray, f: int) -> np.ndarray:
     return _pool_t(_upsample_t(_upsample_t(g, w // f, axis=1), h // f, axis=0), f)
 
 
-def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[_PyramidLevel]:
-    """Every level of the pyramid; the image sides must divide by the
-    coarsest factor 2**(num_scales - 1), a ConfigError otherwise."""
+def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[np.ndarray]:
+    """The depth of every pyramid level. Level s has factor f = 2**s: its
+    depth is the full-resolution depth average-pooled over f x f blocks,
+    then upsampled back to full size (corner-aligned linear, rows then
+    columns), so level 0 is the depth itself. Both operators are separable
+    and _pyramid_level_t applies their transpose. The image sides must
+    divide by the coarsest factor 2**(num_scales - 1), a ConfigError
+    otherwise."""
     h, w = depth.shape
-    levels = [_PyramidLevel(depth, 1)]
+    levels = [depth]
     for s in range(1, num_scales):
         f = 2**s
         if h % f or w % f:
             raise ConfigError(
                 f"image {h}x{w} is not divisible by {f}; cannot build {num_scales} scales"
             )
-        level = _upsample(_upsample(_pool(depth, f), h, axis=0), w, axis=1)
-        levels.append(_PyramidLevel(level, f))
+        levels.append(_upsample(_upsample(_pool(depth, f), h, axis=0), w, axis=1))
     return levels
 
 
@@ -746,13 +742,17 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     use_photo = "photo" in terms
     use_smooth = "smooth" in terms
     use_rep = "rep" in terms and labels is not None and weights.lambda_rep > 0
+    if use_rep:
+        labels = np.asarray(labels, dtype=np.float64)
+        if not np.isfinite(labels).all():
+            raise DimensionError("labels contain non-finite values")
 
     if use_photo and unwarped_min is None:
         unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
     if use_photo and want_grad:
-        planes = k.pixel_ray_planes()
+        rays = k.pixel_rays()
         ray_dirs = [
-            (pose.rotation_matrix() @ planes.reshape(3, -1)).reshape(planes.shape)
+            (pose.rotation_matrix() @ rays.reshape(3, -1)).reshape(rays.shape)
             for _, pose in context
         ]
     if use_smooth:
@@ -768,27 +768,24 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
         level_w = 2.0**-li
         if use_photo:
             value, photo_term = _photo_forward(
-                target, context, level.depth, k, weights.alpha, unwarped_min
+                target, context, level, k, weights.alpha, unwarped_min
             )
             photo_total += value
             if li == 0:
                 masked_count = photo_term.count
         if use_smooth:
-            value, smooth_cache = _smoothness_forward(level.depth, edge_weights)
+            value, smooth_cache = _smoothness_forward(level, edge_weights)
             smooth_total += level_w * value
         if not want_grad:
             continue
 
-        d_level = np.zeros_like(level.depth)
+        d_level = np.zeros_like(level)
         if use_photo:
             _photo_backward(photo_term, context, k, ray_dirs, len(levels), d_level, d_poses)
         smooth_up = weights.lambda_smooth * level_w / len(levels)
         if use_smooth and smooth_up != 0.0:
             d_level += smooth_up * _smoothness_backward(smooth_cache)
-        if level.factor == 1:
-            d_depth += d_level
-        else:
-            d_depth += _pyramid_level_t(d_level, level.factor)
+        d_depth += d_level if li == 0 else _pyramid_level_t(d_level, 2**li)
 
     photo = photo_total / len(levels)
     smooth = smooth_total / len(levels)
@@ -796,8 +793,7 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     rep_val, rep_count, rep_dropped = 0.0, 0, 0
     if use_rep:
         rep_val, rep_count, rep_dropped = _supervised(
-            depth, np.asarray(labels, dtype=np.float64), context, k, supervised,
-            weights.lambda_rep, d_depth, d_poses,
+            depth, labels, context, k, supervised, weights.lambda_rep, d_depth, d_poses
         )
 
     total = photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val

@@ -158,24 +158,24 @@ class SceneGeometry:
     def ray_depths(self, rays: np.ndarray, pose: PoseSE3) -> tuple[np.ndarray, np.ndarray]:
         """Depth along each view ray and the index of the plane it hits.
 
-        rays: (..., 3) in the view frame; pose maps target frame -> view frame.
+        rays: (3, H, W) in the view frame; pose maps target frame -> view frame.
         """
         rot = pose.rotation_matrix()
         t = pose.translation_vector()
-        depth = np.full(rays.shape[:-1], np.inf)
-        plane_idx = np.full(rays.shape[:-1], -1, dtype=np.int64)
+        shape = rays.shape[1:]
+        depth = np.full(shape, np.inf)
+        plane_idx = np.full(shape, -1, dtype=np.int64)
         for i, plane in enumerate(self.planes):
             n_v = rot @ plane.normal
             c_v = plane.offset + n_v @ t
-            denom = rays @ n_v
+            denom = (n_v @ rays.reshape(3, -1)).reshape(shape)
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.where(np.abs(denom) > 1e-12, c_v / denom, np.inf)
             hit = d > 1e-6
             if plane.x_bounds is not None:
                 # bounded strip: check the target-frame x of the hit point
-                pts_v = d[..., None] * rays
-                pts_t = (pts_v - t) @ rot
-                x_t = pts_t[..., 0]
+                pts_t = rot.T @ (d * rays - t[:, None, None]).reshape(3, -1)
+                x_t = pts_t[0].reshape(shape)
                 hit &= (x_t >= plane.x_bounds[0]) & (x_t <= plane.x_bounds[1])
             better = hit & (d < depth)
             depth = np.where(better, d, depth)
@@ -186,16 +186,14 @@ class SceneGeometry:
               plane_idx: np.ndarray, channels: int) -> np.ndarray:
         rot = pose.rotation_matrix()
         t = pose.translation_vector()
-        pts_t = (depth[..., None] * rays - t) @ rot
+        pts_t = rot.T @ (depth * rays - t[:, None, None]).reshape(3, -1)
         img = np.zeros((channels,) + depth.shape)
         for i, plane in enumerate(self.planes):
             sel = plane_idx == i
             if not sel.any():
                 continue
-            rel = pts_t[sel] - plane.anchor
-            px = rel @ plane.basis[0]
-            py = rel @ plane.basis[1]
-            values = plane.texture.sample(px, py)
+            rel = pts_t[:, sel.reshape(-1)] - plane.anchor[:, None]
+            values = plane.texture.sample(plane.basis[0] @ rel, plane.basis[1] @ rel)
             for c in range(channels):  # per plane: img[:, sel] = values is 7-12x slower
                 img[c][sel] = values[c]
         return img
@@ -285,16 +283,15 @@ def _occlusion_mask(k: CameraIntrinsics, gt_depth: np.ndarray, plane_idx: np.nda
                     pose: PoseSE3) -> np.ndarray:
     """Background pixels of the target whose 3-D point is hidden behind the
     foreground strip when seen from the context camera (closed form)."""
-    rays = k.pixel_rays()
-    pts = gt_depth[..., None] * rays
+    x, _, z = gt_depth * k.pixel_rays()
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
     cam = -rot.T @ t  # context camera center in the target frame
     bg = plane_idx == 1  # the background plane is listed after the strip
-    dz = pts[..., 2] - cam[2]
+    dz = z - cam[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(np.abs(dz) > 1e-12, (STRIP_DEPTH - cam[2]) / dz, np.inf)
-    x_star = cam[0] + lam * (pts[..., 0] - cam[0])
+    x_star = cam[0] + lam * (x - cam[0])
     hit = (lam > 0) & (lam < 1) & (x_star >= STRIP_X[0]) & (x_star <= STRIP_X[1])
     return bg & hit
 

@@ -484,6 +484,23 @@ class TestMalformedInput:
                          "--out", str(tmp_path / "report")])
         assert_codec_error_exit(code, capsys)
 
+    @pytest.mark.parametrize("extra", ["widht 99", "channels 3", "width 48", "depth depth.pfm",
+                                       "intrinsics 40.0 40.0 23.5 19.5"])
+    def test_optimize_manifest_unknown_or_repeated_field(self, tmp_path, capsys, extra):
+        # a repeated field must not override the first (an appended
+        # "channels 3" would load this 1-channel scene in 3 channels), even
+        # when it agrees, and an unknown field (a misspelt one) must not pass
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        manifest = scene_dir / io_codecs.MANIFEST_NAME
+        manifest.write_text(manifest.read_text() + extra + "\n")
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
     def test_optimize_manifest_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)

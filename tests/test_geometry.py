@@ -17,6 +17,7 @@ from sfm_losskit.geometry import (
     _rx,
     _ry,
     _rz,
+    project,
     projection_jacobian,
     warp_chain,
 )
@@ -317,7 +318,7 @@ def planes(a):
 
 def interleaved_warp_chain(depth, pose, k):
     """Reference: the warp chain computed on interleaved (H, W, k) arrays."""
-    rays = k.pixel_rays()
+    rays = np.moveaxis(k.pixel_rays(), 0, -1)
     points = (depth[..., None] * rays) @ pose.rotation_matrix().T + pose.translation_vector()
     z = points[..., 2]
     in_front = z > EPS_Z
@@ -364,6 +365,21 @@ class TestPlanarLayout:
         return np.random.default_rng(seed).uniform(1.0, 6.0, (k.height, k.width))
 
     @pytest.mark.parametrize("k", [K, K_ODD], ids=["128x96", "37x23"])
+    def test_pixel_rays_are_one_cached_plane_array(self, k):
+        rays = k.pixel_rays()
+        assert rays.shape == (3, k.height, k.width) and rays.flags.c_contiguous
+        assert rays.base is None and not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0, 0] = 1.0
+        # one array per intrinsics value, shared by every caller
+        assert CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, k.width, k.height).pixel_rays() is rays
+        k_mat = np.array([[k.fx, 0.0, k.cx], [0.0, k.fy, k.cy], [0.0, 0.0, 1.0]])
+        for v in range(k.height):
+            for u in range(k.width):
+                ref = np.linalg.solve(k_mat, [u, v, 1.0])
+                assert np.abs(rays[:, v, u] - ref).max() <= 1e-15 * (1 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [K, K_ODD], ids=["128x96", "37x23"])
     @pytest.mark.parametrize("pose_name", list(POSES))
     def test_warp_chain_matches_interleaved(self, k, pose_name):
         depth = self.depth(k)
@@ -376,6 +392,8 @@ class TestPlanarLayout:
         assert np.array_equal(chain.points, planes(points))
         assert np.array_equal(chain.coords, planes(coords))
         assert np.array_equal(chain.valid, valid)
+        # the warp's coordinates are the one pinhole projection's, in front
+        assert np.array_equal(project(chain.points, k)[:, in_front], chain.coords[:, in_front])
         if pose_name == "behind":
             assert (~in_front).any() and valid.any()
         if pose_name == "out_of_bounds":

@@ -476,7 +476,7 @@ def per_pose_rep_distance(pred, gt, pose, k):
     pose, always re-indexes by the in-front mask and scatters with np.add.at.
     Returns ((value, count, dropped), d_pred, d_pose6)."""
     rows, cols = np.nonzero((gt > 0) & (pred > 0))
-    rays = k.pixel_rays()[rows, cols]
+    rays = k.pixel_rays()[:, rows, cols].T
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
     d_hat, d_true = pred[rows, cols], gt[rows, cols]
@@ -642,9 +642,10 @@ class TestTotalLoss:
 
 
 class TestEntryChecks:
-    """Depth is finite and above EPS_Z at every pixel, every context image is
-    finite, and a precomputed unwarped_min has the depth's shape; the
-    objective checks each where its inputs enter it."""
+    """Depth is finite and above EPS_Z at every pixel, every context image and
+    the labels the supervised term reads are finite, and a precomputed
+    unwarped_min has the depth's shape; the objective checks each where its
+    inputs enter it."""
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e-7],
                              ids=["zero", "negative", "nan", "inf", "subnormal", "below_eps_z"])
@@ -695,6 +696,21 @@ class TestEntryChecks:
             total_loss(
                 target, context, scene.gt_depth, scene.intrinsics,
                 LossWeights(lambda_rep=1.0), labels=scene.labels.depth,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("supervised", ["rep", "l1", "berhu"])
+    @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
+    def test_one_bad_label_raises(self, entry, supervised, bad):
+        # unchecked, a NaN label would count as unlabeled, and +inf would make
+        # L1 and BerHu infinite and count as behind the camera under rep
+        scene = small_scene()
+        labels = scene.labels.depth.copy()
+        labels[17, 23] = bad
+        with pytest.raises(DimensionError, match="labels contain non-finite"):
+            getattr(losses, entry)(
+                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=1.0), labels=labels, supervised=supervised,
             )
 
     @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],
@@ -1018,15 +1034,15 @@ class TestSeparablePyramid:
         rng = np.random.default_rng(h * w + num_scales)
         x = rng.uniform(-1, 1, shape)
         levels = losses._build_pyramid(x, num_scales)
-        assert [lv.factor for lv in levels] == [2**s for s in range(num_scales)]
-        assert levels[0].depth is x
+        assert len(levels) == num_scales and levels[0] is x
+        assert all(lv.shape == shape for lv in levels)
         # every entry is a sum of at most h + w weighted terms (dense matmul),
         # with weights of total magnitude ~1: allow (h + w) eps per side
         tol = 2 * (h + w) * EPS
         for s in range(1, num_scales):
             row_op, col_op = dense_level_operators(h, w, s)
             y = rng.uniform(-1, 1, shape)
-            ax = levels[s].depth
+            ax = levels[s]
             aty = losses._pyramid_level_t(y, 2**s)
             assert np.abs(ax - row_op @ x @ col_op.T).max() <= tol
             assert np.abs(aty - row_op.T @ y @ col_op).max() <= tol

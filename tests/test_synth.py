@@ -156,7 +156,7 @@ class TestRenderView:
                          d0=9.0, seed=11, beams=0)
         scene = make_scene(spec)
         # the plane -sin(s) y + cos(s) z = d0 cos(s) along each ray (x, y, 1)
-        rays = scene.intrinsics.pixel_rays()
+        rays = np.moveaxis(scene.intrinsics.pixel_rays(), 0, -1)
         s = math.radians(18.0)
         depth = 9.0 * math.cos(s) / (rays[..., 2] * math.cos(s) - rays[..., 1] * math.sin(s))
         assert np.abs(depth - scene.gt_depth).max() < 1e-12
