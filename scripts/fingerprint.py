@@ -26,7 +26,9 @@ parent. The digest covers, in this order:
 * the in-memory `make_scene` outputs of a 128x96 plane, 20-degree slant and
   two-plane scene (seed 1), each at 1 and 3 channels: the target, the
   ground-truth depth, each context image and pose parameters, the label
-  depth and beam ids, and each context's `occluded` mask, unquantized.
+  depth and beam ids, and each context's `occluded` mask, unquantized;
+* the image, depth and hit-plane index that `synth._render` draws of those
+  six scenes from two rotated and translated poses.
 
 BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 10 s.
@@ -189,6 +191,24 @@ def scene_outputs(digest) -> None:
                 digest.update(np.ascontiguousarray(a).tobytes())
 
 
+# poses (target -> view) that rotate about every axis and translate along it
+RENDER_POSES = (
+    PoseSE3(rotation=(0.02, -0.03, 0.01), translation=(0.3, -0.1, 0.2)),
+    PoseSE3(rotation=(-0.015, 0.025, -0.02), translation=(-0.4, 0.05, -0.3)),
+)
+
+
+def render_outputs(digest) -> None:
+    for geometry, slant in (("plane", 0.0), ("slant", 20.0), ("two_plane", 0.0)):
+        for channels in (1, 3):
+            spec = synth.SceneSpec(geometry=geometry, slant=slant, channels=channels, seed=1)
+            k = spec.intrinsics()
+            planes = synth._build_geometry(spec, k)
+            for pose in RENDER_POSES:
+                for a in synth._render(planes, pose, k, channels):
+                    digest.update(a.tobytes())
+
+
 def main() -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -197,6 +217,7 @@ def main() -> int:
         objective_outputs(digest)
         eight_bit_outputs(digest, Path(tmp))
     scene_outputs(digest)
+    render_outputs(digest)
     print(digest.hexdigest())
     return 0
 

@@ -77,34 +77,17 @@ def _pixel_rays_cached(k: "CameraIntrinsics") -> np.ndarray:
     return _read_only(rays)
 
 
-def _rx(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _ry(b: float) -> np.ndarray:
-    c, s = math.cos(b), math.sin(b)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rz(g: float) -> np.ndarray:
-    c, s = math.cos(g), math.sin(g)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _drx(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
-
-
-def _dry(b: float) -> np.ndarray:
-    c, s = math.cos(b), math.sin(b)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-
-
-def _drz(g: float) -> np.ndarray:
-    c, s = math.cos(g), math.sin(g)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+def _axis_rotation(axis: int, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation by ``angle`` about coordinate axis ``axis`` (0 = x, 1 = y,
+    2 = z) and its derivative with respect to the angle. It turns axis i
+    toward axis j, (i, j) = (axis + 1, axis + 2) mod 3."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    rot, d_rot = np.zeros((3, 3)), np.zeros((3, 3))
+    rot[axis, axis] = 1.0
+    rot[i, i], rot[i, j], rot[j, i], rot[j, j] = c, -s, s, c
+    d_rot[i, i], d_rot[i, j], d_rot[j, i], d_rot[j, j] = -s, -c, c, -s
+    return rot, d_rot
 
 
 @dataclass(frozen=True)
@@ -132,17 +115,22 @@ class PoseSE3:
         return self._rotation_jacobians
 
     @cached_property
+    def _factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(R, dR/dangle) about x, y and z, shared by R and its Jacobians."""
+        return [_axis_rotation(axis, angle) for axis, angle in enumerate(self.rotation)]
+
+    @cached_property
     def _rotation(self) -> np.ndarray:
-        a, b, g = self.rotation
-        return _read_only(_rz(g) @ _ry(b) @ _rx(a))
+        (rx, _), (ry, _), (rz, _) = self._factors
+        return _read_only(rz @ ry @ rx)
 
     @cached_property
     def _rotation_jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a, b, g = self.rotation
+        (rx, drx), (ry, dry), (rz, drz) = self._factors
         return (
-            _read_only(_rz(g) @ _ry(b) @ _drx(a)),
-            _read_only(_rz(g) @ _dry(b) @ _rx(a)),
-            _read_only(_drz(g) @ _ry(b) @ _rx(a)),
+            _read_only(rz @ ry @ drx),
+            _read_only(rz @ dry @ rx),
+            _read_only(drz @ ry @ rx),
         )
 
     def translation_vector(self) -> np.ndarray:

@@ -767,6 +767,10 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     for li, level in enumerate(levels):
         level_w = 2.0**-li
         if use_photo:
+            # photo_term is rebound here, so a level's state stays alive until
+            # the next level's forward returns. Freeing it at the end of its
+            # level took a 256x192, 3-scale step from 0 to 15,024 minor page
+            # faults and from 95-116 ms to 153-176 ms (median, 2 vCPU).
             value, photo_term = _photo_forward(
                 target, context, level, k, weights.alpha, unwarped_min
             )

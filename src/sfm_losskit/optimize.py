@@ -164,7 +164,9 @@ def step(
     """One optimization step against the full objective.
 
     Depth gradients are chained through the log parameterization
-    (d/dlog d = d * d/dd). Appends the loss breakdown to the history.
+    (d/dlog d = d * d/dd). Appends the loss breakdown to the history. With a
+    positive supervised weight, a scene without labels raises
+    NoSupervisionError.
     """
     if weights is None:
         weights = config.weights
@@ -173,10 +175,9 @@ def step(
         (img, PoseSE3.from_params(state.pose_params[s]))
         for s, (img, _) in enumerate(scene.contexts)
     ]
-    labels = scene.labels.depth if scene.labels.n_labels else None
     breakdown, d_depth, d_poses = losses.total_loss_grad(
         scene.target, context, depth, scene.intrinsics, weights,
-        labels=labels, num_scales=config.num_scales,
+        labels=scene.labels.depth, num_scales=config.num_scales,
         supervised=config.supervised_loss, unwarped_min=unwarped_min,
     )
     d_log = d_depth * depth
@@ -360,7 +361,6 @@ def gradcheck(
     x0 = np.concatenate([depth0.reshape(-1), pose_params.reshape(-1)])
     n_depth = depth0.size
 
-    labels = scene.labels.depth if scene.labels.n_labels else None
     images = [img for img, _ in scene.contexts]
     unwarped = None
     if "photo" in terms:
@@ -371,8 +371,8 @@ def gradcheck(
         ctx = [(img, PoseSE3.from_params(p)) for img, p in zip(images, params)]
         return loss(
             scene.target, ctx, x[:n_depth].reshape(depth0.shape), scene.intrinsics,
-            weights, labels=labels, num_scales=num_scales, supervised=supervised,
-            unwarped_min=unwarped, terms=terms,
+            weights, labels=scene.labels.depth, num_scales=num_scales,
+            supervised=supervised, unwarped_min=unwarped, terms=terms,
         )
 
     _, d_depth, d_poses = evaluate(x0, losses.total_loss_grad)

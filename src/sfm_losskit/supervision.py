@@ -31,6 +31,8 @@ class SparseDepth:
             raise DimensionError(
                 f"depth {self.depth.shape} and beam_id {self.beam_id.shape} differ"
             )
+        if (self.depth < 0).any():
+            raise ValueError("label depth must be >= 0 (0 = no label)")
         labeled = self.depth > 0
         if not ((self.beam_id >= 0) == labeled).all():
             raise ValueError("beam_id must be >= 0 exactly where depth > 0")

@@ -1,7 +1,8 @@
 """Synthetic plane scenes with closed-form ground truth.
 
-Scenes are one or two textured planes observed by a pinhole camera. The
-renderer intersects pixel rays with the planes analytically and looks the
+A scene is a list of textured plane records (`_Plane`), one or two planes
+observed by a pinhole camera; one function, `_render`, draws a view of it.
+It intersects pixel rays with the planes analytically and looks the
 texture up with the same bilinear kernel as the warp module, so warping a
 rendered context view with ground-truth depth and pose reconstructs the
 target to interpolation accuracy. Textures are band-limited sinusoid
@@ -141,62 +142,21 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
 
 @dataclass
 class _Plane:
-    """n . x = c in the target frame, textured over an in-plane basis."""
+    """The plane n . x = n . anchor in the target frame, textured from the
+    anchor over the in-plane basis e1 = (1, 0, 0), e2 = n x e1 / |n x e1|.
+    A strip is bounded to x_bounds along the target frame's x."""
 
     normal: np.ndarray
-    offset: float
-    basis: np.ndarray  # (2, 3) rows e1, e2
-    anchor: np.ndarray  # point on the plane, texture origin
+    anchor: np.ndarray
     texture: _Texture
-    x_bounds: tuple[float, float] | None = None  # strip extent along world x
+    x_bounds: tuple[float, float] | None = None
 
-
-@dataclass
-class SceneGeometry:
-    planes: list[_Plane]  # nearest-first priority for bounded planes
-
-    def ray_depths(self, rays: np.ndarray, pose: PoseSE3) -> tuple[np.ndarray, np.ndarray]:
-        """Depth along each view ray and the index of the plane it hits.
-
-        rays: (3, H, W) in the view frame; pose maps target frame -> view frame.
-        """
-        rot = pose.rotation_matrix()
-        t = pose.translation_vector()
-        shape = rays.shape[1:]
-        depth = np.full(shape, np.inf)
-        plane_idx = np.full(shape, -1, dtype=np.int64)
-        for i, plane in enumerate(self.planes):
-            n_v = rot @ plane.normal
-            c_v = plane.offset + n_v @ t
-            denom = (n_v @ rays.reshape(3, -1)).reshape(shape)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(np.abs(denom) > 1e-12, c_v / denom, np.inf)
-            hit = d > 1e-6
-            if plane.x_bounds is not None:
-                # bounded strip: check the target-frame x of the hit point
-                pts_t = rot.T @ (d * rays - t[:, None, None]).reshape(3, -1)
-                x_t = pts_t[0].reshape(shape)
-                hit &= (x_t >= plane.x_bounds[0]) & (x_t <= plane.x_bounds[1])
-            better = hit & (d < depth)
-            depth = np.where(better, d, depth)
-            plane_idx = np.where(better, i, plane_idx)
-        return depth, plane_idx
-
-    def shade(self, rays: np.ndarray, pose: PoseSE3, depth: np.ndarray,
-              plane_idx: np.ndarray, channels: int) -> np.ndarray:
-        rot = pose.rotation_matrix()
-        t = pose.translation_vector()
-        pts_t = rot.T @ (depth * rays - t[:, None, None]).reshape(3, -1)
-        img = np.zeros((channels,) + depth.shape)
-        for i, plane in enumerate(self.planes):
-            sel = plane_idx == i
-            if not sel.any():
-                continue
-            rel = pts_t[:, sel.reshape(-1)] - plane.anchor[:, None]
-            values = plane.texture.sample(plane.basis[0] @ rel, plane.basis[1] @ rel)
-            for c in range(channels):  # per plane: img[:, sel] = values is 7-12x slower
-                img[c][sel] = values[c]
-        return img
+    def __post_init__(self):
+        self.offset = self.normal @ self.anchor
+        e1 = np.array([1.0, 0.0, 0.0])
+        e2 = np.cross(self.normal, e1)
+        e2 /= np.linalg.norm(e2)
+        self.basis = np.stack([e1, e2])
 
 
 @dataclass
@@ -214,31 +174,56 @@ class Scene:
     occluded: list[np.ndarray] = field(default_factory=list)
 
 
-def _render(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
+def _render(planes: list[_Plane], pose: PoseSE3, k: CameraIntrinsics,
             channels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Image, depth and hit-plane index of every pixel of the view at ``pose``."""
+    """Image, depth and hit-plane index of every pixel of the view at ``pose``
+    (target frame -> view frame). Each pixel ray takes the nearest plane it
+    hits, the first listed on a tie."""
     rays = k.pixel_rays()
-    depth, plane_idx = geometry.ray_depths(rays, pose)
-    if not np.isfinite(depth).all() or (plane_idx < 0).any():
+    rot = pose.rotation_matrix()
+    t = pose.translation_vector()
+    shape = rays.shape[1:]
+    depth = np.full(shape, np.inf)
+    plane_idx = np.full(shape, -1, dtype=np.int64)
+    for i, plane in enumerate(planes):
+        n_v = rot @ plane.normal
+        c_v = plane.offset + n_v @ t
+        denom = (n_v @ rays.reshape(3, -1)).reshape(shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(np.abs(denom) > 1e-12, c_v / denom, np.inf)
+        hit = d > 1e-6
+        if plane.x_bounds is not None:
+            # bounded strip: check the target-frame x of the hit point
+            x_t = (rot.T @ (d * rays - t[:, None, None]).reshape(3, -1))[0].reshape(shape)
+            hit &= (x_t >= plane.x_bounds[0]) & (x_t <= plane.x_bounds[1])
+        better = hit & (d < depth)
+        depth = np.where(better, d, depth)
+        plane_idx = np.where(better, i, plane_idx)
+    if (plane_idx < 0).any():
         raise DegenerateGeometryError("some pixel rays miss the scene geometry")
-    img = geometry.shade(rays, pose, depth, plane_idx, channels)
+
+    pts_t = rot.T @ (depth * rays - t[:, None, None]).reshape(3, -1)
+    img = np.zeros((channels,) + shape)
+    for i, plane in enumerate(planes):
+        sel = plane_idx == i
+        if not sel.any():
+            continue
+        rel = pts_t[:, sel.reshape(-1)] - plane.anchor[:, None]
+        values = plane.texture.sample(plane.basis[0] @ rel, plane.basis[1] @ rel)
+        for c in range(channels):  # per plane: img[:, sel] = values is 7-12x slower
+            img[c][sel] = values[c]
     return img, depth, plane_idx
 
 
-def render_view(geometry: SceneGeometry, pose: PoseSE3, k: CameraIntrinsics,
+def render_view(planes: list[_Plane], pose: PoseSE3, k: CameraIntrinsics,
                 channels: int = 1) -> np.ndarray:
     """Render the image a camera at ``pose`` (target frame -> view frame) sees."""
-    return _render(geometry, pose, k, channels)[0]
+    return _render(planes, pose, k, channels)[0]
 
 
-def _plane_basis(normal: np.ndarray) -> np.ndarray:
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.cross(normal, e1)
-    e2 /= np.linalg.norm(e2)
-    return np.stack([e1, e2])
-
-
-def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
+def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> list[_Plane]:
+    """The scene's planes, nearest first: two_plane's strip, then the
+    background plane at d0 (tilted by slant for the slant geometry)."""
     max_ray = max(
         (k.width - 1 - k.cx) / k.fx, k.cx / k.fx,
         (k.height - 1 - k.cy) / k.fy, k.cy / k.fy,
@@ -255,34 +240,26 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> SceneGeometry:
 
     planes = []
     if spec.geometry == "two_plane":
-        front = _Plane(
+        planes.append(_Plane(
             normal=np.array([0.0, 0.0, 1.0]),
-            offset=STRIP_DEPTH,
-            basis=_plane_basis(np.array([0.0, 0.0, 1.0])),
             anchor=np.array([0.0, 0.0, STRIP_DEPTH]),
             texture=_texture(STRIP_DEPTH, 1000),
             x_bounds=STRIP_X,
-        )
-        planes.append(front)
+        ))
     slant_rad = math.radians(spec.slant) if spec.geometry == "slant" else 0.0
-    normal = np.array([0.0, -math.sin(slant_rad), math.cos(slant_rad)])
-    planes.append(
-        _Plane(
-            normal=normal,
-            offset=spec.d0 * math.cos(slant_rad),
-            basis=_plane_basis(normal),
-            anchor=np.array([0.0, 0.0, spec.d0]),
-            texture=_texture(spec.d0, 0),
-            x_bounds=None,
-        )
-    )
-    return SceneGeometry(planes=planes)
+    planes.append(_Plane(
+        normal=np.array([0.0, -math.sin(slant_rad), math.cos(slant_rad)]),
+        anchor=np.array([0.0, 0.0, spec.d0]),
+        texture=_texture(spec.d0, 0),
+    ))
+    return planes
 
 
 def _occlusion_mask(k: CameraIntrinsics, gt_depth: np.ndarray, plane_idx: np.ndarray,
-                    pose: PoseSE3) -> np.ndarray:
+                    pose: PoseSE3, strip: _Plane) -> np.ndarray:
     """Background pixels of the target whose 3-D point is hidden behind the
-    foreground strip when seen from the context camera (closed form)."""
+    fronto-parallel strip (two_plane's ``planes[0]``) when seen from the
+    context camera (closed form)."""
     x, _, z = gt_depth * k.pixel_rays()
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
@@ -290,9 +267,10 @@ def _occlusion_mask(k: CameraIntrinsics, gt_depth: np.ndarray, plane_idx: np.nda
     bg = plane_idx == 1  # the background plane is listed after the strip
     dz = z - cam[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(np.abs(dz) > 1e-12, (STRIP_DEPTH - cam[2]) / dz, np.inf)
+        lam = np.where(np.abs(dz) > 1e-12, (strip.offset - cam[2]) / dz, np.inf)
     x_star = cam[0] + lam * (x - cam[0])
-    hit = (lam > 0) & (lam < 1) & (x_star >= STRIP_X[0]) & (x_star <= STRIP_X[1])
+    x_lo, x_hi = strip.x_bounds
+    hit = (lam > 0) & (lam < 1) & (x_star >= x_lo) & (x_star <= x_hi)
     return bg & hit
 
 
@@ -300,17 +278,17 @@ def make_scene(spec: SceneSpec) -> Scene:
     """Build the target view, ground-truth depth, context views and labels."""
     spec.validate()
     k = spec.intrinsics()
-    geometry = _build_geometry(spec, k)
-    target, gt_depth, plane_idx = _render(geometry, PoseSE3.identity(), k, spec.channels)
+    planes = _build_geometry(spec, k)
+    target, gt_depth, plane_idx = _render(planes, PoseSE3.identity(), k, spec.channels)
 
     contexts = []
     occluded = []
     for sign in (+1.0, -1.0):
         pose = PoseSE3(translation=(sign * spec.baseline, 0.0, 0.0))
-        img = render_view(geometry, pose, k, spec.channels)
+        img = render_view(planes, pose, k, spec.channels)
         contexts.append((img, pose))
         if spec.geometry == "two_plane":
-            occluded.append(_occlusion_mask(k, gt_depth, plane_idx, pose))
+            occluded.append(_occlusion_mask(k, gt_depth, plane_idx, pose, planes[0]))
         else:
             occluded.append(np.zeros(gt_depth.shape, dtype=bool))
 

@@ -277,6 +277,17 @@ class TestCommands:
         assert code == 0
         assert "result=PASS" in capsys.readouterr().out
 
+    def test_gradcheck_rep_without_labels_fails(self, capsys):
+        # the rep term with no label to supervise it is NoSupervisionError,
+        # not a check of an empty term that passes with max_rel 0
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "example_plane.cfg")
+        code = cli.main(["gradcheck", "--config", config, "--terms", "rep",
+                         "--scene.label_frac=0", "--scene.beams=0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "result=PASS" not in out
+        assert err.startswith("sfm-losskit: error: NoSupervisionError: ")
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--n-samples", "-3", "n_samples must be nonnegative, got -3")],
@@ -642,6 +653,30 @@ class TestMalformedInput:
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "report")])
         assert_codec_error_exit(code, capsys)
+
+    @pytest.mark.parametrize("beam_id", [-1.0, 0.0])
+    @pytest.mark.parametrize("command", ["optimize", "eval"])
+    def test_negative_label_depth(self, tmp_path, capsys, command, beam_id):
+        # a negative depth is neither a label nor the 0 of an unlabeled pixel,
+        # whatever beam id it carries
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        labels = io_codecs.read_pfm(scene_dir / "labels.pfm").copy()
+        row, col = np.argwhere(labels[..., 0] == 0)[0]
+        labels[row, col, :2] = -5.0, beam_id
+        io_codecs.write_pfm(scene_dir / "labels.pfm", labels)
+        capsys.readouterr()
+        if command == "optimize":
+            args = ["optimize", str(scene_dir), "--config", str(cfg),
+                    "--out", str(tmp_path / "report")]
+        else:
+            args = ["eval", str(scene_dir / "depth.pfm"), str(scene_dir / "labels.pfm")]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"sfm-losskit: error: CodecError: {scene_dir / 'labels.pfm'}: "
+                       "label depth must be >= 0 (0 = no label)"]
 
     @pytest.mark.parametrize(
         "channel, bad",

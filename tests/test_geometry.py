@@ -11,12 +11,6 @@ from sfm_losskit.geometry import (
     EPS_Z,
     CameraIntrinsics,
     PoseSE3,
-    _drx,
-    _dry,
-    _drz,
-    _rx,
-    _ry,
-    _rz,
     project,
     projection_jacobian,
     warp_chain,
@@ -208,12 +202,45 @@ def test_euler_round_trip_through_matrix():
     assert np.allclose(back.as_params(), pose.as_params(), atol=1e-12)
 
 
+# the explicit axis matrices, the reference for PoseSE3's rotation and Jacobians
+def _rx(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _ry(b):
+    c, s = math.cos(b), math.sin(b)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _rz(g):
+    c, s = math.cos(g), math.sin(g)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _drx(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
+
+
+def _dry(b):
+    c, s = math.cos(b), math.sin(b)
+    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
+
+
+def _drz(g):
+    c, s = math.cos(g), math.sin(g)
+    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+
+
 CACHE_ANGLES = [
     (0.0, 0.0, 0.0),
     (0.2, -0.7, 1.1),
     (0.3, math.pi / 2, -0.4),
     (-1.0, -math.pi / 2, 2.5),
     (3.0, -0.1, -3.0),
+    (-0.0, -math.pi, -0.0),  # signed zeros and a half turn
+    (math.pi / 2, -0.0, -math.pi),
 ]
 
 

@@ -167,6 +167,16 @@ class TestRun:
         with pytest.raises(NoSupervisionError):
             run(scene, quick_config())
 
+    def test_step_without_labels_raises(self):
+        # a positive supervised weight and no label: the term is not dropped
+        scene = quick_scene(label_frac=0.0, beams=0)
+        cfg = quick_config()
+        with pytest.raises(NoSupervisionError):
+            step(init_state(scene, cfg), scene, cfg)
+        state = step(init_state(scene, cfg), scene, cfg,
+                     weights=replace(cfg.weights, lambda_rep=0.0))
+        assert state.loss_history[-1].rep_pixel_count == 0
+
     def test_zero_baseline_scene_raises(self):
         scene = quick_scene(baseline=0.0)
         with pytest.raises(NoSupervisionError):
