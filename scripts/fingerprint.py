@@ -27,6 +27,8 @@ parent. The digest covers, in this order:
   two-plane scene (seed 1), each at 1 and 3 channels: the target, the
   ground-truth depth, each context image and pose parameters, the label
   depth and beam ids, and each context's `occluded` mask, unquantized;
+* the labels of a 24x16 scene without beams (`scene.beams=0`): depth, beam
+  ids and beam count;
 * the image, depth and hit-plane index that `synth._render` draws of those
   six scenes from two rotated and translated poses.
 
@@ -189,6 +191,10 @@ def scene_outputs(digest) -> None:
             arrays += [scene.labels.depth, scene.labels.beam_id, *scene.occluded]
             for a in arrays:
                 digest.update(np.ascontiguousarray(a).tobytes())
+    labels = synth.make_scene(synth.SceneSpec(width=24, height=16, beams=0)).labels
+    digest.update(labels.depth.tobytes())
+    digest.update(labels.beam_id.tobytes())
+    digest.update(repr(labels.num_beams).encode())
 
 
 # poses (target -> view) that rotate about every axis and translate along it

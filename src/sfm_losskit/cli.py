@@ -127,6 +127,8 @@ def cmd_eval(args, overrides) -> int:
     for path, raster in ((args.pred, pred), (args.gt, gt)):
         if not np.isfinite(raster).all():
             raise CodecError(f"{path}: depth raster holds a non-finite value")
+    if (gt < 0).any():
+        raise CodecError(f"{args.gt}: ground-truth depth holds a negative value")
     if not (pred > 0).all():
         raise CodecError(f"{args.pred}: predicted depth holds a non-positive value")
     if pred.shape != gt.shape:

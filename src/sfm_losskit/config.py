@@ -5,7 +5,7 @@ Command-line ``--section.key=value`` flags override file values, which
 override defaults; a key is always dotted, in a file as on the command line.
 Each section's keys and value types are the fields of its dataclass: the
 three sections are scene (SceneSpec), weights (LossWeights) and optimizer
-(OptimConfig without weights), 22 keys in all. Unknown keys are rejected
+(OptimConfig without weights), 21 keys in all. Unknown keys are rejected
 and every numeric range is validated at parse time.
 
 Seeds are mandatory: a config used to synthesize must set scene.seed and a

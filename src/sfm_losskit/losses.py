@@ -741,11 +741,13 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
         raise ValueError(f"unknown loss terms {sorted(unknown)}")
     use_photo = "photo" in terms
     use_smooth = "smooth" in terms
-    use_rep = "rep" in terms and labels is not None and weights.lambda_rep > 0
+    use_rep = "rep" in terms and weights.lambda_rep > 0
     if use_rep:
+        if labels is None:
+            raise NoSupervisionError("the supervised term is weighted but no labels were given")
         labels = np.asarray(labels, dtype=np.float64)
-        if not np.isfinite(labels).all():
-            raise DimensionError("labels contain non-finite values")
+        if not np.isfinite(labels).all() or (labels < 0).any():
+            raise DimensionError("labels contain non-finite or negative values (0 = unlabeled)")
 
     if use_photo and unwarped_min is None:
         unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
@@ -830,7 +832,9 @@ def total_loss(
     The photometric term averages the per-pixel minimum over sources, over
     pixels kept by both the static-pixel mask and warp validity. The
     supervised term is averaged over context poses. labels is a sparse depth
-    raster (0 = unlabeled); it may be omitted when lambda_rep is 0.
+    raster (0 = unlabeled); it may be omitted when lambda_rep is 0 or "rep"
+    is not in ``terms``. Otherwise a missing labels raster raises
+    NoSupervisionError, and a negative or non-finite label DimensionError.
     unwarped_min can carry a precomputed unwarped_min_photometric map (it is
     constant while depth and poses change) and must have the depth's shape.
     ``terms`` selects a subset of "photo", "smooth" and "rep" so each can be

@@ -14,7 +14,8 @@ rotation angles.
 objective (supervised weight zero) and lands somewhere on the scale valley;
 phase B turns the supervised term on, whose gradient pulls depth toward the
 labels' scale. Phase B need not reach that scale: on the shipped example
-the median depth ratio barely moves during it. Each phase stops at its own
+(8 beams of 12 labels) the median predicted/true depth ratio reads 0.8105
+after phase A and 0.8310 after phase B. Each phase stops at its own
 budget (phase_a_iters, phase_b_iters) or once the loss has changed by at
 most tol (relative) for TOL_WINDOW steps in a row. The optimizer state
 between phases keeps depth/poses but restarts the Adam moments, mirroring
@@ -230,7 +231,8 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
     median predicted/true depth ratio (any positive value is admissible:
     the unsupervised objective cannot fix scale). Phase B re-enables the
     supervised term, which pulls depth toward the labels' scale without
-    necessarily reaching it. Writes loss-curve and metrics CSVs into
+    necessarily reaching it (on the shipped example the ratio goes from
+    0.8105 to 0.8310). Writes loss-curve and metrics CSVs into
     ``out_dir`` when given.
     """
     if config.weights.lambda_rep <= 0:

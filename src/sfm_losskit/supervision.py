@@ -1,9 +1,10 @@
 """Sparse depth-label handling: beam structure and decimation.
 
-Labels mimic a rotating range sensor: each beam occupies one raster row in
-the lower image region, with a configurable number of samples per row.
-Beams are discrete row groups rather than 3-D elevation rings; that keeps
-the decimation combinatorics intact while staying camera-frame native.
+Labels mimic a rotating range sensor, and its beam pattern (`synth_lidar`)
+is their one source: each beam occupies one raster row in the lower image
+region, with a configurable number of samples per row; zero beams give no
+labels. Beams are discrete row groups rather than 3-D elevation rings; that
+keeps the decimation combinatorics intact while staying camera-frame native.
 """
 
 from __future__ import annotations
@@ -76,12 +77,17 @@ def synth_lidar(
     = max(1, (h - 1 - h // 3) // max(num_beams - 1, 1)), and samples
     px_per_beam evenly spaced columns (phase drawn from the seed, per beam).
     Beams cover only the lower two thirds of the image, mimicking where a
-    forward-facing range sensor actually intersects the camera view.
+    forward-facing range sensor actually intersects the camera view. Zero
+    beams give no labels (num_beams 0), and px_per_beam is then not read.
     """
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
     h, w = gt_depth.shape
-    if num_beams < 1:
-        raise ConfigError(f"num_beams must be >= 1, got {num_beams}")
+    if num_beams < 0:
+        raise ConfigError(f"num_beams must be >= 0, got {num_beams}")
+    depth = np.zeros((h, w))
+    beam_id = np.full((h, w), -1, dtype=np.int64)
+    if num_beams == 0:
+        return SparseDepth(depth=depth, beam_id=beam_id, num_beams=0)
     if not 1 <= px_per_beam <= w:
         raise ConfigError(f"px_per_beam must be in [1, {w}], got {px_per_beam}")
     top_row = h // 3
@@ -94,8 +100,6 @@ def synth_lidar(
 
     rng = np.random.default_rng(seed)
     col_stride = w // px_per_beam
-    depth = np.zeros((h, w))
-    beam_id = np.full((h, w), -1, dtype=np.int64)
     for b in range(num_beams):
         row = top_row + b * row_spacing
         phase = int(rng.integers(0, col_stride))
@@ -106,21 +110,3 @@ def synth_lidar(
         depth[row, cols] = gt_depth[row, cols]
         beam_id[row, cols] = b
     return SparseDepth(depth=depth, beam_id=beam_id, num_beams=num_beams)
-
-
-def random_labels(gt_depth: np.ndarray, fraction: float, seed: int = 0) -> SparseDepth:
-    """Label a random pixel subset (single-beam structure); handy for
-    experiments phrased as 'x% labeled pixels' rather than beam counts."""
-    gt_depth = np.asarray(gt_depth, dtype=np.float64)
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    h, w = gt_depth.shape
-    n = max(1, int(round(fraction * h * w)))
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(h * w, size=n, replace=False)
-    mask = np.zeros(h * w, dtype=bool)
-    mask[flat] = True
-    mask = mask.reshape(h, w) & (gt_depth > 0)
-    depth = np.where(mask, gt_depth, 0.0)
-    beam_id = np.where(mask, 0, -1)
-    return SparseDepth(depth=depth, beam_id=beam_id, num_beams=1)

@@ -44,7 +44,9 @@ class SceneSpec:
     """Flat description of a synthetic scene (the config's scene keys). The
     two context cameras are pure translations by +-baseline along x; d0 is
     the background plane's depth on the optical axis, slant its tilt about x
-    in degrees (geometry slant only)."""
+    in degrees (geometry slant only). The labels are `beams` beams of
+    `px_per_beam` samples each (`supervision.synth_lidar`); beams 0 gives a
+    scene without labels."""
 
     geometry: str = "plane"
     width: int = 128
@@ -56,7 +58,6 @@ class SceneSpec:
     seed: int = 0
     beams: int = 16
     px_per_beam: int = 16
-    label_frac: float = 0.0
     texture_cycles: float = 0.03
 
     def validate(self) -> None:
@@ -77,8 +78,8 @@ class SceneSpec:
             raise ConfigError("slant beyond 60 degrees degenerates the plane")
         if not 0 < self.texture_cycles <= 0.25:
             raise ConfigError("texture_cycles must be in (0, 0.25]")
-        if self.beams < 0 or not 0 <= self.label_frac <= 1:
-            raise ConfigError("invalid label configuration")
+        if self.beams < 0:
+            raise ConfigError(f"beams must be nonnegative, got {self.beams}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -292,24 +293,12 @@ def make_scene(spec: SceneSpec) -> Scene:
         else:
             occluded.append(np.zeros(gt_depth.shape, dtype=bool))
 
-    if spec.label_frac > 0:
-        labels = supervision.random_labels(gt_depth, spec.label_frac, seed=spec.seed)
-    elif spec.beams > 0:
-        labels = supervision.synth_lidar(
-            gt_depth, spec.beams, spec.px_per_beam, seed=spec.seed
-        )
-    else:
-        labels = SparseDepth(
-            depth=np.zeros_like(gt_depth),
-            beam_id=np.full(gt_depth.shape, -1, dtype=np.int64),
-            num_beams=0,
-        )
     return Scene(
         target=target,
         gt_depth=gt_depth,
         intrinsics=k,
         contexts=contexts,
-        labels=labels,
+        labels=supervision.synth_lidar(gt_depth, spec.beams, spec.px_per_beam, seed=spec.seed),
         occluded=occluded,
     )
 

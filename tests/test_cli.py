@@ -213,6 +213,18 @@ class TestCommands:
         assert back.n_labels == oracle.n_labels
         assert (back.depth == oracle.depth.astype(np.float32)).all()
 
+    def test_decimate_shipped_example_labels(self, tmp_path, capsys):
+        # the example's 8 beams of 12 labels thin to 4 beams
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "example_plane.cfg")
+        scene_dir, out = tmp_path / "scene", tmp_path / "labels4.pfm"
+        assert cli.main(["synth", "--config", config, "--out", str(scene_dir)]) == 0
+        capsys.readouterr()
+        code = cli.main(["decimate", str(scene_dir / "labels.pfm"), "--keep", "4",
+                         "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "decimate: kept 48 of 96 labels (4 of 8 beams)\n"
+        assert io_codecs.read_labels_pfm(out).n_labels == 48
+
     def test_decimate_invalid_spec_exit_code(self, tmp_path):
         scene = make_scene(SceneSpec(width=48, height=40, seed=6, beams=8))
         src = tmp_path / "labels.pfm"
@@ -282,7 +294,7 @@ class TestCommands:
         # not a check of an empty term that passes with max_rel 0
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "example_plane.cfg")
         code = cli.main(["gradcheck", "--config", config, "--terms", "rep",
-                         "--scene.label_frac=0", "--scene.beams=0"])
+                         "--scene.beams=0"])
         assert code == 2
         out, err = capsys.readouterr()
         assert "result=PASS" not in out
@@ -313,7 +325,6 @@ class TestCommands:
         cfg = tmp_path / "run.cfg"
         write_config(
             cfg,
-            "scene.label_frac = 0.05\n"
             "weights.lambda_rep = 0.01\n"
             "optimizer.phase_a_iters = 40\n"
             "optimizer.phase_b_iters = 30\n"
@@ -376,7 +387,6 @@ class TestCommands:
         cfg = tmp_path / "run.cfg"
         write_config(
             cfg,
-            "scene.label_frac = 0.05\n"
             "weights.lambda_rep = 0.01\n"
             "optimizer.phase_a_iters = 25\n"
             "optimizer.phase_b_iters = 15\n",
@@ -535,12 +545,14 @@ class TestMalformedInput:
         "which, pixels, bad",
         [("pred", (2, 3), np.nan), ("pred", (2, 3), np.inf), ("pred", slice(None), np.nan),
          ("gt", (2, 3), np.nan), ("gt", (2, 3), np.inf),
-         ("pred", (2, 3), -1.0), ("pred", (2, 3), 0.0), ("pred", slice(None), 0.0)],
+         ("pred", (2, 3), -1.0), ("pred", (2, 3), 0.0), ("pred", slice(None), 0.0),
+         ("gt", (2, 3), -5.0)],
         ids=["pred-nan", "pred-inf", "pred-all-nan", "gt-nan", "gt-inf",
-             "pred-negative", "pred-zero", "pred-all-zero"],
+             "pred-negative", "pred-zero", "pred-all-zero", "gt-negative"],
     )
     def test_eval_non_finite_raster(self, tmp_path, capsys, which, pixels, bad):
-        # a predicted depth must be positive as well as finite
+        # a predicted depth must be positive as well as finite, and a
+        # single-channel ground truth nonnegative (0 = no ground truth)
         rasters = {"gt": np.full((8, 10), 4.0, dtype=np.float32),
                    "pred": np.full((8, 10), 4.5, dtype=np.float32)}
         rasters[which][pixels] = bad

@@ -17,7 +17,7 @@ SECTION_CLASSES = {
 
 SETTABLE_KEYS = {
     "scene": ["geometry", "width", "height", "channels", "d0", "slant", "baseline",
-              "seed", "beams", "px_per_beam", "label_frac", "texture_cycles"],
+              "seed", "beams", "px_per_beam", "texture_cycles"],
     "weights": ["alpha", "lambda_smooth", "lambda_rep"],
     "optimizer": ["phase_a_iters", "phase_b_iters", "tol", "init_depth",
                   "supervised_loss", "num_scales", "seed"],
@@ -89,11 +89,11 @@ class TestSchema:
     def test_settable_key_count(self):
         assert {section: list(keys) for section, keys in config._SECTIONS.items()} \
             == SETTABLE_KEYS
-        assert len(settable_keys()) == 22
+        assert len(settable_keys()) == 21
 
     def test_cli_flag_count(self):
         # optional flags of each subcommand, --help aside; with the config
-        # keys and SFM_LOSSKIT_THREADS, 34 settable options in all
+        # keys and SFM_LOSSKIT_THREADS, 33 settable options in all
         subcommands = next(
             action.choices for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
@@ -169,6 +169,7 @@ class TestSchema:
     @pytest.mark.parametrize("key", [
         "optimizer.optimize_pose", "optimizer.lr_halve_every", "scene.texture",
         "scene.checker_size", "scene.fx", "scene.fy", "scene.cx", "scene.cy",
+        "scene.label_frac",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"

@@ -628,6 +628,16 @@ class TestTotalLoss:
                 labels=np.zeros_like(scene.gt_depth),
             )
 
+    @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
+    def test_no_labels_raster_with_positive_weight_raises(self, entry):
+        # a weighted supervised term is not dropped for want of labels
+        scene = small_scene()
+        with pytest.raises(NoSupervisionError):
+            getattr(losses, entry)(
+                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=1.0),
+            )
+
     def test_supervised_l1_and_berhu_variants(self):
         scene = small_scene()
         w = LossWeights(lambda_rep=1.0)
@@ -711,6 +721,19 @@ class TestEntryChecks:
             getattr(losses, entry)(
                 scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
                 LossWeights(lambda_rep=1.0), labels=labels, supervised=supervised,
+            )
+
+    @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
+    def test_negative_label_raises(self, entry):
+        # unchecked, a negative label would count as unlabeled (row 0 is
+        # above the beams)
+        scene = small_scene()
+        labels = scene.labels.depth.copy()
+        labels[0, :32] = -5.0
+        with pytest.raises(DimensionError, match="negative"):
+            getattr(losses, entry)(
+                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
+                LossWeights(lambda_rep=1.0), labels=labels,
             )
 
     @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],

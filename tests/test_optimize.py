@@ -28,7 +28,8 @@ def quick_scene(**kw):
     kw.setdefault("d0", 8.0)
     kw.setdefault("baseline", 0.4)
     kw.setdefault("seed", 5)
-    kw.setdefault("label_frac", 0.05)
+    kw.setdefault("beams", 8)
+    kw.setdefault("px_per_beam", 12)
     kw.setdefault("texture_cycles", 0.1)
     return make_scene(SceneSpec(**kw))
 
@@ -163,13 +164,13 @@ class TestRun:
             assert total_at(s) == pytest.approx(base, rel=1e-6)
 
     def test_no_labels_raises(self):
-        scene = quick_scene(label_frac=0.0, beams=0)
+        scene = quick_scene(beams=0)
         with pytest.raises(NoSupervisionError):
             run(scene, quick_config())
 
     def test_step_without_labels_raises(self):
         # a positive supervised weight and no label: the term is not dropped
-        scene = quick_scene(label_frac=0.0, beams=0)
+        scene = quick_scene(beams=0)
         cfg = quick_config()
         with pytest.raises(NoSupervisionError):
             step(init_state(scene, cfg), scene, cfg)
@@ -225,7 +226,7 @@ class TestGradcheck:
         assert report.max_rel_err == 0.0
 
     def test_rep_only_single_label_exhaustive(self):
-        scene = quick_scene(label_frac=0.0, beams=0, width=48, height=40)
+        scene = quick_scene(beams=0, width=48, height=40)
         labels = np.zeros_like(scene.gt_depth)
         labels[20, 24] = scene.gt_depth[20, 24]
         scene.labels.depth = labels

@@ -72,8 +72,8 @@ def defined_functions() -> set[str]:
 
 
 def commands(tmp: Path) -> list[list[str]]:
-    """synth at 1 and 3 channels (random labels; lidar beams over a
-    two-plane scene), decimate the lidar labels in place, optimize with each
+    """synth at 1 and 3 channels (the example's 8 beams of 12 labels; 8
+    beams of 6 over a two-plane scene), decimate the lidar labels in place, optimize with each
     supervised loss and on the decimated labels at 3 scales, gradcheck, and
     eval against 1- and 3-channel ground truth."""
     gray, rgb = tmp / "gray", tmp / "rgb"
@@ -85,7 +85,7 @@ def commands(tmp: Path) -> list[list[str]]:
     return [
         ["synth", "--config", str(CONFIG), "--out", str(gray)],
         ["synth", "--config", str(CONFIG), "--out", str(rgb), "--scene.channels=3",
-         "--scene.geometry=two_plane", "--scene.label_frac=0", "--scene.beams=8",
+         "--scene.geometry=two_plane", "--scene.beams=8",
          "--scene.px_per_beam=6"],
         ["decimate", str(rgb / "labels.pfm"), "--keep", "4", "--out", str(rgb / "labels.pfm")],
         optimize(gray, "--optimizer.supervised_loss=l1"),

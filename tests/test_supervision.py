@@ -5,7 +5,6 @@ from sfm_losskit.errors import ConfigError
 from sfm_losskit.supervision import (
     SparseDepth,
     decimate,
-    random_labels,
     synth_lidar,
 )
 
@@ -124,13 +123,14 @@ class TestSynthLidar:
         with pytest.raises(ConfigError):
             synth_lidar(gt, num_beams=30, px_per_beam=3)
 
+    @pytest.mark.parametrize("px_per_beam", [16, 0])
+    def test_zero_beams_give_no_labels(self, px_per_beam):
+        # px_per_beam is not read without beams: 16 exceeds this width, 0 is none
+        labels = synth_lidar(np.full((8, 8), 4.0), num_beams=0, px_per_beam=px_per_beam)
+        assert labels.num_beams == 0
+        assert labels.n_labels == 0
+        assert (labels.beam_id == -1).all()
 
-class TestRandomLabels:
-    def test_fraction_respected(self):
-        gt = np.full((50, 40), 6.0)
-        labels = random_labels(gt, 0.05, seed=3)
-        assert labels.n_labels == round(0.05 * 50 * 40)
-
-    def test_deterministic(self):
-        gt = np.full((30, 30), 6.0)
-        assert (random_labels(gt, 0.1, 9).depth == random_labels(gt, 0.1, 9).depth).all()
+    def test_negative_beam_count_rejected(self):
+        with pytest.raises(ConfigError, match="num_beams must be >= 0"):
+            synth_lidar(np.full((8, 8), 4.0), num_beams=-1, px_per_beam=4)

@@ -87,9 +87,10 @@ class TestMakeScene:
         lidar = make_scene(SceneSpec(width=64, height=48, seed=2, beams=8, px_per_beam=6))
         assert lidar.labels.num_beams == 8
         assert lidar.labels.n_labels == 48
-        frac = make_scene(SceneSpec(width=64, height=48, seed=2, label_frac=0.05))
-        assert frac.labels.n_labels == round(0.05 * 64 * 48)
-        none = make_scene(SceneSpec(width=64, height=48, seed=2, beams=0))
+        # the default px_per_beam (16) exceeds an 8-pixel width, and without
+        # beams it is not read
+        none = make_scene(SceneSpec(width=8, height=8, seed=2, beams=0))
+        assert none.labels.num_beams == 0
         assert none.labels.n_labels == 0
 
     def test_invalid_specs_rejected(self):
