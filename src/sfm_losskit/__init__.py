@@ -23,6 +23,6 @@ from .losses import (
 from .metrics import DepthMetrics, evaluate
 from .optimize import OptimConfig, OptimState, gradcheck, run, step
 from .supervision import SparseDepth, decimate, synth_lidar
-from .synth import Scene, SceneSpec, make_scene, render_view
+from .synth import Scene, SceneSpec, make_scene
 
 __version__ = "0.1.0"

@@ -89,8 +89,7 @@ def cmd_gradcheck(args, overrides) -> int:
     terms = tuple(args.terms.split(",")) if args.terms else TERMS
     scene = synth.make_scene(cfg.scene)
     report = optimize.gradcheck(
-        scene, cfg.optimizer.weights, n_samples=args.n_samples,
-        seed=cfg.scene.seed, terms=terms,
+        scene, cfg.optimizer.weights, seed=cfg.scene.seed, terms=terms,
         supervised=cfg.optimizer.supervised_loss,
         num_scales=cfg.optimizer.num_scales,
     )
@@ -163,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients")
     p_gc.add_argument("--config", required=True)
-    p_gc.add_argument("--n-samples", type=int, default=24)
     p_gc.add_argument("--terms", default="", help="comma list of photo,smooth,rep")
     p_gc.set_defaults(func=cmd_gradcheck)
 

@@ -39,9 +39,9 @@ class DivergedError(LossKitError):
     Carries the iteration index as the ``iteration`` attribute.
     """
 
-    def __init__(self, iteration, message="non-finite value during optimization"):
+    def __init__(self, iteration):
         self.iteration = int(iteration)
-        super().__init__(f"{message} (iteration {self.iteration})")
+        super().__init__(f"non-finite value during optimization (iteration {self.iteration})")
 
 
 class CodecError(LossKitError):

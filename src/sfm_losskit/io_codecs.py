@@ -32,12 +32,15 @@ def write_pfm(path, data: np.ndarray) -> None:
     data = np.asarray(data)
     if data.ndim == 2:
         header = b"Pf"
-        rows = data.astype("<f4")
     elif data.ndim == 3 and data.shape[2] == 3:
         header = b"PF"
-        rows = data.astype("<f4")
     else:
         raise DimensionError(f"PFM supports (H, W) or (H, W, 3), got {data.shape}")
+    # the cast would turn a finite value past float32's range into inf; NaN
+    # and inf themselves are written as they are
+    if np.any(np.abs(data[np.isfinite(data)]) > np.finfo(np.float32).max):
+        raise CodecError(f"{path}: a finite value lies beyond the float32 range")
+    rows = data.astype("<f4")
     h, w = rows.shape[:2]
     with open(path, "wb") as fh:
         fh.write(header + b"\n")
@@ -56,7 +59,7 @@ def read_pfm(path) -> np.ndarray:
         else:
             raise CodecError(f"{path}: not a PFM stream (got {ident!r})")
         w, h = _read_size(fh, path)
-        scale = _read_float(fh, path)
+        scale = _read_number(fh, path, float)
         if scale == 0 or not math.isfinite(scale):
             raise CodecError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
         endian = "<" if scale < 0 else ">"
@@ -87,7 +90,7 @@ def read_ppm(path) -> np.ndarray:
         if _read_token(fh) != b"P6":
             raise CodecError(f"{path}: not a binary PPM (P6) stream")
         w, h = _read_size(fh, path)
-        maxval = _read_int(fh, path)
+        maxval = _read_number(fh, path, int)
         if maxval not in (255, 65535):
             raise CodecError(f"{path}: unsupported maxval {maxval}")
         dtype = ">u2" if maxval == 65535 else "u1"
@@ -115,17 +118,19 @@ def _read_token(fh) -> bytes:
         tok += c
 
 
-def _read_int(fh, path) -> int:
+def _read_number(fh, path, kind):
+    """The next header token parsed by ``kind`` (int or float)."""
     tok = _read_token(fh)
     try:
-        return int(tok)
+        return kind(tok)
     except ValueError as exc:
-        raise CodecError(f"{path}: expected integer header token, got {tok!r}") from exc
+        name = "integer" if kind is int else "float"
+        raise CodecError(f"{path}: expected {name} header token, got {tok!r}") from exc
 
 
 def _read_size(fh, path) -> tuple[int, int]:
-    w = _read_int(fh, path)
-    h = _read_int(fh, path)
+    w = _read_number(fh, path, int)
+    h = _read_number(fh, path, int)
     if w <= 0 or h <= 0:
         raise CodecError(f"{path}: image size must be positive, got {w}x{h}")
     return w, h
@@ -141,14 +146,6 @@ def _read_payload(fh, path, nbytes: int) -> bytes:
     if len(raw) != nbytes:
         raise CodecError(f"{path}: truncated payload, the header promises {nbytes} bytes")
     return raw
-
-
-def _read_float(fh, path) -> float:
-    tok = _read_token(fh)
-    try:
-        return float(tok)
-    except ValueError as exc:
-        raise CodecError(f"{path}: expected float header token, got {tok!r}") from exc
 
 
 def _floats(path, parts) -> list[float]:
@@ -229,7 +226,8 @@ def write_manifest(path, k: CameraIntrinsics, channels: int,
 def read_manifest(path):
     """Parse a manifest; returns (intrinsics, channels, target, depth, labels,
     [(context_file, pose), ...]). Every field but context appears once;
-    an unknown or repeated field is a CodecError."""
+    an unknown or repeated field, or a context whose 3x3 block is not a
+    rotation (max|R^T R - I| > 1e-6 or det R <= 0), is a CodecError."""
     fields = {}
     contexts = []
     try:
@@ -249,7 +247,10 @@ def read_manifest(path):
             if len(parts) != 14:
                 raise CodecError(f"{path}: context line needs a file and 12 floats")
             m = np.array(_floats(path, parts[2:])).reshape(3, 4)
-            contexts.append((parts[1], PoseSE3.from_matrix(m[:, :3], m[:, 3])))
+            rot = m[:, :3]
+            if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-6 or np.linalg.det(rot) <= 0:
+                raise CodecError(f"{path}: the 3x3 block of context {parts[1]} is not a rotation")
+            contexts.append((parts[1], PoseSE3.from_matrix(rot, m[:, 3])))
         elif key == "intrinsics":
             if len(parts) != 5:
                 raise CodecError(f"{path}: intrinsics line needs 4 floats (fx fy cx cy)")
@@ -328,6 +329,8 @@ def read_scene_dir(scene_dir):
 
     target = _load_image(target_f)
     gt_depth = read_pfm(os.path.join(scene_dir, depth_f)).astype(np.float64)
+    if gt_depth.ndim != 2:
+        raise CodecError(f"{scene_dir}: {depth_f} must be a single-channel PFM")
     _check_size(depth_f, gt_depth.shape)
     labels = read_labels_pfm(os.path.join(scene_dir, labels_f))
     _check_size(labels_f, labels.depth.shape)

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import DimensionError, NoSupervisionError
 
-CSV_HEADER = "abs_rel,sq_rel,rmse,rmse_log,delta1,delta2,delta3,n_pixels,scale"
-
 # De-facto evaluation clamp range for street scenes
 MIN_DEPTH = 0.1
 MAX_DEPTH = 80.0
@@ -36,19 +34,13 @@ class DepthMetrics:
             raise ValueError("delta thresholds must be nondecreasing")
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(float(self.abs_rel)),
-                repr(float(self.sq_rel)),
-                repr(float(self.rmse)),
-                repr(float(self.rmse_log)),
-                repr(float(self.delta1)),
-                repr(float(self.delta2)),
-                repr(float(self.delta3)),
-                str(self.n_pixels),
-                repr(float(self.scale)),
-            ]
-        )
+        """The fields in CSV_HEADER's order: the pixel count as an integer,
+        the rest as float reprs."""
+        values = [(f.type, getattr(self, f.name)) for f in fields(self)]
+        return ",".join(str(v) if t == "int" else repr(float(v)) for t, v in values)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(DepthMetrics))
 
 
 def evaluate(

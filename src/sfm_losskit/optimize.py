@@ -98,17 +98,11 @@ class OptimState:
     pose_params: np.ndarray  # (S, 6): alpha, beta, gamma, tx, ty, tz
     iteration: int = 0
     loss_history: list[LossBreakdown] = field(default_factory=list)
-    m_depth: np.ndarray | None = None
-    v_depth: np.ndarray | None = None
-    m_pose: np.ndarray | None = None
-    v_pose: np.ndarray | None = None
-    adam_t: int = 0
 
     def __post_init__(self):
         self.log_depth = np.asarray(self.log_depth, dtype=np.float64)
         self.pose_params = np.asarray(self.pose_params, dtype=np.float64)
-        if self.m_depth is None:
-            self.reset_moments()
+        self.reset_moments()
 
     def reset_moments(self) -> None:
         self.m_depth = np.zeros_like(self.log_depth)
@@ -159,25 +153,23 @@ def step(
     state: OptimState,
     scene: Scene,
     config: OptimConfig,
-    weights: LossWeights | None = None,
     unwarped_min: np.ndarray | None = None,
 ) -> OptimState:
-    """One optimization step against the full objective.
+    """One optimization step against the full objective, weighted by
+    ``config.weights``.
 
     Depth gradients are chained through the log parameterization
     (d/dlog d = d * d/dd). Appends the loss breakdown to the history. With a
     positive supervised weight, a scene without labels raises
     NoSupervisionError.
     """
-    if weights is None:
-        weights = config.weights
     depth = state.depth()
     context = [
         (img, PoseSE3.from_params(state.pose_params[s]))
         for s, (img, _) in enumerate(scene.contexts)
     ]
     breakdown, d_depth, d_poses = losses.total_loss_grad(
-        scene.target, context, depth, scene.intrinsics, weights,
+        scene.target, context, depth, scene.intrinsics, config.weights,
         labels=scene.labels.depth, num_scales=config.num_scales,
         supervised=config.supervised_loss, unwarped_min=unwarped_min,
     )
@@ -207,12 +199,12 @@ def _median_ratio(state: OptimState, scene: Scene) -> float:
     return float(np.median(state.depth() / scene.gt_depth))
 
 
-def _run_phase(state, scene, config, weights, budget, unwarped_min, median_history):
+def _run_phase(state, scene, config, budget, unwarped_min, median_history):
     start = state.iteration
     flat = 0
     while state.iteration - start < budget:
         prev = state.loss_history[-1].total if state.loss_history else None
-        step(state, scene, config, weights=weights, unwarped_min=unwarped_min)
+        step(state, scene, config, unwarped_min=unwarped_min)
         median_history.append(_median_ratio(state, scene))
         cur = state.loss_history[-1].total
         if prev is not None and abs(cur - prev) <= config.tol * max(abs(prev), 1e-12):
@@ -252,16 +244,15 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
     )
     median_history: list[float] = []
 
-    weights_a = replace(config.weights, lambda_rep=0.0)
+    config_a = replace(config, weights=replace(config.weights, lambda_rep=0.0))
     iters_a = _run_phase(
-        state, scene, config, weights_a, config.phase_a_iters, unwarped_min, median_history
+        state, scene, config_a, config.phase_a_iters, unwarped_min, median_history
     )
     ratio_a = _median_ratio(state, scene)
 
     state.reset_moments()
     iters_b = _run_phase(
-        state, scene, config, config.weights, config.phase_b_iters, unwarped_min,
-        median_history,
+        state, scene, config, config.phase_b_iters, unwarped_min, median_history
     )
     ratio_b = _median_ratio(state, scene)
 
@@ -315,6 +306,8 @@ class GradCheckReport:
 # which the central difference amplifies by 1/(2h); gradients below this
 # magnitude are not resolvable by FD and are compared absolutely instead.
 FD_ATOL = 1e-9
+FD_STEP = 1e-5  # central-difference step, in depth meters and pose parameters
+FD_TOL = 1e-4  # relative agreement a probe needs to pass
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -325,8 +318,6 @@ def gradcheck(
     scene: Scene,
     weights: LossWeights,
     n_samples: int = 24,
-    h: float = 1e-5,
-    tol: float = 1e-4,
     seed: int = 0,
     terms: tuple[str, ...] = losses.TERMS,
     supervised: str = "rep",
@@ -341,14 +332,11 @@ def gradcheck(
     as ("depth", pixel) or ("pose", parameter). ``terms`` selects which loss
     terms are active, so each can be verified in isolation as well as
     combined. Passes when at least 99% of the checked coordinates satisfy
-    |analytic - fd| <= FD_ATOL + tol * max(|analytic|, |fd|); the absolute
-    floor covers gradients too small for float64 central differences to
-    resolve at the given step.
+    |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|, |fd|), with
+    central differences of step FD_STEP; the absolute floor covers gradients
+    too small for float64 central differences to resolve at that step.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be nonnegative and finite, got {tol}")
+    h, tol = FD_STEP, FD_TOL
     if n_samples < 0:
         raise ConfigError(f"n_samples must be nonnegative, got {n_samples}")
     unknown = set(terms) - set(losses.TERMS)

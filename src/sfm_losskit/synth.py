@@ -216,12 +216,6 @@ def _render(planes: list[_Plane], pose: PoseSE3, k: CameraIntrinsics,
     return img, depth, plane_idx
 
 
-def render_view(planes: list[_Plane], pose: PoseSE3, k: CameraIntrinsics,
-                channels: int = 1) -> np.ndarray:
-    """Render the image a camera at ``pose`` (target frame -> view frame) sees."""
-    return _render(planes, pose, k, channels)[0]
-
-
 def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> list[_Plane]:
     """The scene's planes, nearest first: two_plane's strip, then the
     background plane at d0 (tilted by slant for the slant geometry)."""
@@ -230,11 +224,11 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> list[_Plane]:
         (k.height - 1 - k.cy) / k.fy, k.cy / k.fy,
     )
     motion = abs(spec.baseline) + 1.0
+    slant_rad = math.radians(spec.slant) if spec.geometry == "slant" else 0.0
 
     def _texture(depth_hint: float, seed_shift: int) -> _Texture:
         spacing = depth_hint / k.fx
-        extent = 2.5 * depth_hint * max_ray / max(math.cos(math.radians(spec.slant)), 0.5) \
-            + 3.0 * motion
+        extent = 2.5 * depth_hint * max_ray / max(math.cos(slant_rad), 0.5) + 3.0 * motion
         sub = np.random.default_rng(spec.seed + seed_shift)
         return _noise_texture(sub, extent, spacing, spec.texture_cycles,
                               TEXTURE_AMP, spec.channels)
@@ -247,7 +241,6 @@ def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> list[_Plane]:
             texture=_texture(STRIP_DEPTH, 1000),
             x_bounds=STRIP_X,
         ))
-    slant_rad = math.radians(spec.slant) if spec.geometry == "slant" else 0.0
     planes.append(_Plane(
         normal=np.array([0.0, -math.sin(slant_rad), math.cos(slant_rad)]),
         anchor=np.array([0.0, 0.0, spec.d0]),
@@ -286,7 +279,7 @@ def make_scene(spec: SceneSpec) -> Scene:
     occluded = []
     for sign in (+1.0, -1.0):
         pose = PoseSE3(translation=(sign * spec.baseline, 0.0, 0.0))
-        img = render_view(planes, pose, k, spec.channels)
+        img = _render(planes, pose, k, spec.channels)[0]
         contexts.append((img, pose))
         if spec.geometry == "two_plane":
             occluded.append(_occlusion_mask(k, gt_depth, plane_idx, pose, planes[0]))

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ class TestPfmCodec:
             data = np.where(np.isfinite(data), data, np.float32(0))
             io_codecs.write_pfm(path, data)
             assert (io_codecs.read_pfm(path) == data).all()
+
+    def test_finite_value_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "x.pfm"
+        with pytest.raises(CodecError, match="beyond the float32 range"):
+            io_codecs.write_pfm(path, np.full((2, 2), -1e39))
+        # NaN and inf are written as they are
+        data = np.array([[np.nan, np.inf], [-np.inf, 3.4e38]])
+        io_codecs.write_pfm(path, data)
+        back = io_codecs.read_pfm(path)
+        assert np.isnan(back[0, 0]) and (back[0, 1:] == data[0, 1:]).all()
+        assert (back[1] == data[1].astype(np.float32)).all()
 
     def test_header_convention(self, tmp_path):
         path = tmp_path / "x.pfm"
@@ -284,7 +296,7 @@ class TestCommands:
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
         code = cli.main(
-            ["gradcheck", "--config", str(cfg), "--n-samples", "200", "--terms", "rep"]
+            ["gradcheck", "--config", str(cfg), "--terms", "rep"]
         )
         assert code == 0
         assert "result=PASS" in capsys.readouterr().out
@@ -299,18 +311,6 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert "result=PASS" not in out
         assert err.startswith("sfm-losskit: error: NoSupervisionError: ")
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--n-samples", "-3", "n_samples must be nonnegative, got -3")],
-    )
-    def test_gradcheck_invalid_argument(self, tmp_path, capsys, flag, value, message):
-        cfg = tmp_path / "run.cfg"
-        write_config(cfg)
-        code = cli.main(["gradcheck", "--config", str(cfg), flag, value])
-        assert code == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"sfm-losskit: error: ConfigError: {message}"]
 
     def test_synth_idempotent_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,11 +411,14 @@ class TestArguments:
             # flags match only when spelled in full: --o is no --out
             (["decimate", "labels.pfm", "--keep", "4", "--o", "kept.pfm"],
              "the following arguments are required: --out"),
-            # nor --n an --n-samples
+            # nor --t a --terms, and --n (once a prefix of a flag) is no flag
+            (["gradcheck", "--config", "run.cfg", "--t", "rep"],
+             "unrecognized argument '--t' (expected --section.key=value)"),
             (["gradcheck", "--config", "run.cfg", "--n", "2"],
              "unrecognized argument '--n' (expected --section.key=value)"),
         ],
-        ids=["missing-flag", "non-integer", "unknown-command", "prefix-o", "prefix-n"],
+        ids=["missing-flag", "non-integer", "unknown-command", "prefix-o", "prefix-t",
+             "prefix-n"],
     )
     def test_argument_error_exit_1(self, capsys, argv, message):
         assert cli.main(argv) == 1
@@ -473,6 +476,8 @@ class TestMalformedInput:
             ("channels", 1, "2"),  # neither gray nor RGB
             ("context", 5, "nan"),  # non-finite pose entry
             ("intrinsics", 3, "inf"),  # non-finite cx
+            ("context", 2, "3.0"),  # R[0,0] of 3: not orthonormal
+            ("context", 2, "-1.0"),  # a reflection: orthonormal, det -1
         ],
     )
     def test_optimize_malformed_manifest(self, tmp_path, capsys, key, index, token):
@@ -591,7 +596,7 @@ class TestMalformedInput:
         if command == "optimize":
             args = ["optimize", str(scene_dir), "--out", str(tmp_path / "report")]
         else:
-            args = ["gradcheck", "--n-samples", "2"]
+            args = ["gradcheck"]
         code = cli.main([*args, "--config", str(cfg), "--optimizer.num_scales=5"])
         assert_codec_error_exit(code, capsys, kind="ConfigError")
 
@@ -607,6 +612,28 @@ class TestMalformedInput:
         capsys.readouterr()
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    def test_optimize_three_channel_ground_truth_depth(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        depth = io_codecs.read_pfm(scene_dir / "depth.pfm")
+        io_codecs.write_pfm(scene_dir / "depth.pfm", np.stack([depth] * 3, axis=2))
+        capsys.readouterr()
+        code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "report")])
+        assert_codec_error_exit(code, capsys)
+
+    def test_synth_depth_beyond_float32(self, tmp_path, capsys):
+        # a background at 1e39 m cannot be stored as a float32 depth
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene"),
+                             "--scene.d0=1e39"])
         assert_codec_error_exit(code, capsys)
 
     @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ SETTABLE_KEYS = {
 CLI_FLAGS = {
     "synth": ["--config", "--out"],
     "optimize": ["--config", "--out"],
-    "gradcheck": ["--config", "--n-samples", "--terms"],
+    "gradcheck": ["--config", "--terms"],
     "decimate": ["--keep", "--out"],
     "eval": ["--median-scaling", "--out"],
 }
@@ -54,6 +54,7 @@ REMOVED_OPTIONS = [
     ("gradcheck", "--scenes", UNRECOGNIZED.format("--scenes=1")),
     ("gradcheck", "--h", UNRECOGNIZED.format("--h=1")),
     ("gradcheck", "--tol", UNRECOGNIZED.format("--tol=1")),
+    ("gradcheck", "--n-samples", UNRECOGNIZED.format("--n-samples=1")),
     ("decimate", "--offset", UNRECOGNIZED.format("--offset=1")),
     ("eval", "--min-depth", UNRECOGNIZED.format("--min-depth=1")),
     ("eval", "--max-depth", UNRECOGNIZED.format("--max-depth=1")),
@@ -93,7 +94,7 @@ class TestSchema:
 
     def test_cli_flag_count(self):
         # optional flags of each subcommand, --help aside; with the config
-        # keys and SFM_LOSSKIT_THREADS, 33 settable options in all
+        # keys and SFM_LOSSKIT_THREADS, 32 settable options in all
         subcommands = next(
             action.choices for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
@@ -105,7 +106,7 @@ class TestSchema:
             for name, sub in subcommands.items()
         }
         assert flags == CLI_FLAGS
-        assert sum(map(len, flags.values())) == 11
+        assert sum(map(len, flags.values())) == 10
 
     @pytest.mark.parametrize("section, key", settable_keys("int"))
     def test_non_integer_value_rejected(self, section, key):

@@ -174,8 +174,8 @@ class TestRun:
         cfg = quick_config()
         with pytest.raises(NoSupervisionError):
             step(init_state(scene, cfg), scene, cfg)
-        state = step(init_state(scene, cfg), scene, cfg,
-                     weights=replace(cfg.weights, lambda_rep=0.0))
+        cfg = replace(cfg, weights=replace(cfg.weights, lambda_rep=0.0))
+        state = step(init_state(scene, cfg), scene, cfg)
         assert state.loss_history[-1].rep_pixel_count == 0
 
     def test_zero_baseline_scene_raises(self):
@@ -225,24 +225,23 @@ class TestGradcheck:
         assert report.passed
         assert report.max_rel_err == 0.0
 
-    def test_rep_only_single_label_exhaustive(self):
+    def test_rep_only_single_label_exhaustive(self, monkeypatch):
         scene = quick_scene(beams=0, width=48, height=40)
         labels = np.zeros_like(scene.gt_depth)
         labels[20, 24] = scene.gt_depth[20, 24]
         scene.labels.depth = labels
         scene.labels.beam_id = np.where(labels > 0, 0, -1)
         scene.labels.num_beams = 1
-        report = gradcheck(
-            scene, LossWeights(lambda_rep=1.0), n_samples=1, h=1e-5,
-            tol=1e-6, seed=3, terms=("rep",),
-        )
+        monkeypatch.setattr(optimize, "FD_TOL", 1e-6)
+        report = gradcheck(scene, LossWeights(lambda_rep=1.0), n_samples=1, seed=3,
+                           terms=("rep",))
         assert report.n_checked == 13  # 1 depth pixel + 12 pose parameters
         assert report.passed, report.failures
 
-    def test_invalid_h_rejected(self):
+    def test_negative_n_samples_rejected(self):
         scene = quick_scene()
-        with pytest.raises(ConfigError):
-            gradcheck(scene, LossWeights(), h=0.0)
+        with pytest.raises(ConfigError, match="n_samples must be nonnegative, got -3"):
+            gradcheck(scene, LossWeights(), n_samples=-3)
 
     def test_report_structure(self):
         scene = quick_scene(width=48, height=40)
@@ -252,12 +251,15 @@ class TestGradcheck:
         assert 0 <= report.n_passed <= report.n_checked
 
 
-    def test_failure_analytic_values_are_the_gradient_at_the_point(self):
+    def test_failure_analytic_values_are_the_gradient_at_the_point(self, monkeypatch):
         # every failure names its coordinate in the depth or the pose block,
-        # and its analytic value is total_loss_grad's at gradcheck's point
+        # and its analytic value is total_loss_grad's at gradcheck's point;
+        # a coarse step with no tolerance makes both blocks fail
         scene = quick_scene(width=48, height=40)
         weights = LossWeights(lambda_rep=1.0)
-        report = gradcheck(scene, weights, n_samples=24, h=1e-2, tol=0.0, seed=4)
+        monkeypatch.setattr(optimize, "FD_STEP", 1e-2)
+        monkeypatch.setattr(optimize, "FD_TOL", 0.0)
+        report = gradcheck(scene, weights, n_samples=24, seed=4)
         rng = np.random.default_rng(4)
         depth = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
         params = np.stack([pose.as_params() for _, pose in scene.contexts])

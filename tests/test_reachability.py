@@ -74,7 +74,8 @@ def defined_functions() -> set[str]:
 def commands(tmp: Path) -> list[list[str]]:
     """synth at 1 and 3 channels (the example's 8 beams of 12 labels; 8
     beams of 6 over a two-plane scene), decimate the lidar labels in place, optimize with each
-    supervised loss and on the decimated labels at 3 scales, gradcheck, and
+    supervised loss and on the decimated labels at 3 scales, gradcheck the
+    smoothness and supervised terms at the default 24 depth probes, and
     eval against 1- and 3-channel ground truth."""
     gray, rgb = tmp / "gray", tmp / "rgb"
 
@@ -92,7 +93,7 @@ def commands(tmp: Path) -> list[list[str]]:
         optimize(gray, "--optimizer.supervised_loss=berhu"),
         optimize(rgb, "--optimizer.supervised_loss=rep", "--optimizer.num_scales=3"),
         # with the photometric term some pose probes fail here (exit 2)
-        ["gradcheck", "--config", str(CONFIG), "--n-samples", "2", "--terms", "smooth,rep"],
+        ["gradcheck", "--config", str(CONFIG), "--terms", "smooth,rep"],
         ["eval", str(gray / "depth.pfm"), str(gray / "depth.pfm")],
         ["eval", str(rgb / "depth.pfm"), str(rgb / "labels.pfm"), "--out", str(tmp / "m.csv")],
     ]

@@ -13,8 +13,8 @@ from sfm_losskit.synth import (
     SceneSpec,
     _build_geometry,
     _noise_texture,
+    _render,
     make_scene,
-    render_view,
 )
 
 
@@ -83,6 +83,17 @@ class TestMakeScene:
             scene = make_scene(spec)
             assert (scene.gt_depth > 0).all()
 
+    @pytest.mark.parametrize("geometry", ["plane", "two_plane"])
+    def test_slant_leaves_other_geometries_unchanged(self, geometry):
+        # slant tilts the slant geometry's plane only, texture extent included
+        flat, tilted = (make_scene(SceneSpec(geometry=geometry, width=40, height=32,
+                                             seed=1, slant=slant, beams=0))
+                        for slant in (0.0, 50.0))
+        assert (flat.target == tilted.target).all()
+        assert (flat.gt_depth == tilted.gt_depth).all()
+        for (img_a, _), (img_b, _) in zip(flat.contexts, tilted.contexts):
+            assert (img_a == img_b).all()
+
     def test_labels_modes(self):
         lidar = make_scene(SceneSpec(width=64, height=48, seed=2, beams=8, px_per_beam=6))
         assert lidar.labels.num_beams == 8
@@ -105,7 +116,7 @@ class TestRenderView:
         spec = SceneSpec(width=48, height=40, seed=4, beams=0)
         scene = make_scene(spec)
         geometry = _build_geometry(spec, spec.intrinsics())
-        again = render_view(geometry, PoseSE3.identity(), scene.intrinsics)
+        again = _render(geometry, PoseSE3.identity(), scene.intrinsics, 1)[0]
         assert np.abs(again - scene.target).max() == 0.0
 
     def test_warp_consistency_ground_truth(self):
@@ -136,7 +147,7 @@ class TestRenderView:
                          seed=8, beams=0, texture_cycles=0.02)
         scene = make_scene(spec)
         pose = PoseSE3(rotation=(0.0, np.radians(2.0), 0.0))
-        view = render_view(_build_geometry(spec, spec.intrinsics()), pose, scene.intrinsics)
+        view = _render(_build_geometry(spec, spec.intrinsics()), pose, scene.intrinsics, 1)[0]
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         # spot-check correspondences: target pixel -> rotated-view pixel
         for (u, v) in [(12, 10), (40, 30), (25, 20), (50, 12)]:
