@@ -148,21 +148,28 @@ def objective_outputs(digest) -> None:
     for num_scales in (1, 2, 3):
         for loss in losses.SUPERVISED:
             breakdown, d_depth, d_poses = losses.total_loss_grad(
-                scene.target, context, depth, k, weights, labels=scene.labels.depth,
-                num_scales=num_scales, supervised=loss,
+                losses.Objective(scene.target, [img for img, _ in context], k, weights,
+                                 labels=scene.labels.depth, num_scales=num_scales,
+                                 supervised=loss),
+                [pose for _, pose in context], depth,
             )
             digest.update(repr(breakdown).encode())
             digest.update(d_depth.tobytes())
             digest.update(d_poses.tobytes())
-    min_map, argmin = losses.min_photometric(scene.target, context, depth, k, weights.alpha)
+    min_map, argmin = losses.min_photometric(
+        losses.Objective(scene.target, [img for img, _ in context], k, weights,
+                         terms=("photo",)),
+        [pose for _, pose in context], depth,
+    )
     digest.update(min_map.tobytes())
     digest.update(argmin.tobytes())
     # a pose backed up past the nearest labels drops them behind its camera
     labeled = scene.labels.depth[scene.labels.depth > 0]
     behind = PoseSE3(translation=(0.1, 0.0, -(labeled.min() + labeled.max()) / 2))
     breakdown, d_depth, d_poses = losses.total_loss_grad(
-        scene.target, [context[0], (context[1][0], behind)], depth, k, weights,
-        labels=scene.labels.depth,
+        losses.Objective(scene.target, [img for img, _ in context], k, weights,
+                         labels=scene.labels.depth),
+        [context[0][1], behind], depth,
     )
     if breakdown.rep_dropped_behind == 0:
         raise SystemExit("fingerprint: the backed-up pose dropped no label")
@@ -172,8 +179,9 @@ def objective_outputs(digest) -> None:
     scene, depth, context = _perturbed(3)
     for num_scales in (1, 2, 3):
         breakdown, d_depth, d_poses = losses.total_loss_grad(
-            scene.target, context, depth, scene.intrinsics, weights,
-            labels=scene.labels.depth, num_scales=num_scales,
+            losses.Objective(scene.target, [img for img, _ in context], scene.intrinsics,
+                             weights, labels=scene.labels.depth, num_scales=num_scales),
+            [pose for _, pose in context], depth,
         )
         digest.update(repr(breakdown).encode())
         digest.update(d_depth.tobytes())

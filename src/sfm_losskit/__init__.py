@@ -16,6 +16,7 @@ from .geometry import CameraIntrinsics, PoseSE3
 from .losses import (
     LossBreakdown,
     LossWeights,
+    Objective,
     min_photometric,
     total_loss,
     total_loss_grad,

@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _split_overrides(extras: list[str]) -> dict[str, str]:
     """``--section.key=value`` arguments as {section.key: value}. The key
     must be dotted, so ``--h=1e-3`` is an unrecognized argument, as
-    ``--h 1e-3`` is."""
+    ``--h 1e-3`` is, and given once."""
     overrides = {}
     for item in extras:
         key, eq, value = item[2:].partition("=")
@@ -54,6 +54,8 @@ def _split_overrides(extras: list[str]) -> dict[str, str]:
             raise ConfigError(
                 f"unrecognized argument {item!r} (expected --section.key=value)"
             )
+        if key in overrides:
+            raise ConfigError(f"repeated config key --{key}")
         overrides[key] = value
     return overrides
 

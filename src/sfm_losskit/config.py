@@ -2,7 +2,8 @@
 
 Config files hold ``section.key = value`` lines (``#`` starts a comment).
 Command-line ``--section.key=value`` flags override file values, which
-override defaults; a key is always dotted, in a file as on the command line.
+override defaults; a key is always dotted, in a file as on the command line,
+and given at most once in each.
 Each section's keys and value types are the fields of its dataclass: the
 three sections are scene (SceneSpec), weights (LossWeights) and optimizer
 (OptimConfig without weights), 21 keys in all. Unknown keys are rejected
@@ -95,6 +96,8 @@ def read_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key}")
         pairs[key] = value
     return pairs
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .synth import Scene
 
 
 def write_pfm(path, data: np.ndarray) -> None:
+    Path(path).write_bytes(_pfm_bytes(path, data))
+
+
+def _pfm_bytes(path, data: np.ndarray) -> bytes:
+    """The PFM stream of ``data``; ``path`` names it in errors."""
     data = np.asarray(data)
     if data.ndim == 2:
         header = b"Pf"
@@ -42,11 +48,7 @@ def write_pfm(path, data: np.ndarray) -> None:
         raise CodecError(f"{path}: a finite value lies beyond the float32 range")
     rows = data.astype("<f4")
     h, w = rows.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(header + b"\n")
-        fh.write(f"{w} {h}\n".encode("ascii"))
-        fh.write(b"-1.0\n")
-        fh.write(rows[::-1].tobytes())
+    return header + f"\n{w} {h}\n-1.0\n".encode("ascii") + rows[::-1].tobytes()
 
 
 def read_pfm(path) -> np.ndarray:
@@ -71,18 +73,16 @@ def read_pfm(path) -> np.ndarray:
     return np.array(data[::-1], dtype=np.float32)
 
 
-def write_ppm(path, img: np.ndarray) -> None:
+def _ppm_bytes(img: np.ndarray) -> bytes:
+    """The 16-bit binary PPM stream of a (C, H, W) image."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] not in (1, 3):
         raise DimensionError(f"PPM expects (C, H, W) with C in {{1, 3}}, got {img.shape}")
     # interleave (gray replicated) first: the casts run 4x slower through a transpose
     img = np.repeat(img.transpose(1, 2, 0), 3 // img.shape[0], axis=2)
     levels = np.clip(np.rint(img * 65535), 0, 65535)
-    payload = levels.astype(">u2").tobytes()
     h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(payload)
+    return f"P6\n{w} {h}\n65535\n".encode("ascii") + levels.astype(">u2").tobytes()
 
 
 def read_ppm(path) -> np.ndarray:
@@ -159,12 +159,16 @@ def _floats(path, parts) -> list[float]:
 
 
 def write_labels_pfm(path, labels: SparseDepth) -> None:
+    write_pfm(path, _packed_labels(labels))
+
+
+def _packed_labels(labels: SparseDepth) -> np.ndarray:
     h, w = labels.depth.shape
     packed = np.empty((h, w, 3), dtype=np.float32)
     packed[..., 0] = labels.depth
     packed[..., 1] = labels.beam_id
     packed[..., 2] = labels.num_beams
-    write_pfm(path, packed)
+    return packed
 
 
 def read_labels_pfm(path) -> SparseDepth:
@@ -283,16 +287,25 @@ def read_manifest(path):
 
 
 def write_scene_dir(out_dir, scene) -> None:
-    """Write a scene as PPM/PFM files plus a manifest into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    write_ppm(os.path.join(out_dir, "target.ppm"), scene.target)
-    write_pfm(os.path.join(out_dir, "depth.pfm"), scene.gt_depth)
-    write_labels_pfm(os.path.join(out_dir, "labels.pfm"), scene.labels)
+    """Write a scene as PPM/PFM files plus a manifest into ``out_dir``.
+
+    Every raster is encoded before the directory is made or any file
+    opened, so a raster that cannot be written (a CodecError) leaves no
+    partial scene behind."""
+    files = {
+        "target.ppm": _ppm_bytes(scene.target),
+        "depth.pfm": _pfm_bytes(os.path.join(out_dir, "depth.pfm"), scene.gt_depth),
+        "labels.pfm": _pfm_bytes(os.path.join(out_dir, "labels.pfm"),
+                                 _packed_labels(scene.labels)),
+    }
     ctx_entries = []
     for i, (img, pose) in enumerate(scene.contexts):
         name = f"context_{i:02d}.ppm"
-        write_ppm(os.path.join(out_dir, name), img)
+        files[name] = _ppm_bytes(img)
         ctx_entries.append((name, pose))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, payload in files.items():
+        Path(out_dir, name).write_bytes(payload)
     write_manifest(
         os.path.join(out_dir, MANIFEST_NAME),
         scene.intrinsics,

@@ -7,17 +7,19 @@ distance, or the L1 / BerHu depth error it is compared against):
 
     total = photo + lambda_smooth * smooth + lambda_rep * rep
 
-Each term exists once in private code: the photometric and smoothness
-terms as forward/backward pairs, the supervised term as `_supervised`,
-whose three losses read one set of label points per evaluation and return a
-gradient per label, added into the depth gradient at the label pixels only.
-`_objective` only validates its inputs, builds the depth pyramid and sums
-the terms. The public entry points are `total_loss` and `total_loss_grad`
-(all terms, or the subset named in ``terms``), `unwarped_min_photometric`
-(the static-pixel mask's reference, constant during optimization) and
-`min_photometric` (the per-pixel minimum over sources and its argmin). Each
-validates its arguments and then calls the same private functions, so what
-it computes is exactly what the optimizer minimizes.
+An `Objective` is built once per scene, weights and terms: it validates
+the images, the labels and the settings once and holds what every
+evaluation shares (see its docstring). The public entry points take the
+objective, one pose per context image and the depth map, in that order:
+`total_loss`, `total_loss_grad` (value and exact gradients) and
+`min_photometric` (the per-pixel minimum over sources and its argmin);
+`unwarped_min_photometric` computes the static-pixel mask's reference once
+per objective. An evaluation checks only the depth and the poses, then
+calls the private code, where each term exists once: the photometric and
+smoothness terms as forward/backward pairs, the supervised term as
+`_supervised`, whose three losses return a gradient per label, added into
+the depth gradient at the label pixels only. So what an entry point
+computes is exactly what the optimizer minimizes.
 
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
@@ -40,8 +42,9 @@ by mask.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -95,10 +98,6 @@ class LossBreakdown:
     masked_pixel_count: int
     rep_pixel_count: int = 0
     rep_dropped_behind: int = 0
-
-
-# A context set is an ordered list of (source image, pose target->source).
-ContextSet = Sequence[tuple[np.ndarray, PoseSE3]]
 
 
 def _box_sum(x: np.ndarray) -> np.ndarray:
@@ -277,14 +276,16 @@ def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarra
     return d_synth
 
 
-def _warped_losses(target, context, depth, k, alpha):
-    """Warp every source into the target view at this depth and score it.
+def _warped_losses(objective, poses, depth):
+    """Warp every context image into the target view at this depth and pose
+    and score it.
 
-    Returns per source the warp chain's points with its sampling state, the
+    Returns per context the warp chain's points with its sampling state, the
     photometric cache and the photometric loss map (+inf where invalid).
     """
+    target, k, alpha = objective.target, objective.k, objective.weights.alpha
     warps, caches, maps = [], [], []
-    for src, pose in context:
+    for src, pose in zip(objective.images, poses):
         points, coords, valid = geometry.warp_chain(depth, pose, k)
         at = warp.sampling(coords, valid, target.shape[1:])
         del coords  # the state stands in for it, freed before the scoring
@@ -333,12 +334,12 @@ class _PhotoTerm(NamedTuple):
     count: int
 
 
-def _photo_forward(target, context, depth, k, alpha, unwarped_min) -> tuple[float, _PhotoTerm]:
+def _photo_forward(objective, poses, depth) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
     by the static-pixel mask."""
-    warps, caches, maps = _warped_losses(target, context, depth, k, alpha)
+    warps, caches, maps = _warped_losses(objective, poses, depth)
     min_map, argmin = _min_over_sources(maps)
-    mask = _static_mask(unwarped_min, min_map)
+    mask = _static_mask(objective.unwarped_min, min_map)
     count = int(mask.sum())
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
@@ -346,16 +347,18 @@ def _photo_forward(target, context, depth, k, alpha, unwarped_min) -> tuple[floa
     return value, _PhotoTerm(depth, warps, caches, argmin, mask, count)
 
 
-def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d_poses) -> None:
+def _photo_backward(term: _PhotoTerm, objective, poses, ray_dirs, n_levels, d_level,
+                    d_poses) -> None:
     """Adds d(photo value / n_levels) to d_level (the gradient w.r.t. this
     pyramid level's depth) and to d_poses.
 
     ray_dirs[s] is the (3, H, W) planes of R_s @ ray per pixel, i.e.
     d(source point)/d(depth).
     """
+    k = objective.k
     upstream = term.mask / (term.count * n_levels)
     p_target = (term.depth * k.pixel_rays()).reshape(3, -1)
-    for s, (src, pose) in enumerate(context):
+    for s, (src, pose) in enumerate(zip(objective.images, poses)):
         u_s = np.where(term.argmin == s, upstream, 0.0)
         if not u_s.any():
             continue
@@ -384,64 +387,54 @@ def _photo_backward(term: _PhotoTerm, context, k, ray_dirs, n_levels, d_level, d
         d_poses[s, 3:] += g3.sum(axis=1)
 
 
-def _validate_context(target: np.ndarray, context: ContextSet) -> None:
-    """Every context image has the target's shape and finite values, and
-    every pose is a PoseSE3; the one check of the context images."""
-    if len(context) == 0:
-        raise EmptyContextError("context set is empty")
-    for i, (img, pose) in enumerate(context):
-        img = np.asarray(img)
-        if img.shape != target.shape:
-            raise DimensionError(f"context image {i} shape {img.shape} != target {target.shape}")
-        if not np.isfinite(img).all():
-            raise DimensionError(f"context image {i} contains non-finite values")
-        if not isinstance(pose, PoseSE3):
-            raise TypeError(f"context {i} pose must be PoseSE3, got {type(pose)!r}")
-
-
-def _checked_depth(depth) -> np.ndarray:
-    """depth as float64, checked for the objective's one precondition; its
-    lower bound EPS_Z is the in-front cut-off, as a target pixel's point
-    has target-frame z equal to its depth."""
+def _checked_depth(objective, depth) -> np.ndarray:
+    """depth as float64, checked for the objective's one precondition and for
+    the image's shape; its lower bound EPS_Z is the in-front cut-off, as a
+    target pixel's point has target-frame z equal to its depth."""
     depth = np.asarray(depth, dtype=np.float64)
     ok = (depth > geometry.EPS_Z) & (depth < np.inf)
     if not ok.all():
         bad = ok.size - int(ok.sum())
         raise InvalidDepthError(f"depth is not finite and > EPS_Z at {bad} pixel(s)")
+    if depth.shape != objective.target.shape[1:]:
+        raise DimensionError(f"depth {depth.shape} != image {objective.target.shape[1:]}")
     return depth
 
 
-def min_photometric(
-    target: np.ndarray,
-    context: ContextSet,
-    depth: np.ndarray,
-    k: CameraIntrinsics,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel minimum photometric loss over warped context images, as the
-    objective's photometric term computes it before the static-pixel mask.
+def _check_poses(objective, poses) -> None:
+    """One PoseSE3 (target -> context) per context image."""
+    if len(poses) != len(objective.images):
+        raise DimensionError(f"{len(poses)} poses for {len(objective.images)} context images")
+    for i, pose in enumerate(poses):
+        if not isinstance(pose, PoseSE3):
+            raise TypeError(f"context {i} pose must be PoseSE3, got {type(pose)!r}")
+
+
+def min_photometric(objective: Objective, poses: Sequence[PoseSE3],
+                    depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel minimum photometric loss over the objective's warped context
+    images, as its photometric term computes it before the static-pixel mask.
 
     Returns the min-reduced loss map (+inf where no source is valid) and the
     argmin source index map (-1 where no source is valid). Raises
     InvalidDepthError unless depth is finite and above EPS_Z at every pixel.
     """
-    target = warp.validate_image(target)
-    _validate_context(target, context)
-    _, _, maps = _warped_losses(target, context, _checked_depth(depth), k, alpha)
+    depth = _checked_depth(objective, depth)
+    _check_poses(objective, poses)
+    _, _, maps = _warped_losses(objective, poses, depth)
     min_map, argmin = _min_over_sources(maps)
     return min_map, np.where(np.isfinite(min_map), argmin, -1)
 
 
-def unwarped_min_photometric(
-    target: np.ndarray, context: ContextSet, alpha: float
-) -> np.ndarray:
+def unwarped_min_photometric(objective: Objective) -> np.ndarray:
     """Min over sources of the photometric loss against the raw (unwarped)
-    source images; constant during optimization, so callers may cache it."""
-    target = warp.validate_image(target)
-    _validate_context(target, context)
+    context images: the static-pixel mask's reference, which depends on
+    neither depth nor poses. The objective computes it once, as its
+    ``unwarped_min``."""
+    target = objective.target
     ones = np.ones(target.shape[1:], dtype=bool)
-    maps = [_photometric_forward(target, np.asarray(src, dtype=np.float64), ones, float(alpha))[0]
-            for src, _ in context]
+    alpha = float(objective.weights.alpha)
+    maps = [_photometric_forward(target, src, ones, alpha)[0] for src in objective.images]
     min_map, _ = _min_over_sources(maps)
     return min_map
 
@@ -504,46 +497,40 @@ def _smoothness_backward(cache: _SmoothCache) -> np.ndarray:
     return -d_disp * disp * disp
 
 
-class _LabelPoints(NamedTuple):
-    """The labeled pixels of one evaluation and their predicted and label
-    depths, shared by every supervised loss."""
-
-    index: np.ndarray  # (N,) flat C-order pixel indices
-    d_hat: np.ndarray  # (N,) predicted depths
-    d_true: np.ndarray  # (N,) label depths
-
-
-def _label_points(pred, gt) -> _LabelPoints:
-    """The label points of a prediction; labels hold 0 where unlabeled."""
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pred {pred.shape} does not match labels {gt.shape}")
-    index = np.flatnonzero(gt > 0)
-    if len(index) == 0:
-        raise NoSupervisionError("no labeled pixel")
-    return _LabelPoints(index, pred.reshape(-1)[index], gt.reshape(-1)[index])
-
-
-def _label_rays(points: _LabelPoints, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (N, 3) rays of the label pixels and their unrotated predicted and
-    label points d_hat * ray and d_true * ray: the pose-free part of the
-    reprojected distance, which `_supervised` builds once for all poses.
-    They stay C-contiguous (N, 3) rows, gathered from the ray planes: the
+class _Labels(NamedTuple):
+    """The label data that depends on neither pose nor depth, shared by
+    every supervised loss and built once per objective. The rays and points
+    stay C-contiguous (N, 3) rows, gathered from the ray planes: the
     fingerprint pins the order of the distance's reductions over labels,
     which (3, N) planes change from about 96 labels on."""
-    rays = k.pixel_rays().reshape(3, -1).T[points.index]
-    return rays, points.d_hat[:, None] * rays, points.d_true[:, None] * rays
+
+    index: np.ndarray  # (N,) flat C-order pixel indices
+    depth: np.ndarray  # (N,) label depths
+    rays: np.ndarray  # (N, 3) rays of the label pixels
+    points: np.ndarray  # (N, 3) unrotated label points depth * ray
 
 
-def _rep_distance(label_rays, pose, k, want_grad):
+def _labels(raster, k) -> _Labels:
+    """The label data of a raster that holds 0 where unlabeled."""
+    index = np.flatnonzero(raster > 0)
+    if len(index) == 0:
+        raise NoSupervisionError("no labeled pixel")
+    depth = raster.reshape(-1)[index]
+    rays = k.pixel_rays().reshape(3, -1).T[index]
+    return _Labels(index, depth, rays, depth[:, None] * rays)
+
+
+def _rep_distance(labels: _Labels, p_hat, pose, k, want_grad):
     """Reprojected distance through one pose: the mean pixel distance between
     the projected predicted and true label points.
 
-    label_rays is `_label_rays(points, k)`. Returns (value, labels used,
-    labels dropped behind the camera, d_pred, d_pose6): d_pred is the (N,)
-    gradient per label, 0 at the dropped ones, and d_pose6 the gradient
-    w.r.t. the 6 pose parameters; both are None unless want_grad.
+    p_hat is the (N, 3) unrotated predicted points d_hat * ray. Returns
+    (value, labels used, labels dropped behind the camera, d_pred, d_pose6):
+    d_pred is the (N,) gradient per label, 0 at the dropped ones, and
+    d_pose6 the gradient w.r.t. the 6 pose parameters; both are None unless
+    want_grad.
     """
-    rays, p_hat, p_true = label_rays
+    rays, p_true = labels.rays, labels.points
     rot = pose.rotation_matrix()
     t = pose.translation_vector()
     x_hat = p_hat @ rot.T + t
@@ -587,11 +574,12 @@ def _rep_distance(label_rays, pose, k, want_grad):
     return value, count, dropped, d_pred, d_pose
 
 
-def _depth_error(points, mode):
-    """Mean L1 or BerHu depth error over the label points, and its (N,)
-    gradient per label. BerHu is |e| up to c = 0.2 * max|e| and
-    (e^2 + c^2) / (2c) beyond; the gradient holds c fixed."""
-    err = points.d_hat - points.d_true
+def _depth_error(d_hat, d_true, mode):
+    """Mean L1 or BerHu error of the (N,) predicted depths d_hat against the
+    label depths d_true, and its (N,) gradient per label. BerHu is |e| up to
+    c = 0.2 * max|e| and (e^2 + c^2) / (2c) beyond; the gradient holds c
+    fixed."""
+    err = d_hat - d_true
     count = len(err)
     abs_err = np.abs(err)
     if mode == "l1":
@@ -604,33 +592,34 @@ def _depth_error(points, mode):
     return value, np.where(abs_err <= c, np.sign(err), err / c) / count
 
 
-def _supervised(depth, labels, context, k, mode, weight, d_depth, d_poses):
+def _supervised(depth, labels: _Labels, poses, k, mode, weight, d_depth, d_poses):
     """The supervised term: the reprojected distance averaged over the
     context poses, or the pose-free L1 / BerHu depth error.
 
-    Builds the label points once for all three losses, and the reprojected
-    distance's rays and points once for all poses. Returns (value,
-    label count, labels dropped behind the camera). When the gradient
-    buffers are given (not None), adds d(weight * value) to them; only this
-    code adds supervised gradient to d_depth, and only at label pixels.
+    Reads the predicted depths at the labels once for all three losses, and
+    builds the reprojected distance's predicted points once for all poses.
+    Returns (value, label count, labels dropped behind the camera). When the
+    gradient buffers are given (not None), adds d(weight * value) to them;
+    only this code adds supervised gradient to d_depth, and only at label
+    pixels.
     """
     want_grad = d_depth is not None
-    points = _label_points(depth, labels)
+    d_hat = depth.reshape(-1)[labels.index]
     if mode != "rep":
-        value, d_pred = _depth_error(points, mode)
+        value, d_pred = _depth_error(d_hat, labels.depth, mode)
         if want_grad:
-            d_depth.flat[points.index] += weight * d_pred
+            d_depth.flat[labels.index] += weight * d_pred
         return value, len(d_pred), 0
-    label_rays = _label_rays(points, k)
+    p_hat = d_hat[:, None] * labels.rays
     value, count, dropped = 0.0, 0, 0
-    scale = weight / len(context)
-    for s, (_, pose) in enumerate(context):
-        v, n, gone, d_pred, d_pose6 = _rep_distance(label_rays, pose, k, want_grad)
-        value += v / len(context)
+    scale = weight / len(poses)
+    for s, pose in enumerate(poses):
+        v, n, gone, d_pred, d_pose6 = _rep_distance(labels, p_hat, pose, k, want_grad)
+        value += v / len(poses)
         count = max(count, n)
         dropped += gone
         if want_grad:
-            d_depth.flat[points.index] += scale * d_pred
+            d_depth.flat[labels.index] += scale * d_pred
             d_poses[s] += scale * d_pose6
     return value, count, dropped
 
@@ -701,70 +690,111 @@ def _build_pyramid(depth: np.ndarray, num_scales: int) -> list[np.ndarray]:
     depth is the full-resolution depth average-pooled over f x f blocks,
     then upsampled back to full size (corner-aligned linear, rows then
     columns), so level 0 is the depth itself. Both operators are separable
-    and _pyramid_level_t applies their transpose. The image sides must
-    divide by the coarsest factor 2**(num_scales - 1), a ConfigError
-    otherwise."""
+    and _pyramid_level_t applies their transpose. The image sides divide by
+    the coarsest factor 2**(num_scales - 1), which `Objective` checks."""
     h, w = depth.shape
     levels = [depth]
     for s in range(1, num_scales):
         f = 2**s
-        if h % f or w % f:
-            raise ConfigError(
-                f"image {h}x{w} is not divisible by {f}; cannot build {num_scales} scales"
-            )
         levels.append(_upsample(_upsample(_pool(depth, f), h, axis=0), w, axis=1))
     return levels
 
 
-def _objective(target, context, depth, k, weights, labels, num_scales, supervised,
-               want_grad, unwarped_min, terms):
-    """Forward (and optional backward) pass of the objective over the terms
-    named in ``terms``; the others are neither computed nor reported (their
-    breakdown fields read 0).
+class Objective:
+    """The objective of one scene, weights and terms, evaluated at many depths
+    and poses by `total_loss`, `total_loss_grad` and `min_photometric`.
+
+    ``images`` are the context images, in the order of the poses an
+    evaluation takes (PoseSE3, target -> context). ``labels`` is a sparse
+    depth raster (0 = unlabeled), which may be None when lambda_rep is 0
+    or "rep" is not in ``terms``. ``terms`` selects a subset of "photo",
+    "smooth" and "rep"; the others are neither computed nor reported
+    (their breakdown fields read 0). Building it checks, once: each image
+    is a finite (C, H, W) array of the target's shape, which the
+    intrinsics give (DimensionError; EmptyContextError for no image); the
+    labels the supervised term reads are finite, nonnegative and not all 0
+    (DimensionError, NoSupervisionError); ``supervised``, ``terms`` and
+    ``num_scales`` are known, and the image sides divide by
+    2**(num_scales - 1) (ConfigError). It holds the float64 images,
+    ``unwarped_min`` (None without the photometric term), the smoothness
+    edge weights and the label data that depends on neither pose nor depth.
+    """
+
+    def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,
+                 labels=None, num_scales: int = 1, supervised: str = "rep",
+                 terms: Sequence[str] = TERMS):
+        target = warp.validate_image(target)
+        if target.shape[1:] != (k.height, k.width):
+            raise DimensionError(f"target {target.shape} does not match the intrinsics "
+                                 f"{k.width}x{k.height}")
+        if len(images) == 0:
+            raise EmptyContextError("context set is empty")
+        self.images = [np.asarray(img, dtype=np.float64) for img in images]
+        for i, img in enumerate(self.images):
+            if img.shape != target.shape:
+                raise DimensionError(f"context image {i} shape {img.shape} != target {target.shape}")
+            if not np.isfinite(img).all():
+                raise DimensionError(f"context image {i} contains non-finite values")
+        if supervised not in SUPERVISED:
+            raise ConfigError(f"unknown supervised term {supervised!r}")
+        unknown = set(terms) - set(TERMS)
+        if unknown:
+            raise ConfigError(f"unknown loss terms {sorted(unknown)}")
+        if num_scales < 1:
+            raise ConfigError("num_scales must be >= 1")
+        f = 2 ** (num_scales - 1)
+        if k.height % f or k.width % f:
+            raise ConfigError(f"image {k.height}x{k.width} is not divisible by {f}; "
+                              f"cannot build {num_scales} scales")
+        self.target, self.k, self.weights = target, k, weights
+        self.num_scales, self.supervised, self.terms = num_scales, supervised, tuple(terms)
+        self.labels = None
+        if "rep" in terms and weights.lambda_rep > 0:
+            if labels is None:
+                raise NoSupervisionError("the supervised term is weighted but no labels were given")
+            labels = np.asarray(labels, dtype=np.float64)
+            if labels.shape != target.shape[1:]:
+                raise DimensionError(f"labels {labels.shape} != image {target.shape[1:]}")
+            if not np.isfinite(labels).all() or (labels < 0).any():
+                raise DimensionError("labels contain non-finite or negative values (0 = unlabeled)")
+            self.labels = _labels(labels, k)
+        self.edge_weights = _image_gradient_weights(target) if "smooth" in terms else None
+        self.unwarped_min = unwarped_min_photometric(self) if "photo" in terms else None
+
+    def unsupervised(self) -> Objective:
+        """This objective with the supervised weight at 0 (the first phase of
+        `optimize.run`), sharing every array this one holds."""
+        phase = copy.copy(self)
+        phase.weights = replace(self.weights, lambda_rep=0.0)
+        phase.labels = None
+        return phase
+
+
+def _evaluate(objective: Objective, poses, depth, want_grad):
+    """Forward (and optional backward) pass of the objective at these poses
+    and depth.
 
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
     gradient outputs are None when want_grad is False.
     """
-    target = warp.validate_image(target)
-    _validate_context(target, context)
-    depth = _checked_depth(depth)
-    if depth.shape != (k.height, k.width) or target.shape[1:] != depth.shape:
-        raise DimensionError("target, depth and intrinsics dimensions disagree")
-    if unwarped_min is not None and np.shape(unwarped_min) != depth.shape:
-        raise DimensionError(f"unwarped_min {np.shape(unwarped_min)} != depth {depth.shape}")
-    if supervised not in SUPERVISED:
-        raise ValueError(f"unknown supervised term {supervised!r}")
-    if num_scales < 1:
-        raise ValueError("num_scales must be >= 1")
-    unknown = set(terms) - set(TERMS)
-    if unknown:
-        raise ValueError(f"unknown loss terms {sorted(unknown)}")
+    depth = _checked_depth(objective, depth)
+    _check_poses(objective, poses)
+    k, weights, terms = objective.k, objective.weights, objective.terms
     use_photo = "photo" in terms
     use_smooth = "smooth" in terms
-    use_rep = "rep" in terms and weights.lambda_rep > 0
-    if use_rep:
-        if labels is None:
-            raise NoSupervisionError("the supervised term is weighted but no labels were given")
-        labels = np.asarray(labels, dtype=np.float64)
-        if not np.isfinite(labels).all() or (labels < 0).any():
-            raise DimensionError("labels contain non-finite or negative values (0 = unlabeled)")
-
-    if use_photo and unwarped_min is None:
-        unwarped_min = unwarped_min_photometric(target, context, weights.alpha)
+    use_rep = objective.labels is not None
     if use_photo and want_grad:
         rays = k.pixel_rays()
         ray_dirs = [
             (pose.rotation_matrix() @ rays.reshape(3, -1)).reshape(rays.shape)
-            for _, pose in context
+            for pose in poses
         ]
-    if use_smooth:
-        edge_weights = _image_gradient_weights(target)
 
-    levels = _build_pyramid(depth, num_scales)
+    levels = _build_pyramid(depth, objective.num_scales)
     photo_total = smooth_total = 0.0
     masked_count = 0
     d_depth = np.zeros_like(depth) if want_grad else None
-    d_poses = np.zeros((len(context), 6)) if want_grad else None
+    d_poses = np.zeros((len(poses), 6)) if want_grad else None
 
     for li, level in enumerate(levels):
         level_w = 2.0**-li
@@ -773,21 +803,20 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
             # the next level's forward returns. Freeing it at the end of its
             # level took a 256x192, 3-scale step from 0 to 15,024 minor page
             # faults and from 95-116 ms to 153-176 ms (median, 2 vCPU).
-            value, photo_term = _photo_forward(
-                target, context, level, k, weights.alpha, unwarped_min
-            )
+            value, photo_term = _photo_forward(objective, poses, level)
             photo_total += value
             if li == 0:
                 masked_count = photo_term.count
         if use_smooth:
-            value, smooth_cache = _smoothness_forward(level, edge_weights)
+            value, smooth_cache = _smoothness_forward(level, objective.edge_weights)
             smooth_total += level_w * value
         if not want_grad:
             continue
 
         d_level = np.zeros_like(level)
         if use_photo:
-            _photo_backward(photo_term, context, k, ray_dirs, len(levels), d_level, d_poses)
+            _photo_backward(photo_term, objective, poses, ray_dirs, len(levels), d_level,
+                            d_poses)
         smooth_up = weights.lambda_smooth * level_w / len(levels)
         if use_smooth and smooth_up != 0.0:
             d_level += smooth_up * _smoothness_backward(smooth_cache)
@@ -799,7 +828,8 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     rep_val, rep_count, rep_dropped = 0.0, 0, 0
     if use_rep:
         rep_val, rep_count, rep_dropped = _supervised(
-            depth, labels, context, k, supervised, weights.lambda_rep, d_depth, d_poses
+            depth, objective.labels, poses, k, objective.supervised, weights.lambda_rep,
+            d_depth, d_poses,
         )
 
     total = photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val
@@ -815,60 +845,28 @@ def _objective(target, context, depth, k, weights, labels, num_scales, supervise
     return breakdown, d_depth, d_poses
 
 
-def total_loss(
-    target: np.ndarray,
-    context: ContextSet,
-    depth: np.ndarray,
-    k: CameraIntrinsics,
-    weights: LossWeights,
-    labels: np.ndarray | None = None,
-    num_scales: int = 1,
-    supervised: str = "rep",
-    unwarped_min: np.ndarray | None = None,
-    terms: Sequence[str] = TERMS,
-) -> LossBreakdown:
-    """Evaluate the full objective; see the module docstring for the terms.
+def total_loss(objective: Objective, poses: Sequence[PoseSE3],
+               depth: np.ndarray) -> LossBreakdown:
+    """Evaluate the objective at one pose per context image and a depth map;
+    see the module docstring for the terms.
 
     The photometric term averages the per-pixel minimum over sources, over
     pixels kept by both the static-pixel mask and warp validity. The
-    supervised term is averaged over context poses. labels is a sparse depth
-    raster (0 = unlabeled); it may be omitted when lambda_rep is 0 or "rep"
-    is not in ``terms``. Otherwise a missing labels raster raises
-    NoSupervisionError, and a negative or non-finite label DimensionError.
-    unwarped_min can carry a precomputed unwarped_min_photometric map (it is
-    constant while depth and poses change) and must have the depth's shape.
-    ``terms`` selects a subset of "photo", "smooth" and "rep" so each can be
-    verified in isolation. Raises InvalidDepthError unless depth is finite
-    and above EPS_Z at every pixel.
+    supervised term is averaged over context poses. Raises
+    InvalidDepthError unless depth is finite and above EPS_Z at every pixel,
+    DimensionError unless it has the image's shape or unless there is one
+    pose per context image, and TypeError for a pose that is not a PoseSE3.
     """
-    breakdown, _, _ = _objective(
-        target, context, depth, k, weights, labels, num_scales, supervised,
-        want_grad=False, unwarped_min=unwarped_min, terms=terms,
-    )
-    return breakdown
+    return _evaluate(objective, poses, depth, want_grad=False)[0]
 
 
-def total_loss_grad(
-    target: np.ndarray,
-    context: ContextSet,
-    depth: np.ndarray,
-    k: CameraIntrinsics,
-    weights: LossWeights,
-    labels: np.ndarray | None = None,
-    num_scales: int = 1,
-    supervised: str = "rep",
-    unwarped_min: np.ndarray | None = None,
-    terms: Sequence[str] = TERMS,
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+def total_loss_grad(objective: Objective, poses: Sequence[PoseSE3],
+                    depth: np.ndarray) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Objective value plus exact gradients w.r.t. every depth pixel and the
     6 pose parameters (alpha, beta, gamma, tx, ty, tz) of every context.
 
     Masks, argmin source selections and validity flags are held constant, so
     these are the piecewise gradients away from switching boundaries. The
-    arguments are those of `total_loss`, with the same checks: a depth that
-    is not finite and above EPS_Z at every pixel raises InvalidDepthError.
+    arguments and their checks are those of `total_loss`.
     """
-    return _objective(
-        target, context, depth, k, weights, labels, num_scales, supervised,
-        want_grad=True, unwarped_min=unwarped_min, terms=terms,
-    )
+    return _evaluate(objective, poses, depth, want_grad=True)

@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import losses, metrics
+from . import io_codecs, losses, metrics
 from .errors import ConfigError, DivergedError, NoSupervisionError
 from .geometry import EPS_Z, PoseSE3
 from .losses import LossBreakdown, LossWeights
@@ -149,30 +149,16 @@ def adam_update(state: OptimState, d_log_depth: np.ndarray, d_poses: np.ndarray)
     )
 
 
-def step(
-    state: OptimState,
-    scene: Scene,
-    config: OptimConfig,
-    unwarped_min: np.ndarray | None = None,
-) -> OptimState:
-    """One optimization step against the full objective, weighted by
-    ``config.weights``.
+def step(state: OptimState, objective: losses.Objective) -> OptimState:
+    """One optimization step against ``objective`` (built once for the scene,
+    see `losses.Objective`), at the state's depth and poses.
 
     Depth gradients are chained through the log parameterization
-    (d/dlog d = d * d/dd). Appends the loss breakdown to the history. With a
-    positive supervised weight, a scene without labels raises
-    NoSupervisionError.
+    (d/dlog d = d * d/dd). Appends the loss breakdown to the history.
     """
     depth = state.depth()
-    context = [
-        (img, PoseSE3.from_params(state.pose_params[s]))
-        for s, (img, _) in enumerate(scene.contexts)
-    ]
-    breakdown, d_depth, d_poses = losses.total_loss_grad(
-        scene.target, context, depth, scene.intrinsics, config.weights,
-        labels=scene.labels.depth, num_scales=config.num_scales,
-        supervised=config.supervised_loss, unwarped_min=unwarped_min,
-    )
+    poses = [PoseSE3.from_params(params) for params in state.pose_params]
+    breakdown, d_depth, d_poses = losses.total_loss_grad(objective, poses, depth)
     d_log = d_depth * depth
     if not (np.isfinite(d_log).all() and np.isfinite(d_poses).all()
             and np.isfinite(breakdown.total)):
@@ -199,15 +185,15 @@ def _median_ratio(state: OptimState, scene: Scene) -> float:
     return float(np.median(state.depth() / scene.gt_depth))
 
 
-def _run_phase(state, scene, config, budget, unwarped_min, median_history):
+def _run_phase(state, scene, objective, budget, tol, median_history):
     start = state.iteration
     flat = 0
     while state.iteration - start < budget:
         prev = state.loss_history[-1].total if state.loss_history else None
-        step(state, scene, config, unwarped_min=unwarped_min)
+        step(state, objective)
         median_history.append(_median_ratio(state, scene))
         cur = state.loss_history[-1].total
-        if prev is not None and abs(cur - prev) <= config.tol * max(abs(prev), 1e-12):
+        if prev is not None and abs(cur - prev) <= tol * max(abs(prev), 1e-12):
             flat += 1
             if flat >= TOL_WINDOW:
                 break
@@ -219,13 +205,15 @@ def _run_phase(state, scene, config, budget, unwarped_min, median_history):
 def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, RunReport]:
     """Two-phase optimization: unsupervised first, then label refinement.
 
-    Phase A runs with the supervised weight forced to zero and records the
-    median predicted/true depth ratio (any positive value is admissible:
-    the unsupervised objective cannot fix scale). Phase B re-enables the
-    supervised term, which pulls depth toward the labels' scale without
-    necessarily reaching it (on the shipped example the ratio goes from
-    0.8105 to 0.8310). Writes loss-curve and metrics CSVs into
-    ``out_dir`` when given.
+    Builds one `losses.Objective` for the scene. Phase A runs it with the
+    supervised weight at zero (`Objective.unsupervised`, which shares its
+    static-pixel reference) and records the median predicted/true depth
+    ratio (any positive value is admissible: the unsupervised objective
+    cannot fix scale). Phase B runs the objective itself, whose supervised
+    term pulls depth toward the labels' scale without necessarily reaching
+    it (on the shipped example the ratio goes from 0.8105 to 0.8310).
+    Writes the loss-curve and metrics CSVs and the estimated depth
+    (``depth.pfm``) into ``out_dir`` when given.
     """
     if config.weights.lambda_rep <= 0:
         raise ConfigError("two-phase run needs a positive supervised weight")
@@ -239,21 +227,20 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
         )
 
     state = init_state(scene, config)
-    unwarped_min = losses.unwarped_min_photometric(
-        scene.target, scene.contexts, config.weights.alpha
+    objective = losses.Objective(
+        scene.target, [img for img, _ in scene.contexts], scene.intrinsics, config.weights,
+        labels=scene.labels.depth, num_scales=config.num_scales,
+        supervised=config.supervised_loss,
     )
     median_history: list[float] = []
 
-    config_a = replace(config, weights=replace(config.weights, lambda_rep=0.0))
-    iters_a = _run_phase(
-        state, scene, config_a, config.phase_a_iters, unwarped_min, median_history
-    )
+    iters_a = _run_phase(state, scene, objective.unsupervised(), config.phase_a_iters,
+                         config.tol, median_history)
     ratio_a = _median_ratio(state, scene)
 
     state.reset_moments()
-    iters_b = _run_phase(
-        state, scene, config, config.phase_b_iters, unwarped_min, median_history
-    )
+    iters_b = _run_phase(state, scene, objective, config.phase_b_iters, config.tol,
+                         median_history)
     ratio_b = _median_ratio(state, scene)
 
     pred = state.depth()
@@ -278,6 +265,7 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
         with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.CSV_HEADER + "\n")
             fh.write(metrics_all.csv_row() + "\n")
+        io_codecs.write_pfm(os.path.join(out_dir, "depth.pfm"), pred)
     return state, report
 
 
@@ -329,19 +317,23 @@ def gradcheck(
     generic evaluation point (ground truth perturbed multiplicatively, poses
     jittered). Both index one probe vector: the flattened depth, then the
     flattened (S, 6) pose parameters; a failure still names its coordinate
-    as ("depth", pixel) or ("pose", parameter). ``terms`` selects which loss
-    terms are active, so each can be verified in isolation as well as
-    combined. Passes when at least 99% of the checked coordinates satisfy
-    |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|, |fd|), with
-    central differences of step FD_STEP; the absolute floor covers gradients
-    too small for float64 central differences to resolve at that step.
+    as ("depth", pixel) or ("pose", parameter). One `losses.Objective` of
+    the scene, built from ``weights``, ``terms``, ``supervised`` and
+    ``num_scales`` (an unknown term is a ConfigError), serves the gradient
+    and every probe; ``terms`` selects which loss terms are active, so each
+    can be verified in isolation as well as combined. Passes when at least
+    99% of the checked coordinates satisfy |analytic - fd| <= FD_ATOL +
+    FD_TOL * max(|analytic|, |fd|), with central differences of step
+    FD_STEP; the absolute floor covers gradients too small for float64
+    central differences to resolve at that step.
     """
     h, tol = FD_STEP, FD_TOL
     if n_samples < 0:
         raise ConfigError(f"n_samples must be nonnegative, got {n_samples}")
-    unknown = set(terms) - set(losses.TERMS)
-    if unknown:
-        raise ConfigError(f"unknown loss terms {sorted(unknown)}")
+    objective = losses.Objective(
+        scene.target, [img for img, _ in scene.contexts], scene.intrinsics, weights,
+        labels=scene.labels.depth, num_scales=num_scales, supervised=supervised, terms=terms,
+    )
     rng = np.random.default_rng(seed)
 
     depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
@@ -351,19 +343,9 @@ def gradcheck(
     x0 = np.concatenate([depth0.reshape(-1), pose_params.reshape(-1)])
     n_depth = depth0.size
 
-    images = [img for img, _ in scene.contexts]
-    unwarped = None
-    if "photo" in terms:
-        unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, weights.alpha)
-
     def evaluate(x, loss=losses.total_loss):
-        params = x[n_depth:].reshape(pose_params.shape)
-        ctx = [(img, PoseSE3.from_params(p)) for img, p in zip(images, params)]
-        return loss(
-            scene.target, ctx, x[:n_depth].reshape(depth0.shape), scene.intrinsics,
-            weights, labels=scene.labels.depth, num_scales=num_scales,
-            supervised=supervised, unwarped_min=unwarped, terms=terms,
-        )
+        poses = [PoseSE3.from_params(p) for p in x[n_depth:].reshape(pose_params.shape)]
+        return loss(objective, poses, x[:n_depth].reshape(depth0.shape))
 
     _, d_depth, d_poses = evaluate(x0, losses.total_loss_grad)
     analytic = np.concatenate([d_depth.reshape(-1), d_poses.reshape(-1)])

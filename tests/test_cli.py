@@ -12,6 +12,11 @@ from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.synth import SceneSpec, make_scene
 
 
+def write_ppm(path, img):
+    """Write a (C, H, W) image as the 16-bit PPM that write_scene_dir writes."""
+    path.write_bytes(io_codecs._ppm_bytes(img))
+
+
 class TestPfmCodec:
     def test_round_trip_single_channel(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -67,7 +72,7 @@ class TestPfmCodec:
 class TestPpmCodec:
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_round_trip_representable_levels(self, tmp_path, maxval):
-        # write_ppm writes 16-bit files; 8-bit ones come from other tools
+        # the codec writes 16-bit files; 8-bit ones come from other tools
         # the file interleaves the samples, (H, W, 3); images are (3, H, W)
         rng = np.random.default_rng(2)
         levels = rng.integers(0, maxval + 1, (9, 7, 3))
@@ -76,7 +81,7 @@ class TestPpmCodec:
         if maxval == 255:
             path.write_bytes(b"P6\n7 9\n255\n" + levels.astype("u1").tobytes())
         else:
-            io_codecs.write_ppm(path, img)
+            write_ppm(path, img)
             assert path.read_bytes() == b"P6\n7 9\n65535\n" + levels.astype(">u2").tobytes()
         back = io_codecs.read_ppm(path)
         assert back.shape == (3, 9, 7)
@@ -87,14 +92,14 @@ class TestPpmCodec:
         levels = np.arange(65536, dtype=np.float64).reshape(256, 256)
         img = np.repeat((levels / 65535)[None], 3, axis=0)
         path = tmp_path / "sweep.ppm"
-        io_codecs.write_ppm(path, img)
+        write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert (back == img).all()
 
     def test_gray_images_replicate_channels(self, tmp_path):
         img = np.random.default_rng(3).uniform(0, 1, (1, 5, 6))
         path = tmp_path / "g.ppm"
-        io_codecs.write_ppm(path, img)
+        write_ppm(path, img)
         back = io_codecs.read_ppm(path)
         assert back.shape == (3, 5, 6)
         assert (back[0] == back[1]).all() and (back[0] == back[2]).all()
@@ -102,7 +107,7 @@ class TestPpmCodec:
     def test_interleaved_image_rejected(self, tmp_path):
         # an image in the (H, W, C) layout, H and W not in {1, 3}
         with pytest.raises(DimensionError):
-            io_codecs.write_ppm(tmp_path / "x.ppm", np.zeros((5, 6, 3)))
+            write_ppm(tmp_path / "x.ppm", np.zeros((5, 6, 3)))
 
     def test_invalid_maxval(self, tmp_path):
         path = tmp_path / "x.ppm"
@@ -342,6 +347,24 @@ class TestCommands:
         metrics_lines = (out / "metrics.csv").read_text().splitlines()
         assert metrics_lines[0].startswith("abs_rel,")
 
+    def test_optimize_depth_scores_as_its_metrics(self, tmp_path, capsys):
+        # eval of the written depth against the scene's ground truth gives
+        # the metrics.csv row, up to the float32 rounding of depth.pfm
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, "weights.lambda_rep = 0.01\noptimizer.phase_a_iters = 20\n"
+                          "optimizer.phase_b_iters = 20\n")
+        scene_dir, out = tmp_path / "scene", tmp_path / "report"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
+        assert cli.main(["optimize", str(scene_dir), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(out / "depth.pfm"), str(scene_dir / "depth.pfm")]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        written = (out / "metrics.csv").read_text().splitlines()
+        assert header == written[0]
+        rescored = [float(v) for v in row.split(",")]
+        assert rescored == pytest.approx([float(v) for v in written[1].split(",")], rel=1e-6)
+
     def test_evaluation_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)
@@ -376,9 +399,10 @@ class TestCommands:
 
     def test_optimize_no_labels_exit_code_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        write_config(cfg, "scene.beams = 0\n")
+        write_config(cfg)
         scene_dir = tmp_path / "scene"
-        cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)])
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir),
+                         "--scene.beams=0"]) == 0
         code = cli.main(["optimize", str(scene_dir), "--config", str(cfg),
                          "--out", str(tmp_path / "rep")])
         assert code == 2
@@ -636,6 +660,14 @@ class TestMalformedInput:
                              "--scene.d0=1e39"])
         assert_codec_error_exit(code, capsys)
 
+    def test_synth_failure_leaves_no_partial_scene(self, tmp_path, capsys):
+        # every raster is encoded before the first file is opened
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "example_plane.cfg")
+        big = tmp_path / "big"
+        code = cli.main(["synth", "--config", config, "--scene.d0=1e39", "--out", str(big)])
+        assert_codec_error_exit(code, capsys)
+        assert not big.exists() or list(big.iterdir()) == []
+
     @pytest.mark.parametrize(
         "read, header",
         [(io_codecs.read_pfm, b"Pf\n100000 100000\n-1.0\n"),
@@ -671,7 +703,7 @@ class TestMalformedInput:
         assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
         path = scene_dir / name
         if name.endswith(".ppm"):
-            io_codecs.write_ppm(path, io_codecs.read_ppm(path)[:, :24])
+            write_ppm(path, io_codecs.read_ppm(path)[:, :24])
         else:
             io_codecs.write_pfm(path, io_codecs.read_pfm(path)[:, :24])
         capsys.readouterr()

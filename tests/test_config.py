@@ -167,6 +167,21 @@ class TestSchema:
         cfg.write_text("scene.seed = 1\n")
         assert_rejected([*synth, "--width=40"], capsys, UNRECOGNIZED.format("--width=40"))
 
+    def test_repeated_key_is_rejected_in_files_and_flags(self, tmp_path, capsys):
+        # a key is given once in a file and once among the flags; a flag
+        # still overrides the file's value
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "s"
+        cfg.write_text("scene.seed = 1\nscene.width = 40\nscene.seed = 2\n")
+        synth = ["synth", "--config", str(cfg), "--out", str(out)]
+        assert_rejected(synth, capsys, f"{cfg}:3: repeated config key scene.seed")
+        cfg.write_text("scene.seed = 1\n")
+        assert_rejected([*synth, "--scene.seed=1", "--scene.seed=2"], capsys,
+                        "repeated config key --scene.seed")
+        assert not out.exists()
+        assert cli.main([*synth, "--scene.seed=2", "--scene.width=40"]) == 0
+        assert config.load_config(cfg, {"scene.seed": "2"}).scene.seed == 2
+
     @pytest.mark.parametrize("key", [
         "optimizer.optimize_pose", "optimizer.lr_halve_every", "scene.texture",
         "scene.checker_size", "scene.fx", "scene.fy", "scene.cx", "scene.cy",

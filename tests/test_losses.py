@@ -18,12 +18,13 @@ from sfm_losskit.geometry import (
     projection_jacobian,
     warp_chain,
 )
+from sfm_losskit.errors import ConfigError
 from sfm_losskit.losses import (
     LossWeights,
+    Objective,
     _depth_error,
     _image_gradient_weights,
-    _label_points,
-    _label_rays,
+    _labels,
     _min_over_sources,
     _photometric_forward,
     _rep_distance,
@@ -162,7 +163,7 @@ class TestPhotometric:
         # one RGB forward evaluation with 2 contexts: per context one window
         # count plus 5 window statistics per channel, 2 * (1 + 5 * 3) = 32
         scene = small_scene(channels=3)
-        unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, 0.85)
+        objective, poses = scene_objective(scene)  # builds unwarped_min first
         calls = []
         box_sum = losses._box_sum
 
@@ -171,15 +172,30 @@ class TestPhotometric:
             return box_sum(x)
 
         monkeypatch.setattr(losses, "_box_sum", counting_box_sum)
-        total_loss(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
-            LossWeights(), labels=scene.labels.depth, unwarped_min=unwarped,
-        )
+        total_loss(objective, poses, scene.gt_depth)
         assert len(scene.contexts) == 2
         assert len(calls) == 32
 
 
 SMALL_K = CameraIntrinsics(fx=40.0, fy=40.0, cx=23.5, cy=15.5, width=48, height=32)
+
+
+def objective_of(target, context, k, weights=LossWeights(), **kw):
+    """The objective of a context set of (image, pose) pairs, and its poses."""
+    images = [img for img, _ in context]
+    return Objective(target, images, k, weights, **kw), [pose for _, pose in context]
+
+
+def scene_objective(scene, weights=LossWeights(), **kw):
+    """The objective of a scene's target, contexts and labels, and its poses."""
+    kw.setdefault("labels", scene.labels.depth)
+    return objective_of(scene.target, scene.contexts, scene.intrinsics, weights, **kw)
+
+
+def min_photo(target, context, depth, k):
+    """min_photometric over (image, pose) pairs at alpha 0.85."""
+    objective, poses = objective_of(target, context, k, terms=("photo",))
+    return min_photometric(objective, poses, depth)
 
 
 def small_scene(geometry="plane", **kw):
@@ -197,9 +213,7 @@ class TestMinPhotometric:
     def test_singleton_context_equals_plain_photometric(self):
         scene = small_scene()
         src, pose = scene.contexts[0]
-        m, argmin = min_photometric(
-            scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics, 0.85
-        )
+        m, argmin = min_photo(scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics)
         chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
         at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
         synth = warp.sample_bilinear(src, at)
@@ -214,11 +228,9 @@ class TestMinPhotometric:
     def test_duplicated_source_is_idempotent(self):
         scene = small_scene()
         src, pose = scene.contexts[0]
-        m1, _ = min_photometric(
-            scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics, 0.85
-        )
-        m2, _ = min_photometric(
-            scene.target, [(src, pose), (src, pose)], scene.gt_depth, scene.intrinsics, 0.85
+        m1, _ = min_photo(scene.target, [(src, pose)], scene.gt_depth, scene.intrinsics)
+        m2, _ = min_photo(
+            scene.target, [(src, pose), (src, pose)], scene.gt_depth, scene.intrinsics
         )
         both = np.isfinite(m1)
         assert (m1[~both] == np.inf).all() and (m2[~both] == np.inf).all()
@@ -227,9 +239,7 @@ class TestMinPhotometric:
 
     def test_min_below_each_source(self):
         scene = small_scene()
-        m, _ = min_photometric(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
-        )
+        m, _ = min_photo(scene.target, scene.contexts, scene.gt_depth, scene.intrinsics)
         for src, pose in scene.contexts:
             chain = warp_chain(scene.gt_depth, pose, scene.intrinsics)
             at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
@@ -247,9 +257,7 @@ class TestMinPhotometric:
             at = warp.sampling(chain.coords, chain.valid, src.shape[1:])
             synth = warp.sample_bilinear(src, at)
             per_source.append(_photometric_forward(scene.target, synth, chain.valid, 0.85)[0])
-        m, argmin = min_photometric(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, 0.85
-        )
+        m, argmin = min_photo(scene.target, scene.contexts, scene.gt_depth, scene.intrinsics)
         band = scene.occluded[0] & ~scene.occluded[1]
         # erode the analytic band: boundary pixels blend occluder and
         # background under bilinear sampling
@@ -264,7 +272,7 @@ class TestMinPhotometric:
     def test_empty_context_rejected(self):
         scene = small_scene()
         with pytest.raises(EmptyContextError):
-            min_photometric(scene.target, [], scene.gt_depth, scene.intrinsics, 0.85)
+            Objective(scene.target, [], scene.intrinsics, LossWeights(), terms=("photo",))
 
 
 class TestAutomask:
@@ -333,12 +341,19 @@ class TestSmoothness:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def rep_distance(pred, gt, pose, k, want_grad=False):
+    """_rep_distance of a prediction raster against a label raster."""
+    labels = _labels(gt, k)
+    p_hat = pred.reshape(-1)[labels.index][:, None] * labels.rays
+    return _rep_distance(labels, p_hat, pose, k, want_grad)
+
+
 class TestReprojectedDistance:
     def test_pred_equals_gt_is_zero(self):
         scene = small_scene()
         _, pose = scene.contexts[0]
-        points = _label_rays(_label_points(scene.gt_depth, scene.labels.depth), scene.intrinsics)
-        value, count, _, _, _ = _rep_distance(points, pose, scene.intrinsics, want_grad=False)
+        value, count, _, _, _ = rep_distance(scene.gt_depth, scene.labels.depth, pose,
+                                             scene.intrinsics)
         assert value == 0.0
         assert count == scene.labels.n_labels
 
@@ -348,8 +363,7 @@ class TestReprojectedDistance:
         gt[0, 0] = 2.0
         pred = np.full((4, 4), 4.0)
         pose = PoseSE3(translation=(1.0, 0.0, 0.0))
-        points = _label_rays(_label_points(pred, gt), k)
-        value, count, _, _, _ = _rep_distance(points, pose, k, want_grad=False)
+        value, count, _, _, _ = rep_distance(pred, gt, pose, k)
         # pi(T*(4,0,0,1)-ray) = 1/4 + 0 = 0.25 ; pi with d=2 -> 0.5
         assert value == pytest.approx(0.25, abs=1e-15)
         assert count == 1
@@ -357,8 +371,7 @@ class TestReprojectedDistance:
     def test_identity_pose_is_zero_for_any_prediction(self):
         scene = small_scene()
         pred = scene.gt_depth * 3.1
-        points = _label_rays(_label_points(pred, scene.labels.depth), scene.intrinsics)
-        value = _rep_distance(points, PoseSE3.identity(), scene.intrinsics, want_grad=False)[0]
+        value = rep_distance(pred, scene.labels.depth, PoseSE3.identity(), scene.intrinsics)[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_depth_weighting_decreases_with_distance(self):
@@ -371,14 +384,13 @@ class TestReprojectedDistance:
             gt[1, 1] = d
             pred = np.zeros((4, 4))
             pred[1, 1] = 1.2 * d
-            points = _label_rays(_label_points(pred, gt), k)
-            values.append(_rep_distance(points, pose, k, want_grad=False)[0])
+            values.append(rep_distance(pred, gt, pose, k)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_no_labels_raises(self):
         scene = small_scene()
         with pytest.raises(NoSupervisionError):
-            _label_points(scene.gt_depth, np.zeros_like(scene.gt_depth))
+            _labels(np.zeros_like(scene.gt_depth), scene.intrinsics)
 
     def test_behind_camera_labels_dropped(self):
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=1.5, cy=1.5, width=4, height=4)
@@ -387,15 +399,14 @@ class TestReprojectedDistance:
         gt[1, 1] = 5.0
         pred = np.where(gt > 0, gt * 1.1, 0.0)
         pose = PoseSE3(translation=(0.0, 0.0, -2.0))  # pulls near labels behind
-        points = _label_rays(_label_points(pred, gt), k)
-        _, count, dropped, d_pred, _ = _rep_distance(points, pose, k, want_grad=True)
+        _, count, dropped, d_pred, _ = rep_distance(pred, gt, pose, k, want_grad=True)
         assert count == 1
         assert dropped == 1
         # the per-label gradient is 0 at the label dropped behind the camera
         assert d_pred.shape == (2,) and d_pred[0] == 0.0 and d_pred[1] != 0.0
 
     def test_shared_label_points_match_per_pose_calls(self):
-        # _supervised builds the label points once for every pose; its sums
+        # _supervised builds the predicted points once for every pose; its sums
         # must equal a per-pose build of everything, added up in pose order,
         # bit for bit, also when one pose drops labels behind its camera
         rng = np.random.default_rng(21)
@@ -408,7 +419,7 @@ class TestReprojectedDistance:
             PoseSE3(rotation=(0.01, -0.02, 0.005), translation=(0.3, 0.05, 0.1)),
             PoseSE3(rotation=(-0.02, 0.01, 0.0), translation=(0.1, 0.0, -2.5)),
         ]
-        context = [(None, pose) for pose in poses]
+        labels = _labels(gt, k)
         weight = 0.37
         base = rng.normal(size=gt.shape)
 
@@ -426,10 +437,10 @@ class TestReprojectedDistance:
         assert drops[0] == 0 and 0 < drops[1] < flat.size
 
         ours_depth, ours_poses = base.copy(), np.zeros((2, 6))
-        out = losses._supervised(pred, gt, context, k, "rep", weight, ours_depth, ours_poses)
+        out = losses._supervised(pred, labels, poses, k, "rep", weight, ours_depth, ours_poses)
         assert out == (value, count, dropped)
         assert same_bits(ours_depth, d_depth) and same_bits(ours_poses, d_poses)
-        assert losses._supervised(pred, gt, context, k, "rep", weight, None, None) == out
+        assert losses._supervised(pred, labels, poses, k, "rep", weight, None, None) == out
 
     @pytest.mark.parametrize("mode", ["l1", "berhu"])
     def test_depth_error_adds_at_label_pixels_only(self, mode):
@@ -446,10 +457,11 @@ class TestReprojectedDistance:
         value, count, d_pred = dense_depth_error(pred, gt, mode)
 
         ours = base.copy()
-        out = losses._supervised(pred, gt, None, k, mode, weight, ours, None)
+        labels = _labels(gt, k)
+        out = losses._supervised(pred, labels, None, k, mode, weight, ours, None)
         assert out == (value, count, 0)
         assert same_bits(ours, base + weight * d_pred)
-        assert losses._supervised(pred, gt, None, k, mode, weight, None, None) == out
+        assert losses._supervised(pred, labels, None, k, mode, weight, None, None) == out
 
 
 def dense_depth_error(pred, gt, mode):
@@ -515,8 +527,13 @@ def per_pose_rep_distance(pred, gt, pose, k):
 
 
 def depth_error(pred, gt, mode):
-    """_depth_error's value on a raster of at most 2x2 pixels."""
-    return _depth_error(_label_points(pred, gt), mode)[0]
+    """_depth_error's value of a prediction raster against a label raster;
+    rasters under 2x2 (the least intrinsics take) are padded unlabeled."""
+    h, w = gt.shape
+    k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=max(w, 2), height=max(h, 2))
+    pad = ((0, k.height - h), (0, k.width - w))
+    labels = _labels(np.pad(gt, pad), k)
+    return _depth_error(np.pad(pred, pad).reshape(-1)[labels.index], labels.depth, mode)[0]
 
 
 class TestBaselines:
@@ -548,21 +565,16 @@ class TestBaselines:
             depth_error(np.zeros((2, 2)), np.zeros((2, 2)), "l1")
 
 
-def scaled_contexts(contexts, s):
-    return [
-        (img, PoseSE3(rotation=p.rotation, translation=tuple(s * np.asarray(p.translation))))
-        for img, p in contexts
-    ]
+def scaled_poses(poses, s):
+    return [PoseSE3(rotation=p.rotation, translation=tuple(s * np.asarray(p.translation)))
+            for p in poses]
 
 
 class TestTotalLoss:
     def test_breakdown_invariant(self):
         scene = small_scene()
         w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1e4)
-        bd = total_loss(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            labels=scene.labels.depth,
-        )
+        bd = total_loss(*scene_objective(scene, w), scene.gt_depth)
         recomposed = bd.photo + w.lambda_smooth * bd.smooth + w.lambda_rep * bd.rep
         assert bd.total == pytest.approx(recomposed, abs=1e-12)
         assert bd.photo >= 0 and bd.smooth >= 0 and bd.rep >= 0
@@ -575,10 +587,7 @@ class TestTotalLoss:
     def test_ground_truth_photo_near_zero(self):
         scene = small_scene(texture_cycles=0.02)
         w = LossWeights(lambda_smooth=0.0, lambda_rep=0.0)
-        bd = total_loss(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            labels=scene.labels.depth,
-        )
+        bd = total_loss(*scene_objective(scene, w), scene.gt_depth)
         assert bd.photo < 1e-3
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
@@ -587,25 +596,18 @@ class TestTotalLoss:
         rng = np.random.default_rng(9)
         depth = scene.gt_depth * np.exp(rng.normal(0, 0.08, scene.gt_depth.shape))
         w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=0.0)
-        a = total_loss(scene.target, scene.contexts, depth, scene.intrinsics, w)
-        b = total_loss(
-            scene.target, scaled_contexts(scene.contexts, s), s * depth,
-            scene.intrinsics, w,
-        )
+        objective, poses = scene_objective(scene, w, labels=None)
+        a = total_loss(objective, poses, depth)
+        b = total_loss(objective, scaled_poses(poses, s), s * depth)
         assert b.total == pytest.approx(a.total, rel=1e-9)
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
     def test_scale_breaking_with_supervision(self, s):
         scene = small_scene()
         w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1e4)
-        base = total_loss(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            labels=scene.labels.depth,
-        )
-        scaled = total_loss(
-            scene.target, scaled_contexts(scene.contexts, s), s * scene.gt_depth,
-            scene.intrinsics, w, labels=scene.labels.depth,
-        )
+        objective, poses = scene_objective(scene, w)
+        base = total_loss(objective, poses, scene.gt_depth)
+        scaled = total_loss(objective, scaled_poses(poses, s), s * scene.gt_depth)
         assert scaled.total > base.total
 
     def test_static_scene_raises_degenerate_mask(self):
@@ -613,49 +615,43 @@ class TestTotalLoss:
         img = rng.uniform(0, 1, (1, 16, 16))
         k = CameraIntrinsics(fx=16, fy=16, cx=7.5, cy=7.5, width=16, height=16)
         depth = np.full((16, 16), 4.0)
+        objective = Objective(img, [img.copy()], k, LossWeights(lambda_rep=0.0))
         with pytest.raises(DegenerateMaskError):
-            total_loss(
-                img, [(img.copy(), PoseSE3.identity())], depth, k,
-                LossWeights(lambda_rep=0.0),
-            )
+            total_loss(objective, [PoseSE3.identity()], depth)
 
     def test_missing_labels_with_positive_weight_raises(self):
         scene = small_scene()
         w = LossWeights(lambda_rep=1.0)
         with pytest.raises(NoSupervisionError):
-            total_loss(
-                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-                labels=np.zeros_like(scene.gt_depth),
-            )
+            scene_objective(scene, w, labels=np.zeros_like(scene.gt_depth))
 
     @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
     def test_no_labels_raster_with_positive_weight_raises(self, entry):
-        # a weighted supervised term is not dropped for want of labels
+        # a weighted supervised term is not dropped for want of labels: the
+        # objective refuses to be built, so no entry evaluates it; with the
+        # supervised weight at 0 the same objective builds and `entry` runs
         scene = small_scene()
         with pytest.raises(NoSupervisionError):
-            getattr(losses, entry)(
-                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=1.0),
-            )
+            scene_objective(scene, LossWeights(lambda_rep=1.0), labels=None)
+        objective, poses = scene_objective(scene, LossWeights(lambda_rep=0.0), labels=None)
+        getattr(losses, entry)(objective, poses, scene.gt_depth)
 
     def test_supervised_l1_and_berhu_variants(self):
         scene = small_scene()
         w = LossWeights(lambda_rep=1.0)
         pred = scene.gt_depth * 1.3
         for mode in ("l1", "berhu"):
-            bd = total_loss(
-                scene.target, scene.contexts, pred, scene.intrinsics, w,
-                labels=scene.labels.depth, supervised=mode,
-            )
-            oracle = _depth_error(_label_points(pred, scene.labels.depth), mode)[0]
+            bd = total_loss(*scene_objective(scene, w, supervised=mode), pred)
+            oracle = depth_error(pred, scene.labels.depth, mode)
             assert bd.rep == pytest.approx(oracle, rel=1e-12)
 
 
 class TestEntryChecks:
-    """Depth is finite and above EPS_Z at every pixel, every context image and
-    the labels the supervised term reads are finite, and a precomputed
-    unwarped_min has the depth's shape; the objective checks each where its
-    inputs enter it."""
+    """Depth is finite and above EPS_Z at every pixel, and checked on every
+    evaluation; every context image and the labels the supervised term
+    reads are finite, checked once, when the objective is built. A check
+    at build time is followed by the same build with the bad value
+    repaired, evaluated by the entry named in the test's ``entry``."""
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e-7],
                              ids=["zero", "negative", "nan", "inf", "subnormal", "below_eps_z"])
@@ -664,34 +660,31 @@ class TestEntryChecks:
         scene = small_scene()
         depth = scene.gt_depth.copy()
         depth[17, 23] = bad
-        k = scene.intrinsics
+        objective, poses = scene_objective(scene, LossWeights(lambda_rep=1.0))
         with pytest.raises(InvalidDepthError, match="1 pixel"):
-            if entry == "min_photometric":
-                min_photometric(scene.target, scene.contexts, depth, k, 0.85)
-            else:
-                getattr(losses, entry)(
-                    scene.target, scene.contexts, depth, k, LossWeights(lambda_rep=1.0),
-                    labels=scene.labels.depth,
-                )
+            getattr(losses, entry)(objective, poses, depth)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("precomputed", [False, True], ids=["own", "precomputed"])
     @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
     def test_one_bad_context_pixel_raises(self, entry, precomputed, bad):
-        # a precomputed unwarped_min skips the objective's own pass over the
-        # raw context images, which must not skip their check
+        # "own": the objective's photometric term computes unwarped_min from
+        # the raw context images; "precomputed": a photometric term whose
+        # reference is not computed here (the objective without it), which
+        # must not skip the images' check
         scene = small_scene()
-        unwarped = None
-        if precomputed:
-            unwarped = losses.unwarped_min_photometric(scene.target, scene.contexts, 0.85)
+        terms = ("smooth", "rep") if precomputed else losses.TERMS
         img = scene.contexts[1][0].copy()
         img[0, 17, 23] = bad
         context = [scene.contexts[0], (img, scene.contexts[1][1])]
+        weights = LossWeights(lambda_rep=1.0)
         with pytest.raises(DimensionError, match="context image 1 contains non-finite"):
-            getattr(losses, entry)(
-                scene.target, context, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=1.0), labels=scene.labels.depth, unwarped_min=unwarped,
-            )
+            objective_of(scene.target, context, scene.intrinsics, weights,
+                         labels=scene.labels.depth, terms=terms)
+        img[0, 17, 23] = 0.5
+        objective, poses = objective_of(scene.target, context, scene.intrinsics, weights,
+                                        labels=scene.labels.depth, terms=terms)
+        getattr(losses, entry)(objective, poses, scene.gt_depth)
 
     @pytest.mark.parametrize("where", ["target", "context"])
     def test_interleaved_image_raises(self, where):
@@ -703,10 +696,8 @@ class TestEntryChecks:
         else:
             context[1] = (np.moveaxis(context[1][0], 0, -1), context[1][1])
         with pytest.raises(DimensionError):
-            total_loss(
-                target, context, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=1.0), labels=scene.labels.depth,
-            )
+            objective_of(target, context, scene.intrinsics, LossWeights(lambda_rep=1.0),
+                         labels=scene.labels.depth)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("supervised", ["rep", "l1", "berhu"])
@@ -717,11 +708,12 @@ class TestEntryChecks:
         scene = small_scene()
         labels = scene.labels.depth.copy()
         labels[17, 23] = bad
+        weights = LossWeights(lambda_rep=1.0)
         with pytest.raises(DimensionError, match="labels contain non-finite"):
-            getattr(losses, entry)(
-                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=1.0), labels=labels, supervised=supervised,
-            )
+            scene_objective(scene, weights, labels=labels, supervised=supervised)
+        labels[17, 23] = 0.0
+        objective, poses = scene_objective(scene, weights, labels=labels, supervised=supervised)
+        getattr(losses, entry)(objective, poses, scene.gt_depth)
 
     @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])
     def test_negative_label_raises(self, entry):
@@ -730,21 +722,100 @@ class TestEntryChecks:
         scene = small_scene()
         labels = scene.labels.depth.copy()
         labels[0, :32] = -5.0
+        weights = LossWeights(lambda_rep=1.0)
         with pytest.raises(DimensionError, match="negative"):
-            getattr(losses, entry)(
-                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=1.0), labels=labels,
-            )
+            scene_objective(scene, weights, labels=labels)
+        labels[0, :32] = 0.0
+        getattr(losses, entry)(*scene_objective(scene, weights, labels=labels), scene.gt_depth)
 
-    @pytest.mark.parametrize("shape", [(1, 48), (48,), (), (40, 48, 1)],
-                             ids=["row", "flat", "scalar", "3d"])
-    def test_unwarped_min_of_another_shape_raises(self, shape):
+
+class TestObjective:
+    """What an objective checks once, what it holds, and what an evaluation
+    still checks per call."""
+
+    @pytest.mark.parametrize("case", ["nan_context", "negative_label", "unknown_term",
+                                      "num_scales_not_dividing"])
+    def test_build_rejects_before_any_evaluation(self, case, monkeypatch):
+        scene = small_scene()  # 48x40: divides by 8, not by 16
+        images = [img.copy() for img, _ in scene.contexts]
+        labels = scene.labels.depth.copy()
+        kw = {}
+        if case == "nan_context":
+            images[0][0, 5, 5] = math.nan
+            error = DimensionError
+        elif case == "negative_label":
+            labels[0, 0] = -1.0
+            error = DimensionError
+        elif case == "unknown_term":
+            kw["terms"] = ("photo", "foo")
+            error = ConfigError
+        else:
+            kw["num_scales"] = 5
+            error = ConfigError
+        evaluations = []
+        monkeypatch.setattr(losses, "_evaluate", lambda *a, **k: evaluations.append(a))
+        monkeypatch.setattr(losses, "unwarped_min_photometric",
+                            lambda *a: evaluations.append(a))
+        with pytest.raises(error):
+            Objective(scene.target, images, scene.intrinsics, LossWeights(lambda_rep=1.0),
+                      labels=labels, **kw)
+        assert evaluations == []
+
+    def test_images_and_labels_checked_once_per_objective(self, monkeypatch):
+        # every finiteness check in the package, counted while the objective
+        # is built and then evaluated six times
         scene = small_scene()
-        with pytest.raises(DimensionError, match="unwarped_min"):
-            total_loss(
-                scene.target, scene.contexts, scene.gt_depth, scene.intrinsics,
-                LossWeights(lambda_rep=0.0), unwarped_min=np.full(shape, 0.5),
-            )
+        checks = []
+        isfinite = np.isfinite
+
+        def counting(x):
+            checks.append(np.shape(x))
+            return isfinite(x)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        objective, poses = scene_objective(scene, LossWeights(lambda_rep=1.0))
+        built = len(checks)
+        assert built == 1 + len(scene.contexts) + 1  # target, each context, labels
+        for _ in range(3):
+            total_loss(objective, poses, scene.gt_depth)
+            total_loss_grad(objective, poses, scene.gt_depth)
+        assert len(checks) == built
+
+    def test_holds_the_per_scene_arrays(self):
+        scene = small_scene()
+        objective, _ = scene_objective(scene, LossWeights(lambda_rep=1.0))
+        assert same_bits(objective.unwarped_min,
+                         losses.unwarped_min_photometric(objective))
+        assert objective.edge_weights is not None
+        assert objective.labels.index.size == scene.labels.n_labels
+        assert objective.labels.rays.flags.c_contiguous
+        assert objective.labels.rays.shape == (scene.labels.n_labels, 3)
+        no_photo, _ = scene_objective(scene, terms=("smooth", "rep"))
+        assert no_photo.unwarped_min is None
+
+    def test_unsupervised_shares_and_matches_a_fresh_build(self):
+        scene = small_scene()
+        weights = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
+        objective, poses = scene_objective(scene, weights)
+        phase_a = objective.unsupervised()
+        assert phase_a.unwarped_min is objective.unwarped_min
+        assert phase_a.weights.lambda_rep == 0.0 and objective.weights.lambda_rep == 1.0
+        fresh, _ = scene_objective(scene, LossWeights(alpha=0.85, lambda_smooth=1e-3,
+                                                      lambda_rep=0.0))
+        depth = scene.gt_depth * 1.1
+        ours, fresh_out = total_loss_grad(phase_a, poses, depth), total_loss_grad(fresh, poses, depth)
+        assert ours[0] == fresh_out[0]
+        assert same_bits(ours[1], fresh_out[1]) and same_bits(ours[2], fresh_out[2])
+
+    def test_evaluation_checks_poses_and_depth_shape(self):
+        scene = small_scene()
+        objective, poses = scene_objective(scene, LossWeights(lambda_rep=1.0))
+        with pytest.raises(DimensionError, match="1 poses for 2 context images"):
+            total_loss(objective, poses[:1], scene.gt_depth)
+        with pytest.raises(TypeError, match="context 1 pose must be PoseSE3"):
+            total_loss(objective, [poses[0], poses[1].as_params()], scene.gt_depth)
+        with pytest.raises(DimensionError, match="depth"):
+            total_loss_grad(objective, poses, scene.gt_depth[:, :-1])
 
 
 class TestTotalLossGrad:
@@ -752,8 +823,7 @@ class TestTotalLossGrad:
         scene = small_scene()
         w = LossWeights(alpha=0.85, lambda_smooth=0.0, lambda_rep=1.0)
         _, d_depth, d_poses = total_loss_grad(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            labels=scene.labels.depth, terms=("smooth", "rep"),
+            *scene_objective(scene, w, terms=("smooth", "rep")), scene.gt_depth
         )
         # at pred == gt the reprojected term sits at the subgradient-zero minimum
         assert np.abs(d_depth).max() == 0.0
@@ -761,18 +831,17 @@ class TestTotalLossGrad:
 
     def test_constant_images_zero_photo_gradient(self):
         # constant images would be fully removed by the static-pixel mask, so
-        # force the mask open via the cache override: the flat photometric
-        # landscape must still give exactly zero depth/pose gradients
+        # force the mask open through the objective's reference: the flat
+        # photometric landscape must still give exactly zero depth/pose gradients
         k = CameraIntrinsics(fx=16, fy=16, cx=7.5, cy=7.5, width=16, height=16)
         img = np.full((1, 16, 16), 0.5)
         ctx_img = np.full((1, 16, 16), 0.6)
         depth = np.full((16, 16), 4.0)
         pose = PoseSE3(translation=(0.2, 0.0, 0.0))
         w = LossWeights(alpha=0.0, lambda_smooth=0.0, lambda_rep=0.0)
-        _, d_depth, d_poses = total_loss_grad(
-            img, [(ctx_img, pose)], depth, k, w,
-            unwarped_min=np.full((16, 16), 0.5),
-        )
+        objective = Objective(img, [ctx_img], k, w)
+        objective.unwarped_min = np.full((16, 16), 0.5)
+        _, d_depth, d_poses = total_loss_grad(objective, [pose], depth)
         assert np.abs(d_depth).max() == 0.0
         assert np.abs(d_poses).max() == 0.0
 
@@ -795,11 +864,8 @@ class TestTotalLossGrad:
     def test_pyramid_forward_reduces_to_single_scale_at_level_zero(self):
         scene = small_scene(width=48, height=40)
         w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=0.0)
-        one = total_loss(scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w)
-        four = total_loss(
-            scene.target, scene.contexts, scene.gt_depth, scene.intrinsics, w,
-            num_scales=4,
-        )
+        one = total_loss(*scene_objective(scene, w), scene.gt_depth)
+        four = total_loss(*scene_objective(scene, w, num_scales=4), scene.gt_depth)
         # constant-depth pyramid levels reproduce the same depth, so photo agrees
         assert four.photo == pytest.approx(one.photo, rel=1e-9)
 
@@ -822,14 +888,14 @@ class TestTotalLossGrad:
         wrap("sample_bilinear", read, lambda out, args: args[-1])
         wrap("sample_bilinear_grad", read, lambda out, args: args[-1])
         w = LossWeights(alpha=0.85, lambda_smooth=1e-3, lambda_rep=1.0)
-        args = (scene.target, scene.contexts, scene.gt_depth * 1.05, scene.intrinsics, w)
+        objective, poses = scene_objective(scene, w, num_scales=3)
         warps = len(scene.contexts) * 3
-        for objective in (total_loss, total_loss_grad):
+        for evaluate in (total_loss, total_loss_grad):
             built.clear()
             read.clear()
-            objective(*args, labels=scene.labels.depth, num_scales=3)
+            evaluate(objective, poses, scene.gt_depth * 1.05)
             assert len(built) == warps
-            assert len(read) > warps if objective is total_loss_grad else len(read) == warps
+            assert len(read) > warps if evaluate is total_loss_grad else len(read) == warps
             assert {id(at) for at in read} == {id(at) for at in built}
 
 

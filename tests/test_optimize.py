@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sfm_losskit import losses, optimize
+from sfm_losskit import io_codecs, losses, metrics, optimize
 from sfm_losskit.errors import ConfigError, DivergedError, NoSupervisionError
 from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.losses import LossWeights
@@ -42,6 +42,14 @@ def quick_config(**kw):
     kw.setdefault("phase_b_iters", 120)
     kw.setdefault("tol", 0.0)
     return OptimConfig(**kw)
+
+
+def scene_objective(scene, cfg):
+    """The objective `run` builds for phase B of ``cfg`` on ``scene``."""
+    return losses.Objective(
+        scene.target, [img for img, _ in scene.contexts], scene.intrinsics, cfg.weights,
+        labels=scene.labels.depth, num_scales=cfg.num_scales, supervised=cfg.supervised_loss,
+    )
 
 
 def scalar_state(x0):
@@ -106,7 +114,7 @@ class TestStep:
         scene = quick_scene()
         cfg = quick_config()
         state = init_state(scene, cfg)
-        out = step(state, scene, cfg)
+        out = step(state, scene_objective(scene, cfg))
         assert out is state
         assert state.iteration == 1
         assert len(state.loss_history) == 1
@@ -116,6 +124,7 @@ class TestStep:
         cfg = quick_config()
         state = init_state(scene, cfg)
         state.iteration = 7
+        objective = scene_objective(scene, cfg)
 
         def bad_grad(*args, **kwargs):
             bd = losses.LossBreakdown(
@@ -126,7 +135,7 @@ class TestStep:
 
         monkeypatch.setattr(losses, "total_loss_grad", bad_grad)
         with pytest.raises(DivergedError) as exc:
-            step(state, scene, cfg)
+            step(state, objective)
         assert exc.value.iteration == 7
 
 
@@ -144,20 +153,16 @@ class TestRun:
                            init_depth=8.0 * 1.4)
         state, report = run(scene, cfg)
         # re-evaluate the unsupervised objective under joint rescaling
-        weights_a = replace(cfg.weights, lambda_rep=0.0)
+        objective = scene_objective(scene, cfg).unsupervised()
         depth = state.depth()
 
         def total_at(scale):
-            ctx = []
-            for (img, _), params in zip(scene.contexts, state.pose_params):
+            poses = []
+            for params in state.pose_params:
                 pose = PoseSE3.from_params(params)
-                ctx.append(
-                    (img, PoseSE3(rotation=pose.rotation,
-                                  translation=tuple(scale * pose.translation_vector())))
-                )
-            return losses.total_loss(
-                scene.target, ctx, scale * depth, scene.intrinsics, weights_a
-            ).total
+                poses.append(PoseSE3(rotation=pose.rotation,
+                                     translation=tuple(scale * pose.translation_vector())))
+            return losses.total_loss(objective, poses, scale * depth).total
 
         base = total_at(1.0)
         for s in (0.5, 2.0):
@@ -169,13 +174,14 @@ class TestRun:
             run(scene, quick_config())
 
     def test_step_without_labels_raises(self):
-        # a positive supervised weight and no label: the term is not dropped
+        # a positive supervised weight and no label: the term is not dropped,
+        # so the objective a step needs cannot be built
         scene = quick_scene(beams=0)
         cfg = quick_config()
         with pytest.raises(NoSupervisionError):
-            step(init_state(scene, cfg), scene, cfg)
+            scene_objective(scene, cfg)
         cfg = replace(cfg, weights=replace(cfg.weights, lambda_rep=0.0))
-        state = step(init_state(scene, cfg), scene, cfg)
+        state = step(init_state(scene, cfg), scene_objective(scene, cfg))
         assert state.loss_history[-1].rep_pixel_count == 0
 
     def test_zero_baseline_scene_raises(self):
@@ -214,6 +220,33 @@ class TestRun:
         assert len(hist) == 36
         assert (tmp_path / "metrics.csv").exists()
 
+    def test_estimated_depth_written(self, tmp_path):
+        # depth.pfm holds the final depth, rounded to float32, and scores as
+        # metrics.csv within that rounding
+        scene = quick_scene()
+        cfg = quick_config(phase_a_iters=20, phase_b_iters=15)
+        state, report = run(scene, cfg, out_dir=tmp_path)
+        written = io_codecs.read_pfm(tmp_path / "depth.pfm")
+        assert written.dtype == np.float32
+        assert (written == state.depth().astype(np.float32)).all()
+        rescored = metrics.evaluate(written.astype(np.float64), scene.gt_depth)
+        for f in fields(metrics.DepthMetrics):
+            assert getattr(rescored, f.name) == pytest.approx(
+                getattr(report.metrics_all, f.name), rel=1e-6), f.name
+
+    def test_unwarped_min_computed_once_per_run(self, monkeypatch):
+        # phase A's objective shares phase B's static-pixel reference
+        calls = []
+        unwarped = losses.unwarped_min_photometric
+
+        def counting(objective):
+            calls.append(objective)
+            return unwarped(objective)
+
+        monkeypatch.setattr(losses, "unwarped_min_photometric", counting)
+        run(quick_scene(), quick_config(phase_a_iters=3, phase_b_iters=3))
+        assert len(calls) == 1
+
 
 class TestGradcheck:
     def test_all_terms_zero_weights(self):
@@ -224,6 +257,25 @@ class TestGradcheck:
         )
         assert report.passed
         assert report.max_rel_err == 0.0
+
+    @pytest.mark.parametrize("terms, expected", [(losses.TERMS, 1), (("photo",), 1),
+                                                 (("smooth", "rep"), 0)])
+    def test_unwarped_min_computed_once_with_photo(self, monkeypatch, terms, expected):
+        calls = []
+        unwarped = losses.unwarped_min_photometric
+
+        def counting(objective):
+            calls.append(objective)
+            return unwarped(objective)
+
+        monkeypatch.setattr(losses, "unwarped_min_photometric", counting)
+        gradcheck(quick_scene(width=48, height=40), LossWeights(lambda_rep=1.0),
+                  n_samples=2, terms=terms)
+        assert len(calls) == expected
+
+    def test_unknown_term_rejected(self):
+        with pytest.raises(ConfigError, match="unknown loss terms"):
+            gradcheck(quick_scene(), LossWeights(), terms=("photo", "foo"))
 
     def test_rep_only_single_label_exhaustive(self, monkeypatch):
         scene = quick_scene(beams=0, width=48, height=40)
@@ -265,11 +317,9 @@ class TestGradcheck:
         params = np.stack([pose.as_params() for _, pose in scene.contexts])
         params[:, :3] += rng.normal(0.0, 0.01, params[:, :3].shape)
         params[:, 3:] += rng.normal(0.0, 0.02, params[:, 3:].shape)
-        context = [(img, PoseSE3.from_params(p)) for (img, _), p in zip(scene.contexts, params)]
-        _, d_depth, d_poses = losses.total_loss_grad(
-            scene.target, context, depth, scene.intrinsics, weights,
-            labels=scene.labels.depth,
-        )
+        poses = [PoseSE3.from_params(p) for p in params]
+        objective = scene_objective(scene, quick_config(weights=weights))
+        _, d_depth, d_poses = losses.total_loss_grad(objective, poses, depth)
         kinds = {kind for kind, *_ in report.failures}
         assert kinds == {"depth", "pose"}
         for kind, i, analytic, _, _ in report.failures:

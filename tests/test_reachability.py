@@ -9,6 +9,7 @@ a call.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -76,7 +77,8 @@ def commands(tmp: Path) -> list[list[str]]:
     beams of 6 over a two-plane scene), decimate the lidar labels in place, optimize with each
     supervised loss and on the decimated labels at 3 scales, gradcheck the
     smoothness and supervised terms at the default 24 depth probes, and
-    eval against 1- and 3-channel ground truth."""
+    eval the depth the last optimize wrote against the 1-channel ground
+    truth and the 3-channel labels."""
     gray, rgb = tmp / "gray", tmp / "rgb"
 
     def optimize(scene, *flags):
@@ -94,8 +96,9 @@ def commands(tmp: Path) -> list[list[str]]:
         optimize(rgb, "--optimizer.supervised_loss=rep", "--optimizer.num_scales=3"),
         # with the photometric term some pose probes fail here (exit 2)
         ["gradcheck", "--config", str(CONFIG), "--terms", "smooth,rep"],
-        ["eval", str(gray / "depth.pfm"), str(gray / "depth.pfm")],
-        ["eval", str(rgb / "depth.pfm"), str(rgb / "labels.pfm"), "--out", str(tmp / "m.csv")],
+        ["eval", str(tmp / "report" / "depth.pfm"), str(rgb / "depth.pfm")],
+        ["eval", str(tmp / "report" / "depth.pfm"), str(rgb / "labels.pfm"),
+         "--out", str(tmp / "m.csv")],
     ]
 
 
@@ -120,3 +123,18 @@ def test_every_function_runs_under_a_command(tmp_path):
     assert sorted(unreached - ALLOWED) == []
     # an entry that a command now reaches leaves the list
     assert sorted(ALLOWED - unreached) == []
+
+
+def test_every_traced_target_is_a_callable_attribute(monkeypatch):
+    # the benchmark wraps these module attributes by name, so renaming or
+    # moving one fails here, not only in `make smoke`
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.TRACED
+    missing = [target.name for target in workloads.TRACED
+               if not callable(getattr(target.module, target.attr, None))]
+    assert missing == []
