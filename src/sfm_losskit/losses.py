@@ -276,25 +276,64 @@ def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarra
     return d_synth
 
 
-def _warped_losses(objective, poses, depth):
+class _Reference(NamedTuple):  # one context at one level, see `Objective`
+    coords: np.ndarray
+    valid: np.ndarray
+    loss_map: np.ndarray
+
+
+def _moved_boxes(old, coords, valid):
+    """Bounds (r0, r1, c0, c1) of the pixels whose warp differs from the
+    reference ``old``, grown by 2 and by 1 within the image: the whole image
+    twice without a reference, None if no pixel moved."""
+    h, w = valid.shape
+    if old is None:
+        return (0, h, 0, w), (0, h, 0, w)
+    moved = (valid != old.valid) | (coords != old.coords).any(axis=0)
+    rows, cols = np.flatnonzero(moved.any(axis=1)), np.flatnonzero(moved.any(axis=0))
+    if not rows.size:
+        return None
+    return [(max(rows[0] - g, 0), min(rows[-1] + 1 + g, h), max(cols[0] - g, 0),
+             min(cols[-1] + 1 + g, w)) for g in (2, 1)]
+
+
+def _warped_losses(objective, poses, depth, level=0, want_grad=False):
     """Warp every context image into the target view at this depth and pose
     and score it.
 
     Returns per context the warp chain's points with its sampling state, the
-    photometric cache and the photometric loss map (+inf where invalid).
+    photometric cache and the photometric loss map (+inf where invalid). A
+    gradient evaluation scores the whole image and records the objective's
+    reference, if it keeps one. A forward evaluation against a reference
+    samples and scores only the box of pixels whose warp moved, grown by 2
+    (the sampling state and cache cover that box; None if nothing moved).
+    A loss pixel reads only its 3x3 window, so the box grown by 1, pasted
+    into the reference's loss map, gives the bits a whole-image scoring would.
     """
     target, k, alpha = objective.target, objective.k, objective.weights.alpha
-    warps, caches, maps = [], [], []
-    for src, pose in zip(objective.images, poses):
+    reference, shape = objective._reference, target.shape[1:]
+    scored = []
+    for s, (src, pose) in enumerate(zip(objective.images, poses)):
         points, coords, valid = geometry.warp_chain(depth, pose, k)
-        at = warp.sampling(coords, valid, target.shape[1:])
-        del coords  # the state stands in for it, freed before the scoring
+        old = None if reference is None or want_grad else reference[level, s]
+        boxes = _moved_boxes(old, coords, valid)
+        if boxes is None:
+            scored.append((None, None, old.loss_map))
+            continue
+        (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes
+        at = warp.sampling(coords[:, r0:r1, c0:c1], valid[r0:r1, c0:c1], shape)
+        if reference is None:
+            del coords  # the state stands in for it, freed before the scoring
         synth = warp.sample_bilinear(src, at)
-        loss_map, cache = _photometric_forward(target, synth, valid, alpha)
-        warps.append((points, at))
-        caches.append(cache)
-        maps.append(loss_map)
-    return warps, caches, maps
+        loss_map, cache = _photometric_forward(target[:, r0:r1, c0:c1], synth,
+                                               valid[r0:r1, c0:c1], alpha)
+        if old is not None:
+            patch, loss_map = loss_map, old.loss_map.copy()
+            loss_map[i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+        elif reference is not None:
+            reference[level, s] = _Reference(coords, valid, loss_map)
+        scored.append(((points, at), cache, loss_map))
+    return tuple(zip(*scored))
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +373,10 @@ class _PhotoTerm(NamedTuple):
     count: int
 
 
-def _photo_forward(objective, poses, depth) -> tuple[float, _PhotoTerm]:
+def _photo_forward(objective, poses, depth, level, want_grad) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
     by the static-pixel mask."""
-    warps, caches, maps = _warped_losses(objective, poses, depth)
+    warps, caches, maps = _warped_losses(objective, poses, depth, level, want_grad)
     min_map, argmin = _min_over_sources(maps)
     mask = _static_mask(objective.unwarped_min, min_map)
     count = int(mask.sum())
@@ -718,6 +757,12 @@ class Objective:
     2**(num_scales - 1) (ConfigError). It holds the float64 images,
     ``unwarped_min`` (None without the photometric term), the smoothness
     edge weights and the label data that depends on neither pose nor depth.
+
+    ``_reference`` is None except on `optimize.gradcheck`'s objective, which
+    sets it to {}: a gradient evaluation then records per level and context
+    the warp coords, validity and loss map (no SSIM caches), and a forward
+    one re-scores only the pixels whose warp moved, bit-identically
+    (`_warped_losses`). Threads only read it.
     """
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,
@@ -760,6 +805,7 @@ class Objective:
             self.labels = _labels(labels, k)
         self.edge_weights = _image_gradient_weights(target) if "smooth" in terms else None
         self.unwarped_min = unwarped_min_photometric(self) if "photo" in terms else None
+        self._reference = None
 
     def unsupervised(self) -> Objective:
         """This objective with the supervised weight at 0 (the first phase of
@@ -803,7 +849,7 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
             # the next level's forward returns. Freeing it at the end of its
             # level took a 256x192, 3-scale step from 0 to 15,024 minor page
             # faults and from 95-116 ms to 153-176 ms (median, 2 vCPU).
-            value, photo_term = _photo_forward(objective, poses, level)
+            value, photo_term = _photo_forward(objective, poses, level, li, want_grad)
             photo_total += value
             if li == 0:
                 masked_count = photo_term.count

@@ -315,25 +315,29 @@ def gradcheck(
 
     Samples ``n_samples`` random depth pixels plus all pose parameters at a
     generic evaluation point (ground truth perturbed multiplicatively, poses
-    jittered). Both index one probe vector: the flattened depth, then the
-    flattened (S, 6) pose parameters; a failure still names its coordinate
-    as ("depth", pixel) or ("pose", parameter). One `losses.Objective` of
-    the scene, built from ``weights``, ``terms``, ``supervised`` and
-    ``num_scales`` (an unknown term is a ConfigError), serves the gradient
-    and every probe; ``terms`` selects which loss terms are active, so each
-    can be verified in isolation as well as combined. Passes when at least
-    99% of the checked coordinates satisfy |analytic - fd| <= FD_ATOL +
-    FD_TOL * max(|analytic|, |fd|), with central differences of step
-    FD_STEP; the absolute floor covers gradients too small for float64
+    jittered); a failure names its coordinate as ("depth", pixel) or
+    ("pose", parameter). One `losses.Objective` of the scene, built from
+    ``weights``, ``terms``, ``supervised`` and ``num_scales``, serves the
+    gradient and every probe; ``terms`` selects the terms checked, alone or
+    combined. An unknown term, no term or a selected term of weight 0 (which
+    checks nothing) is a ConfigError. The gradient evaluation records the
+    objective's reference warps and loss maps, and each probe re-scores only
+    the pixels its warp moves, bit-identically. Passes when at least 99% of
+    the probes satisfy |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|,
+    |fd|) at step FD_STEP; the floor covers gradients too small for float64
     central differences to resolve at that step.
     """
     h, tol = FD_STEP, FD_TOL
     if n_samples < 0:
         raise ConfigError(f"n_samples must be nonnegative, got {n_samples}")
+    unweighted = [t for t in terms if getattr(weights, f"lambda_{t}", None) == 0.0]
+    if unweighted or not terms:
+        raise ConfigError(f"nothing to check: terms {list(terms)}, weight 0 for {unweighted}")
     objective = losses.Objective(
         scene.target, [img for img, _ in scene.contexts], scene.intrinsics, weights,
         labels=scene.labels.depth, num_scales=num_scales, supervised=supervised, terms=terms,
     )
+    objective._reference = {}  # filled by the gradient evaluation, patched by each probe
     rng = np.random.default_rng(seed)
 
     depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))

@@ -317,6 +317,20 @@ class TestCommands:
         assert "result=PASS" not in out
         assert err.startswith("sfm-losskit: error: NoSupervisionError: ")
 
+    @pytest.mark.parametrize("term, weight", [("rep", "lambda_rep"),
+                                              ("smooth", "lambda_smooth")])
+    def test_gradcheck_zero_weight_term_fails(self, capsys, term, weight):
+        # a selected term of weight 0 is not in the total: checking it
+        # checks nothing, which is an error, not a PASS with max_rel 0
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "example_plane.cfg")
+        code = cli.main(["gradcheck", "--config", config, "--terms", term,
+                         f"--weights.{weight}=0"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("sfm-losskit: error: ConfigError: ")
+        assert err.rstrip().endswith(f"weight 0 for ['{term}']")
+
     def test_synth_idempotent_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         write_config(cfg)

@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sfm_losskit import io_codecs, losses, metrics, optimize
+from sfm_losskit import geometry, io_codecs, losses, metrics, optimize
 from sfm_losskit.errors import ConfigError, DivergedError, NoSupervisionError
 from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.losses import LossWeights
@@ -250,13 +251,62 @@ class TestRun:
 
 class TestGradcheck:
     def test_all_terms_zero_weights(self):
+        # no term checks nothing, which is an error, not a PASS with max_rel 0
         scene = quick_scene()
-        report = gradcheck(
-            scene, LossWeights(lambda_smooth=0.0, lambda_rep=0.0),
-            n_samples=20, terms=(), seed=0,
-        )
-        assert report.passed
-        assert report.max_rel_err == 0.0
+        with pytest.raises(ConfigError, match=r"terms \[\], weight 0 for \[\]"):
+            gradcheck(scene, LossWeights(lambda_smooth=0.0, lambda_rep=0.0),
+                      n_samples=20, terms=(), seed=0)
+
+    @pytest.mark.parametrize("terms, weights, named", [
+        (("smooth",), LossWeights(lambda_smooth=0.0), "['smooth']"),
+        (("rep",), LossWeights(lambda_rep=0.0), "['rep']"),
+        (losses.TERMS, LossWeights(lambda_smooth=0.0, lambda_rep=0.0), "['smooth', 'rep']"),
+    ])
+    def test_zero_weight_term_rejected(self, terms, weights, named):
+        with pytest.raises(ConfigError, match=f"weight 0 for {re.escape(named)}$"):
+            gradcheck(quick_scene(width=48, height=40), weights, n_samples=2, terms=terms)
+
+    def test_call_structure(self, monkeypatch):
+        # one gradient and two forward evaluations per probe, each warping
+        # every context at every scale, and no warp outside them: the
+        # structure `make smoke` pins on the benchmark's gradcheck workload
+        calls = {"total_loss": 0, "total_loss_grad": 0}
+        warps = []  # warp_chain calls of each evaluation
+        running = [False]
+        stray = []
+
+        def counted(name):
+            evaluate = getattr(losses, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                warps.append(0)
+                running[0] = True
+                try:
+                    return evaluate(*args)
+                finally:
+                    running[0] = False
+            monkeypatch.setattr(losses, name, wrapper)
+
+        warp_chain = geometry.warp_chain
+
+        def chain(*args):
+            if running[0]:
+                warps[-1] += 1
+            else:
+                stray.append(args)
+            return warp_chain(*args)
+
+        for name in calls:
+            counted(name)
+        monkeypatch.setattr(geometry, "warp_chain", chain)
+        monkeypatch.delenv("SFM_LOSSKIT_THREADS", raising=False)
+        scene = quick_scene(width=48, height=40, channels=3)
+        gradcheck(scene, LossWeights(lambda_rep=1.0), n_samples=5, num_scales=2)
+        probes = 5 + 6 * len(scene.contexts)
+        assert calls == {"total_loss": 2 * probes, "total_loss_grad": 1}
+        assert warps == [2 * len(scene.contexts)] * (2 * probes + 1)
+        assert stray == []
 
     @pytest.mark.parametrize("terms, expected", [(losses.TERMS, 1), (("photo",), 1),
                                                  (("smooth", "rep"), 0)])
@@ -346,6 +396,59 @@ class TestGradcheck:
         assert serial.failures and serial.max_rel_err > 0.0
         for f in fields(GradCheckReport):
             assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+
+
+class TestProbeReference:
+    """gradcheck's objective keeps the gradient evaluation's warps and loss
+    maps, and each forward probe re-scores only the pixels its warp moved;
+    every field of every breakdown must equal a fresh objective's."""
+
+    @pytest.mark.parametrize("channels, num_scales, terms, supervised", [
+        (1, 1, losses.TERMS, "rep"),
+        (3, 1, losses.TERMS, "l1"),
+        (1, 2, ("photo",), "rep"),
+        (3, 2, ("photo", "rep"), "berhu"),
+        (1, 3, ("smooth", "rep"), "rep"),
+        (3, 3, ("photo", "rep"), "rep"),
+    ])
+    def test_probes_equal_fresh_objective(self, channels, num_scales, terms, supervised):
+        scene = quick_scene(width=48, height=40, channels=channels)
+        probing, fresh = (losses.Objective(
+            scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
+            LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
+            supervised=supervised, terms=terms) for _ in range(2))
+        probing._reference = {}  # as gradcheck's objective
+        rng = np.random.default_rng(7)
+        depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+        params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
+        params0 += rng.normal(0.0, 0.01, params0.shape)
+        losses.total_loss_grad(probing, [PoseSE3.from_params(p) for p in params0], depth0)
+
+        h, w = depth0.shape
+        labeled = np.flatnonzero(scene.labels.depth > 0)
+        pixels = [0, w - 1, (h - 1) * w, h * w - 1, labeled[0], labeled[-1], h // 2 * w + w // 2]
+        depths = [(p, depth0.flat[p] * f) for p in pixels for f in (1 + 1e-6, 1 - 1e-6, 1.3)]
+        # a point right in front of the camera warps off the image, one far
+        # away back onto it
+        flips = [(p, d) for p in pixels for d in (0.05, 1e4)]
+        k, poses0 = scene.intrinsics, [PoseSE3.from_params(p) for p in params0]
+        valid0 = [geometry.warp_chain(depth0, pose, k).valid.flat for pose in poses0]
+        flipped = set()
+        for p, d in depths + flips:
+            depth = depth0.copy()
+            depth.flat[p] = d
+            got, want = (losses.total_loss(o, poses0, depth) for o in (probing, fresh))
+            assert got == want, (p, d)
+            flipped |= {(bool(v[p]), not v[p]) for pose, v in zip(poses0, valid0)
+                        if geometry.warp_chain(depth, pose, k).valid.flat[p] != v[p]}
+        assert flipped == {(True, False), (False, True)}
+        for i in range(params0.size):
+            for step in (1e-5, -1e-5):
+                params = params0.copy()
+                params.flat[i] += step
+                poses = [PoseSE3.from_params(p) for p in params]
+                got, want = (losses.total_loss(o, poses, depth0) for o in (probing, fresh))
+                assert got == want, (i, step)
 
 
 class TestOptimState:
