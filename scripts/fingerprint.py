@@ -42,7 +42,7 @@ BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

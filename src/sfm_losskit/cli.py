@@ -11,9 +11,6 @@ supervision, or a failed gradient check). Errors print one machine-parseable
 line on stderr: ``sfm-losskit: error: <Kind>: <message>``; an argument error
 (unknown command or flag, missing or malformed value) is a ConfigError.
 Flags match only when spelled in full.
-
-The environment variable SFM_LOSSKIT_THREADS caps worker threads for the
-finite-difference probes of gradcheck (0 = all cores, unset = 1).
 """
 
 from __future__ import annotations

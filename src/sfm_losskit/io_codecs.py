@@ -206,27 +206,6 @@ def unpack_labels(path, data: np.ndarray) -> SparseDepth:
 MANIFEST_NAME = "manifest.txt"
 
 
-def write_manifest(path, k: CameraIntrinsics, channels: int,
-                   target_file: str, depth_file: str, labels_file: str,
-                   contexts: list[tuple[str, PoseSE3]]) -> None:
-    lines = [
-        "# scene manifest: files, intrinsics, context poses (row-major 3x4)",
-        f"width {k.width}",
-        f"height {k.height}",
-        f"channels {channels}",
-        f"intrinsics {k.fx!r} {k.fy!r} {k.cx!r} {k.cy!r}",
-        f"target {target_file}",
-        f"depth {depth_file}",
-        f"labels {labels_file}",
-    ]
-    for name, pose in contexts:
-        m = pose.matrix()[:3, :]
-        vals = " ".join(repr(float(v)) for v in m.reshape(-1))
-        lines.append(f"context {name} {vals}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_manifest(path):
     """Parse a manifest; returns (intrinsics, channels, target, depth, labels,
     [(context_file, pose), ...]). Every field but context appears once;
@@ -289,32 +268,33 @@ def read_manifest(path):
 def write_scene_dir(out_dir, scene) -> None:
     """Write a scene as PPM/PFM files plus a manifest into ``out_dir``.
 
-    Every raster is encoded before the directory is made or any file
-    opened, so a raster that cannot be written (a CodecError) leaves no
-    partial scene behind."""
+    Every file is encoded before the directory is made or any file opened,
+    so a raster that cannot be written (a CodecError) leaves no partial
+    scene behind."""
+    k = scene.intrinsics
     files = {
         "target.ppm": _ppm_bytes(scene.target),
         "depth.pfm": _pfm_bytes(os.path.join(out_dir, "depth.pfm"), scene.gt_depth),
         "labels.pfm": _pfm_bytes(os.path.join(out_dir, "labels.pfm"),
                                  _packed_labels(scene.labels)),
     }
-    ctx_entries = []
+    lines = [
+        "# scene manifest: files, intrinsics, context poses (row-major 3x4)",
+        f"width {k.width}",
+        f"height {k.height}",
+        f"channels {scene.target.shape[0]}",
+        f"intrinsics {k.fx!r} {k.fy!r} {k.cx!r} {k.cy!r}",
+        *(f"{Path(name).stem} {name}" for name in files),  # target, depth, labels
+    ]
     for i, (img, pose) in enumerate(scene.contexts):
         name = f"context_{i:02d}.ppm"
         files[name] = _ppm_bytes(img)
-        ctx_entries.append((name, pose))
+        vals = " ".join(repr(float(v)) for v in pose.matrix()[:3, :].reshape(-1))
+        lines.append(f"context {name} {vals}")
+    files[MANIFEST_NAME] = ("\n".join(lines) + "\n").encode("utf-8")
     os.makedirs(out_dir, exist_ok=True)
     for name, payload in files.items():
         Path(out_dir, name).write_bytes(payload)
-    write_manifest(
-        os.path.join(out_dir, MANIFEST_NAME),
-        scene.intrinsics,
-        scene.target.shape[0],
-        "target.ppm",
-        "depth.pfm",
-        "labels.pfm",
-        ctx_entries,
-    )
 
 
 def read_scene_dir(scene_dir):

@@ -487,18 +487,9 @@ class _SmoothCache(NamedTuple):
     wy: np.ndarray
 
 
-def _channel_mean(x: np.ndarray) -> np.ndarray:
-    """x.mean(axis=0), bit for bit (the same sequential sum over the channel
-    planes, then / C), without the reduction's overhead on 1-3 channels."""
-    total = x[0]
-    for c in range(1, x.shape[0]):
-        total = total + x[c]
-    return total / x.shape[0]
-
-
 def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = _channel_mean(np.abs(target[:, :, 1:] - target[:, :, :-1]))
-    gy = _channel_mean(np.abs(target[:, 1:, :] - target[:, :-1, :]))
+    gx = np.abs(target[:, :, 1:] - target[:, :, :-1]).mean(axis=0)
+    gy = np.abs(target[:, 1:, :] - target[:, :-1, :]).mean(axis=0)
     return np.exp(-gx), np.exp(-gy)
 
 
@@ -506,7 +497,7 @@ def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
     """Mean of |dx dhat| exp(-|dx I|) + |dy dhat| exp(-|dy I|) over the
     pixels with both forward neighbors, dhat the mean-normalized disparity.
     edge_weights is _image_gradient_weights(target), which depends only on
-    the target image, so callers compute it once per evaluation."""
+    the target image, so `Objective` computes it once."""
     disp = 1.0 / depth
     mean_disp = float(np.sum(disp)) / disp.size
     dhat = disp / mean_disp
@@ -762,24 +753,24 @@ class Objective:
     sets it to {}: a gradient evaluation then records per level and context
     the warp coords, validity and loss map (no SSIM caches), and a forward
     one re-scores only the pixels whose warp moved, bit-identically
-    (`_warped_losses`). Threads only read it.
+    (`_warped_losses`).
     """
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,
                  labels=None, num_scales: int = 1, supervised: str = "rep",
                  terms: Sequence[str] = TERMS):
-        target = warp.validate_image(target)
-        if target.shape[1:] != (k.height, k.width):
-            raise DimensionError(f"target {target.shape} does not match the intrinsics "
-                                 f"{k.width}x{k.height}")
-        if len(images) == 0:
-            raise EmptyContextError("context set is empty")
+        target = np.asarray(target, dtype=np.float64)
         self.images = [np.asarray(img, dtype=np.float64) for img in images]
-        for i, img in enumerate(self.images):
-            if img.shape != target.shape:
-                raise DimensionError(f"context image {i} shape {img.shape} != target {target.shape}")
+        shape = (target.shape[0] if target.ndim == 3 else 0, k.height, k.width)
+        for i, img in enumerate([target, *self.images]):
+            name = f"context image {i - 1}" if i else "target"
+            if shape[0] not in (1, 3) or img.shape != shape:
+                raise DimensionError(f"{name} {img.shape} is not a (C, {k.height}, {k.width}) "
+                                     "image with C = 1 or 3, the target's")
             if not np.isfinite(img).all():
-                raise DimensionError(f"context image {i} contains non-finite values")
+                raise DimensionError(f"{name} contains non-finite values")
+        if not self.images:
+            raise EmptyContextError("context set is empty")
         if supervised not in SUPERVISED:
             raise ConfigError(f"unknown supervised term {supervised!r}")
         unknown = set(terms) - set(TERMS)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,8 +35,6 @@ from .errors import ConfigError, DivergedError, NoSupervisionError
 from .geometry import EPS_Z, PoseSE3
 from .losses import LossBreakdown, LossWeights
 from .synth import Scene
-
-THREADS_ENV = "SFM_LOSSKIT_THREADS"
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's standard moments
 LR_DEPTH, LR_POSE = 0.02, 5e-3
@@ -49,20 +46,6 @@ LR_POSE_PARAMS.flags.writeable = False
 TOL_WINDOW = 25  # flat steps in a row that end a phase
 # Standard deviations of the seeded pose perturbation init_state starts from.
 POSE_INIT_ROT_STD, POSE_INIT_TRANS_STD = 0.002, 0.02
-
-
-def thread_count() -> int:
-    """Worker-thread cap from the environment (0 = all cores, unset = 1)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError(f"{THREADS_ENV} must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -363,12 +346,7 @@ def gradcheck(
         x[i] -= 2 * h
         return (f_plus - evaluate(x).total) / (2 * h)
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fd_values = list(pool.map(fd_probe, probes))
-    else:
-        fd_values = [fd_probe(p) for p in probes]
+    fd_values = [fd_probe(p) for p in probes]
 
     failures = []
     errs = []

@@ -10,7 +10,10 @@ coordinate gradient comes back as one.
 
 A warp's corner set-up is one `Sampling` state, built by `sampling` and
 read by the sample and its gradient: `losses._warped_losses` builds one per
-source and scale and keeps it for the backward pass in place of the coordinates.
+source and scale over the pixels it scores and keeps it for the backward
+pass. It stands in for the coordinates, except on `optimize.gradcheck`'s
+objective: its reference keeps the coordinates too, and a forward probe's
+state covers only the box of pixels whose warp moved.
 
 Callers pass finite coordinates at valid pixels, as `geometry.warp_chain`
 makes them from a checked depth and the synthesizer's clipped texture
@@ -24,15 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-
-
-def validate_image(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] not in (1, 3):
-        raise DimensionError(f"expected (C, H, W) image with C in {{1, 3}}, got {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise DimensionError("image contains non-finite values")
-    return img
 
 
 class Sampling(NamedTuple):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm_losskit import cli, io_codecs
-from sfm_losskit.errors import CodecError, ConfigError, DimensionError
+from sfm_losskit.errors import CodecError, DimensionError
 from sfm_losskit.geometry import PoseSE3
 from sfm_losskit.synth import SceneSpec, make_scene
 
@@ -818,16 +818,3 @@ class TestGolden:
         assert fresh.shape == golden[0].shape
         assert np.abs(fresh - golden[0]).max() < 1e-9
 
-
-def test_threads_env_validation(monkeypatch):
-    from sfm_losskit.optimize import thread_count
-
-    monkeypatch.delenv("SFM_LOSSKIT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SFM_LOSSKIT_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("SFM_LOSSKIT_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("SFM_LOSSKIT_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        thread_count()

@@ -94,7 +94,7 @@ class TestSchema:
 
     def test_cli_flag_count(self):
         # optional flags of each subcommand, --help aside; with the config
-        # keys and SFM_LOSSKIT_THREADS, 32 settable options in all
+        # keys, 31 settable options in all
         subcommands = next(
             action.choices for action in cli.build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)

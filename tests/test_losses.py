@@ -699,6 +699,24 @@ class TestEntryChecks:
             objective_of(target, context, scene.intrinsics, LossWeights(lambda_rep=1.0),
                          labels=scene.labels.depth)
 
+    def test_bad_image_shapes_raise(self):
+        # the target and each context must be a finite (C, H, W) array with
+        # C in {1, 3}, the target's C and the intrinsics' size
+        scene = small_scene(channels=3)
+        img = scene.target.copy()
+        img[1, 5, 7] = math.nan
+        # 2-d, 2 channels, a NaN, a column short, the interleaved layout
+        for image in [img[0], img[:2], img, img[:, :, :-1], np.zeros((40, 48, 3))]:
+            for where in ("target", "context image 1"):
+                target, context = scene.target, list(scene.contexts)
+                if where == "target":
+                    target = image
+                else:
+                    context[1] = (image, context[1][1])
+                with pytest.raises(DimensionError, match=f"^{where} "):
+                    objective_of(target, context, scene.intrinsics,
+                                 LossWeights(lambda_rep=1.0), labels=scene.labels.depth)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("supervised", ["rep", "l1", "berhu"])
     @pytest.mark.parametrize("entry", ["total_loss", "total_loss_grad"])

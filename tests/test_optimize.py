@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -300,7 +301,6 @@ class TestGradcheck:
         for name in calls:
             counted(name)
         monkeypatch.setattr(geometry, "warp_chain", chain)
-        monkeypatch.delenv("SFM_LOSSKIT_THREADS", raising=False)
         scene = quick_scene(width=48, height=40, channels=3)
         gradcheck(scene, LossWeights(lambda_rep=1.0), n_samples=5, num_scales=2)
         probes = 5 + 6 * len(scene.contexts)
@@ -375,27 +375,23 @@ class TestGradcheck:
         for kind, i, analytic, _, _ in report.failures:
             assert analytic == (d_depth if kind == "depth" else d_poses).flat[i]
 
-    def test_thread_pool_report_equals_serial_report(self, monkeypatch):
-        # the opt-in worker pool must not change any field of the report
-        pools = []
-
-        class CountingPool(optimize.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(optimize, "ThreadPoolExecutor", CountingPool)
+    def test_threads_env_starts_no_thread(self, monkeypatch):
+        # the probe loop is serial: gradcheck starts no thread and ignores
+        # SFM_LOSSKIT_THREADS
         scene = quick_scene(width=48, height=40, channels=3)
         weights = LossWeights(lambda_rep=1.0)
         monkeypatch.delenv("SFM_LOSSKIT_THREADS", raising=False)
         serial = gradcheck(scene, weights, n_samples=24, seed=2)
-        assert pools == []
+
+        def refuse(thread):
+            raise AssertionError(f"gradcheck started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         monkeypatch.setenv("SFM_LOSSKIT_THREADS", "2")
-        pooled = gradcheck(scene, weights, n_samples=24, seed=2)
-        assert pools == [2]
+        report = gradcheck(scene, weights, n_samples=24, seed=2)
         assert serial.failures and serial.max_rel_err > 0.0
         for f in fields(GradCheckReport):
-            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+            assert getattr(report, f.name) == getattr(serial, f.name), f.name
 
 
 class TestProbeReference:

@@ -103,7 +103,7 @@ def commands(tmp: Path) -> list[list[str]]:
 
 
 def test_every_function_runs_under_a_command(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "SFM_LOSSKIT_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )

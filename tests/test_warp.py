@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sfm_losskit import warp
 from sfm_losskit.errors import DimensionError
 from sfm_losskit.geometry import CameraIntrinsics, PoseSE3, warp_chain
-from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, sampling, validate_image
+from sfm_losskit.warp import sample_bilinear, sample_bilinear_grad, sampling
 
 
 def identity_coords(h, w):
@@ -153,17 +153,6 @@ class TestSampleBilinearGrad:
                     fd = (fp - fm) / (2 * h)
                     a = grad[d, i, j]
                     assert abs(a - fd) <= 1e-5 * max(abs(a), abs(fd), 1.0)
-
-
-def test_validate_image_rejects_bad_shapes():
-    with pytest.raises(DimensionError):
-        validate_image(np.zeros((4, 4)))
-    with pytest.raises(DimensionError):
-        validate_image(np.zeros((2, 4, 4)))
-    with pytest.raises(DimensionError):
-        validate_image(np.full((1, 4, 4), np.nan))
-    with pytest.raises(DimensionError):  # the interleaved layout
-        validate_image(np.zeros((4, 5, 3)))
 
 
 def interleaved(a):
