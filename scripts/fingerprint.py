@@ -32,8 +32,10 @@ parent. The digest covers, in this order:
 * the image, depth and hit-plane index that `synth._render` draws of those
   six scenes from two rotated and translated poses.
 
-BLAS and OpenMP are pinned to one thread, as in the benchmark. Takes about
-10 s.
+The last stdout line is that one digest. Each section (cli, gradcheck,
+objective, 8-bit, scene, render) also prints its own digest on stderr, so
+a change that moves bits names the section it moved. BLAS and OpenMP are
+pinned to one thread, as in the benchmark. Takes about 10 s.
 
     python3 scripts/fingerprint.py
     make fingerprint
@@ -223,16 +225,33 @@ def render_outputs(digest) -> None:
                     digest.update(a.tobytes())
 
 
+class _Section:
+    """Feeds the overall digest and this section's own."""
+
+    def __init__(self, overall):
+        self.overall, self.own = overall, hashlib.sha256()
+
+    def update(self, data) -> None:
+        self.overall.update(data)
+        self.own.update(data)
+
+
 def main() -> int:
-    digest = hashlib.sha256()
+    overall = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        cli_outputs(digest, Path(tmp))
-        gradcheck_reports(digest)
-        objective_outputs(digest)
-        eight_bit_outputs(digest, Path(tmp))
-    scene_outputs(digest)
-    render_outputs(digest)
-    print(digest.hexdigest())
+        sections = (
+            ("cli", cli_outputs, Path(tmp)),
+            ("gradcheck", gradcheck_reports),
+            ("objective", objective_outputs),
+            ("8-bit", eight_bit_outputs, Path(tmp)),
+            ("scene", scene_outputs),
+            ("render", render_outputs),
+        )
+        for name, outputs, *args in sections:
+            section = _Section(overall)
+            outputs(section, *args)
+            print(f"{name} {section.own.hexdigest()}", file=sys.stderr)
+    print(overall.hexdigest())
     return 0
 
 

@@ -302,8 +302,9 @@ def read_scene_dir(scene_dir):
 
     Images come back as contiguous (C, H, W) planes with the channel count
     recorded in the manifest: for single-channel scenes the replicated PPM
-    channels are collapsed back to one. The closed-form occlusion masks are
-    not stored, so the loaded Scene has none.
+    channels are collapsed back to one, and a PPM whose channels differ is a
+    CodecError. The closed-form occlusion masks are not stored, so the
+    loaded Scene has none.
     """
     man = os.path.join(scene_dir, MANIFEST_NAME)
     k, channels, target_f, depth_f, labels_f, contexts = read_manifest(man)
@@ -318,6 +319,8 @@ def read_scene_dir(scene_dir):
     def _load_image(name):
         img = read_ppm(os.path.join(scene_dir, name))
         _check_size(name, img.shape[1:])
+        if channels == 1 and (img[1:] != img[0]).any():
+            raise CodecError(f"{scene_dir}: {name} is in colour, the manifest says channels 1")
         return np.ascontiguousarray(img[:channels])
 
     target = _load_image(target_f)

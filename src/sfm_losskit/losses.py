@@ -16,9 +16,10 @@ objective, one pose per context image and the depth map, in that order:
 `unwarped_min_photometric` computes the static-pixel mask's reference once
 per objective. An evaluation checks only the depth and the poses, then
 calls the private code, where each term exists once: the photometric and
-smoothness terms as forward/backward pairs, the supervised term as
-`_supervised`, whose three losses return a gradient per label, added into
-the depth gradient at the label pixels only. So what an entry point
+smoothness kernels each return their value with a closure that computes its
+exact adjoint, and the supervised term is `_supervised`, whose three losses
+return a gradient per label, added into the depth gradient at the label
+pixels only. So what an entry point
 computes is exactly what the optimizer minimizes.
 
 Gradients are derived by hand as exact adjoints of the forward computation
@@ -134,19 +135,10 @@ def _box_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SsimChannelCache(NamedTuple):
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    n: np.ndarray
-    num_c: np.ndarray  # 2 cov + C2
-    den_l: np.ndarray  # mu_x^2 + mu_y^2 + C1
-    den_c: np.ndarray  # var_x + var_y + C2
-    ssim: np.ndarray
-
-
-def _ssim_channel(a, b, m, n) -> _SsimChannelCache:
-    """SSIM map of one channel; window statistics use valid pixels only and
-    n is the valid-pixel count of each window.
+def _ssim_channel(a, b, m, n):
+    """SSIM map of one channel and its exact adjoint in b, which holds the
+    window statistics and takes the same a, b and m again. The statistics use
+    valid pixels only and n is the valid-pixel count of each window.
 
     a * m, b * m and the products of the means are computed once and shared
     by the window statistics and the formula. That is bit-exact: m is 0/1,
@@ -169,86 +161,77 @@ def _ssim_channel(a, b, m, n) -> _SsimChannelCache:
     den_l = mu_xx + mu_yy + c1
     den_c = var_x + var_y + c2
     s = (num_l * num_c) / (den_l * den_c)
-    return _SsimChannelCache(mu_x, mu_y, n, num_c, den_l, den_c, s)
+
+    def grad_b(a, b, m, g):
+        """d(sum g * ssim)/db. With ssim = num_l num_c / (den_l den_c),
+        num_l = 2 mu_x mu_y + C1, var_y = box(b*b*m)/n - mu_y^2 and
+        cov = box(a*b*m)/n - mu_x mu_y:
+
+            d_num = g / (den_l den_c),   d_cov = 2 (d_num num_l),
+            d_den_l = (-g ssim) / den_l, d_var_y = (-g ssim) / den_c,
+            d_mu_y = 2 mu_x (d_num num_c) + 2 mu_y d_den_l
+                     + (-2 mu_y d_var_y - mu_x d_cov),
+            db = m (box(d_mu_y / n) + box(d_cov / n) a + box(d_var_y / n) 2 b),
+
+        each product and sum taken left to right as written. The in-place
+        steps below keep every one of those operations; they only commute
+        factors and move exact negations and doublings.
+        """
+        num_l = 2 * (mu_x * mu_y) + SSIM_C1
+        d_num = np.multiply(den_l, den_c)
+        np.divide(g, d_num, out=d_num)
+        d_mu_y = d_num * num_c
+        d_mu_y *= 2 * mu_x
+        d_cov = d_num
+        d_cov *= num_l
+        d_cov *= 2
+        d_var_y = np.negative(g)
+        d_var_y *= s
+        d_den_l = d_var_y / den_l
+        d_var_y /= den_c
+        two_mu_y = 2 * mu_y
+        d_den_l *= two_mu_y
+        d_mu_y += d_den_l
+        # x + (-2 mu_y d_var_y - mu_x d_cov) is x - (2 mu_y d_var_y + mu_x d_cov)
+        two_mu_y *= d_var_y
+        two_mu_y += np.multiply(mu_x, d_cov, out=d_den_l)
+        d_mu_y -= two_mu_y
+        d_mu_y /= n
+        db = _box_sum(d_mu_y)
+        d_cov /= n
+        term = _box_sum(d_cov)
+        term *= a
+        db += term
+        d_var_y /= n
+        term = _box_sum(d_var_y)
+        term *= 2
+        term *= b
+        db += term
+        db *= m
+        return db
+
+    return s, grad_b
 
 
-def _ssim_channels(a, b, m) -> list[_SsimChannelCache]:
-    """Per-channel SSIM caches of (C, H, W) images under the (H, W) 0/1
-    float mask m; the window count depends on the mask only, so it is
-    computed once and shared by every channel."""
+def _ssim_channels(a, b, m) -> list:
+    """Per-channel (SSIM map, adjoint in b) pairs of (C, H, W) images under
+    the (H, W) 0/1 float mask m; the window count depends on the mask only,
+    so it is computed once and shared by every channel."""
     n = np.maximum(_box_sum(m), 1.0)
     return [_ssim_channel(a[c], b[c], m, n) for c in range(a.shape[0])]
 
 
-def _ssim_channel_grad_b(cache: _SsimChannelCache, a, b, m, g):
-    """d(sum g * ssim)/db, the exact adjoint of _ssim_channel in its second arg.
-
-    With ssim = num_l num_c / (den_l den_c), num_l = 2 mu_x mu_y + C1,
-    var_y = box(b*b*m)/n - mu_y^2 and cov = box(a*b*m)/n - mu_x mu_y:
-
-        d_num = g / (den_l den_c),   d_cov = 2 (d_num num_l),
-        d_den_l = (-g ssim) / den_l, d_var_y = (-g ssim) / den_c,
-        d_mu_y = 2 mu_x (d_num num_c) + 2 mu_y d_den_l
-                 + (-2 mu_y d_var_y - mu_x d_cov),
-        db = m (box(d_mu_y / n) + box(d_cov / n) a + box(d_var_y / n) 2 b),
-
-    each product and sum taken left to right as written. The in-place steps
-    below keep every one of those operations; they only commute factors
-    and move exact negations and doublings.
-    """
-    mu_x, mu_y, n, num_c, den_l, den_c, s = cache
-    num_l = 2 * (mu_x * mu_y) + SSIM_C1
-    d_num = np.multiply(den_l, den_c)
-    np.divide(g, d_num, out=d_num)
-    d_mu_y = d_num * num_c
-    d_mu_y *= 2 * mu_x
-    d_cov = d_num
-    d_cov *= num_l
-    d_cov *= 2
-    d_var_y = np.negative(g)
-    d_var_y *= s
-    d_den_l = d_var_y / den_l
-    d_var_y /= den_c
-    two_mu_y = 2 * mu_y
-    d_den_l *= two_mu_y
-    d_mu_y += d_den_l
-    # x + (-2 mu_y d_var_y - mu_x d_cov) is x - (2 mu_y d_var_y + mu_x d_cov)
-    two_mu_y *= d_var_y
-    two_mu_y += np.multiply(mu_x, d_cov, out=d_den_l)
-    d_mu_y -= two_mu_y
-    d_mu_y /= n
-    db = _box_sum(d_mu_y)
-    d_cov /= n
-    term = _box_sum(d_cov)
-    term *= a
-    db += term
-    d_var_y /= n
-    term = _box_sum(d_var_y)
-    term *= 2
-    term *= b
-    db += term
-    db *= m
-    return db
-
-
-class _PhotoCache(NamedTuple):
-    target: np.ndarray
-    synth: np.ndarray
-    mask_f: np.ndarray
-    alpha: float
-    ssim_caches: list
-
-
-def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _PhotoCache]:
+def _photometric_forward(target, synth, mask, alpha):
     """Per-source loss map alpha * (1 - SSIM) / 2 + (1 - alpha) * L1,
-    channel-averaged, with +inf at pixels outside the bool mask."""
+    channel-averaged, with +inf at pixels outside the bool mask, and its
+    adjoint in synth."""
     m = mask.astype(np.float64)
     channels = target.shape[0]
     loss = np.zeros(target.shape[1:])
-    caches = _ssim_channels(target, synth, m)
-    for c, cache in enumerate(caches):
+    per_channel = _ssim_channels(target, synth, m)
+    for c, (ssim, _) in enumerate(per_channel):
         # clip guards float dust pushing SSIM past 1 on identical windows
-        dssim = 1.0 - cache.ssim
+        dssim = 1.0 - ssim
         dssim /= 2.0
         dssim.clip(0.0, 1.0, out=dssim)
         dssim *= alpha
@@ -256,24 +239,20 @@ def _photometric_forward(target, synth, mask, alpha) -> tuple[np.ndarray, _Photo
         loss += (1.0 - alpha) * np.abs(target[c] - synth[c])
     loss /= channels
     np.copyto(loss, np.inf, where=~mask)
-    return loss, _PhotoCache(target, synth, m, alpha, caches)
 
+    def backward(upstream):
+        """d(sum upstream * loss_map)/d(synth); upstream is 0 at invalid pixels."""
+        u = upstream / channels
+        d_synth = np.empty_like(synth)
+        for c, (ssim, grad_b) in enumerate(per_channel):
+            diff = synth[c] - target[c]
+            db = (1.0 - alpha) * np.sign(diff) * u
+            active = (ssim > -1.0) & (ssim < 1.0)
+            db += grad_b(target[c], synth[c], m, -0.5 * alpha * u * active)
+            d_synth[c] = db
+        return d_synth
 
-def _photometric_backward(cache: _PhotoCache, upstream: np.ndarray) -> np.ndarray:
-    """d(sum upstream * loss_map)/d(synth); upstream must be 0 at invalid pixels."""
-    target, synth, m, alpha, caches = cache
-    channels = target.shape[0]
-    u = upstream / channels
-    d_synth = np.empty_like(synth)
-    for c in range(channels):
-        diff = synth[c] - target[c]
-        db = (1.0 - alpha) * np.sign(diff) * u
-        active = (caches[c].ssim > -1.0) & (caches[c].ssim < 1.0)
-        db += _ssim_channel_grad_b(
-            caches[c], target[c], synth[c], m, -0.5 * alpha * u * active
-        )
-        d_synth[c] = db
-    return d_synth
+    return loss, backward
 
 
 class _Reference(NamedTuple):  # one context at one level, see `Objective`
@@ -302,11 +281,11 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False):
     and score it.
 
     Returns per context the warp chain's points with its sampling state, the
-    photometric cache and the photometric loss map (+inf where invalid). A
+    photometric adjoint and the photometric loss map (+inf where invalid). A
     gradient evaluation scores the whole image and records the objective's
     reference, if it keeps one. A forward evaluation against a reference
     samples and scores only the box of pixels whose warp moved, grown by 2
-    (the sampling state and cache cover that box; None if nothing moved).
+    (the sampling state and adjoint cover that box; None if nothing moved).
     A loss pixel reads only its 3x3 window, so the box grown by 1, pasted
     into the reference's loss map, gives the bits a whole-image scoring would.
     """
@@ -325,14 +304,14 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False):
         if reference is None:
             del coords  # the state stands in for it, freed before the scoring
         synth = warp.sample_bilinear(src, at)
-        loss_map, cache = _photometric_forward(target[:, r0:r1, c0:c1], synth,
-                                               valid[r0:r1, c0:c1], alpha)
+        loss_map, adjoint = _photometric_forward(target[:, r0:r1, c0:c1], synth,
+                                                 valid[r0:r1, c0:c1], alpha)
         if old is not None:
             patch, loss_map = loss_map, old.loss_map.copy()
             loss_map[i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
         elif reference is not None:
             reference[level, s] = _Reference(coords, valid, loss_map)
-        scored.append(((points, at), cache, loss_map))
+        scored.append(((points, at), adjoint, loss_map))
     return tuple(zip(*scored))
 
 
@@ -367,7 +346,7 @@ def _static_mask(min_unwarped: np.ndarray, min_warped: np.ndarray) -> np.ndarray
 class _PhotoTerm(NamedTuple):
     depth: np.ndarray
     warps: list
-    caches: list
+    adjoints: list
     argmin: np.ndarray
     mask: np.ndarray
     count: int
@@ -376,14 +355,14 @@ class _PhotoTerm(NamedTuple):
 def _photo_forward(objective, poses, depth, level, want_grad) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
     by the static-pixel mask."""
-    warps, caches, maps = _warped_losses(objective, poses, depth, level, want_grad)
+    warps, adjoints, maps = _warped_losses(objective, poses, depth, level, want_grad)
     min_map, argmin = _min_over_sources(maps)
     mask = _static_mask(objective.unwarped_min, min_map)
     count = int(mask.sum())
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
     value = float(np.sum(np.where(mask, min_map, 0.0))) / count
-    return value, _PhotoTerm(depth, warps, caches, argmin, mask, count)
+    return value, _PhotoTerm(depth, warps, adjoints, argmin, mask, count)
 
 
 def _photo_backward(term: _PhotoTerm, objective, poses, ray_dirs, n_levels, d_level,
@@ -402,7 +381,7 @@ def _photo_backward(term: _PhotoTerm, objective, poses, ray_dirs, n_levels, d_le
         if not u_s.any():
             continue
         points, at = term.warps[s]
-        d_synth = _photometric_backward(term.caches[s], u_s)
+        d_synth = term.adjoints[s](u_s)
         d_coords = warp.sample_bilinear_grad(src, d_synth, at)
         # g3 = d(loss)/d(source point) = J^T (du, dv) as (3, H, W) planes,
         # from the two rows of J; the pinhole's J[0, 1] and J[1, 0] are 0
@@ -478,26 +457,18 @@ def unwarped_min_photometric(objective: Objective) -> np.ndarray:
     return min_map
 
 
-class _SmoothCache(NamedTuple):
-    disp: np.ndarray
-    mean_disp: float
-    sign_dx: np.ndarray
-    sign_dy: np.ndarray
-    wx: np.ndarray
-    wy: np.ndarray
-
-
 def _image_gradient_weights(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gx = np.abs(target[:, :, 1:] - target[:, :, :-1]).mean(axis=0)
     gy = np.abs(target[:, 1:, :] - target[:, :-1, :]).mean(axis=0)
     return np.exp(-gx), np.exp(-gy)
 
 
-def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
+def _smoothness_forward(depth, edge_weights):
     """Mean of |dx dhat| exp(-|dx I|) + |dy dhat| exp(-|dy I|) over the
-    pixels with both forward neighbors, dhat the mean-normalized disparity.
-    edge_weights is _image_gradient_weights(target), which depends only on
-    the target image, so `Objective` computes it once."""
+    pixels with both forward neighbors, dhat the mean-normalized disparity,
+    and its adjoint d(smoothness)/d(depth). edge_weights is
+    _image_gradient_weights(target), which depends only on the target image,
+    so `Objective` computes it once."""
     disp = 1.0 / depth
     mean_disp = float(np.sum(disp)) / disp.size
     dhat = disp / mean_disp
@@ -506,25 +477,24 @@ def _smoothness_forward(depth, edge_weights) -> tuple[float, _SmoothCache]:
     wx = edge_weights[0][:-1, :]
     wy = edge_weights[1][:, :-1]
     value = float(np.sum(np.abs(dx) * wx + np.abs(dy) * wy)) / dx.size
-    return value, _SmoothCache(disp, mean_disp, np.sign(dx), np.sign(dy), wx, wy)
+    sign_dx, sign_dy = np.sign(dx), np.sign(dy)
 
+    def backward():
+        gx = sign_dx * wx / sign_dx.size
+        gy = sign_dy * wy / sign_dy.size
 
-def _smoothness_backward(cache: _SmoothCache) -> np.ndarray:
-    """d(smoothness)/d(depth)."""
-    disp, mean_disp, sign_dx, sign_dy, wx, wy = cache
-    gx = sign_dx * wx / sign_dx.size
-    gy = sign_dy * wy / sign_dy.size
+        d_dhat = np.zeros(disp.shape)
+        d_dhat[:-1, 1:] += gx
+        d_dhat[:-1, :-1] -= gx
+        d_dhat[1:, :-1] += gy
+        d_dhat[:-1, :-1] -= gy
 
-    d_dhat = np.zeros(disp.shape)
-    d_dhat[:-1, 1:] += gx
-    d_dhat[:-1, :-1] -= gx
-    d_dhat[1:, :-1] += gy
-    d_dhat[:-1, :-1] -= gy
+        # dhat = disp / mean(disp)
+        dot = (d_dhat * disp).sum()
+        d_disp = d_dhat / mean_disp - dot / (mean_disp * mean_disp * disp.size)
+        return -d_disp * disp * disp
 
-    # dhat = disp / mean(disp)
-    dot = (d_dhat * disp).sum()
-    d_disp = d_dhat / mean_disp - dot / (mean_disp * mean_disp * disp.size)
-    return -d_disp * disp * disp
+    return value, backward
 
 
 class _Labels(NamedTuple):
@@ -751,7 +721,7 @@ class Objective:
 
     ``_reference`` is None except on `optimize.gradcheck`'s objective, which
     sets it to {}: a gradient evaluation then records per level and context
-    the warp coords, validity and loss map (no SSIM caches), and a forward
+    the warp coords, validity and loss map (no adjoints), and a forward
     one re-scores only the pixels whose warp moved, bit-identically
     (`_warped_losses`).
     """
@@ -845,7 +815,7 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
             if li == 0:
                 masked_count = photo_term.count
         if use_smooth:
-            value, smooth_cache = _smoothness_forward(level, objective.edge_weights)
+            value, smooth_adjoint = _smoothness_forward(level, objective.edge_weights)
             smooth_total += level_w * value
         if not want_grad:
             continue
@@ -856,7 +826,7 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
                             d_poses)
         smooth_up = weights.lambda_smooth * level_w / len(levels)
         if use_smooth and smooth_up != 0.0:
-            d_level += smooth_up * _smoothness_backward(smooth_cache)
+            d_level += smooth_up * smooth_adjoint()
         d_depth += d_level if li == 0 else _pyramid_level_t(d_level, 2**li)
 
     photo = photo_total / len(levels)

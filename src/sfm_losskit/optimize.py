@@ -170,9 +170,8 @@ def _median_ratio(state: OptimState, scene: Scene) -> float:
 
 def _run_phase(state, scene, objective, budget, tol, median_history):
     start = state.iteration
-    flat = 0
+    prev, flat = None, 0
     while state.iteration - start < budget:
-        prev = state.loss_history[-1].total if state.loss_history else None
         step(state, objective)
         median_history.append(_median_ratio(state, scene))
         cur = state.loss_history[-1].total
@@ -182,6 +181,7 @@ def _run_phase(state, scene, objective, budget, tol, median_history):
                 break
         else:
             flat = 0
+        prev = cur
     return state.iteration - start
 
 
@@ -200,8 +200,6 @@ def run(scene: Scene, config: OptimConfig, out_dir=None) -> tuple[OptimState, Ru
     """
     if config.weights.lambda_rep <= 0:
         raise ConfigError("two-phase run needs a positive supervised weight")
-    if scene.labels.n_labels == 0:
-        raise NoSupervisionError("scene carries no depth labels")
     baselines = [np.linalg.norm(pose.translation_vector()) for _, pose in scene.contexts]
     if max(baselines) <= 1e-9:
         raise NoSupervisionError(

@@ -152,6 +152,14 @@ class TestManifest:
             assert img.shape == (channels, 16, 24)
             assert img.flags.c_contiguous
 
+    def test_colour_image_in_gray_scene_rejected(self, tmp_path):
+        gray = make_scene(SceneSpec(width=24, height=16, channels=1, beams=0))
+        colour = make_scene(SceneSpec(width=24, height=16, channels=3, beams=0))
+        io_codecs.write_scene_dir(tmp_path / "scene", gray)
+        write_ppm(tmp_path / "scene" / "context_00.ppm", colour.contexts[0][0])
+        with pytest.raises(CodecError, match="context_00.ppm"):
+            io_codecs.read_scene_dir(tmp_path / "scene")
+
 
 def write_config(path, extra=""):
     path.write_text(

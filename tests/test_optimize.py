@@ -213,6 +213,13 @@ class TestRun:
         state, report = run(scene, cfg)
         assert report.iters_a < 200
 
+    def test_each_phase_starts_its_own_tolerance_window(self):
+        # at tol 1 every step after a phase's first counts as flat; phase A's
+        # last loss, from another objective, must not count for phase B
+        cfg = quick_config(tol=1.0, phase_a_iters=200, phase_b_iters=200)
+        _, report = run(quick_scene(), cfg)
+        assert report.iters_a == report.iters_b == optimize.TOL_WINDOW + 1
+
     def test_reports_written(self, tmp_path):
         scene = quick_scene()
         cfg = quick_config(phase_a_iters=20, phase_b_iters=15)
