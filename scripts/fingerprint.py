@@ -11,7 +11,9 @@ parent. The digest covers, in this order:
 * the `loss_history.csv` and `metrics.csv` that `optimize` writes from that
   scene under each supervised loss (rep, l1, berhu);
 * `optimize.gradcheck` reports on a 3-channel 128x96 slant (seeds 1 and 2,
-  48 depth probes, all terms), and under l1 and berhu at seed 1;
+  48 depth probes, all terms), and under l1 and berhu at seed 1, and on the
+  64x48 two-plane scene below at 2 and 3 scales (all terms, rep), where one
+  probed depth pixel moves a whole block of each coarser level;
 * `total_loss_grad` breakdowns and the bytes of both gradients, and the
   `min_photometric` maps, on a 64x48 two-plane scene at 1, 2 and 3 scales
   under each supervised loss;
@@ -128,6 +130,10 @@ def gradcheck_reports(digest) -> None:
             report = optimize.gradcheck(scene, weights, n_samples=48, seed=seed,
                                         supervised=loss)
             digest.update(repr(report).encode())
+    scene = _perturbed(1)[0]
+    for num_scales in (2, 3):
+        report = optimize.gradcheck(scene, weights, n_samples=48, seed=3, num_scales=num_scales)
+        digest.update(repr(report).encode())
 
 
 def _perturbed(channels: int):

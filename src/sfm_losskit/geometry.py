@@ -187,14 +187,19 @@ class WarpChain(NamedTuple):
     valid: np.ndarray
 
 
-def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpChain:
-    """Vectorized projection chain for every target pixel.
+def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics,
+               window=None) -> WarpChain:
+    """Vectorized projection chain for every target pixel, or for the pixels
+    in rows r0:r1 and columns c0:c1 of ``window`` (r0, r1, c0, c1), which
+    may be empty; the fields then have the window's shape.
 
     depth must be finite; the objective checks that it is positive and
     finite before it warps. A pixel is valid when its source-frame z exceeds
     EPS_Z and its coordinates fall inside the image. Out-of-bounds
     coordinates are flagged invalid, never clamped; pixels that are not in
-    front of the source camera get coordinates (0, 0).
+    front of the source camera get coordinates (0, 0). A window of 2 or more
+    pixels gives each pixel the bits of the whole chain; a single pixel does
+    not, as its (3, 3) @ (3, 1) rotation product takes another BLAS path.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (k.height, k.width):
@@ -202,6 +207,9 @@ def warp_chain(depth: np.ndarray, pose: PoseSE3, k: CameraIntrinsics) -> WarpCha
             f"depth shape {depth.shape} does not match intrinsics {k.height}x{k.width}"
         )
     rays = k.pixel_rays()
+    if window is not None:
+        r0, r1, c0, c1 = window
+        depth, rays = depth[r0:r1, c0:c1], rays[:, r0:r1, c0:c1]
     # one (3, 3) @ (3, H*W) product rotates every point
     points = pose.rotation_matrix() @ (depth * rays).reshape(3, -1)
     points += pose.translation_vector()[:, None]

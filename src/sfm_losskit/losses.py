@@ -19,8 +19,10 @@ calls the private code, where each term exists once: the photometric and
 smoothness kernels each return their value with a closure that computes its
 exact adjoint, and the supervised term is `_supervised`, whose three losses
 return a gradient per label, added into the depth gradient at the label
-pixels only. So what an entry point
-computes is exactly what the optimizer minimizes.
+pixels only. So what an entry point computes is exactly what the optimizer
+minimizes. Only `optimize.gradcheck`'s objective keeps a reference of its
+gradient evaluation; its forward probes recompute each piece of the
+objective only where that piece's inputs moved (see `Objective`).
 
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
@@ -255,20 +257,15 @@ def _photometric_forward(target, synth, mask, alpha):
     return loss, backward
 
 
-class _Reference(NamedTuple):  # one context at one level, see `Objective`
-    coords: np.ndarray
-    valid: np.ndarray
-    loss_map: np.ndarray
-
-
-def _moved_boxes(old, coords, valid):
-    """Bounds (r0, r1, c0, c1) of the pixels whose warp differs from the
-    reference ``old``, grown by 2 and by 1 within the image: the whole image
-    twice without a reference, None if no pixel moved."""
-    h, w = valid.shape
+def _moved_boxes(old, new):
+    """Bounds (r0, r1, c0, c1) of the pixels where the (H, W) float array
+    ``new`` differs from ``old`` in its bytes (so -0.0 against 0.0 counts),
+    grown by 2 and by 1 within the image: the whole image twice without
+    ``old``, None if no pixel differs."""
+    h, w = new.shape
     if old is None:
         return (0, h, 0, w), (0, h, 0, w)
-    moved = (valid != old.valid) | (coords != old.coords).any(axis=0)
+    moved = new.view(np.int64) != old.view(np.int64)
     rows, cols = np.flatnonzero(moved.any(axis=1)), np.flatnonzero(moved.any(axis=0))
     if not rows.size:
         return None
@@ -276,41 +273,44 @@ def _moved_boxes(old, coords, valid):
              min(cols[-1] + 1 + g, w)) for g in (2, 1)]
 
 
-def _warped_losses(objective, poses, depth, level=0, want_grad=False):
+def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None):
     """Warp every context image into the target view at this depth and pose
     and score it.
 
     Returns per context the warp chain's points with its sampling state, the
-    photometric adjoint and the photometric loss map (+inf where invalid). A
-    gradient evaluation scores the whole image and records the objective's
-    reference, if it keeps one. A forward evaluation against a reference
-    samples and scores only the box of pixels whose warp moved, grown by 2
-    (the sampling state and adjoint cover that box; None if nothing moved).
-    A loss pixel reads only its 3x3 window, so the box grown by 1, pasted
-    into the reference's loss map, gives the bits a whole-image scoring would.
+    photometric adjoint and the photometric loss map (+inf where invalid).
+    Without ``boxes`` each context is scored over the whole image, and a
+    gradient evaluation records each map in the objective's reference, if it
+    keeps one. A probe of that objective passes per context `_moved_boxes`
+    of the level's depth against the recorded one, or the whole image for a
+    context whose pose moved. None reuses the recorded map and warps an
+    empty window. Otherwise the warp, its sampling state and the adjoint
+    cover the first box (the moved depth pixels grown by 2, never a single
+    pixel), and the second, grown by 1, is pasted into a copy of the
+    recorded map: a loss pixel reads only its 3x3 window, so the paste gives
+    the bits a whole-image scoring would.
     """
     target, k, alpha = objective.target, objective.k, objective.weights.alpha
-    reference, shape = objective._reference, target.shape[1:]
+    reference, (h, w) = objective._reference, target.shape[1:]
     scored = []
     for s, (src, pose) in enumerate(zip(objective.images, poses)):
-        points, coords, valid = geometry.warp_chain(depth, pose, k)
-        old = None if reference is None or want_grad else reference[level, s]
-        boxes = _moved_boxes(old, coords, valid)
-        if boxes is None:
-            scored.append((None, None, old.loss_map))
+        box = _moved_boxes(None, depth) if boxes is None else boxes[s]
+        # one warp per context; a box of 2 or more pixels keeps the chain's bits
+        window = None if boxes is None else box[0] if box else (0, 0, 0, 0)
+        points, coords, valid = geometry.warp_chain(depth, pose, k, window)
+        if box is None:
+            scored.append((None, None, reference["photo", level, s]))
             continue
-        (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes
-        at = warp.sampling(coords[:, r0:r1, c0:c1], valid[r0:r1, c0:c1], shape)
-        if reference is None:
-            del coords  # the state stands in for it, freed before the scoring
+        (r0, r1, c0, c1), (i0, i1, j0, j1) = box
+        at = warp.sampling(coords, valid, (h, w))
+        del coords  # the state stands in for it, freed before the scoring
         synth = warp.sample_bilinear(src, at)
-        loss_map, adjoint = _photometric_forward(target[:, r0:r1, c0:c1], synth,
-                                                 valid[r0:r1, c0:c1], alpha)
-        if old is not None:
-            patch, loss_map = loss_map, old.loss_map.copy()
+        loss_map, adjoint = _photometric_forward(target[:, r0:r1, c0:c1], synth, valid, alpha)
+        if (i0, i1, j0, j1) != (0, h, 0, w):
+            patch, loss_map = loss_map, reference["photo", level, s].copy()
             loss_map[i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
-        elif reference is not None:
-            reference[level, s] = _Reference(coords, valid, loss_map)
+        elif want_grad and reference is not None:
+            reference["photo", level, s] = loss_map
         scored.append(((points, at), adjoint, loss_map))
     return tuple(zip(*scored))
 
@@ -352,10 +352,10 @@ class _PhotoTerm(NamedTuple):
     count: int
 
 
-def _photo_forward(objective, poses, depth, level, want_grad) -> tuple[float, _PhotoTerm]:
+def _photo_forward(objective, poses, depth, level, want_grad, boxes) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
     by the static-pixel mask."""
-    warps, adjoints, maps = _warped_losses(objective, poses, depth, level, want_grad)
+    warps, adjoints, maps = _warped_losses(objective, poses, depth, level, want_grad, boxes)
     min_map, argmin = _min_over_sources(maps)
     mask = _static_mask(objective.unwarped_min, min_map)
     count = int(mask.sum())
@@ -477,11 +477,10 @@ def _smoothness_forward(depth, edge_weights):
     wx = edge_weights[0][:-1, :]
     wy = edge_weights[1][:, :-1]
     value = float(np.sum(np.abs(dx) * wx + np.abs(dy) * wy)) / dx.size
-    sign_dx, sign_dy = np.sign(dx), np.sign(dy)
 
     def backward():
-        gx = sign_dx * wx / sign_dx.size
-        gy = sign_dy * wy / sign_dy.size
+        gx = np.sign(dx) * wx / dx.size
+        gy = np.sign(dy) * wy / dy.size
 
         d_dhat = np.zeros(disp.shape)
         d_dhat[:-1, 1:] += gx
@@ -720,10 +719,14 @@ class Objective:
     edge weights and the label data that depends on neither pose nor depth.
 
     ``_reference`` is None except on `optimize.gradcheck`'s objective, which
-    sets it to {}: a gradient evaluation then records per level and context
-    the warp coords, validity and loss map (no adjoints), and a forward
-    one re-scores only the pixels whose warp moved, bit-identically
-    (`_warped_losses`).
+    sets it to {}. A gradient evaluation then records each context's pose
+    parameters, each level's depth (copied at level 0, which the caller
+    owns), smoothness and loss maps, and the supervised result with the
+    label depths (and for rep the poses) it read. A forward evaluation
+    compares its inputs with these by bytes (-0.0 against 0.0 moved) and
+    reuses each piece whose inputs did not move (`_warped_losses`); every
+    scalar is still an ``np.sum`` over full maps, so every result is
+    bit-identical to a fresh objective's.
     """
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,
@@ -783,6 +786,9 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
 
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
     gradient outputs are None when want_grad is False.
+
+    On an objective that keeps a reference, a gradient evaluation records
+    it and a forward one (a probe) reuses it (see `Objective`).
     """
     depth = _checked_depth(objective, depth)
     _check_poses(objective, poses)
@@ -790,6 +796,11 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
     use_photo = "photo" in terms
     use_smooth = "smooth" in terms
     use_rep = objective.labels is not None
+    reference = objective._reference
+    record = want_grad and reference is not None
+    old = reference if reference and not want_grad else None
+    if reference is not None:
+        pose_keys = [pose.as_params().tobytes() for pose in poses]
     if use_photo and want_grad:
         rays = k.pixel_rays()
         ray_dirs = [
@@ -805,17 +816,29 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
 
     for li, level in enumerate(levels):
         level_w = 2.0**-li
+        boxes = moved = None
+        if old is not None:
+            moved = _moved_boxes(old["depth", li], level)
+            boxes = [moved if key == recorded else _moved_boxes(None, level)
+                     for key, recorded in zip(pose_keys, old["poses"])]
+        elif record:
+            reference["depth", li] = level.copy() if li == 0 else level
         if use_photo:
             # photo_term is rebound here, so a level's state stays alive until
             # the next level's forward returns. Freeing it at the end of its
             # level took a 256x192, 3-scale step from 0 to 15,024 minor page
             # faults and from 95-116 ms to 153-176 ms (median, 2 vCPU).
-            value, photo_term = _photo_forward(objective, poses, level, li, want_grad)
+            value, photo_term = _photo_forward(objective, poses, level, li, want_grad, boxes)
             photo_total += value
             if li == 0:
                 masked_count = photo_term.count
         if use_smooth:
-            value, smooth_adjoint = _smoothness_forward(level, objective.edge_weights)
+            if old is not None and moved is None:
+                value = old["smooth", li]
+            else:
+                value, smooth_adjoint = _smoothness_forward(level, objective.edge_weights)
+            if record:
+                reference["smooth", li] = value
             smooth_total += level_w * value
         if not want_grad:
             continue
@@ -834,10 +857,20 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
 
     rep_val, rep_count, rep_dropped = 0.0, 0, 0
     if use_rep:
-        rep_val, rep_count, rep_dropped = _supervised(
-            depth, objective.labels, poses, k, objective.supervised, weights.lambda_rep,
-            d_depth, d_poses,
-        )
+        if reference is not None:  # the label depths, and the poses rep reads
+            inputs = (depth.reshape(-1)[objective.labels.index].tobytes(),
+                      pose_keys if objective.supervised == "rep" else None)
+        if old is not None and old["rep"][0] == inputs:
+            rep_val, rep_count, rep_dropped = old["rep"][1]
+        else:
+            rep_val, rep_count, rep_dropped = _supervised(
+                depth, objective.labels, poses, k, objective.supervised, weights.lambda_rep,
+                d_depth, d_poses,
+            )
+        if record:
+            reference["rep"] = inputs, (rep_val, rep_count, rep_dropped)
+    if record:
+        reference["poses"] = pose_keys
 
     total = photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val
     breakdown = LossBreakdown(

@@ -302,8 +302,10 @@ def gradcheck(
     gradient and every probe; ``terms`` selects the terms checked, alone or
     combined. An unknown term, no term or a selected term of weight 0 (which
     checks nothing) is a ConfigError. The gradient evaluation records the
-    objective's reference warps and loss maps, and each probe re-scores only
-    the pixels its warp moves, bit-identically. Passes when at least 99% of
+    objective's reference, and each probe recomputes only what it moves,
+    bit-identically: the warp and loss pixels around its depth pixel (a
+    whole context for a pose probe), and a level's smoothness or the
+    supervised term only if their inputs moved. Passes when at least 99% of
     the probes satisfy |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|,
     |fd|) at step FD_STEP; the floor covers gradients too small for float64
     central differences to resolve at that step.
@@ -318,7 +320,7 @@ def gradcheck(
         scene.target, [img for img, _ in scene.contexts], scene.intrinsics, weights,
         labels=scene.labels.depth, num_scales=num_scales, supervised=supervised, terms=terms,
     )
-    objective._reference = {}  # filled by the gradient evaluation, patched by each probe
+    objective._reference = {}  # filled by the gradient evaluation, read by each probe
     rng = np.random.default_rng(seed)
 
     depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))

@@ -11,9 +11,10 @@ coordinate gradient comes back as one.
 A warp's corner set-up is one `Sampling` state, built by `sampling` and
 read by the sample and its gradient: `losses._warped_losses` builds one per
 source and scale over the pixels it scores and keeps it for the backward
-pass. It stands in for the coordinates, except on `optimize.gradcheck`'s
-objective: its reference keeps the coordinates too, and a forward probe's
-state covers only the box of pixels whose warp moved.
+pass, where it stands in for the coordinates. On a forward probe of
+`optimize.gradcheck` the warp, and so the state, covers only the window
+around the depth pixels that moved: the whole image for a context whose
+pose moved, and nothing where neither moved.
 
 Callers pass finite coordinates at valid pixels, as `geometry.warp_chain`
 makes them from a checked depth and the synthesizer's clipped texture

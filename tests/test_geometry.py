@@ -338,6 +338,41 @@ class TestWarpCoords:
         assert np.abs(a.coords[:, a.valid] - b.coords[:, b.valid]).max() < 1e-12
 
 
+class TestWarpWindow:
+    """A window of 2 or more pixels gives every field the bits of the whole
+    chain's slice; gradcheck's probes warp such windows."""
+
+    k = CameraIntrinsics(fx=6.0, fy=5.0, cx=4.0, cy=3.0, width=9, height=7)
+
+    @pytest.mark.parametrize("pose", [
+        PoseSE3(rotation=(0.3, -0.8, 0.2), translation=(0.4, -0.3, -1.0)),
+        PoseSE3(rotation=(-0.1, 0.2, 0.5), translation=(1.5, 0.2, -1.2)),
+    ])
+    def test_every_window_matches_the_whole_chain(self, pose):
+        k = self.k
+        depth = np.random.default_rng(9).uniform(0.5, 3.0, (k.height, k.width))
+        whole = warp_chain(depth, pose, k)
+        in_front = whole.points[2] > EPS_Z
+        # some pixels behind the camera, some in front but out of bounds
+        assert (~in_front).any() and (in_front & ~whole.valid).any() and whole.valid.any()
+        for r0 in range(k.height):
+            for r1 in range(r0 + 1, k.height + 1):
+                for c0 in range(k.width):
+                    for c1 in range(c0 + 1, k.width + 1):
+                        if (r1 - r0) * (c1 - c0) < 2:
+                            continue
+                        got = warp_chain(depth, pose, k, (r0, r1, c0, c1))
+                        for name, a, b in zip(whole._fields, got, whole):
+                            b = b[..., r0:r1, c0:c1]
+                            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (
+                                name, r0, r1, c0, c1)
+
+    def test_empty_window(self):
+        k = self.k
+        chain = warp_chain(np.ones((k.height, k.width)), PoseSE3.identity(), k, (0, 0, 0, 0))
+        assert [a.shape for a in chain] == [(3, 0, 0), (2, 0, 0), (0, 0)]
+
+
 def planes(a):
     """A (k, H, W) view of an interleaved (H, W, k) array."""
     return np.moveaxis(a, -1, 0)

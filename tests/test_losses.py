@@ -398,7 +398,7 @@ class TestKernelAdjoints:
         smooth = _smoothness_forward(rng.uniform(2, 6, (9, 11)),
                                      _image_gradient_weights(target))[1]
         assert smooth.__code__.co_freevars == (
-            "disp", "mean_disp", "sign_dx", "sign_dy", "wx", "wy")
+            "disp", "dx", "dy", "mean_disp", "wx", "wy")
 
 
 def rep_distance(pred, gt, pose, k, want_grad=False):

@@ -453,6 +453,70 @@ class TestProbeReference:
                 got, want = (losses.total_loss(o, poses, depth0) for o in (probing, fresh))
                 assert got == want, (i, step)
 
+    @pytest.mark.parametrize("channels, num_scales, terms, supervised", [
+        (3, 1, losses.TERMS, "rep"),
+        (1, 2, losses.TERMS, "l1"),
+        (1, 3, losses.TERMS, "rep"),
+        (3, 3, ("smooth", "rep"), "berhu"),
+    ])
+    def test_combined_and_repeated_probes(self, channels, num_scales, terms, supervised,
+                                          monkeypatch):
+        # several inputs moved at once, a pose parameter flipped from 0.0 to
+        # -0.0 (moved by its bytes) and a probe repeated after others, which
+        # finds the reference as the gradient evaluation left it; no warp
+        # window holds a single pixel, whose rotation product rounds apart
+        windows = []
+        warp_chain = geometry.warp_chain
+
+        def chain(depth, pose, k, window=None):
+            windows.append(window)
+            return warp_chain(depth, pose, k, window)
+
+        monkeypatch.setattr(geometry, "warp_chain", chain)
+        scene = quick_scene(width=48, height=40, channels=channels)
+        probing, fresh = (losses.Objective(
+            scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
+            LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
+            supervised=supervised, terms=terms) for _ in range(2))
+        probing._reference = {}  # as gradcheck's objective
+        rng = np.random.default_rng(11)
+        depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+        params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
+        params0 += rng.normal(0.0, 0.01, params0.shape)
+        params0[0, 0] = params0[1, 4] = 0.0
+        losses.total_loss_grad(probing, [PoseSE3.from_params(p) for p in params0], depth0)
+
+        def probe(moves, param=None, step=0.0):
+            depth, params = depth0.copy(), params0.copy()
+            for p, factor in moves:
+                depth.flat[p] *= factor
+            if param is not None:
+                params[param] = -0.0 if step == 0.0 else params[param] + step
+            poses = [PoseSE3.from_params(p) for p in params]
+            got, want = (losses.total_loss(o, poses, depth) for o in (probing, fresh))
+            assert got == want, (moves, param, step)
+            return got
+
+        h, w = depth0.shape
+        labeled = np.flatnonzero(scene.labels.depth > 0)
+        distant = [(0, 1 + 1e-6), (h * w - 1, 1 - 1e-6)]
+        first = probe(distant)
+        probe([(labeled[0], 1.3), (labeled[-1], 0.9)])
+        probe([(h // 2 * w + w // 2, 1 + 1e-6)], (1, 2), 1e-5)
+        probe([(labeled[0], 1 - 1e-6)], (0, 3), -1e-5)
+        flip = len(windows)
+        probe([], (0, 0))
+        flip = windows[flip:]
+        probe([], (1, 4))
+        assert probe(distant) == first
+        sizes = {(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in filter(None, windows)}
+        if "photo" not in terms:
+            assert windows == []
+            return
+        assert flip[0] == (0, h, 0, w)  # the flipped pose re-warps its whole context
+        assert 1 not in sizes and min(sizes) == 0 and max(sizes) == h * w
+        assert len(sizes) > 2  # windows between empty and the whole image
+
 
 class TestOptimState:
     def test_poses_round_trip(self):
