@@ -1,4 +1,4 @@
-.PHONY: test acceptance golden bench smoke faults pairs fingerprint install
+.PHONY: test acceptance golden bench smoke pairs fingerprint install
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,12 +31,6 @@ bench:
 # untraced and traced (about 30 s).
 smoke:
 	python3 perfbench/smoke.py
-
-# Minor page faults of each optimize.step inside the benchmark's own
-# hires_pyramid and example_cli repetitions, by phase (about 20 s); count
-# them whenever a change alters what an evaluation allocates.
-faults:
-	python3 scripts/step_faults.py
 
 # Alternating untraced benchmark runs of a parent checkout and this one on
 # shared seeds: each metric's median [quartiles] per side, the paired median

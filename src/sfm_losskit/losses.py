@@ -24,6 +24,12 @@ minimizes. Only `optimize.gradcheck`'s objective keeps a reference of its
 gradient evaluation; its forward probes recompute each piece of the
 objective only where that piece's inputs moved (see `Objective`).
 
+The photometric kernels take a leading stack axis, used only by a depth
+probe, which scores every context's and channel's window in one pass.
+Whole images, where stacking runs slower, are scored one context and one
+channel plane at a time: in `optimize.run` and `step`, gradcheck's
+gradient evaluation and pose probes, and `unwarped_min_photometric`.
+
 Gradients are derived by hand as exact adjoints of the forward computation
 (masks and argmin selections are treated as constants), so they match
 central finite differences away from the measure-zero switching sets, with
@@ -103,8 +109,15 @@ class LossBreakdown:
     rep_dropped_behind: int = 0
 
 
+# Row slices of every plane under any leading stack axes: the first row, the
+# rows below it and the rows above the last. Built once: an index holding
+# ``...`` costs about as much to build as a small plane's pass.
+_TOP, _BELOW, _ABOVE = np.s_[..., 0, :], np.s_[..., 1:, :], np.s_[..., :-1, :]
+
+
 def _box_sum(x: np.ndarray) -> np.ndarray:
-    """Windowed sum over 3x3 boxes; windows shrink at the borders.
+    """Windowed sum over 3x3 boxes of each (H, W) plane of x, which may
+    carry leading stack axes; windows shrink at the borders.
 
     Separable: a 3-row pass, then a 3-column pass. The window is symmetric,
     so the operator is self-adjoint, which the SSIM backward pass relies
@@ -118,29 +131,31 @@ def _box_sum(x: np.ndarray) -> np.ndarray:
     three-operand add). The column pass runs on the flattened rows: writing
     into a 2-D column view (``out[:, 1:]``) walks memory several times
     slower than one contiguous pass. A flat shift carries a value across
-    each row boundary, so the first column is then restored from the row
-    sums, and the last column is saved before the left shift and put back
-    after it.
+    each row boundary, and so across each plane boundary of a stack, so the
+    first column is then restored from the row sums, and the last column is
+    saved before the left shift and put back after it.
     """
-    h, w = x.shape
-    rows = np.empty((h, w))
-    rows[0] = x[0]
-    np.add(x[1:], x[:-1], out=rows[1:])
-    rows[:-1] += x[1:]
-    out = np.empty((h, w))
+    rows = np.empty(x.shape)
+    rows[_TOP] = x[_TOP]
+    np.add(x[_BELOW], x[_ABOVE], out=rows[_BELOW])
+    rows[_ABOVE] += x[_BELOW]
+    out = np.empty(x.shape)
     flat_out, flat_rows = out.reshape(-1), rows.reshape(-1)
     np.add(flat_rows[1:], flat_rows[:-1], out=flat_out[1:])
-    out[:, 0] = rows[:, 0]
-    border = out[:, -1:].copy()
+    out[..., 0] = rows[..., 0]
+    border = out[..., -1:].copy()
     flat_out[:-1] += flat_rows[1:]
-    out[:, -1:] = border
+    out[..., -1:] = border
     return out
 
 
 def _ssim_channel(a, b, m, n):
-    """SSIM map of one channel and its exact adjoint in b, which holds the
-    window statistics and takes the same a, b and m again. The statistics use
-    valid pixels only and n is the valid-pixel count of each window.
+    """SSIM map of one channel plane and its exact adjoint in b, which holds
+    the window statistics and takes the same a, b and m again. The statistics
+    use valid pixels only and n is the valid-pixel count of each window. The
+    arguments may be stacks of planes that broadcast to b's shape; every
+    operation is elementwise or `_box_sum`, so each plane of a stack gets
+    the bits of its own pass.
 
     a * m, b * m and the products of the means are computed once and shared
     by the window statistics and the formula. That is bit-exact: m is 0/1,
@@ -215,30 +230,50 @@ def _ssim_channel(a, b, m, n):
     return s, grad_b
 
 
+def _planes(target, *images):
+    """Aligned planes that SSIM scores in one pass each: the channel planes
+    of (C, H, W) images one by one, or whole (C, S, h, w) stacks of S
+    windows at once, against the (C, h, w) target window broadcast over S."""
+    if images[0].ndim == 4:
+        return [(target[:, None], *images)]
+    return zip(target, *images)
+
+
 def _ssim_channels(a, b, m) -> list:
-    """Per-channel (SSIM map, adjoint in b) pairs of (C, H, W) images under
-    the (H, W) 0/1 float mask m; the window count depends on the mask only,
-    so it is computed once and shared by every channel."""
+    """(SSIM map, adjoint in b) pairs of the `_planes` of a (C, H, W) target
+    a and images b under the 0/1 float mask m, (H, W) for one image or
+    (S, h, w) for a stack; the window count depends on the mask only, so it
+    is computed once and shared by every channel."""
     n = np.maximum(_box_sum(m), 1.0)
-    return [_ssim_channel(a[c], b[c], m, n) for c in range(a.shape[0])]
+    return [_ssim_channel(x, y, m, n) for x, y in _planes(a, b)]
 
 
 def _photometric_forward(target, synth, mask, alpha):
     """Per-source loss map alpha * (1 - SSIM) / 2 + (1 - alpha) * L1,
     channel-averaged, with +inf at pixels outside the bool mask, and its
-    adjoint in synth."""
+    adjoint in synth.
+
+    synth is one (C, H, W) image with an (H, W) mask, scored one channel
+    plane at a time, or a (C, S, h, w) stack of S contexts' windows with
+    (S, h, w) masks and maps, scored in one pass against the (C, h, w)
+    target window. Either way the map adds the channels one by one, in
+    order, so each window of a stack gets the bits of its own pass.
+    """
     m = mask.astype(np.float64)
     channels = target.shape[0]
-    loss = np.zeros(target.shape[1:])
+    loss = np.zeros(mask.shape)
     per_channel = _ssim_channels(target, synth, m)
-    for c, (ssim, _) in enumerate(per_channel):
+    for (a, b), (ssim, _) in zip(_planes(target, synth), per_channel):
         # clip guards float dust pushing SSIM past 1 on identical windows
         dssim = 1.0 - ssim
         dssim /= 2.0
         dssim.clip(0.0, 1.0, out=dssim)
         dssim *= alpha
-        loss += dssim
-        loss += (1.0 - alpha) * np.abs(target[c] - synth[c])
+        l1 = (1.0 - alpha) * np.abs(a - b)
+        # one plane, or a stack's channels in order
+        for d, e in zip(dssim, l1) if dssim.ndim > loss.ndim else [(dssim, l1)]:
+            loss += d
+            loss += e
     loss /= channels
     np.copyto(loss, np.inf, where=~mask)
 
@@ -246,12 +281,12 @@ def _photometric_forward(target, synth, mask, alpha):
         """d(sum upstream * loss_map)/d(synth); upstream is 0 at invalid pixels."""
         u = upstream / channels
         d_synth = np.empty_like(synth)
-        for c, (ssim, grad_b) in enumerate(per_channel):
-            diff = synth[c] - target[c]
+        for (a, b, d_b), (ssim, grad_b) in zip(_planes(target, synth, d_synth), per_channel):
+            diff = b - a
             db = (1.0 - alpha) * np.sign(diff) * u
             active = (ssim > -1.0) & (ssim < 1.0)
-            db += grad_b(target[c], synth[c], m, -0.5 * alpha * u * active)
-            d_synth[c] = db
+            db += grad_b(a, b, m, -0.5 * alpha * u * active)
+            d_b[...] = db
         return d_synth
 
     return loss, backward
@@ -278,41 +313,59 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None
     and score it.
 
     Returns per context the warp chain's points with its sampling state, the
-    photometric adjoint and the photometric loss map (+inf where invalid).
-    Without ``boxes`` each context is scored over the whole image, and a
-    gradient evaluation records each map in the objective's reference, if it
-    keeps one. A probe of that objective passes per context `_moved_boxes`
-    of the level's depth against the recorded one, or the whole image for a
-    context whose pose moved. None reuses the recorded map and warps an
-    empty window. Otherwise the warp, its sampling state and the adjoint
-    cover the first box (the moved depth pixels grown by 2, never a single
-    pixel), and the second, grown by 1, is pasted into a copy of the
-    recorded map: a loss pixel reads only its 3x3 window, so the paste gives
-    the bits a whole-image scoring would.
+    photometric adjoint and the photometric loss map (+inf where invalid),
+    and the window outside which every map equals the recorded one (None if
+    a map was scored whole). Without ``boxes`` each context is scored over
+    the whole image, one channel plane at a time, and a gradient evaluation
+    records each map in the objective's reference, if it keeps one. A probe
+    of that objective passes per context `_moved_boxes` of the level's depth
+    against the recorded one, or the whole image for a context whose pose
+    moved. None reuses the recorded map and warps an empty window.
+    Otherwise the warp and its sampling state cover the first box (the
+    moved depth pixels grown by 2, never a single pixel). The contexts
+    whose pose did not move share that box, and one stacked pass scores all
+    their windows and channels (no adjoint: a probe takes none); each
+    window's box grown by 1 is pasted into a copy of its recorded map. A
+    loss pixel reads only its 3x3 window, so the paste gives the bits a
+    whole-image scoring would.
     """
     target, k, alpha = objective.target, objective.k, objective.weights.alpha
     reference, (h, w) = objective._reference, target.shape[1:]
-    scored = []
+    whole = (0, h, 0, w)
+    warps, adjoints, maps, stacked = [], [], [], []
+    paste = (0, 0, 0, 0)  # None once a map is scored whole
     for s, (src, pose) in enumerate(zip(objective.images, poses)):
-        box = _moved_boxes(None, depth) if boxes is None else boxes[s]
+        box = (whole, whole) if boxes is None else boxes[s]
         # one warp per context; a box of 2 or more pixels keeps the chain's bits
         window = None if boxes is None else box[0] if box else (0, 0, 0, 0)
         points, coords, valid = geometry.warp_chain(depth, pose, k, window)
+        loss_map = adjoint = at = None
         if box is None:
-            scored.append((None, None, reference["photo", level, s]))
-            continue
-        (r0, r1, c0, c1), (i0, i1, j0, j1) = box
-        at = warp.sampling(coords, valid, (h, w))
-        del coords  # the state stands in for it, freed before the scoring
-        synth = warp.sample_bilinear(src, at)
-        loss_map, adjoint = _photometric_forward(target[:, r0:r1, c0:c1], synth, valid, alpha)
-        if (i0, i1, j0, j1) != (0, h, 0, w):
-            patch, loss_map = loss_map, reference["photo", level, s].copy()
-            loss_map[i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
-        elif want_grad and reference is not None:
-            reference["photo", level, s] = loss_map
-        scored.append(((points, at), adjoint, loss_map))
-    return tuple(zip(*scored))
+            loss_map = reference["photo", level, s]
+        else:
+            at = warp.sampling(coords, valid, (h, w))
+            del coords  # the state stands in for it, freed before the scoring
+            synth = warp.sample_bilinear(src, at)
+            if box[0] != whole:
+                stacked.append((s, synth, valid))
+                paste = paste and box[1]
+            else:
+                loss_map, adjoint = _photometric_forward(target, synth, valid, alpha)
+                paste = None
+                if want_grad and reference is not None:
+                    reference["photo", level, s] = loss_map
+        warps.append(None if at is None else (points, at))
+        adjoints.append(adjoint)
+        maps.append(loss_map)
+    if stacked:
+        contexts, synths, valids = zip(*stacked)
+        (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes[contexts[0]]
+        patches, _ = _photometric_forward(target[:, r0:r1, c0:c1], np.stack(synths, axis=1),
+                                          np.stack(valids), alpha)
+        for s, patch in zip(contexts, patches):
+            maps[s] = reference["photo", level, s].copy()
+            maps[s][i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+    return warps, adjoints, maps, paste
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -354,11 +407,26 @@ class _PhotoTerm(NamedTuple):
 
 def _photo_forward(objective, poses, depth, level, want_grad, boxes) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
-    by the static-pixel mask."""
-    warps, adjoints, maps = _warped_losses(objective, poses, depth, level, want_grad, boxes)
-    min_map, argmin = _min_over_sources(maps)
-    mask = _static_mask(objective.unwarped_min, min_map)
-    count = int(mask.sum())
+    by the static-pixel mask. A probe whose maps moved only inside a window
+    patches copies of the recorded minimum, argmin and mask there, and
+    corrects the recorded count by the window's old and new members."""
+    warps, adjoints, maps, paste = _warped_losses(objective, poses, depth, level, want_grad,
+                                                  boxes)
+    reference = objective._reference
+    if paste is None:
+        min_map, argmin = _min_over_sources(maps)
+        mask = _static_mask(objective.unwarped_min, min_map)
+        count = int(mask.sum())
+        if want_grad and reference is not None:
+            reference["min", level] = min_map, argmin, mask, count
+    else:  # a probe: outside the paste, all four are the recorded ones
+        min_map, argmin, mask, count = reference["min", level]
+        min_map, argmin, mask = min_map.copy(), argmin.copy(), mask.copy()
+        inside = np.s_[paste[0]:paste[1], paste[2]:paste[3]]
+        count -= int(mask[inside].sum())
+        min_map[inside], argmin[inside] = _min_over_sources([m[inside] for m in maps])
+        mask[inside] = _static_mask(objective.unwarped_min[inside], min_map[inside])
+        count += int(mask[inside].sum())
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
     value = float(np.sum(np.where(mask, min_map, 0.0))) / count
@@ -439,7 +507,7 @@ def min_photometric(objective: Objective, poses: Sequence[PoseSE3],
     """
     depth = _checked_depth(objective, depth)
     _check_poses(objective, poses)
-    _, _, maps = _warped_losses(objective, poses, depth)
+    maps = _warped_losses(objective, poses, depth)[2]
     min_map, argmin = _min_over_sources(maps)
     return min_map, np.where(np.isfinite(min_map), argmin, -1)
 
@@ -720,13 +788,16 @@ class Objective:
 
     ``_reference`` is None except on `optimize.gradcheck`'s objective, which
     sets it to {}. A gradient evaluation then records each context's pose
-    parameters, each level's depth (copied at level 0, which the caller
-    owns), smoothness and loss maps, and the supervised result with the
-    label depths (and for rep the poses) it read. A forward evaluation
-    compares its inputs with these by bytes (-0.0 against 0.0 moved) and
-    reuses each piece whose inputs did not move (`_warped_losses`); every
-    scalar is still an ``np.sum`` over full maps, so every result is
-    bit-identical to a fresh objective's.
+    parameters, the supervised result with the label depths (and for rep
+    the poses) it read, and per level: the depth (copied at level 0, which
+    the caller owns), the smoothness, each context's loss map, and the
+    minimum over sources with its argmin, static mask and masked count. A
+    forward evaluation compares its inputs with these by bytes (-0.0
+    against 0.0 moved) and reuses each piece whose inputs did not move. A
+    depth probe scores only its moved window, stacked over contexts and
+    channels (`_warped_losses`), and patches the minimum, argmin and mask
+    there (`_photo_forward`); every scalar is still an ``np.sum`` over full
+    maps, so every result is bit-identical to a fresh objective's.
     """
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,

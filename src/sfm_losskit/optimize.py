@@ -303,9 +303,12 @@ def gradcheck(
     combined. An unknown term, no term or a selected term of weight 0 (which
     checks nothing) is a ConfigError. The gradient evaluation records the
     objective's reference, and each probe recomputes only what it moves,
-    bit-identically: the warp and loss pixels around its depth pixel (a
-    whole context for a pose probe), and a level's smoothness or the
-    supervised term only if their inputs moved. Passes when at least 99% of
+    bit-identically: a depth probe the warp and loss pixels around its
+    depth pixel, every context and channel in one stacked pass, and the
+    minimum over sources and the static mask there; a pose probe its whole
+    context, one channel plane at a time, as the gradient evaluation
+    scores every context; a level's smoothness or the supervised term only
+    if their inputs moved. Passes when at least 99% of
     the probes satisfy |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|,
     |fd|) at step FD_STEP; the floor covers gradients too small for float64
     central differences to resolve at that step.

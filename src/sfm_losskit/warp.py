@@ -14,7 +14,9 @@ source and scale over the pixels it scores and keeps it for the backward
 pass, where it stands in for the coordinates. On a forward probe of
 `optimize.gradcheck` the warp, and so the state, covers only the window
 around the depth pixels that moved: the whole image for a context whose
-pose moved, and nothing where neither moved.
+pose moved, and nothing where neither moved. Each context's window is
+sampled on its own; the contexts that share a depth probe's window are
+then scored in one stacked pass.
 
 Callers pass finite coordinates at valid pixels, as `geometry.warp_chain`
 makes them from a checked depth and the synthesizer's clipped texture

@@ -1155,6 +1155,45 @@ class TestContiguousKernels:
             loss = _photometric_forward(target, synth, mask, 0.85)[0]
             assert np.isposinf(loss[~mask]).all() and np.isfinite(loss[mask]).all()
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("window", [(0, 3, 0, 3), (17, 22, 30, 35), (28, 37, 6, 15),
+                                        (0, 40, 0, 48)],
+                             ids=["corner-3x3", "5x5", "9x9", "whole-48x40"])
+    def test_stacked_pass_equals_per_plane(self, channels, window):
+        # a probe scores the windows of 2 contexts and every channel in one
+        # stacked pass; each plane must get the bits of its own pass
+        rng = np.random.default_rng(channels + window[0])
+        r0, r1, c0, c1 = window
+        target = rng.uniform(0, 1, (channels, 40, 48))[:, r0:r1, c0:c1]
+        h, w = r1 - r0, c1 - c0
+        synth = rng.uniform(0, 1, (channels, 2, h, w))
+        mask = rng.uniform(size=(2, h, w)) > 0.2
+        mask[1, :, 0] = False
+        m = mask.astype(np.float64)
+
+        x = rng.uniform(-1, 1, (channels, 2, h, w))
+        assert same_bits(losses._box_sum(x), np.array([[losses._box_sum(p) for p in planes]
+                                                      for planes in x]))
+
+        n = np.maximum(losses._box_sum(m), 1.0)
+        ssim, grad_b = losses._ssim_channel(target[:, None], synth, m, n)
+        g = rng.uniform(-1, 1, synth.shape)
+        d_b = grad_b(target[:, None], synth, m, g)
+        for c in range(channels):
+            for s in range(2):
+                n_s = np.maximum(losses._box_sum(m[s]), 1.0)
+                plane, plane_grad_b = losses._ssim_channel(target[c], synth[c, s], m[s], n_s)
+                assert same_bits(ssim[c, s], plane)
+                assert same_bits(d_b[c, s], plane_grad_b(target[c], synth[c, s], m[s], g[c, s]))
+
+        loss, backward = _photometric_forward(target, synth, mask, 0.85)
+        upstream = np.where(mask, rng.uniform(0, 1, mask.shape), 0.0)
+        d_synth = backward(upstream)
+        for s in range(2):
+            plane, plane_backward = _photometric_forward(target, synth[:, s], mask[s], 0.85)
+            assert same_bits(loss[s], plane)
+            assert same_bits(d_synth[:, s], plane_backward(upstream[s]))
+
 
 def interp_matrix(n_out, n_in):
     """Dense 1-D corner-aligned linear-interpolation matrix (reference)."""

@@ -436,7 +436,15 @@ class TestProbeReference:
         flips = [(p, d) for p in pixels for d in (0.05, 1e4)]
         k, poses0 = scene.intrinsics, [PoseSE3.from_params(p) for p in params0]
         valid0 = [geometry.warp_chain(depth0, pose, k).valid.flat for pose in poses0]
-        flipped = set()
+        photo = "photo" in terms
+
+        def argmin_and_mask(depth):
+            min_map, argmin = losses.min_photometric(fresh, poses0, depth)
+            return argmin, losses._static_mask(fresh.unwarped_min, min_map)
+
+        if photo:
+            argmin0, mask0 = argmin_and_mask(depth0)
+        flipped, sources_flipped, masks_flipped = set(), 0, 0
         for p, d in depths + flips:
             depth = depth0.copy()
             depth.flat[p] = d
@@ -444,7 +452,15 @@ class TestProbeReference:
             assert got == want, (p, d)
             flipped |= {(bool(v[p]), not v[p]) for pose, v in zip(poses0, valid0)
                         if geometry.warp_chain(depth, pose, k).valid.flat[p] != v[p]}
+            if photo:
+                argmin, mask = argmin_and_mask(depth)
+                sources_flipped += int(((argmin != argmin0) & (argmin >= 0) & (argmin0 >= 0)).sum())
+                masks_flipped += int((mask != mask0).sum())
         assert flipped == {(True, False), (False, True)}
+        # the probes move pixels between sources and across the static mask,
+        # so the patched minimum, argmin, mask and count are exercised
+        if photo:
+            assert sources_flipped and masks_flipped
         for i in range(params0.size):
             for step in (1e-5, -1e-5):
                 params = params0.copy()
