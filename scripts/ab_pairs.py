@@ -11,7 +11,11 @@ is imported or changed.
 
 For every end-to-end metric of BENCHMARK.json it prints the median
 [quartiles] of each side, the median of the paired relative changes
-(change / parent - 1) and in how many pairs the change was better. Exits 1
+(change / parent - 1) and in how many pairs the change was better. It
+does the same for each run's minor page faults (``ru_minflt`` of the run's
+whole process tree, the ``RUSAGE_CHILDREN`` delta around its subprocess):
+a process's fault regime follows allocation order and the checkout's path
+as much as its work, so judge a fault change over several paths. Exits 1
 if any run is not ``correct`` or fails an operation.
 
 With ``--json PATH`` the same summary, each run's values and each side's
@@ -35,28 +39,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# reported beside the benchmark's end-to-end metrics; not one of them
+FAULTS = {"name": "minor_faults", "unit": "count", "better": "lower"}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its final JSON line, with the run
-    record's machine and library settings under "environment"."""
+    """One untraced benchmark run; its final JSON line, with the run's minor
+    page faults added to its metrics and the run record's machine and
+    library settings under "environment"."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"ab_pairs: {checkout}: no result line (exit {proc.returncode})")
+    result["metrics"]["minor_faults"] = {"value": faults}
     record = checkout / ".bench_work" / workload / f"result-seed{seed}-trace0.json"
     env = json.loads(record.read_text())["environment"]
     result["environment"] = {
@@ -103,6 +114,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
 
     metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics.append(FAULTS)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(sides["parent"])) != len(str(sides["change"])):
         print(f"ab_pairs: warning: checkout paths differ in length ({sides['parent']}, "

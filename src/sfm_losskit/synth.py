@@ -12,10 +12,13 @@ A noise channel is 0.5 plus 8 plane waves a*cos(kx*x + ky*y + p) on an n x n
 raster. Each wave splits into two products of a factor in y alone and a
 factor in x alone, so the channel is 0.5 plus the product of an (n, 16)
 table of y factors and a (16, n) table of x factors: the trigonometry costs
-O(n) per wave instead of O(n^2). The product runs through ``np.einsum``
-without ``optimize``, which calls no BLAS: a BLAS matrix product can round
+O(n) per wave instead of O(n^2). The texture keeps both tables and
+evaluates their product only over the texel blocks its views read
+(`_Texture.fill`). The product runs through ``np.einsum`` without
+``optimize``, which calls no BLAS: a BLAS matrix product can round
 differently with its thread count, and a texture must not depend on it,
-because the scenes it renders are compared byte for byte.
+because the scenes it renders are compared byte for byte. Keep that spec,
+so that a texel gets the same bits whatever block fills it.
 """
 
 from __future__ import annotations
@@ -94,16 +97,27 @@ class SceneSpec:
 
 
 class _Texture:
-    """Raster texture over a plane patch, sampled bilinearly.
+    """Noise texture over a plane patch, sampled bilinearly.
 
     Plane coordinates (meters) map affinely onto the raster grid; lookups
-    outside the patch clamp to the border.
+    outside the patch clamp to the border. The raster starts unwritten, and
+    `sample` first fills the block its bilinear corners touch: a view reads
+    about a tenth of the texels, and pages never written cost nothing.
     """
 
-    def __init__(self, raster: np.ndarray, origin: tuple[float, float], spacing: float):
-        self.raster = raster  # (C, Ht, Wt)
+    def __init__(self, raster: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
+                 origin: tuple[float, float], spacing: float):
+        self.raster = raster  # (C, Ht, Wt), written only where filled
+        self.tables = tables  # per channel: (Ht, 16) y factors, (Wt, 16) x factors
         self.origin = origin
         self.spacing = spacing
+
+    def fill(self, i0: int, i1: int, j0: int, j1: int) -> None:
+        """Evaluate texels [i0, i1) x [j0, j1) of every channel into the raster."""
+        block = self.raster[:, i0:i1, j0:j1]
+        for c, (rows, cols) in enumerate(self.tables):
+            block[c] = 0.5 + np.einsum("iw,jw->ij", rows[i0:i1], cols[j0:j1])
+        block.clip(0.0, 1.0, out=block)
 
     def sample(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """(C,) + px.shape texture values at plane coordinates (px, py)."""
@@ -112,6 +126,9 @@ class _Texture:
         v = np.clip((py - self.origin[1]) / self.spacing, 0.0, ht - 1.0)
         coords = np.stack([u, v]).reshape(2, -1, 1)
         at = warp.sampling(coords, np.ones(coords.shape[1:], dtype=bool), (ht, wt))
+        # upper-left corners, and one texel past them for the other three
+        x0 = at.index % wt
+        self.fill(at.index.min() // wt, at.index.max() // wt + 2, x0.min(), x0.max() + 2)
         out = warp.sample_bilinear(self.raster, at)
         return out.reshape((channels,) + px.shape)
 
@@ -123,9 +140,9 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
         raise ConfigError(f"texture raster of {n} texels is unreasonably large")
     axis = -extent + spacing * np.arange(n)
     f_max = cycles_per_px / spacing  # cycles per meter
-    raster = np.empty((channels, n, n))
+    tables = []
     n_waves = 8
-    for c in range(channels):
+    for _ in range(channels):
         mags = f_max * rng.uniform(0.2, 1.0, n_waves)
         dirs = rng.uniform(0.0, 2 * math.pi, n_waves)
         phases = rng.uniform(0.0, 2 * math.pi, n_waves)
@@ -136,9 +153,8 @@ def _noise_texture(rng, extent: float, spacing: float, cycles_per_px: float,
         col_arg = np.multiply.outer(axis, 2 * math.pi * mags * np.cos(dirs))
         rows = np.concatenate([amps * np.cos(row_arg), -amps * np.sin(row_arg)], axis=1)
         cols = np.concatenate([np.cos(col_arg), np.sin(col_arg)], axis=1)
-        raster[c] = 0.5 + np.einsum("iw,jw->ij", rows, cols)
-    raster.clip(0.0, 1.0, out=raster)
-    return _Texture(raster, (-extent, -extent), spacing)
+        tables.append((rows, cols))
+    return _Texture(np.empty((channels, n, n)), tables, (-extent, -extent), spacing)
 
 
 @dataclass

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sfm_losskit import losses, warp
+from sfm_losskit import cli, losses, synth, warp
 from sfm_losskit.errors import ConfigError
 from sfm_losskit.geometry import PoseSE3, warp_chain
 from sfm_losskit.config import load_config
 from sfm_losskit.synth import (
+    GEOMETRIES,
     STRIP_DEPTH,
     STRIP_X,
     SceneSpec,
@@ -238,9 +239,76 @@ class TestNoiseTexture:
         ref = reference_noise_texture(ref_rng, *args)
         assert tex.raster.shape == ref.shape == (channels, 321, 321)
         assert tex.raster.flags.c_contiguous
+        tex.fill(0, 321, 0, 321)  # every texel, as one block
         assert np.abs(tex.raster - ref).max() <= 1e-12
         # the same number of draws in the same order: the generators agree after
         assert rng.random() == ref_rng.random()
+
+    def test_raster_size_guard(self, tmp_path, capsys):
+        # n = ceil(2 * extent / spacing) + 1 texels a side; the raster is
+        # allocated unwritten, so the accepted size costs no pages here
+        rng = np.random.default_rng(0)
+        assert _noise_texture(rng, 2047.5, 1.0, 0.03, 0.42, 1).raster.shape == (1, 4096, 4096)
+        with pytest.raises(ConfigError, match="texture raster of 4097 texels"):
+            _noise_texture(rng, 2048.0, 1.0, 0.03, 0.42, 1)
+        # through the CLI: a 200 m baseline widens the patch to over 4096 texels
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("scene.width = 48\nscene.height = 40\nscene.d0 = 8.0\n"
+                       "scene.baseline = 200\nscene.seed = 1\n")
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sfm-losskit: error: ConfigError: texture raster of ")
+        assert err[0].endswith(" texels is unreasonably large")
+        assert not (tmp_path / "s").exists()
+
+
+class TestLazyFill:
+    """A render fills only the texel blocks it reads. Every texel starts as
+    NaN here, so a read of one left unfilled would show, and the views must
+    equal those of fully filled rasters bit for bit."""
+
+    POSE = PoseSE3(rotation=(0.04, -0.06, 0.02), translation=(0.6, -0.25, 0.3))
+
+    @staticmethod
+    def record_textures(monkeypatch, eager):
+        """Make every texture built from now on start NaN (lazy) or fully
+        filled (eager), and return the list they are appended to."""
+        built = []
+
+        def noise_texture(*args):
+            tex = _noise_texture(*args)
+            tex.raster.fill(np.nan)
+            if eager:
+                tex.fill(0, tex.raster.shape[1], 0, tex.raster.shape[2])
+            built.append(tex)
+            return tex
+
+        monkeypatch.setattr(synth, "_noise_texture", noise_texture)
+        return built
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_lazy_render_equals_eager(self, monkeypatch, geometry, channels):
+        spec = SceneSpec(geometry=geometry, slant=20.0 if geometry == "slant" else 0.0,
+                         width=64, height=48, channels=channels, seed=3, beams=4,
+                         px_per_beam=8)
+        k = spec.intrinsics()
+        outputs = {}
+        for eager in (False, True):
+            built = self.record_textures(monkeypatch, eager)
+            scene = make_scene(spec)
+            view = _render(_build_geometry(spec, k), self.POSE, k, channels)
+            outputs[eager] = [scene.target, scene.gt_depth, scene.labels.depth,
+                              *(img for img, _ in scene.contexts), *scene.occluded, *view]
+            assert len(built) == 2 * (1 + (geometry == "two_plane"))
+            if not eager:
+                assert not np.isnan(scene.target).any() and not np.isnan(view[0]).any()
+                # most texels are never filled
+                assert all(np.isnan(tex.raster).mean() > 0.5 for tex in built)
+        for lazy, eager in zip(outputs[False], outputs[True]):
+            assert lazy.dtype == eager.dtype and lazy.shape == eager.shape
+            assert lazy.tobytes() == eager.tobytes()
 
 
 def test_scene_determinism():
