@@ -22,7 +22,8 @@ return a gradient per label, added into the depth gradient at the label
 pixels only. So what an entry point computes is exactly what the optimizer
 minimizes. Only `optimize.gradcheck`'s objective keeps a reference of its
 gradient evaluation; its forward probes recompute each piece of the
-objective only where that piece's inputs moved (see `Objective`).
+objective only where that piece's inputs moved and read the recorded
+arrays in place, copying only what they paste into (see `Objective`).
 
 The photometric kernels take a leading stack axis, used only by a depth
 probe, which scores every context's and channel's window in one pass.
@@ -300,34 +301,35 @@ def _moved_boxes(old, new):
     h, w = new.shape
     if old is None:
         return (0, h, 0, w), (0, h, 0, w)
-    moved = new.view(np.int64) != old.view(np.int64)
-    rows, cols = np.flatnonzero(moved.any(axis=1)), np.flatnonzero(moved.any(axis=0))
-    if not rows.size:
+    moved = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
+    if not moved.size:
         return None
-    return [(max(rows[0] - g, 0), min(rows[-1] + 1 + g, h), max(cols[0] - g, 0),
-             min(cols[-1] + 1 + g, w)) for g in (2, 1)]
+    cols = moved % w
+    r0, r1, c0, c1 = moved[0] // w, moved[-1] // w + 1, cols.min(), cols.max() + 1
+    return [(max(r0 - g, 0), min(r1 + g, h), max(c0 - g, 0), min(c1 + g, w)) for g in (2, 1)]
 
 
 def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None):
     """Warp every context image into the target view at this depth and pose
     and score it.
 
-    Returns per context the warp chain's points with its sampling state, the
-    photometric adjoint and the photometric loss map (+inf where invalid),
-    and the window outside which every map equals the recorded one (None if
-    a map was scored whole). Without ``boxes`` each context is scored over
-    the whole image, one channel plane at a time, and a gradient evaluation
-    records each map in the objective's reference, if it keeps one. A probe
-    of that objective passes per context `_moved_boxes` of the level's depth
-    against the recorded one, or the whole image for a context whose pose
-    moved. None reuses the recorded map and warps an empty window.
-    Otherwise the warp and its sampling state cover the first box (the
-    moved depth pixels grown by 2, never a single pixel). The contexts
-    whose pose did not move share that box, and one stacked pass scores all
-    their windows and channels (no adjoint: a probe takes none); each
-    window's box grown by 1 is pasted into a copy of its recorded map. A
-    loss pixel reads only its 3x3 window, so the paste gives the bits a
-    whole-image scoring would.
+    Returns per context the warp chain's points with its sampling state and
+    the photometric adjoint, then the loss maps (+inf where invalid) and the
+    slices of the window outside which every map equals the recorded one
+    (None once a map is scored whole). Without ``boxes`` each context is
+    scored over the whole image, one channel plane at a time, and a gradient
+    evaluation records each map in the objective's reference, if it keeps
+    one. A probe of that objective passes per context `_moved_boxes` of the
+    level's depth against the recorded one, or the whole image for a context
+    whose pose moved. None reuses the recorded map, read in place, and warps
+    an empty window. Otherwise the warp and its sampling state cover the
+    first box (the moved depth pixels grown by 2, never a single pixel). The
+    contexts whose pose did not move share that box, and one stacked pass
+    scores all their windows and channels (no adjoint: a probe takes none).
+    A loss pixel reads only its 3x3 window, so the box grown by 1 holds the
+    bits a whole-image scoring would: the maps are that window of every
+    context's map or, once a map is scored whole, full maps, each window
+    pasted into a copy of its recorded map.
     """
     target, k, alpha = objective.target, objective.k, objective.weights.alpha
     reference, (h, w) = objective._reference, target.shape[1:]
@@ -340,9 +342,7 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None
         window = None if boxes is None else box[0] if box else (0, 0, 0, 0)
         points, coords, valid = geometry.warp_chain(depth, pose, k, window)
         loss_map = adjoint = at = None
-        if box is None:
-            loss_map = reference["photo", level, s]
-        else:
+        if box is not None:
             at = warp.sampling(coords, valid, (h, w))
             del coords  # the state stands in for it, freed before the scoring
             synth = warp.sample_bilinear(src, at)
@@ -357,15 +357,21 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None
         warps.append(None if at is None else (points, at))
         adjoints.append(adjoint)
         maps.append(loss_map)
+    inside = paste and np.s_[paste[0]:paste[1], paste[2]:paste[3]]
     if stacked:
         contexts, synths, valids = zip(*stacked)
         (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes[contexts[0]]
         patches, _ = _photometric_forward(target[:, r0:r1, c0:c1], np.stack(synths, axis=1),
                                           np.stack(valids), alpha)
         for s, patch in zip(contexts, patches):
-            maps[s] = reference["photo", level, s].copy()
-            maps[s][i0:i1, j0:j1] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
-    return warps, adjoints, maps, paste
+            maps[s] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
+            if paste is None:  # another context was scored whole
+                full = reference["photo", level, s].copy()
+                full[i0:i1, j0:j1] = maps[s]
+                maps[s] = full
+    maps = [reference["photo", level, s][inside or ...] if m is None else m  # ...: whole
+            for s, m in enumerate(maps)]
+    return warps, adjoints, maps, inside
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -407,29 +413,33 @@ class _PhotoTerm(NamedTuple):
 
 def _photo_forward(objective, poses, depth, level, want_grad, boxes) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
-    by the static-pixel mask. A probe whose maps moved only inside a window
-    patches copies of the recorded minimum, argmin and mask there, and
-    corrects the recorded count by the window's old and new members."""
-    warps, adjoints, maps, paste = _warped_losses(objective, poses, depth, level, want_grad,
-                                                  boxes)
+    by the static-pixel mask. A gradient evaluation records the masked
+    minimum (0 outside the mask), argmin, mask and count in the objective's
+    reference, if it keeps one. A probe whose maps moved only inside a
+    window corrects the count by the window's old and new members and
+    pastes the window's masked minimum into a copy of the recorded one; it
+    copies nothing else, and its term holds no argmin or mask."""
+    warps, adjoints, maps, inside = _warped_losses(objective, poses, depth, level, want_grad,
+                                                   boxes)
     reference = objective._reference
-    if paste is None:
+    if inside is None:
         min_map, argmin = _min_over_sources(maps)
         mask = _static_mask(objective.unwarped_min, min_map)
         count = int(mask.sum())
+        masked = np.where(mask, min_map, 0.0)
         if want_grad and reference is not None:
-            reference["min", level] = min_map, argmin, mask, count
-    else:  # a probe: outside the paste, all four are the recorded ones
-        min_map, argmin, mask, count = reference["min", level]
-        min_map, argmin, mask = min_map.copy(), argmin.copy(), mask.copy()
-        inside = np.s_[paste[0]:paste[1], paste[2]:paste[3]]
-        count -= int(mask[inside].sum())
-        min_map[inside], argmin[inside] = _min_over_sources([m[inside] for m in maps])
-        mask[inside] = _static_mask(objective.unwarped_min[inside], min_map[inside])
-        count += int(mask[inside].sum())
+            reference["min", level] = masked, argmin, mask, count
+    else:  # a probe: outside the paste, every map is the recorded one
+        recorded, _, recorded_mask, count = reference["min", level]
+        min_map, _ = _min_over_sources(maps)
+        mask = _static_mask(objective.unwarped_min[inside], min_map)
+        count += int(mask.sum()) - int(recorded_mask[inside].sum())
+        masked = recorded.copy()
+        masked[inside] = np.where(mask, min_map, 0.0)
+        argmin = mask = None
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
-    value = float(np.sum(np.where(mask, min_map, 0.0))) / count
+    value = float(np.sum(masked)) / count
     return value, _PhotoTerm(depth, warps, adjoints, argmin, mask, count)
 
 
@@ -791,13 +801,15 @@ class Objective:
     parameters, the supervised result with the label depths (and for rep
     the poses) it read, and per level: the depth (copied at level 0, which
     the caller owns), the smoothness, each context's loss map, and the
-    minimum over sources with its argmin, static mask and masked count. A
-    forward evaluation compares its inputs with these by bytes (-0.0
-    against 0.0 moved) and reuses each piece whose inputs did not move. A
-    depth probe scores only its moved window, stacked over contexts and
-    channels (`_warped_losses`), and patches the minimum, argmin and mask
-    there (`_photo_forward`); every scalar is still an ``np.sum`` over full
-    maps, so every result is bit-identical to a fresh objective's.
+    minimum over sources where the static mask keeps a pixel (0 elsewhere),
+    with its argmin, the mask and the masked count. A forward evaluation
+    compares its inputs with these by bytes (-0.0 against 0.0 moved) and
+    reuses each piece whose inputs did not move. A depth probe scores only
+    its moved window, stacked over contexts and channels (`_warped_losses`),
+    reads the recorded maps and mask there in place and pastes its window
+    into a copy of the masked minimum (`_photo_forward`), writing no
+    recorded array; every scalar is still an ``np.sum`` over full maps, so
+    every result is bit-identical to a fresh objective's.
     """
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,

@@ -301,8 +301,10 @@ def gradcheck(
     ``weights``, ``terms``, ``supervised`` and ``num_scales``, serves the
     gradient and every probe; ``terms`` selects the terms checked, alone or
     combined. An unknown term, no term or a selected term of weight 0 (which
-    checks nothing) is a ConfigError. The gradient evaluation records the
-    objective's reference, and each probe recomputes only what it moves,
+    checks nothing) is a ConfigError. The point's poses are built once: the
+    gradient evaluation and every depth probe share them, so a depth probe
+    rebuilds no rotation. The gradient evaluation records the objective's
+    reference, and each probe recomputes only what it moves,
     bit-identically: a depth probe the warp and loss pixels around its
     depth pixel, every context and channel in one stacked pass, and the
     minimum over sources and the static mask there; a pose probe its whole
@@ -332,22 +334,24 @@ def gradcheck(
     pose_params[:, 3:] += rng.normal(0.0, 0.02, pose_params[:, 3:].shape)
     x0 = np.concatenate([depth0.reshape(-1), pose_params.reshape(-1)])
     n_depth = depth0.size
+    poses0 = [PoseSE3.from_params(p) for p in pose_params]  # the point's, built once
 
-    def evaluate(x, loss=losses.total_loss):
-        poses = [PoseSE3.from_params(p) for p in x[n_depth:].reshape(pose_params.shape)]
+    def evaluate(x, poses=None, loss=losses.total_loss):
+        poses = poses or [PoseSE3.from_params(p) for p in x[n_depth:].reshape(pose_params.shape)]
         return loss(objective, poses, x[:n_depth].reshape(depth0.shape))
 
-    _, d_depth, d_poses = evaluate(x0, losses.total_loss_grad)
+    _, d_depth, d_poses = evaluate(x0, poses0, losses.total_loss_grad)
     analytic = np.concatenate([d_depth.reshape(-1), d_poses.reshape(-1)])
     pixels = rng.choice(n_depth, size=min(n_samples, n_depth), replace=False)
     probes = [int(p) for p in pixels] + list(range(n_depth, x0.size))
 
     def fd_probe(i):
+        poses = poses0 if i < n_depth else None  # a depth probe moves no pose
         x = x0.copy()
         x[i] += h
-        f_plus = evaluate(x).total
+        f_plus = evaluate(x, poses).total
         x[i] -= 2 * h
-        return (f_plus - evaluate(x).total) / (2 * h)
+        return (f_plus - evaluate(x, poses).total) / (2 * h)
 
     fd_values = [fd_probe(p) for p in probes]
 

@@ -13,12 +13,12 @@ raster. Each wave splits into two products of a factor in y alone and a
 factor in x alone, so the channel is 0.5 plus the product of an (n, 16)
 table of y factors and a (16, n) table of x factors: the trigonometry costs
 O(n) per wave instead of O(n^2). The texture keeps both tables and
-evaluates their product only over the texel blocks its views read
-(`_Texture.fill`). The product runs through ``np.einsum`` without
-``optimize``, which calls no BLAS: a BLAS matrix product can round
-differently with its thread count, and a texture must not depend on it,
-because the scenes it renders are compared byte for byte. Keep that spec,
-so that a texel gets the same bits whatever block fills it.
+evaluates their product, each texel once, only over the bounding box of the
+texel blocks its views read (`_Texture.fill`). The product runs through
+``np.einsum`` without ``optimize``, which calls no BLAS: a BLAS matrix
+product can round differently with its thread count, and a texture must not
+depend on it, because the scenes it renders are compared byte for byte.
+Keep that spec, so that a texel gets the same bits whatever block fills it.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ class _Texture:
     Plane coordinates (meters) map affinely onto the raster grid; lookups
     outside the patch clamp to the border. The raster starts unwritten, and
     `sample` first fills the block its bilinear corners touch: a view reads
-    about a tenth of the texels, and pages never written cost nothing.
+    about a tenth of the texels, and pages never written cost nothing. The
+    filled texels form one rectangle, grown to the bounding box of each
+    block asked for, so no texel is evaluated twice.
     """
 
     def __init__(self, raster: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]],
@@ -111,8 +113,19 @@ class _Texture:
         self.tables = tables  # per channel: (Ht, 16) y factors, (Wt, 16) x factors
         self.origin = origin
         self.spacing = spacing
+        self.filled = None  # (i0, i1, j0, j1) of the filled rectangle
 
     def fill(self, i0: int, i1: int, j0: int, j1: int) -> None:
+        """Make texels [i0, i1) x [j0, j1) of every channel hold their values,
+        evaluating only those the filled rectangle's growth adds to it."""
+        f0, f1, g0, g1 = self.filled or (i0, i0, j0, j0)
+        i0, i1, j0, j1 = min(i0, f0), max(i1, f1), min(j0, g0), max(j1, g1)
+        self.filled = i0, i1, j0, j1
+        for block in ((i0, f0, j0, j1), (f1, i1, j0, j1), (f0, f1, j0, g0), (f0, f1, g1, j1)):
+            if block[0] < block[1] and block[2] < block[3]:
+                self._evaluate(*block)
+
+    def _evaluate(self, i0: int, i1: int, j0: int, j1: int) -> None:
         """Evaluate texels [i0, i1) x [j0, j1) of every channel into the raster."""
         block = self.raster[:, i0:i1, j0:j1]
         for c, (rows, cols) in enumerate(self.tables):

@@ -382,6 +382,36 @@ class TestGradcheck:
         for kind, i, analytic, _, _ in report.failures:
             assert analytic == (d_depth if kind == "depth" else d_poses).flat[i]
 
+    def test_depth_probes_build_no_rotation(self, monkeypatch):
+        # gradcheck builds the point's poses once: the gradient evaluation
+        # builds their rotation factors, every depth probe reuses them and
+        # every pose probe builds its own
+        scene = quick_scene(width=48, height=40, channels=3)
+        n_samples, contexts = 5, len(scene.contexts)
+        factors = [0]  # _axis_rotation calls of each evaluation, set-up first
+        axis_rotation = geometry._axis_rotation
+
+        def counted(*args):
+            factors[-1] += 1
+            return axis_rotation(*args)
+
+        def evaluation(name):
+            evaluate = getattr(losses, name)
+
+            def wrapper(*args):
+                factors.append(0)
+                return evaluate(*args)
+            monkeypatch.setattr(losses, name, wrapper)
+
+        for name in ("total_loss", "total_loss_grad"):
+            evaluation(name)
+        monkeypatch.setattr(geometry, "_axis_rotation", counted)
+        gradcheck(scene, LossWeights(lambda_rep=1.0), n_samples=n_samples, num_scales=2)
+        setup, grad, *probes = factors
+        assert setup == 0 and grad == 3 * contexts
+        assert probes[:2 * n_samples] == [0] * (2 * n_samples)
+        assert probes[2 * n_samples:] == [3 * contexts] * (2 * 6 * contexts)
+
     def test_threads_env_starts_no_thread(self, monkeypatch):
         # the probe loop is serial: gradcheck starts no thread and ignores
         # SFM_LOSSKIT_THREADS
@@ -532,6 +562,56 @@ class TestProbeReference:
         assert flip[0] == (0, h, 0, w)  # the flipped pose re-warps its whole context
         assert 1 not in sizes and min(sizes) == 0 and max(sizes) == h * w
         assert len(sizes) > 2  # windows between empty and the whole image
+
+
+    @pytest.mark.parametrize("channels, num_scales, terms, supervised", [
+        (3, 1, losses.TERMS, "rep"),
+        (1, 3, losses.TERMS, "l1"),
+        (3, 2, ("photo", "rep"), "berhu"),
+    ])
+    def test_probes_write_no_recorded_array(self, channels, num_scales, terms, supervised):
+        # probes read the recorded arrays in place: after depth, pose and
+        # combined probes, every entry of the reference keeps the bytes the
+        # gradient evaluation left
+        def snapshot(value):
+            if isinstance(value, np.ndarray):
+                return value.dtype.str, value.shape, value.tobytes()
+            if isinstance(value, (tuple, list)):
+                return tuple(snapshot(v) for v in value)
+            return repr(value)
+
+        scene = quick_scene(width=48, height=40, channels=channels)
+        probing = losses.Objective(
+            scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
+            LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
+            supervised=supervised, terms=terms)
+        probing._reference = {}  # as gradcheck's objective
+        rng = np.random.default_rng(13)
+        depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
+        params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
+        params0 += rng.normal(0.0, 0.01, params0.shape)
+        losses.total_loss_grad(probing, [PoseSE3.from_params(p) for p in params0], depth0)
+        recorded = {key: snapshot(value) for key, value in probing._reference.items()}
+        assert ("min", 0) in recorded or "photo" not in terms
+
+        h, w = depth0.shape
+        pixels = [0, w + 1, h // 2 * w + w // 2, h * w - 1]
+        probes = [([(p, f)], None) for p in pixels for f in (1 + 1e-5, 1 - 1e-5, 0.05, 1e4)]
+        probes += [([], (s, i, d)) for s in range(len(params0)) for i in range(6)
+                   for d in (1e-5, -1e-5)]
+        probes += [([(p, 1.3), (h * w - 1 - p, 0.7)], (s, 5, 1e-3))
+                   for p in pixels for s in range(len(params0))]
+        for moves, pose_move in probes:
+            depth, params = depth0.copy(), params0.copy()
+            for p, factor in moves:
+                depth.flat[p] *= factor
+            if pose_move is not None:
+                s, i, d = pose_move
+                params[s, i] += d
+            losses.total_loss(probing, [PoseSE3.from_params(p) for p in params], depth)
+            assert probing._reference.keys() == recorded.keys()
+            for key, value in probing._reference.items():
+                assert snapshot(value) == recorded[key], (key, moves, pose_move)
 
 
 class TestOptimState:

@@ -263,8 +263,12 @@ class TestNoiseTexture:
         assert not (tmp_path / "s").exists()
 
 
+EVALUATE = synth._Texture._evaluate  # unwrapped, as monkeypatching replaces it
+
+
 class TestLazyFill:
-    """A render fills only the texel blocks it reads. Every texel starts as
+    """A render fills only the texel blocks it reads, and evaluates each
+    texel at most once however many renders read it. Every texel starts as
     NaN here, so a read of one left unfilled would show, and the views must
     equal those of fully filled rasters bit for bit."""
 
@@ -273,19 +277,36 @@ class TestLazyFill:
     @staticmethod
     def record_textures(monkeypatch, eager):
         """Make every texture built from now on start NaN (lazy) or fully
-        filled (eager), and return the list they are appended to."""
+        filled (eager), and return the list they are appended to; each
+        texture's ``evaluations`` counts how often each texel was evaluated."""
         built = []
+
+        def counted(tex, i0, i1, j0, j1):
+            tex.evaluations[i0:i1, j0:j1] += 1
+            EVALUATE(tex, i0, i1, j0, j1)
 
         def noise_texture(*args):
             tex = _noise_texture(*args)
             tex.raster.fill(np.nan)
+            tex.evaluations = np.zeros(tex.raster.shape[1:], dtype=int)
             if eager:
                 tex.fill(0, tex.raster.shape[1], 0, tex.raster.shape[2])
             built.append(tex)
             return tex
 
+        monkeypatch.setattr(synth._Texture, "_evaluate", counted)
         monkeypatch.setattr(synth, "_noise_texture", noise_texture)
         return built
+
+    @staticmethod
+    def assert_filled_once(tex):
+        """Every texel of the filled rectangle was evaluated exactly once and
+        holds a value; no texel outside it was evaluated."""
+        i0, i1, j0, j1 = tex.filled
+        inside = np.zeros(tex.evaluations.shape, dtype=bool)
+        inside[i0:i1, j0:j1] = True
+        assert (tex.evaluations == inside).all()
+        assert not np.isnan(tex.raster[:, inside]).any()
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -302,6 +323,9 @@ class TestLazyFill:
             outputs[eager] = [scene.target, scene.gt_depth, scene.labels.depth,
                               *(img for img, _ in scene.contexts), *scene.occluded, *view]
             assert len(built) == 2 * (1 + (geometry == "two_plane"))
+            # the target, two contexts and the view: no texel evaluated twice
+            for tex in built:
+                self.assert_filled_once(tex)
             if not eager:
                 assert not np.isnan(scene.target).any() and not np.isnan(view[0]).any()
                 # most texels are never filled
@@ -309,6 +333,28 @@ class TestLazyFill:
         for lazy, eager in zip(outputs[False], outputs[True]):
             assert lazy.dtype == eager.dtype and lazy.shape == eager.shape
             assert lazy.tobytes() == eager.tobytes()
+
+
+    def test_fill_grows_one_rectangle(self, monkeypatch):
+        # overlapping, nested, disjoint and repeated blocks: the filled
+        # rectangle is their bounding box, each of its texels evaluated once
+        # with the bits of one whole-raster fill
+        built = self.record_textures(monkeypatch, eager=False)
+        tex = synth._noise_texture(np.random.default_rng(5), 1.0, 0.05, 0.1, 0.42, 3)
+        whole = synth._noise_texture(np.random.default_rng(5), 1.0, 0.05, 0.1, 0.42, 3)
+        whole.fill(0, 41, 0, 41)
+        box = None
+        for block in [(10, 14, 20, 23), (12, 18, 15, 21), (11, 13, 16, 22), (30, 41, 0, 2),
+                      (0, 1, 40, 41), (12, 18, 15, 21), (5, 6, 5, 6)]:
+            tex.fill(*block)
+            box = block if box is None else (min(box[0], block[0]), max(box[1], block[1]),
+                                             min(box[2], block[2]), max(box[3], block[3]))
+            assert tex.filled == box
+            self.assert_filled_once(tex)
+            i0, i1, j0, j1 = box
+            assert (tex.raster[:, i0:i1, j0:j1].tobytes()
+                    == whole.raster[:, i0:i1, j0:j1].tobytes())
+        assert built == [tex, whole] and tex.filled == (0, 41, 0, 41)
 
 
 def test_scene_determinism():
