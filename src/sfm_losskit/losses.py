@@ -20,10 +20,10 @@ smoothness kernels each return their value with a closure that computes its
 exact adjoint, and the supervised term is `_supervised`, whose three losses
 return a gradient per label, added into the depth gradient at the label
 pixels only. So what an entry point computes is exactly what the optimizer
-minimizes. Only `optimize.gradcheck`'s objective keeps a reference of its
-gradient evaluation; its forward probes recompute each piece of the
-objective only where that piece's inputs moved and read the recorded
-arrays in place, copying only what they paste into (see `Objective`).
+minimizes. Only `optimize.gradcheck`'s objective records its gradient
+evaluation (`_Record`); its probes recompute each piece of the objective
+only where that piece's inputs moved and read the recorded arrays in
+place, copying only what they paste into (see `_evaluate`).
 
 The photometric kernels take a leading stack axis, used only by a depth
 probe, which scores every context's and channel's window in one pass.
@@ -296,11 +296,8 @@ def _photometric_forward(target, synth, mask, alpha):
 def _moved_boxes(old, new):
     """Bounds (r0, r1, c0, c1) of the pixels where the (H, W) float array
     ``new`` differs from ``old`` in its bytes (so -0.0 against 0.0 counts),
-    grown by 2 and by 1 within the image: the whole image twice without
-    ``old``, None if no pixel differs."""
+    grown by 2 and by 1 within the image, or None if no pixel differs."""
     h, w = new.shape
-    if old is None:
-        return (0, h, 0, w), (0, h, 0, w)
     moved = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
     if not moved.size:
         return None
@@ -309,35 +306,32 @@ def _moved_boxes(old, new):
     return [(max(r0 - g, 0), min(r1 + g, h), max(c0 - g, 0), min(c1 + g, w)) for g in (2, 1)]
 
 
-def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None):
+def _warped_losses(objective, poses, depth, boxes=None, recorded=None):
     """Warp every context image into the target view at this depth and pose
     and score it.
 
     Returns per context the warp chain's points with its sampling state and
     the photometric adjoint, then the loss maps (+inf where invalid) and the
     slices of the window outside which every map equals the recorded one
-    (None once a map is scored whole). Without ``boxes`` each context is
-    scored over the whole image, one channel plane at a time, and a gradient
-    evaluation records each map in the objective's reference, if it keeps
-    one. A probe of that objective passes per context `_moved_boxes` of the
-    level's depth against the recorded one, or the whole image for a context
-    whose pose moved. None reuses the recorded map, read in place, and warps
-    an empty window. Otherwise the warp and its sampling state cover the
-    first box (the moved depth pixels grown by 2, never a single pixel). The
-    contexts whose pose did not move share that box, and one stacked pass
-    scores all their windows and channels (no adjoint: a probe takes none).
-    A loss pixel reads only its 3x3 window, so the box grown by 1 holds the
-    bits a whole-image scoring would: the maps are that window of every
-    context's map or, once a map is scored whole, full maps, each window
-    pasted into a copy of its recorded map.
+    (None for whole maps). Without ``boxes`` each context is scored over the
+    whole image, one channel plane at a time. A probe (see `_evaluate`)
+    passes the recorded level's `_PhotoTerm` and per context the
+    `_moved_boxes` of the level's depth, the whole image for a context
+    whose pose moved, or None, which reuses the recorded map, read in place,
+    and warps an empty window. A depth probe gives every context the same
+    box: the warp and its sampling state cover the first box (the moved
+    depth pixels grown by 2, never a single pixel), and one stacked pass
+    scores every context's window and channel (no adjoint: a probe takes
+    none). A loss pixel reads only its 3x3 window, so the box grown by 1
+    holds the bits a whole-image scoring would; the maps are that window of
+    every context's map.
     """
     target, k, alpha = objective.target, objective.k, objective.weights.alpha
-    reference, (h, w) = objective._reference, target.shape[1:]
+    h, w = target.shape[1:]
     whole = (0, h, 0, w)
     warps, adjoints, maps, stacked = [], [], [], []
-    paste = (0, 0, 0, 0)  # None once a map is scored whole
     for s, (src, pose) in enumerate(zip(objective.images, poses)):
-        box = (whole, whole) if boxes is None else boxes[s]
+        box = (whole,) if boxes is None else boxes[s]
         # one warp per context; a box of 2 or more pixels keeps the chain's bits
         window = None if boxes is None else box[0] if box else (0, 0, 0, 0)
         points, coords, valid = geometry.warp_chain(depth, pose, k, window)
@@ -346,32 +340,21 @@ def _warped_losses(objective, poses, depth, level=0, want_grad=False, boxes=None
             at = warp.sampling(coords, valid, (h, w))
             del coords  # the state stands in for it, freed before the scoring
             synth = warp.sample_bilinear(src, at)
-            if box[0] != whole:
-                stacked.append((s, synth, valid))
-                paste = paste and box[1]
-            else:
+            if box[0] == whole:
                 loss_map, adjoint = _photometric_forward(target, synth, valid, alpha)
-                paste = None
-                if want_grad and reference is not None:
-                    reference["photo", level, s] = loss_map
+            else:
+                stacked.append((synth, valid))
         warps.append(None if at is None else (points, at))
         adjoints.append(adjoint)
-        maps.append(loss_map)
-    inside = paste and np.s_[paste[0]:paste[1], paste[2]:paste[3]]
-    if stacked:
-        contexts, synths, valids = zip(*stacked)
-        (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes[contexts[0]]
-        patches, _ = _photometric_forward(target[:, r0:r1, c0:c1], np.stack(synths, axis=1),
-                                          np.stack(valids), alpha)
-        for s, patch in zip(contexts, patches):
-            maps[s] = patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0]
-            if paste is None:  # another context was scored whole
-                full = reference["photo", level, s].copy()
-                full[i0:i1, j0:j1] = maps[s]
-                maps[s] = full
-    maps = [reference["photo", level, s][inside or ...] if m is None else m  # ...: whole
-            for s, m in enumerate(maps)]
-    return warps, adjoints, maps, inside
+        maps.append(recorded.maps[s] if box is None else loss_map)
+    if not stacked:
+        return warps, adjoints, maps, None
+    synths, valids = zip(*stacked)
+    (r0, r1, c0, c1), (i0, i1, j0, j1) = boxes[0]
+    patches, _ = _photometric_forward(target[:, r0:r1, c0:c1], np.stack(synths, axis=1),
+                                      np.stack(valids), alpha)
+    maps = [patch[i0 - r0:i1 - r0, j0 - c0:j1 - c0] for patch in patches]
+    return warps, adjoints, maps, np.s_[i0:i1, j0:j1]
 
 
 def _min_over_sources(maps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -403,47 +386,59 @@ def _static_mask(min_unwarped: np.ndarray, min_warped: np.ndarray) -> np.ndarray
 
 
 class _PhotoTerm(NamedTuple):
-    depth: np.ndarray
-    warps: list
-    adjoints: list
-    argmin: np.ndarray
-    mask: np.ndarray
-    count: int
+    """One level's photometric term. Only a recorded one keeps its maps and
+    masked minimum, and a window probe's has no argmin or mask."""
+
+    warps: list | None  # per context: warp points and sampling state, or None
+    adjoints: list | None  # per context: the photometric adjoint, or None
+    maps: list | None  # per context: the loss map
+    masked: np.ndarray | None  # the minimum over sources inside the mask, 0 outside
+    argmin: np.ndarray | None
+    mask: np.ndarray | None  # the static-pixel mask
+    count: int  # the mask's pixel count
 
 
-def _photo_forward(objective, poses, depth, level, want_grad, boxes) -> tuple[float, _PhotoTerm]:
+class _Level(NamedTuple):
+    """One pyramid level of a `_Record`."""
+
+    depth: np.ndarray  # copied at level 0, which the caller owns
+    smooth: float | None  # None without the smoothness term
+    photo: _PhotoTerm | None  # without warps and adjoints; None without the photometric term
+
+
+class _Record(NamedTuple):
+    """The gradient evaluation of a recording objective, which its probes
+    read in place (see `_evaluate`)."""
+
+    poses: list  # each context's pose parameters, as bytes
+    levels: list  # one _Level per pyramid level
+    rep_inputs: tuple | None  # the label depths' and (for rep) the poses' bytes
+    rep: tuple  # the supervised (value, label count, labels dropped behind the camera)
+
+
+def _photo_forward(objective, poses, depth, boxes=None, recorded=None) -> tuple[float, _PhotoTerm]:
     """Mean of the per-pixel minimum photometric loss over the pixels kept
-    by the static-pixel mask. A gradient evaluation records the masked
-    minimum (0 outside the mask), argmin, mask and count in the objective's
-    reference, if it keeps one. A probe whose maps moved only inside a
-    window corrects the count by the window's old and new members and
-    pastes the window's masked minimum into a copy of the recorded one; it
-    copies nothing else, and its term holds no argmin or mask."""
-    warps, adjoints, maps, inside = _warped_losses(objective, poses, depth, level, want_grad,
-                                                   boxes)
-    reference = objective._reference
-    if inside is None:
-        min_map, argmin = _min_over_sources(maps)
-        mask = _static_mask(objective.unwarped_min, min_map)
-        count = int(mask.sum())
-        masked = np.where(mask, min_map, 0.0)
-        if want_grad and reference is not None:
-            reference["min", level] = masked, argmin, mask, count
-    else:  # a probe: outside the paste, every map is the recorded one
-        recorded, _, recorded_mask, count = reference["min", level]
-        min_map, _ = _min_over_sources(maps)
-        mask = _static_mask(objective.unwarped_min[inside], min_map)
-        count += int(mask.sum()) - int(recorded_mask[inside].sum())
-        masked = recorded.copy()
-        masked[inside] = np.where(mask, min_map, 0.0)
+    by the static-pixel mask, and the level's term. A probe (see
+    `_evaluate`) passes ``boxes`` and ``recorded`` as to `_warped_losses`;
+    one whose maps moved only inside a window corrects the recorded count
+    by the window's old and new members and pastes the window's masked
+    minimum into a copy of the recorded one, copying nothing else."""
+    warps, adjoints, maps, inside = _warped_losses(objective, poses, depth, boxes, recorded)
+    min_map, argmin = _min_over_sources(maps)
+    mask = _static_mask(objective.unwarped_min[inside or ...], min_map)  # ...: whole maps
+    count, masked = int(mask.sum()), np.where(mask, min_map, 0.0)
+    if inside is not None:  # a depth probe: outside the paste, every map is the recorded one
+        count += recorded.count - int(recorded.mask[inside].sum())
+        window, masked = masked, recorded.masked.copy()
+        masked[inside] = window
         argmin = mask = None
     if count == 0:
         raise DegenerateMaskError("static-pixel mask and warp validity removed every pixel")
     value = float(np.sum(masked)) / count
-    return value, _PhotoTerm(depth, warps, adjoints, argmin, mask, count)
+    return value, _PhotoTerm(warps, adjoints, maps, masked, argmin, mask, count)
 
 
-def _photo_backward(term: _PhotoTerm, objective, poses, ray_dirs, n_levels, d_level,
+def _photo_backward(term: _PhotoTerm, objective, poses, depth, ray_dirs, n_levels, d_level,
                     d_poses) -> None:
     """Adds d(photo value / n_levels) to d_level (the gradient w.r.t. this
     pyramid level's depth) and to d_poses.
@@ -453,7 +448,7 @@ def _photo_backward(term: _PhotoTerm, objective, poses, ray_dirs, n_levels, d_le
     """
     k = objective.k
     upstream = term.mask / (term.count * n_levels)
-    p_target = (term.depth * k.pixel_rays()).reshape(3, -1)
+    p_target = (depth * k.pixel_rays()).reshape(3, -1)
     for s, (src, pose) in enumerate(zip(objective.images, poses)):
         u_s = np.where(term.argmin == s, upstream, 0.0)
         if not u_s.any():
@@ -795,22 +790,12 @@ class Objective:
     2**(num_scales - 1) (ConfigError). It holds the float64 images,
     ``unwarped_min`` (None without the photometric term), the smoothness
     edge weights and the label data that depends on neither pose nor depth.
-
-    ``_reference`` is None except on `optimize.gradcheck`'s objective, which
-    sets it to {}. A gradient evaluation then records each context's pose
-    parameters, the supervised result with the label depths (and for rep
-    the poses) it read, and per level: the depth (copied at level 0, which
-    the caller owns), the smoothness, each context's loss map, and the
-    minimum over sources where the static mask keeps a pixel (0 elsewhere),
-    with its argmin, the mask and the masked count. A forward evaluation
-    compares its inputs with these by bytes (-0.0 against 0.0 moved) and
-    reuses each piece whose inputs did not move. A depth probe scores only
-    its moved window, stacked over contexts and channels (`_warped_losses`),
-    reads the recorded maps and mask there in place and pastes its window
-    into a copy of the masked minimum (`_photo_forward`), writing no
-    recorded array; every scalar is still an ``np.sum`` over full maps, so
-    every result is bit-identical to a fresh objective's.
+    Only `optimize.gradcheck` sets ``_recording``, so that its gradient
+    evaluation keeps a `_Record` for its probes (see `_evaluate`).
     """
+
+    _recording = False
+    _record: _Record | None = None  # assigned only by `_evaluate`
 
     def __init__(self, target, images, k: CameraIntrinsics, weights: LossWeights,
                  labels=None, num_scales: int = 1, supervised: str = "rep",
@@ -852,7 +837,6 @@ class Objective:
             self.labels = _labels(labels, k)
         self.edge_weights = _image_gradient_weights(target) if "smooth" in terms else None
         self.unwarped_min = unwarped_min_photometric(self) if "photo" in terms else None
-        self._reference = None
 
     def unsupervised(self) -> Objective:
         """This objective with the supervised weight at 0 (the first phase of
@@ -870,8 +854,17 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
     Returns (breakdown, d_depth, d_poses) where d_poses is (S, 6); the
     gradient outputs are None when want_grad is False.
 
-    On an objective that keeps a reference, a gradient evaluation records
-    it and a forward one (a probe) reuses it (see `Objective`).
+    On a recording objective (`optimize.gradcheck`'s) a gradient evaluation
+    assigns ``objective._record`` (a `_Record`); nothing else writes it. A
+    forward evaluation (a probe) compares its inputs with the record by
+    bytes (-0.0 against 0.0 moved) and reuses what did not move: a level's
+    smoothness, the supervised result and each context's loss map. A depth
+    probe (which passes the point's own poses) scores and pastes only its
+    moved window (`_warped_losses`, `_photo_forward`), a pose probe the
+    whole image of each context whose pose moved; one that moves both is
+    scored whole. No probe writes into the record, and every scalar is
+    still an ``np.sum`` over full maps, so every result is bit-identical to
+    a fresh objective's.
     """
     depth = _checked_depth(objective, depth)
     _check_poses(objective, poses)
@@ -879,11 +872,13 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
     use_photo = "photo" in terms
     use_smooth = "smooth" in terms
     use_rep = objective.labels is not None
-    reference = objective._reference
-    record = want_grad and reference is not None
-    old = reference if reference and not want_grad else None
-    if reference is not None:
+    record = want_grad and objective._recording
+    old = None if want_grad else objective._record
+    if objective._recording:
         pose_keys = [pose.as_params().tobytes() for pose in poses]
+    if old is not None:  # the whole image for each context whose pose moved
+        whole = ((0, depth.shape[0], 0, depth.shape[1]),) * 2
+        pose_boxes = [None if key == rec else whole for key, rec in zip(pose_keys, old.poses)]
     if use_photo and want_grad:
         rays = k.pixel_rays()
         ray_dirs = [
@@ -893,42 +888,46 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
 
     levels = _build_pyramid(depth, objective.num_scales)
     photo_total = smooth_total = 0.0
-    masked_count = 0
+    masked_count, smooth, photo_term = 0, None, None
     d_depth = np.zeros_like(depth) if want_grad else None
     d_poses = np.zeros((len(poses), 6)) if want_grad else None
+    recorded_levels = []
 
     for li, level in enumerate(levels):
         level_w = 2.0**-li
-        boxes = moved = None
+        recorded = boxes = None
         if old is not None:
-            moved = _moved_boxes(old["depth", li], level)
-            boxes = [moved if key == recorded else _moved_boxes(None, level)
-                     for key, recorded in zip(pose_keys, old["poses"])]
-        elif record:
-            reference["depth", li] = level.copy() if li == 0 else level
+            recorded = old.levels[li]
+            moved = _moved_boxes(recorded.depth, level)
+            if moved is None or not any(pose_boxes):  # else both moved: scored whole
+                boxes = [moved or box for box in pose_boxes]
         if use_photo:
             # photo_term is rebound here, so a level's state stays alive until
             # the next level's forward returns. Freeing it at the end of its
             # level took a 256x192, 3-scale step from 0 to 15,024 minor page
             # faults and from 95-116 ms to 153-176 ms (median, 2 vCPU).
-            value, photo_term = _photo_forward(objective, poses, level, li, want_grad, boxes)
+            value, photo_term = _photo_forward(objective, poses, level, boxes,
+                                               recorded and recorded.photo)
+            if not record:  # only the record keeps the maps (peak memory)
+                photo_term = photo_term._replace(maps=None, masked=None)
             photo_total += value
             if li == 0:
                 masked_count = photo_term.count
         if use_smooth:
-            if old is not None and moved is None:
-                value = old["smooth", li]
+            if recorded is not None and moved is None:
+                smooth = recorded.smooth
             else:
-                value, smooth_adjoint = _smoothness_forward(level, objective.edge_weights)
-            if record:
-                reference["smooth", li] = value
-            smooth_total += level_w * value
+                smooth, smooth_adjoint = _smoothness_forward(level, objective.edge_weights)
+            smooth_total += level_w * smooth
         if not want_grad:
             continue
+        if record:
+            photo = photo_term and photo_term._replace(warps=None, adjoints=None)
+            recorded_levels.append(_Level(level.copy() if li == 0 else level, smooth, photo))
 
         d_level = np.zeros_like(level)
         if use_photo:
-            _photo_backward(photo_term, objective, poses, ray_dirs, len(levels), d_level,
+            _photo_backward(photo_term, objective, poses, level, ray_dirs, len(levels), d_level,
                             d_poses)
         smooth_up = weights.lambda_smooth * level_w / len(levels)
         if use_smooth and smooth_up != 0.0:
@@ -938,22 +937,21 @@ def _evaluate(objective: Objective, poses, depth, want_grad):
     photo = photo_total / len(levels)
     smooth = smooth_total / len(levels)
 
-    rep_val, rep_count, rep_dropped = 0.0, 0, 0
+    rep_val, rep_count, rep_dropped, rep_inputs = 0.0, 0, 0, None
     if use_rep:
-        if reference is not None:  # the label depths, and the poses rep reads
-            inputs = (depth.reshape(-1)[objective.labels.index].tobytes(),
-                      pose_keys if objective.supervised == "rep" else None)
-        if old is not None and old["rep"][0] == inputs:
-            rep_val, rep_count, rep_dropped = old["rep"][1]
+        if objective._recording:  # the label depths, and the poses rep reads
+            rep_inputs = (depth.reshape(-1)[objective.labels.index].tobytes(),
+                          pose_keys if objective.supervised == "rep" else None)
+        if old is not None and old.rep_inputs == rep_inputs:
+            rep_val, rep_count, rep_dropped = old.rep
         else:
             rep_val, rep_count, rep_dropped = _supervised(
                 depth, objective.labels, poses, k, objective.supervised, weights.lambda_rep,
                 d_depth, d_poses,
             )
-        if record:
-            reference["rep"] = inputs, (rep_val, rep_count, rep_dropped)
     if record:
-        reference["poses"] = pose_keys
+        objective._record = _Record(pose_keys, recorded_levels, rep_inputs,
+                                    (rep_val, rep_count, rep_dropped))
 
     total = photo + weights.lambda_smooth * smooth + weights.lambda_rep * rep_val
     breakdown = LossBreakdown(

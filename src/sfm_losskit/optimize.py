@@ -303,14 +303,14 @@ def gradcheck(
     combined. An unknown term, no term or a selected term of weight 0 (which
     checks nothing) is a ConfigError. The point's poses are built once: the
     gradient evaluation and every depth probe share them, so a depth probe
-    rebuilds no rotation. The gradient evaluation records the objective's
-    reference, and each probe recomputes only what it moves,
-    bit-identically: a depth probe the warp and loss pixels around its
-    depth pixel, every context and channel in one stacked pass, and the
-    minimum over sources and the static mask there; a pose probe its whole
-    context, one channel plane at a time, as the gradient evaluation
-    scores every context; a level's smoothness or the supervised term only
-    if their inputs moved. Passes when at least 99% of
+    rebuilds no rotation. The gradient evaluation keeps a record
+    (`losses._Record`), and each probe recomputes only what it moves,
+    bit-identically (see `losses._evaluate`): a depth probe the warp and
+    loss pixels around its depth pixel, every context and channel in one
+    stacked pass, and the minimum over sources and the static mask there;
+    a pose probe its whole context, one channel plane at a time, as the
+    gradient evaluation scores every context; a level's smoothness or the
+    supervised term only if their inputs moved. Passes when at least 99% of
     the probes satisfy |analytic - fd| <= FD_ATOL + FD_TOL * max(|analytic|,
     |fd|) at step FD_STEP; the floor covers gradients too small for float64
     central differences to resolve at that step.
@@ -325,7 +325,7 @@ def gradcheck(
         scene.target, [img for img, _ in scene.contexts], scene.intrinsics, weights,
         labels=scene.labels.depth, num_scales=num_scales, supervised=supervised, terms=terms,
     )
-    objective._reference = {}  # filled by the gradient evaluation, read by each probe
+    objective._recording = True  # the gradient evaluation's record, read by each probe
     rng = np.random.default_rng(seed)
 
     depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))

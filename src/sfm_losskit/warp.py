@@ -11,12 +11,12 @@ coordinate gradient comes back as one.
 A warp's corner set-up is one `Sampling` state, built by `sampling` and
 read by the sample and its gradient: `losses._warped_losses` builds one per
 source and scale over the pixels it scores and keeps it for the backward
-pass, where it stands in for the coordinates. On a forward probe of
-`optimize.gradcheck` the warp, and so the state, covers only the window
-around the depth pixels that moved: the whole image for a context whose
-pose moved, and nothing where neither moved. Each context's window is
-sampled on its own; the contexts that share a depth probe's window are
-then scored in one stacked pass.
+pass, where it stands in for the coordinates. A forward probe of
+`optimize.gradcheck` moves depth alone or poses alone, and its warps cover
+only what moved: in a depth probe every context's window around the moved
+depth pixels, sampled one by one and scored in one stacked pass; in a pose
+probe the whole image of each context whose pose moved, and nothing of
+the others. An evaluation that moves both warps every context whole.
 
 Callers pass finite coordinates at valid pixels, as `geometry.warp_chain`
 makes them from a checked depth and the synthesizer's clipped texture

@@ -432,9 +432,10 @@ class TestGradcheck:
 
 
 class TestProbeReference:
-    """gradcheck's objective keeps the gradient evaluation's warps and loss
-    maps, and each forward probe re-scores only the pixels its warp moved;
-    every field of every breakdown must equal a fresh objective's."""
+    """gradcheck's objective keeps a record of its gradient evaluation (loss
+    maps, masked minimum, argmin, mask and count per level; no warps), and
+    each forward probe re-scores only the pixels its warp moved; every field
+    of every breakdown must equal a fresh objective's."""
 
     @pytest.mark.parametrize("channels, num_scales, terms, supervised", [
         (1, 1, losses.TERMS, "rep"),
@@ -450,7 +451,7 @@ class TestProbeReference:
             scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
             LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
             supervised=supervised, terms=terms) for _ in range(2))
-        probing._reference = {}  # as gradcheck's objective
+        probing._recording = True  # as gradcheck's objective
         rng = np.random.default_rng(7)
         depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
         params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
@@ -509,8 +510,9 @@ class TestProbeReference:
                                           monkeypatch):
         # several inputs moved at once, a pose parameter flipped from 0.0 to
         # -0.0 (moved by its bytes) and a probe repeated after others, which
-        # finds the reference as the gradient evaluation left it; no warp
-        # window holds a single pixel, whose rotation product rounds apart
+        # finds the record as the gradient evaluation left it; no warp
+        # window holds a single pixel, whose rotation product rounds apart,
+        # and a probe that moves depth and a pose warps every context whole
         windows = []
         warp_chain = geometry.warp_chain
 
@@ -524,7 +526,7 @@ class TestProbeReference:
             scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
             LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
             supervised=supervised, terms=terms) for _ in range(2))
-        probing._reference = {}  # as gradcheck's objective
+        probing._recording = True  # as gradcheck's objective
         rng = np.random.default_rng(11)
         depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
         params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
@@ -548,8 +550,11 @@ class TestProbeReference:
         distant = [(0, 1 + 1e-6), (h * w - 1, 1 - 1e-6)]
         first = probe(distant)
         probe([(labeled[0], 1.3), (labeled[-1], 0.9)])
+        both = len(windows)
         probe([(h // 2 * w + w // 2, 1 + 1e-6)], (1, 2), 1e-5)
         probe([(labeled[0], 1 - 1e-6)], (0, 3), -1e-5)
+        probe([(0, 1.3), (h * w - 1, 0.7)], (1, 5), 1e-3)
+        both = windows[both:]
         flip = len(windows)
         probe([], (0, 0))
         flip = windows[flip:]
@@ -559,6 +564,8 @@ class TestProbeReference:
         if "photo" not in terms:
             assert windows == []
             return
+        # 3 probes of the probing and of the fresh objective
+        assert both == [None] * (2 * 3 * len(scene.contexts) * num_scales)
         assert flip[0] == (0, h, 0, w)  # the flipped pose re-warps its whole context
         assert 1 not in sizes and min(sizes) == 0 and max(sizes) == h * w
         assert len(sizes) > 2  # windows between empty and the whole image
@@ -571,7 +578,8 @@ class TestProbeReference:
     ])
     def test_probes_write_no_recorded_array(self, channels, num_scales, terms, supervised):
         # probes read the recorded arrays in place: after depth, pose and
-        # combined probes, every entry of the reference keeps the bytes the
+        # combined probes and a write to the caller's depth, the objective
+        # keeps the same record, and every field of it the bytes the
         # gradient evaluation left
         def snapshot(value):
             if isinstance(value, np.ndarray):
@@ -585,14 +593,18 @@ class TestProbeReference:
             scene.target, [img for img, _ in scene.contexts], scene.intrinsics,
             LossWeights(lambda_rep=1.0), labels=scene.labels.depth, num_scales=num_scales,
             supervised=supervised, terms=terms)
-        probing._reference = {}  # as gradcheck's objective
+        probing._recording = True  # as gradcheck's objective
         rng = np.random.default_rng(13)
         depth0 = scene.gt_depth * np.exp(rng.normal(0.0, 0.05, scene.gt_depth.shape))
         params0 = np.stack([pose.as_params() for _, pose in scene.contexts])
         params0 += rng.normal(0.0, 0.01, params0.shape)
-        losses.total_loss_grad(probing, [PoseSE3.from_params(p) for p in params0], depth0)
-        recorded = {key: snapshot(value) for key, value in probing._reference.items()}
-        assert ("min", 0) in recorded or "photo" not in terms
+        owned = depth0.copy()
+        losses.total_loss_grad(probing, [PoseSE3.from_params(p) for p in params0], owned)
+        record = probing._record
+        recorded = snapshot(record)
+        owned[:] = 1.0  # the caller's array, which the record copies
+        assert len(record.levels) == num_scales
+        assert (record.levels[0].photo is None) == ("photo" not in terms)
 
         h, w = depth0.shape
         pixels = [0, w + 1, h // 2 * w + w // 2, h * w - 1]
@@ -609,9 +621,34 @@ class TestProbeReference:
                 s, i, d = pose_move
                 params[s, i] += d
             losses.total_loss(probing, [PoseSE3.from_params(p) for p in params], depth)
-            assert probing._reference.keys() == recorded.keys()
-            for key, value in probing._reference.items():
-                assert snapshot(value) == recorded[key], (key, moves, pose_move)
+            assert probing._record is record
+            assert snapshot(record) == recorded, (moves, pose_move)
+
+    def test_only_gradcheck_records_without_warps(self, monkeypatch):
+        # gradcheck's record holds no level's warps or adjoints, which would
+        # raise peak RSS, and an objective of optimize.run keeps no record
+        seen = []
+        evaluate = losses._evaluate
+
+        def spy(objective, *args, **kwargs):
+            seen.append(objective)
+            return evaluate(objective, *args, **kwargs)
+
+        monkeypatch.setattr(losses, "_evaluate", spy)
+        scene = quick_scene(width=48, height=40, channels=3)
+        gradcheck(scene, LossWeights(lambda_rep=1.0), n_samples=4, num_scales=2)
+        record = seen[0]._record
+        assert {id(o) for o in seen} == {id(seen[0])} and len(record.levels) == 2
+        for level in record.levels:
+            photo = level.photo
+            assert photo.warps is None and photo.adjoints is None
+            assert [m.shape for m in photo.maps] == [(40, 48)] * len(scene.contexts)
+            assert photo.masked.shape == photo.argmin.shape == photo.mask.shape == (40, 48)
+        seen.clear()
+        run(scene, quick_config(phase_a_iters=3, phase_b_iters=3))
+        assert seen
+        for objective in seen:
+            assert objective._record is None and not objective._recording
 
 
 class TestOptimState:
