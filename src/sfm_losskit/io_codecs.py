@@ -44,7 +44,7 @@ def _pfm_bytes(path, data: np.ndarray) -> bytes:
         raise DimensionError(f"PFM supports (H, W) or (H, W, 3), got {data.shape}")
     # the cast would turn a finite value past float32's range into inf; NaN
     # and inf themselves are written as they are
-    if np.any(np.abs(data[np.isfinite(data)]) > np.finfo(np.float32).max):
+    if np.any((np.abs(data) > np.finfo(np.float32).max) & np.isfinite(data)):
         raise CodecError(f"{path}: a finite value lies beyond the float32 range")
     rows = data.astype("<f4")
     h, w = rows.shape[:2]
@@ -78,14 +78,16 @@ def _ppm_bytes(img: np.ndarray) -> bytes:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] not in (1, 3):
         raise DimensionError(f"PPM expects (C, H, W) with C in {{1, 3}}, got {img.shape}")
-    # interleave (gray replicated) first: the casts run 4x slower through a transpose
-    img = np.repeat(img.transpose(1, 2, 0), 3 // img.shape[0], axis=2)
-    levels = np.clip(np.rint(img * 65535), 0, 65535)
-    h, w = img.shape[:2]
-    return f"P6\n{w} {h}\n65535\n".encode("ascii") + levels.astype(">u2").tobytes()
+    # quantize the contiguous planes in place, then interleave (gray replicated)
+    levels = img * 65535
+    np.rint(levels, out=levels)
+    levels = levels.clip(0, 65535, out=levels).astype(">u2").transpose(1, 2, 0)
+    h, w = levels.shape[:2]
+    return f"P6\n{w} {h}\n65535\n".encode("ascii") + np.broadcast_to(levels, (h, w, 3)).tobytes()
 
 
-def read_ppm(path) -> np.ndarray:
+def read_ppm(path) -> tuple[np.ndarray, int]:
+    """A binary PPM's (3, H, W) integer samples, a view of its payload, and its maxval."""
     with open(path, "rb") as fh:
         if _read_token(fh) != b"P6":
             raise CodecError(f"{path}: not a binary PPM (P6) stream")
@@ -97,7 +99,7 @@ def read_ppm(path) -> np.ndarray:
         count = h * w * 3
         raw = _read_payload(fh, path, count * (2 if maxval == 65535 else 1))
         data = np.frombuffer(raw, dtype=dtype)
-    return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
+    return data.reshape(h, w, 3).transpose(2, 0, 1), maxval
 
 
 def _read_token(fh) -> bytes:
@@ -179,24 +181,25 @@ def unpack_labels(path, data: np.ndarray) -> SparseDepth:
     """Check the raster of a label PFM read from ``path`` and unpack it."""
     if data.ndim != 3:
         raise CodecError(f"{path}: label PFM must be 3-channel")
-    # before any cast: a NaN or inf value, a fractional beam id or beam count,
-    # one beyond 2**24 in magnitude (past it float32 skips integers) and a
-    # negative beam count are malformed
-    if not np.isfinite(data).all():
+    # checked on contiguous planes before any cast: a NaN or inf value, a
+    # fractional beam id or beam count, one beyond 2**24 in magnitude (past
+    # it float32 skips integers) and a negative beam count are malformed
+    planes = data.transpose(2, 0, 1).copy()
+    depth, beam_id, num_beams = planes
+    if not np.isfinite(planes).all():
         raise CodecError(f"{path}: label PFM holds a non-finite value")
-    if not np.all(data[..., 1:] == np.floor(data[..., 1:])):
+    if not np.all(planes[1:] == np.floor(planes[1:])):
         raise CodecError(f"{path}: beam ids and beam counts must be integers")
-    if np.any(np.abs(data[..., 1:]) > 2**24):
+    if np.any(np.abs(planes[1:]) > 2**24):
         raise CodecError(f"{path}: beam ids and beam counts must be at most 2**24 in magnitude")
-    num_beams = data[..., 2]
     if np.any(num_beams < 0):
         raise CodecError(f"{path}: beam count is negative")
     if num_beams.size and not np.all(num_beams == num_beams.flat[0]):
         raise CodecError(f"{path}: beam-count channel is not constant")
     try:
         return SparseDepth(
-            depth=data[..., 0].astype(np.float64),
-            beam_id=data[..., 1].astype(np.int64),
+            depth=depth.astype(np.float64),
+            beam_id=beam_id.astype(np.int64),
             num_beams=int(num_beams.flat[0]) if num_beams.size else 0,
         )
     except ValueError as exc:  # channels SparseDepth rejects
@@ -317,11 +320,12 @@ def read_scene_dir(scene_dir):
             )
 
     def _load_image(name):
-        img = read_ppm(os.path.join(scene_dir, name))
-        _check_size(name, img.shape[1:])
-        if channels == 1 and (img[1:] != img[0]).any():
+        samples, maxval = read_ppm(os.path.join(scene_dir, name))
+        _check_size(name, samples.shape[1:])
+        # one plane at a time: a broadcast compare of strided planes is 4x slower
+        if channels == 1 and any((plane != samples[0]).any() for plane in samples[1:]):
             raise CodecError(f"{scene_dir}: {name} is in colour, the manifest says channels 1")
-        return np.ascontiguousarray(img[:channels])
+        return np.true_divide(samples[:channels], maxval, dtype=np.float64, order="C")
 
     target = _load_image(target_f)
     gt_depth = read_pfm(os.path.join(scene_dir, depth_f)).astype(np.float64)

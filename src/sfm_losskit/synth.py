@@ -135,9 +135,9 @@ class _Texture:
     def sample(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """(C,) + px.shape texture values at plane coordinates (px, py)."""
         channels, ht, wt = self.raster.shape
-        u = np.clip((px - self.origin[0]) / self.spacing, 0.0, wt - 1.0)
-        v = np.clip((py - self.origin[1]) / self.spacing, 0.0, ht - 1.0)
-        coords = np.stack([u, v]).reshape(2, -1, 1)
+        u = (px - self.origin[0]) / self.spacing
+        v = (py - self.origin[1]) / self.spacing
+        coords = np.stack([u, v]).reshape(2, -1, 1)  # `warp.sampling` clamps them
         at = warp.sampling(coords, np.ones(coords.shape[1:], dtype=bool), (ht, wt))
         # upper-left corners, and one texel past them for the other three
         x0 = at.index % wt
@@ -233,16 +233,18 @@ def _render(planes: list[_Plane], pose: PoseSE3, k: CameraIntrinsics,
         raise DegenerateGeometryError("some pixel rays miss the scene geometry")
 
     pts_t = rot.T @ (depth * rays - t[:, None, None]).reshape(3, -1)
-    img = np.zeros((channels,) + shape)
+    rows = np.zeros((channels, plane_idx.size))
     for i, plane in enumerate(planes):
-        sel = plane_idx == i
-        if not sel.any():
+        idx = np.flatnonzero(plane_idx == i)
+        if not idx.size:
             continue
-        rel = pts_t[:, sel.reshape(-1)] - plane.anchor[:, None]
+        # keep rel the transpose of an (M, 3) array: the basis products run
+        # through BLAS, and a C-contiguous (3, M) rel rounds them differently
+        rel = pts_t.T[idx].T - plane.anchor[:, None]
         values = plane.texture.sample(plane.basis[0] @ rel, plane.basis[1] @ rel)
-        for c in range(channels):  # per plane: img[:, sel] = values is 7-12x slower
-            img[c][sel] = values[c]
-    return img, depth, plane_idx
+        for c in range(channels):  # one row at a time: rows[:, idx] = values is 2.5x slower
+            rows[c][idx] = values[c]
+    return rows.reshape((channels,) + shape), depth, plane_idx
 
 
 def _build_geometry(spec: SceneSpec, k: CameraIntrinsics) -> list[_Plane]:

@@ -17,6 +17,12 @@ def write_ppm(path, img):
     path.write_bytes(io_codecs._ppm_bytes(img))
 
 
+def read_ppm(path):
+    """A PPM's (3, H, W) samples as floats in [0, 1]."""
+    samples, maxval = io_codecs.read_ppm(path)
+    return samples / maxval
+
+
 class TestPfmCodec:
     def test_round_trip_single_channel(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -83,7 +89,7 @@ class TestPpmCodec:
         else:
             write_ppm(path, img)
             assert path.read_bytes() == b"P6\n7 9\n65535\n" + levels.astype(">u2").tobytes()
-        back = io_codecs.read_ppm(path)
+        back = read_ppm(path)
         assert back.shape == (3, 9, 7)
         assert (back == img).all()
 
@@ -93,14 +99,14 @@ class TestPpmCodec:
         img = np.repeat((levels / 65535)[None], 3, axis=0)
         path = tmp_path / "sweep.ppm"
         write_ppm(path, img)
-        back = io_codecs.read_ppm(path)
+        back = read_ppm(path)
         assert (back == img).all()
 
     def test_gray_images_replicate_channels(self, tmp_path):
         img = np.random.default_rng(3).uniform(0, 1, (1, 5, 6))
         path = tmp_path / "g.ppm"
         write_ppm(path, img)
-        back = io_codecs.read_ppm(path)
+        back = read_ppm(path)
         assert back.shape == (3, 5, 6)
         assert (back[0] == back[1]).all() and (back[0] == back[2]).all()
 
@@ -108,6 +114,28 @@ class TestPpmCodec:
         # an image in the (H, W, C) layout, H and W not in {1, 3}
         with pytest.raises(DimensionError):
             write_ppm(tmp_path / "x.ppm", np.zeros((5, 6, 3)))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_encoder_equals_float_interleave(self, channels):
+        # the encoder quantizes the planes before interleaving them; the
+        # bytes equal those of interleaving (gray replicated) the floats first
+        def float_interleave(img):
+            img = np.repeat(img.transpose(1, 2, 0), 3 // img.shape[0], axis=2)
+            levels = np.clip(np.rint(img * 65535), 0, 65535)
+            h, w = img.shape[:2]
+            return f"P6\n{w} {h}\n65535\n".encode("ascii") + levels.astype(">u2").tobytes()
+
+        rng = np.random.default_rng(21)
+        ties = (rng.integers(0, 65535, 300) + 0.5) / 65535  # half-level ties
+        edges = np.array([0.0, 1.0, -0.1, 1.2, -0.0, 0.5 / 65535, 65534.5 / 65535])
+        values = np.concatenate([rng.uniform(-0.2, 1.2, channels * 17 * 23 - 307), ties, edges])
+        img = rng.permutation(values).reshape(channels, 17, 23)
+        assert io_codecs._ppm_bytes(img) == float_interleave(img)
+        # and on a rendered scene's target, a strided view of it included
+        target = make_scene(SceneSpec(width=24, height=16, channels=channels, beams=0)).target
+        assert io_codecs._ppm_bytes(target) == float_interleave(target)
+        view = target[:, ::2, 1::3]
+        assert io_codecs._ppm_bytes(view) == float_interleave(view)
 
     def test_invalid_maxval(self, tmp_path):
         path = tmp_path / "x.ppm"
@@ -145,12 +173,28 @@ class TestManifest:
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_images_load_planar(self, tmp_path, channels):
+        # each image equals its PPM's samples all converted to float, cut
+        # to the scene's channels, as C-contiguous float64 planes: as
+        # written (16-bit), then rewritten at 8 bits as other tools write it
         scene = make_scene(SceneSpec(width=24, height=16, channels=channels, beams=0))
         io_codecs.write_scene_dir(tmp_path / "scene", scene)
-        loaded = io_codecs.read_scene_dir(tmp_path / "scene")
-        for img in [loaded.target] + [img for img, _ in loaded.contexts]:
-            assert img.shape == (channels, 16, 24)
-            assert img.flags.c_contiguous
+        paths = [tmp_path / "scene" / name
+                 for name in ("target.ppm", "context_00.ppm", "context_01.ppm")]
+        for maxval in (65535, 255):
+            expected = []
+            for path in paths:
+                samples, _ = io_codecs.read_ppm(path)
+                if maxval == 255:
+                    samples = samples >> 8
+                    path.write_bytes(b"P6\n24 16\n255\n"
+                                     + samples.transpose(1, 2, 0).astype("u1").tobytes())
+                expected.append((samples.astype(np.float64) / maxval)[:channels])
+            loaded = io_codecs.read_scene_dir(tmp_path / "scene")
+            for img, want in zip([loaded.target] + [img for img, _ in loaded.contexts],
+                                 expected):
+                assert img.shape == (channels, 16, 24) and img.dtype == np.float64
+                assert img.flags.c_contiguous
+                assert img.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_colour_image_in_gray_scene_rejected(self, tmp_path):
         gray = make_scene(SceneSpec(width=24, height=16, channels=1, beams=0))
@@ -158,6 +202,19 @@ class TestManifest:
         io_codecs.write_scene_dir(tmp_path / "scene", gray)
         write_ppm(tmp_path / "scene" / "context_00.ppm", colour.contexts[0][0])
         with pytest.raises(CodecError, match="context_00.ppm"):
+            io_codecs.read_scene_dir(tmp_path / "scene")
+
+    @pytest.mark.parametrize("channel", [1, 2])
+    def test_one_differing_sample_in_gray_scene_rejected(self, tmp_path, channel):
+        # a single G or B sample one level off the pixel's R sample
+        gray = make_scene(SceneSpec(width=24, height=16, channels=1, beams=0))
+        io_codecs.write_scene_dir(tmp_path / "scene", gray)
+        path = tmp_path / "scene" / "target.ppm"
+        samples, _ = io_codecs.read_ppm(path)
+        samples = samples.transpose(1, 2, 0).copy()
+        samples[11, 5, channel] ^= 1
+        path.write_bytes(b"P6\n24 16\n65535\n" + samples.astype(">u2").tobytes())
+        with pytest.raises(CodecError, match="target.ppm is in colour"):
             io_codecs.read_scene_dir(tmp_path / "scene")
 
 
@@ -725,7 +782,7 @@ class TestMalformedInput:
         assert cli.main(["synth", "--config", str(cfg), "--out", str(scene_dir)]) == 0
         path = scene_dir / name
         if name.endswith(".ppm"):
-            write_ppm(path, io_codecs.read_ppm(path)[:, :24])
+            write_ppm(path, read_ppm(path)[:, :24])
         else:
             io_codecs.write_pfm(path, io_codecs.read_pfm(path)[:, :24])
         capsys.readouterr()

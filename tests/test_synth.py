@@ -176,6 +176,71 @@ class TestRenderView:
         assert depth.std() > 0.1  # slant actually varies depth
 
 
+def render_with_masks(planes, pose, k, channels):
+    """`_render` as it was written with boolean masks: each plane's hit
+    points gathered and its texture values scattered through ``plane_idx ==
+    i``, and the texture sampled at (u, v) clipped to its raster first."""
+    rays = k.pixel_rays()
+    rot = pose.rotation_matrix()
+    t = pose.translation_vector()
+    shape = rays.shape[1:]
+    depth = np.full(shape, np.inf)
+    plane_idx = np.full(shape, -1, dtype=np.int64)
+    for i, plane in enumerate(planes):
+        n_v = rot @ plane.normal
+        c_v = plane.offset + n_v @ t
+        denom = (n_v @ rays.reshape(3, -1)).reshape(shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(np.abs(denom) > 1e-12, c_v / denom, np.inf)
+        hit = d > 1e-6
+        if plane.x_bounds is not None:
+            x_t = (rot.T @ (d * rays - t[:, None, None]).reshape(3, -1))[0].reshape(shape)
+            hit &= (x_t >= plane.x_bounds[0]) & (x_t <= plane.x_bounds[1])
+        better = hit & (d < depth)
+        depth = np.where(better, d, depth)
+        plane_idx = np.where(better, i, plane_idx)
+    pts_t = rot.T @ (depth * rays - t[:, None, None]).reshape(3, -1)
+    img = np.zeros((channels,) + shape)
+    for i, plane in enumerate(planes):
+        sel = plane_idx == i
+        rel = pts_t[:, sel.reshape(-1)] - plane.anchor[:, None]
+        tex = plane.texture
+        _, ht, wt = tex.raster.shape
+        u = np.clip((plane.basis[0] @ rel - tex.origin[0]) / tex.spacing, 0.0, wt - 1.0)
+        v = np.clip((plane.basis[1] @ rel - tex.origin[1]) / tex.spacing, 0.0, ht - 1.0)
+        coords = np.stack([u, v]).reshape(2, -1, 1)
+        at = warp.sampling(coords, np.ones(coords.shape[1:], dtype=bool), (ht, wt))
+        tex.fill(0, ht, 0, wt)
+        values = warp.sample_bilinear(tex.raster, at).reshape(channels, -1)
+        for c in range(channels):
+            img[c][sel] = values[c]
+    return img, depth, plane_idx
+
+
+class TestRenderPinned:
+    """`_render` gathers and scatters through integer indices and leaves the
+    texture clamp to `warp.sampling`; its outputs must equal the boolean-mask
+    form's byte for byte. The gathered (3, M) points keep that form's layout,
+    the transpose of an (M, 3) array: the basis products run through BLAS,
+    and a C-contiguous gather rounds them differently."""
+
+    POSE = PoseSE3(rotation=(0.05, -0.07, 0.03), translation=(0.45, -0.2, 0.35))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("geometry", ["slant", "two_plane"])
+    def test_equals_boolean_mask_render(self, geometry, channels):
+        spec = SceneSpec(geometry=geometry, slant=25.0 if geometry == "slant" else 0.0,
+                         width=64, height=48, channels=channels, seed=13, beams=0)
+        k = spec.intrinsics()
+        got = _render(_build_geometry(spec, k), self.POSE, k, channels)
+        want = render_with_masks(_build_geometry(spec, k), self.POSE, k, channels)
+        # every plane is hit, so every plane's gather and scatter runs
+        assert set(np.unique(got[2])) == set(range(1 + (geometry == "two_plane")))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+
 class TestSceneSpecIO:
     def test_flat_key_value_file(self, tmp_path):
         path = tmp_path / "scene.cfg"
